@@ -1,4 +1,4 @@
-"""Seeded, deterministic view generation for every objective and modality.
+"""Seeded, deterministic view generation for every objective.
 
 All functions are pure in (input, seed): the same call always produces the
 same views. Images are channel-first float arrays with values in [0, 1].
@@ -7,24 +7,7 @@ same views. Images are channel-first float arrays with values in [0, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass
-class ViewSet:
-    views: list
-    kind: str
-
-    def __len__(self):
-        return len(self.views)
-
-    def __iter__(self):
-        return iter(self.views)
-
-    def __getitem__(self, i):
-        return self.views[i]
 
 
 def resize_bilinear(image, out_h, out_w):
@@ -75,7 +58,7 @@ def patchify_overlap(image, patch=112, grid=7):
         for oy in offsets
         for ox in offsets
     ]
-    return ViewSet(views=views, kind="overlap_patches")
+    return views
 
 
 def _random_square_crop(image, rng, scale_range, out_size):
@@ -110,7 +93,7 @@ def dino_crops(
     rng = np.random.default_rng(seed)
     glob = [_random_square_crop(image, rng, global_scale, out_size) for _ in range(n_global)]
     local = [_random_square_crop(image, rng, local_scale, out_size) for _ in range(n_local)]
-    return ViewSet(views=glob, kind="global_crop"), ViewSet(views=local, kind="local_crop")
+    return glob, local
 
 
 def _rgb_to_hsv(img):
@@ -171,38 +154,3 @@ def color_jitter(image, max_delta=0.1, p=0.5, seed=0):
     if out is image:
         return image.copy()
     return np.clip(out, 0.0, 1.0)
-
-
-def word_delete(tokens, p=0.1, seed=0):
-    """Drop each token independently with prob p; never return empty."""
-    tokens = list(tokens)
-    if not tokens:
-        raise ValueError("word_delete requires a non-empty token list")
-    rng = np.random.default_rng(seed)
-    keep = rng.random(len(tokens)) >= p
-    if not keep.any():
-        return [tokens[int(rng.integers(len(tokens)))]]
-    return [t for t, k in zip(tokens, keep) if k]
-
-
-def audio_noise(clip, seed, noise_scale=10.0, max_shift=10):
-    """Additive uniform noise plus a random time shift with zero padding.
-
-    noisy = clip + u1 * u2 / noise_scale with u1 ~ U(0,1)^shape elementwise
-    and u2 ~ U(0,1) a single draw; the result is shifted along the last
-    axis by an integer from {-max_shift, ..., max_shift}.
-    """
-    clip = np.asarray(clip, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    u1 = rng.random(clip.shape)
-    u2 = rng.random()
-    noisy = clip + u1 * u2 / noise_scale
-    shift = int(rng.integers(-max_shift, max_shift + 1))
-    out = np.zeros_like(noisy)
-    if shift == 0:
-        out = noisy
-    elif shift > 0:
-        out[..., shift:] = noisy[..., :-shift]
-    else:
-        out[..., :shift] = noisy[..., -shift:]
-    return out

@@ -125,7 +125,8 @@ class GradTape:
     def backward(self, loss):
         """Gradients of a scalar loss w.r.t. every requires-grad leaf.
 
-        Returns a map from leaf Tensor to a numpy gradient of the same shape.
+        Returns a dict from leaf Tensor (hashed by identity) to a numpy
+        gradient of the same shape.
         The tape is consumed; a second call raises.
         """
         if self._consumed:
@@ -158,29 +159,12 @@ class GradTape:
                     bucket[key] = g
         for leaf, g in leaf_grads.items():
             assert g.shape == leaf.shape
-        return _GradMap(leaf_grads)
-
-
-class _GradMap:
-    """Mapping from leaf tensors (by identity) to gradient arrays."""
-
-    def __init__(self, grads):
-        self._grads = grads
-
-    def __getitem__(self, tensor):
-        return self._grads[tensor]
-
-    def get(self, tensor, default=None):
-        return self._grads.get(tensor, default)
-
-    def __contains__(self, tensor):
-        return tensor in self._grads
-
-    def __len__(self):
-        return len(self._grads)
-
-    def items(self):
-        return self._grads.items()
+        # unlink outputs from their nodes: with no tensor <-> node cycles left,
+        # reference counting frees the graph with the tape, not a later
+        # cyclic collection
+        for node in self._nodes:
+            node.output.node = None
+        return leaf_grads
 
 
 class no_grad:

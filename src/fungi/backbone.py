@@ -140,11 +140,6 @@ class GradientSource:
         return getattr(block, prefix + "_w"), getattr(block, prefix + "_b")
 
 
-def default_gradient_source(config):
-    """Attention output projection of the last block."""
-    return GradientSource(block_index=config.depth - 1, layer_kind="attn_proj")
-
-
 def init_encoder(config, seed, dtype=np.float32):
     """Deterministic random initialization of all encoder weights."""
     rng = np.random.default_rng(seed)
@@ -194,71 +189,6 @@ def init_encoder(config, seed, dtype=np.float32):
         norm_g=ad.Tensor(np.ones(d, dtype=dtype)),
         norm_b=ad.Tensor(np.zeros(d, dtype=dtype)),
     )
-
-
-def save_params(params, path):
-    """Persist encoder weights (one section per tensor) plus the config."""
-    from . import store
-
-    cfg = params.config
-    sections = {
-        "encoder_config": store.encode_text(
-            f"image_size={cfg.image_size} patch_size={cfg.patch_size} depth={cfg.depth} "
-            f"dim={cfg.dim} heads={cfg.heads} mlp_ratio={cfg.mlp_ratio} pooling={cfg.pooling}"
-        )
-    }
-    for name, tensor in params.named_tensors():
-        sections[f"weights::{name}"] = tensor.data
-    store.write_sections(path, sections)
-
-
-def load_params(path):
-    from . import store
-
-    sections = store.read_sections(path)
-    meta = dict(
-        item.split("=") for item in store.decode_text(sections["encoder_config"]).split()
-    )
-    config = EncoderConfig(
-        image_size=int(meta["image_size"]),
-        patch_size=int(meta["patch_size"]),
-        depth=int(meta["depth"]),
-        dim=int(meta["dim"]),
-        heads=int(meta["heads"]),
-        mlp_ratio=float(meta["mlp_ratio"]),
-        pooling=meta["pooling"],
-    )
-    weights = {
-        name[len("weights::") :]: ad.Tensor(arr)
-        for name, arr in sections.items()
-        if name.startswith("weights::")
-    }
-    blocks = []
-    for i in range(config.depth):
-        blocks.append(
-            BlockParams(
-                **{k: weights[f"block{i}.{k}"] for k in BlockParams.__dataclass_fields__}
-            )
-        )
-    return EncoderParams(
-        config=config,
-        patch_w=weights["patch_w"],
-        patch_b=weights["patch_b"],
-        cls_token=weights["cls_token"],
-        pos=weights["pos"],
-        blocks=blocks,
-        norm_g=weights["norm_g"],
-        norm_b=weights["norm_b"],
-    )
-
-
-def parameter_count(config):
-    """Closed-form number of scalar weights in an encoder."""
-    d = config.dim
-    patch_in = 3 * config.patch_size**2
-    tokens = config.num_patches + 1
-    per_block = (3 * d * d + 3 * d) + (d * d + d) + 4 * d + (config.mlp_dim * d + config.mlp_dim) + (d * config.mlp_dim + d)
-    return (d * patch_in + d) + d + tokens * d + config.depth * per_block + 2 * d
 
 
 def patchify(image, patch_size):

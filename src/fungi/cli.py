@@ -213,8 +213,7 @@ def cmd_retrieve(args):
     for kind in ("embedding", "fused"):
         gallery = pipeline.bank_feature_matrix(train, kind)
         queries = pipeline.bank_feature_matrix(test, kind)
-        relevance = [set(np.flatnonzero(train.labels == lbl)) for lbl in test.labels]
-        mean_ap, _ = evalkit.retrieval_map(queries, gallery, relevance)
+        mean_ap, _ = evalkit.retrieval_map(queries, gallery, test.labels, train.labels)
         reports.append(evalkit.EvalReport(f"retrieval_map_{kind}", mean_ap))
         table_rows.append([kind, f"{mean_ap:.4f}"])
     evalkit.write_csv(args.out, reports, _echo_lines(train.config_echo, train.config_hash))
@@ -249,33 +248,24 @@ def cmd_segment(args):
         config.encoder.image_size = data_size
         config.validate()
     if args.few_shot:
-        seg_cfg = segmem.SegConfig(
-            k=seg.few_shot_k,
-            temperature=seg.few_shot_temperature,
-            augmentation_epochs=seg.few_shot_augmentation_epochs,
-            bank_cap=args.bank_cap,
-            ivf=segmem.IvfParams(
-                num_leaves=seg.ivf_num_leaves,
-                leaves_to_search=seg.few_shot_ivf_leaves_to_search,
-                rerank=seg.few_shot_ivf_rerank,
-                dims_per_block=seg.ivf_dims_per_block,
-                anisotropic_threshold=seg.ivf_anisotropic_threshold,
-            ),
-        )
+        k, temperature, epochs = seg.few_shot_k, seg.few_shot_temperature, seg.few_shot_augmentation_epochs
+        leaves_to_search, rerank = seg.few_shot_ivf_leaves_to_search, seg.few_shot_ivf_rerank
     else:
-        seg_cfg = segmem.SegConfig(
-            k=seg.k,
-            temperature=seg.temperature,
-            augmentation_epochs=seg.augmentation_epochs,
-            bank_cap=args.bank_cap,
-            ivf=segmem.IvfParams(
-                num_leaves=seg.ivf_num_leaves,
-                leaves_to_search=seg.ivf_leaves_to_search,
-                rerank=seg.ivf_rerank,
-                dims_per_block=seg.ivf_dims_per_block,
-                anisotropic_threshold=seg.ivf_anisotropic_threshold,
-            ),
-        )
+        k, temperature, epochs = seg.k, seg.temperature, seg.augmentation_epochs
+        leaves_to_search, rerank = seg.ivf_leaves_to_search, seg.ivf_rerank
+    seg_cfg = segmem.SegConfig(
+        k=k,
+        temperature=temperature,
+        augmentation_epochs=epochs,
+        bank_cap=args.bank_cap,
+        ivf=segmem.IvfParams(
+            num_leaves=seg.ivf_num_leaves,
+            leaves_to_search=leaves_to_search,
+            rerank=rerank,
+            dims_per_block=seg.ivf_dims_per_block,
+            anisotropic_threshold=seg.ivf_anisotropic_threshold,
+        ),
+    )
     params = pipeline.build_encoder(config)
     head = None
     if args.fungi:

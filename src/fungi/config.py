@@ -80,8 +80,6 @@ class ProjectionSection:
 @dataclass
 class PcaSection:
     out_dim: int = 64
-    vit_s_dim: int = 384
-    vit_b_dim: int = 512
 
 
 @dataclass
@@ -113,8 +111,6 @@ class SegmentationSection:
     simclr_temperature: float = 0.07
     retrieved_negatives_per_patch: int = 2
     loss_negatives_per_patch: int = 1
-    color_jitter_prob: float = 0.5
-    color_jitter_delta: float = 0.1
 
 
 @dataclass

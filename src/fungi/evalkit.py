@@ -34,6 +34,40 @@ class KnnIndex:
             raise ValueError("k must be at least 1")
 
 
+def top_k(scores, k):
+    """Column ids of the k largest scores in each row of a 2-D array, best first.
+
+    Ties go to the lower column id; with k >= the number of columns every
+    column is ranked. Every neighbor ranking in the package goes through
+    this rule.
+    """
+    scores = np.asarray(scores)
+    n = scores.shape[1]
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if k >= n:
+        return np.argsort(-scores, axis=1, kind="stable")
+    ids = np.argpartition(scores, n - k, axis=1)[:, n - k :]
+    cut = np.take_along_axis(scores, ids, axis=1).min(axis=1, keepdims=True)
+    # argpartition keeps an arbitrary subset of the scores equal to the cut;
+    # in rows where more columns tie there, keep the lowest ids among them
+    tied = np.flatnonzero(np.count_nonzero(scores >= cut, axis=1) > k)
+    if tied.size:
+        sub, sub_cut = scores[tied], cut[tied]
+        above = sub > sub_cut
+        at = sub == sub_cut
+        fill = np.cumsum(at, axis=1) <= k - np.count_nonzero(above, axis=1)[:, None]
+        ids[tied] = np.nonzero(above | (at & fill))[1].reshape(len(tied), k)
+    order = np.lexsort((ids, -np.take_along_axis(scores, ids, axis=1)))
+    return np.take_along_axis(ids, order, axis=1)
+
+
+# query rows per block: 64 keeps a block's (rows, index rows) float64
+# temporaries no larger than the (index rows, dim) ones of one unblocked kNN
+# query at the feature widths in use (64 and 256)
+QUERY_BLOCK = 64
+
+
 def _vote(neighbor_labels, neighbor_dists):
     """Majority vote; ties by larger summed inverse distance, then class id."""
     classes, counts = np.unique(neighbor_labels, return_counts=True)
@@ -50,8 +84,9 @@ def _vote(neighbor_labels, neighbor_dists):
 def knn_classify(index, queries, k=None):
     """Predicted label per query by majority vote over the k nearest rows.
 
-    Distances are exact Euclidean; neighbor ties at equal distance resolve
-    to the lower row id (stable sort).
+    Distances are Euclidean, from squared norms and one matrix product per
+    block of queries; neighbor ties at equal distance resolve to the lower
+    row id (`top_k`).
     """
     k = index.k if k is None else k
     if k > len(index.features):
@@ -60,11 +95,15 @@ def knn_classify(index, queries, k=None):
     single = queries.ndim == 1
     if single:
         queries = queries[None]
+    row_sq = np.sum(index.features**2, axis=1)
     preds = np.empty(len(queries), dtype=index.labels.dtype)
-    for qi, q in enumerate(queries):
-        dists = np.sqrt(np.sum((index.features - q) ** 2, axis=1))
-        order = np.argsort(dists, kind="stable")[:k]
-        preds[qi] = _vote(index.labels[order], dists[order])
+    for start in range(0, len(queries), QUERY_BLOCK):
+        block = queries[start : start + QUERY_BLOCK]
+        d2 = row_sq - 2.0 * (block @ index.features.T) + np.sum(block**2, axis=1)[:, None]
+        ids = top_k(-d2, k)
+        dists = np.sqrt(np.maximum(np.take_along_axis(d2, ids, axis=1), 0.0))
+        for row, (row_ids, row_dists) in enumerate(zip(ids, dists)):
+            preds[start + row] = _vote(index.labels[row_ids], row_dists)
     return preds[0] if single else preds
 
 
@@ -102,13 +141,6 @@ def accuracy(preds, labels, mode="top1"):
     if mode == "mean_per_class":
         return float(np.mean(list(per_class_accuracy(preds, labels).values())))
     raise ValueError(f"unknown accuracy mode {mode!r}")
-
-
-def per_class_delta(per_class_a, per_class_b):
-    """Per-class accuracy differences a - b; class sets must agree."""
-    if set(per_class_a) != set(per_class_b):
-        raise ValueError("per-class reports cover different class sets")
-    return {c: per_class_a[c] - per_class_b[c] for c in sorted(per_class_a)}
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +330,6 @@ class ProbeModel:
         scores = np.asarray(x, dtype=np.float64) @ self.weights.T + self.bias
         return self.classes[np.argmax(scores, axis=1)]
 
-    def predict_proba(self, x):
-        scores = np.asarray(x, dtype=np.float64) @ self.weights.T + self.bias
-        scores -= scores.max(axis=1, keepdims=True)
-        e = np.exp(scores)
-        return e / e.sum(axis=1, keepdims=True)
-
 
 def probe_loss_and_grad(wb, x, y_index, n_classes, lam):
     """Mean cross-entropy + 0.5 * lam * ||W||^2 (bias unpenalized).
@@ -439,45 +465,33 @@ def logistic_probe(
 # ---------------------------------------------------------------------------
 
 
-def average_precision(ranked_relevant):
-    """AP of a ranked 0/1 relevance vector."""
-    ranked_relevant = np.asarray(ranked_relevant, dtype=bool)
-    n_rel = int(ranked_relevant.sum())
-    if n_rel == 0:
-        return 0.0
-    hits = np.cumsum(ranked_relevant)
-    ranks = np.arange(1, len(ranked_relevant) + 1)
-    return float(np.sum((hits / ranks)[ranked_relevant]) / n_rel)
-
-
-def retrieval_map(query_features, gallery_features, relevance, skip_empty=True):
+def retrieval_map(query_features, gallery_features, query_labels, gallery_labels, skip_empty=True):
     """Mean average precision of cosine-ranked galleries.
 
-    relevance[i] is the set (or array) of gallery row ids relevant to query
-    i. Queries with no relevant items are skipped when skip_empty is set,
-    otherwise they contribute an AP of zero.
+    A gallery row is relevant to a query when their labels are equal.
+    Queries with no relevant items are skipped when skip_empty is set,
+    otherwise they contribute an AP of zero. Returns (mAP, per-query APs).
     """
     gallery = np.asarray(gallery_features, dtype=np.float64)
     queries = np.asarray(query_features, dtype=np.float64)
     if gallery.size == 0:
         raise ValueError("empty gallery")
+    gallery_labels = np.asarray(gallery_labels)
+    query_labels = np.asarray(query_labels)
     gallery_n = gallery / np.linalg.norm(gallery, axis=1, keepdims=True)
     queries_n = queries / np.linalg.norm(queries, axis=1, keepdims=True)
+    ranks = np.arange(1, len(gallery) + 1)
     aps = []
-    for qi in range(len(queries_n)):
-        rel = np.zeros(len(gallery), dtype=bool)
-        ids = np.asarray(sorted(relevance[qi]), dtype=np.int64)
-        if ids.size:
-            rel[ids] = True
-        if not rel.any():
-            if skip_empty:
-                continue
-            aps.append(0.0)
-            continue
-        sims = gallery_n @ queries_n[qi]
-        order = np.argsort(-sims, kind="stable")
-        aps.append(average_precision(rel[order]))
-    if not aps:
+    for start in range(0, len(queries_n), QUERY_BLOCK):
+        block = slice(start, start + QUERY_BLOCK)
+        order = top_k(queries_n[block] @ gallery_n.T, len(gallery))
+        relevant = gallery_labels[order] == query_labels[block, None]
+        n_rel = np.count_nonzero(relevant, axis=1)
+        precision = np.cumsum(relevant, axis=1) / ranks
+        ap = np.where(relevant, precision, 0.0).sum(axis=1) / np.maximum(n_rel, 1)
+        aps.append(ap[n_rel > 0] if skip_empty else ap)
+    aps = np.concatenate(aps)
+    if not aps.size:
         raise ValueError("no query had relevant gallery items")
     return float(np.mean(aps)), aps
 

@@ -82,14 +82,6 @@ def flatten_gradient(dw, db):
     return np.concatenate([dw, db[:, None]], axis=1).ravel()
 
 
-def unflatten_gradient(flat, out_dim, in_dim):
-    flat = np.asarray(flat)
-    if flat.size != out_dim * (in_dim + 1):
-        raise ValueError("flattened gradient has the wrong length")
-    block = flat.reshape(out_dim, in_dim + 1)
-    return block[:, :in_dim].copy(), block[:, in_dim].copy()
-
-
 def project(projection, gradient):
     """Down-project a flattened gradient; no scale factor is applied."""
     gradient = np.asarray(gradient)
@@ -176,15 +168,6 @@ def apply_pca(model, data):
 
 
 @dataclass
-class FeatureRecord:
-    sample_id: int
-    label: int
-    embedding: np.ndarray
-    gradients: dict
-    fused: np.ndarray
-
-
-@dataclass
 class FeatureBank:
     """Per-sample fused features with provenance, in a fixed column layout."""
 
@@ -214,16 +197,6 @@ class FeatureBank:
     @property
     def dim(self):
         return self.fused.shape[1]
-
-    def records(self):
-        for i in range(len(self)):
-            yield FeatureRecord(
-                sample_id=int(self.ids[i]),
-                label=int(self.labels[i]),
-                embedding=None if self.embedding is None else self.embedding[i],
-                gradients={k: v[i] for k, v in self.gradients.items()},
-                fused=self.fused[i],
-            )
 
     def save(self, path):
         sections = {

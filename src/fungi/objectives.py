@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import evalkit
 
 # large negative logit used to exclude self-similarity terms from softmax
 # denominators while keeping every tape value finite
@@ -172,9 +173,7 @@ class SupportIndex:
         """Top-k row ids by cosine similarity, ties broken by lower id."""
         if k > len(self):
             raise ValueError(f"k={k} exceeds index size {len(self)}")
-        sims = np.asarray(queries) @ self.rows.T
-        order = np.argsort(-sims, axis=1, kind="stable")
-        return order[:, :k]
+        return evalkit.top_k(np.asarray(queries) @ self.rows.T, k)
 
 
 def simclr_patch_loss(patch_tokens, head, support, tau=0.07, seed=0, retrieved_per_patch=2, kept_per_patch=1):

@@ -129,7 +129,7 @@ def make_objective(name, config, heads, image, neg_bank, sample_seed, params):
             local_scale=tuple(dcfg.local_scale),
             out_size=config.encoder.image_size,
         )
-        views = list(globals_) + list(locals_)
+        views = globals_ + locals_
         with ad.no_grad():
             teacher = [
                 teacher_head.apply_array(bb.encode(params, v).embedding.data) for v in globals_

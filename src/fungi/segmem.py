@@ -48,16 +48,6 @@ class SegConfig:
             raise ValueError("k must be >= 1 and temperature positive")
 
 
-def few_shot_seg_config():
-    """Few-shot preset: wider attention, more augmentation, deeper search."""
-    return SegConfig(
-        k=90,
-        temperature=0.1,
-        augmentation_epochs=8,
-        ivf=IvfParams(num_leaves=512, leaves_to_search=256, rerank=1800),
-    )
-
-
 def downsample_mask(mask, patch_size, ignore_label=IGNORE_LABEL):
     """Per-cell majority label; ignore pixels don't vote. All-ignore cells
     keep the ignore label."""
@@ -227,16 +217,16 @@ def build_bank(images, masks, extractor, config, seed=0, ignore_label=IGNORE_LAB
 # ---------------------------------------------------------------------------
 
 
-def _top_by_similarity(sims, ids, k):
-    """ids of the k largest sims; ties broken by lower id."""
-    order = np.lexsort((ids, -sims))[:k]
-    return ids[order], sims[order]
+def _exact_block(features, queries, k):
+    sims = queries @ features.T
+    ids = evalkit.top_k(sims, k)
+    return ids, np.take_along_axis(sims, ids, axis=1)
 
 
 def exact_search(features, query, k):
     """Exact top-k by cosine similarity over unit-norm rows."""
-    sims = features @ np.asarray(query, dtype=features.dtype)
-    return _top_by_similarity(sims, np.arange(len(features)), k)
+    ids, sims = _exact_block(features, np.asarray(query, dtype=features.dtype)[None], k)
+    return ids[0], sims[0]
 
 
 @dataclass
@@ -245,6 +235,12 @@ class IvfIndex:
     posting: list  # leaf -> array of bank row ids
     features: np.ndarray
     params: IvfParams
+    row_leaf: np.ndarray = field(init=False, repr=False)  # bank row id -> leaf
+
+    def __post_init__(self):
+        self.row_leaf = np.empty(len(self.features), dtype=np.int64)
+        for leaf, rows in enumerate(self.posting):
+            self.row_leaf[rows] = leaf
 
     def __len__(self):
         return len(self.features)
@@ -267,25 +263,37 @@ def ivf_build(bank_features, params, seed=0):
     )
 
 
+def _ivf_block(index, queries, k):
+    """Top-k (ids, sims) per query row over the rows of its nearest leaves.
+
+    The block scores the union of its queries' candidates; a row outside a
+    query's own leaves scores -inf for that query.
+    """
+    params = index.params
+    if k > params.rerank:
+        raise ValueError(f"k={k} exceeds rerank budget {params.rerank}")
+    # leaves are Voronoi cells of a Euclidean k-means: rank them by the same
+    # geometry (||c||^2 - 2 q.c), not by raw dot product
+    leaf_d2 = np.sum(index.centroids**2, axis=1) - 2.0 * (queries @ index.centroids.T)
+    searched = np.zeros(leaf_d2.shape, dtype=bool)
+    np.put_along_axis(searched, evalkit.top_k(-leaf_d2, params.leaves_to_search), True, axis=1)
+    # candidates in id order, so a tie by position is also a tie by id
+    candidates = np.flatnonzero(searched.any(axis=0)[index.row_leaf])
+    sims = queries @ index.features[candidates].T
+    sims[~searched[:, index.row_leaf[candidates]]] = -np.inf
+    pos = evalkit.top_k(sims, k)
+    return candidates[pos], np.take_along_axis(sims, pos, axis=1)
+
+
 def ivf_search(index, query, k):
     """Scan the nearest leaves, then exactly re-rank the best candidates.
 
     With leaves_to_search == num_leaves every bank row is a candidate and
     the result equals the exact scan.
     """
-    params = index.params
-    if k > params.rerank:
-        raise ValueError(f"k={k} exceeds rerank budget {params.rerank}")
-    query = np.asarray(query, dtype=index.features.dtype)
-    # leaves are Voronoi cells of a Euclidean k-means: rank them by the same
-    # geometry (||c||^2 - 2 q.c), not by raw dot product
-    leaf_d2 = np.sum(index.centroids**2, axis=1) - 2.0 * (index.centroids @ query)
-    leaf_order = np.lexsort((np.arange(len(leaf_d2)), leaf_d2))
-    chosen = leaf_order[: params.leaves_to_search]
-    candidates = np.concatenate([index.posting[leaf] for leaf in chosen])
-    sims = index.features[candidates] @ query
-    ids, sims = _top_by_similarity(sims, candidates, min(params.rerank, len(candidates)))
-    return ids[:k], sims[:k]
+    ids, sims = _ivf_block(index, np.asarray(query, dtype=index.features.dtype)[None], k)
+    found = np.isfinite(sims[0])
+    return ids[0][found], sims[0][found]
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +301,8 @@ def ivf_search(index, query, k):
 # ---------------------------------------------------------------------------
 
 
-def query_label(bank, query, k=None, tau=None, config=None, index=None):
-    """Class distribution for one patch by attention over its neighbors."""
+def _propagate(bank, queries, k, tau, config, index):
+    """(queries, classes) distributions by attention over each row's neighbors."""
     if config is not None:
         k = config.k if k is None else k
         tau = config.temperature if tau is None else tau
@@ -304,24 +312,32 @@ def query_label(bank, query, k=None, tau=None, config=None, index=None):
         raise ValueError("empty bank")
     if k > len(bank):
         raise ValueError(f"k={k} exceeds bank size {len(bank)}")
-    if index is not None:
-        ids, sims = ivf_search(index, query, k)
-    else:
-        ids, sims = exact_search(bank.features, query, k)
-    scaled = sims.astype(np.float64) / tau
-    scaled -= scaled.max()
-    weights = np.exp(scaled)
-    weights /= weights.sum()
-    dist = np.zeros(bank.num_classes)
-    np.add.at(dist, bank.labels[ids], weights)
-    return dist
+    queries = np.asarray(queries, dtype=bank.features.dtype)
+    dists = []
+    for start in range(0, len(queries), evalkit.QUERY_BLOCK):
+        block = queries[start : start + evalkit.QUERY_BLOCK]
+        if index is not None:
+            ids, sims = _ivf_block(index, block, k)
+        else:
+            ids, sims = _exact_block(bank.features, block, k)
+        scaled = sims.astype(np.float64) / tau
+        scaled -= scaled.max(axis=1, keepdims=True)
+        weights = np.exp(scaled)
+        weights /= weights.sum(axis=1, keepdims=True)
+        dist = np.zeros((len(block), bank.num_classes))
+        np.add.at(dist, (np.arange(len(block))[:, None], bank.labels[ids]), weights)
+        dists.append(dist)
+    return np.concatenate(dists)
+
+
+def query_label(bank, query, k=None, tau=None, config=None, index=None):
+    """Class distribution for one patch by attention over its neighbors."""
+    return _propagate(bank, np.asarray(query)[None], k, tau, config, index)[0]
 
 
 def predict_grid(bank, features, config, index=None):
     """Argmax class per patch row; returns (labels, distributions)."""
-    dists = np.stack(
-        [query_label(bank, row, config=config, index=index) for row in features]
-    )
+    dists = _propagate(bank, features, None, None, config, index)
     return np.argmax(dists, axis=1).astype(np.int32), dists
 
 

@@ -15,6 +15,7 @@ Writes go through a temp file and an atomic rename.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
@@ -79,41 +80,54 @@ def write_sections(path, sections, version=FORMAT_VERSION):
 
 
 def read_sections(path):
-    """Read a tensor-store file into an ordered dict name -> ndarray."""
+    """Read a tensor-store file into an ordered dict name -> ndarray.
+
+    Every malformed file (truncated, corrupted, or with headers that
+    disagree with its payloads) raises StoreError.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     view = memoryview(data)
-    if data[:4] != MAGIC:
+    offset = 0
+
+    def take(n):
+        nonlocal offset
+        if n > len(data) - offset:
+            raise StoreError(f"{path}: truncated after {len(data)} bytes")
+        offset += n
+        return view[offset - n : offset]
+
+    def unpack(fmt):
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    if take(4) != MAGIC:
         raise StoreError(f"{path}: bad magic")
-    version, count = struct.unpack_from("<HI", view, 4)
+    version, count = unpack("<HI")
     if version > FORMAT_VERSION:
         raise StoreError(f"{path}: unsupported format version {version}")
-    offset = 10
     out = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", view, offset)
-        offset += 2
-        name = bytes(view[offset : offset + name_len]).decode("utf-8")
-        offset += name_len
-        tag, rank = struct.unpack_from("<BB", view, offset)
-        offset += 2
-        shape = struct.unpack_from(f"<{rank}Q", view, offset)
-        offset += 8 * rank
-        (payload_len,) = struct.unpack_from("<Q", view, offset)
-        offset += 8
-        payload = view[offset : offset + payload_len]
-        offset += payload_len
-        (crc,) = struct.unpack_from("<I", view, offset)
-        offset += 4
+        (name_len,) = unpack("<H")
+        try:
+            name = bytes(take(name_len)).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise StoreError(f"{path}: section name is not utf-8") from exc
+        tag, rank = unpack("<BB")
+        shape = unpack(f"<{rank}Q")
+        (payload_len,) = unpack("<Q")
+        payload = take(payload_len)
+        (crc,) = unpack("<I")
         if zlib.crc32(payload) != crc:
             raise StoreError(f"{path}: crc mismatch in section {name!r}")
         if tag not in _TAG_DTYPES:
             continue  # unknown dtype: validated, then skipped
         dtype = _TAG_DTYPES[tag]
-        expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        if payload_len != expected:
+        if payload_len != math.prod(shape) * dtype.itemsize:
             raise StoreError(f"{path}: payload length mismatch in section {name!r}")
-        out[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+        try:
+            out[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+        except (ValueError, OverflowError) as exc:  # an empty payload with a huge extent
+            raise StoreError(f"{path}: bad shape {shape} in section {name!r}") from exc
     if offset != len(data):
         raise StoreError(f"{path}: trailing bytes after last section")
     return out

@@ -432,8 +432,6 @@ class TestCriterion13ConfigurationFidelity:
         assert cfg.dino.proj_dim == 2048
         assert cfg.eval.knn_k == 20
         assert cfg.eval.shots == 5
-        assert cfg.pca.vit_s_dim == 384
-        assert cfg.pca.vit_b_dim == 512
         seg = cfg.segmentation
         assert (seg.k, seg.temperature) == (30, 0.02)
         assert (seg.few_shot_k, seg.few_shot_temperature) == (90, 0.1)

@@ -110,70 +110,6 @@ class TestColorJitter:
         np.testing.assert_allclose(back, img, atol=1e-9)
 
 
-class TestWordDelete:
-    def test_p_zero_identity(self):
-        toks = list("abcdefg")
-        assert aug.word_delete(toks, p=0.0, seed=0) == toks
-
-    def test_p_one_keeps_single_token(self):
-        toks = list("abcdefg")
-        out = aug.word_delete(toks, p=1.0, seed=0)
-        assert len(out) == 1 and out[0] in toks
-
-    def test_survival_fraction(self):
-        toks = list(range(100_000))
-        out = aug.word_delete(toks, p=0.1, seed=1)
-        assert abs(len(out) / len(toks) - 0.9) < 0.01
-
-    def test_empty_input(self):
-        with pytest.raises(ValueError):
-            aug.word_delete([], p=0.1, seed=0)
-
-
-class TestAudioNoise:
-    def test_noise_bounded_before_shift(self):
-        clip = np.zeros((12, 40))
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-            u1 = rng.random(clip.shape)
-            u2 = rng.random()
-            assert np.max(np.abs(u1 * u2 / 10.0)) <= 0.1
-
-    def test_zero_shift_is_pure_noise(self):
-        clip = np.random.default_rng(0).random((8, 30))
-        for seed in range(200):
-            rng = np.random.default_rng(seed)
-            rng.random(clip.shape)
-            rng.random()
-            if int(rng.integers(-10, 11)) == 0:
-                out = aug.audio_noise(clip, seed)
-                diff = out - clip
-                assert diff.min() >= 0.0 and diff.max() <= 0.1
-                return
-        pytest.fail("no zero-shift seed found in range")
-
-    def test_mean_added_noise(self):
-        clip = np.zeros((300, 400))
-        means = [
-            (aug.audio_noise(clip, seed, max_shift=0)).mean() for seed in range(30)
-        ]
-        assert abs(np.mean(means) - 0.025) < 0.003
-
-    def test_shift_pads_with_zeros(self):
-        clip = np.ones((4, 20))
-        for seed in range(100):
-            rng = np.random.default_rng(seed)
-            rng.random(clip.shape)
-            rng.random()
-            shift = int(rng.integers(-10, 11))
-            if shift > 0:
-                out = aug.audio_noise(clip, seed)
-                assert np.all(out[:, :shift] == 0.0)
-                assert np.all(out[:, shift:] >= 1.0)
-                return
-        pytest.fail("no positive-shift seed found")
-
-
 class TestResize:
     def test_identity_when_same_size(self):
         img = rand_image(10, 32)

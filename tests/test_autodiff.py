@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -161,6 +164,20 @@ class TestBackward:
         grads = tape.backward(loss)
         np.testing.assert_allclose(grads[x], [1.0, 1.0])
         assert not frozen.requires_grad
+
+    def test_consumed_graph_is_freed_without_cyclic_collection(self):
+        x = ad.parameter(np.ones(3))
+        gc.disable()
+        try:
+            with ad.GradTape() as tape:
+                y = ad.mul(x, x)
+                loss = ad.total(y)
+            tape.backward(loss)
+            intermediate = weakref.ref(y.data)
+            del tape, y, loss
+            assert intermediate() is None
+        finally:
+            gc.enable()
 
     def test_untracked_inputs_skip_tape(self):
         with ad.GradTape() as tape:

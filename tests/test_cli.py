@@ -140,6 +140,14 @@ class TestExitCodes:
                          "--test", str(other / "bank_test.fngi"),
                          "--out", str(tmp_path / "e.csv")]) == 2
 
+    def test_truncated_bank_is_3(self, tmp_path, workspace):
+        _, _, _, banks = workspace
+        bad = tmp_path / "truncated.fngi"
+        bad.write_bytes((banks / "bank_train.fngi").read_bytes()[:-3])
+        assert cli.main(["eval", "--train", str(bad),
+                         "--test", str(banks / "bank_test.fngi"),
+                         "--out", str(tmp_path / "e.csv")]) == 3
+
     def test_corrupt_bank_is_3(self, tmp_path, workspace):
         _, _, _, banks = workspace
         bad = tmp_path / "corrupt.fngi"

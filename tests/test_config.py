@@ -31,7 +31,6 @@ class TestDefaults:
         assert cfg.dino.student_temperature == 0.1
         assert cfg.eval.knn_k == 20
         assert cfg.eval.shots == 5
-        assert cfg.pca.vit_s_dim == 384 and cfg.pca.vit_b_dim == 512
         seg = cfg.segmentation
         assert (seg.k, seg.temperature, seg.augmentation_epochs) == (30, 0.02, 1)
         assert (seg.few_shot_k, seg.few_shot_temperature, seg.few_shot_augmentation_epochs) == (90, 0.1, 8)

@@ -27,6 +27,47 @@ def brute_force_knn(train_x, train_y, query, k):
     return min(c for c in winners if weights[c] == best)
 
 
+def lexsort_top_k(scores, k):
+    """Reference ranking: per row, descending score, then ascending column id."""
+    cols = np.arange(scores.shape[1])
+    return np.stack([np.lexsort((cols, -row))[:k] for row in scores])
+
+
+class TestTopK:
+    def test_matches_lexsort_on_heavy_ties(self):
+        rng = np.random.default_rng(30)
+        for n in (1, 2, 7, 40):
+            scores = rng.integers(-3, 4, size=(25, n))
+            for k in range(1, n + 3):
+                np.testing.assert_array_equal(ek.top_k(scores, k), lexsort_top_k(scores, k))
+
+    def test_float_scores_without_ties(self):
+        scores = np.random.default_rng(31).normal(size=(50, 300))
+        np.testing.assert_array_equal(ek.top_k(scores, 20), lexsort_top_k(scores, 20))
+
+
+class TestQueryBlocks:
+    """A query ranked alone gets the result it gets inside a multi-block batch."""
+
+    def test_knn(self):
+        rng = np.random.default_rng(32)
+        train, train_y = rng.normal(size=(200, 6)), rng.integers(0, 4, size=200)
+        queries = rng.normal(size=(2 * ek.QUERY_BLOCK + 5, 6))
+        index = ek.KnnIndex(train, train_y, k=9)
+        batch = ek.knn_classify(index, queries)
+        alone = [ek.knn_classify(index, q) for q in queries]
+        np.testing.assert_array_equal(batch, alone)
+
+    def test_retrieval_map(self):
+        rng = np.random.default_rng(33)
+        gallery, gallery_y = rng.normal(size=(150, 6)), rng.integers(0, 4, size=150)
+        queries = rng.normal(size=(2 * ek.QUERY_BLOCK + 5, 6))
+        query_y = rng.integers(0, 4, size=len(queries))
+        _, batch = ek.retrieval_map(queries, gallery, query_y, gallery_y)
+        alone = [ek.retrieval_map(q[None], gallery, [y], gallery_y)[1][0] for q, y in zip(queries, query_y)]
+        np.testing.assert_array_equal(batch, alone)
+
+
 class TestKnn:
     def test_query_on_train_point_k1(self):
         rng = np.random.default_rng(0)
@@ -116,33 +157,6 @@ class TestAccuracy:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ek.accuracy([], [])
-
-
-class TestPerClassDelta:
-    def test_identical_reports_zero(self):
-        a = {0: 0.5, 1: 0.75}
-        deltas = ek.per_class_delta(a, dict(a))
-        assert all(v == 0 for v in deltas.values())
-
-    def test_mean_delta_equals_accuracy_difference(self):
-        rng = np.random.default_rng(5)
-        labels = np.repeat(np.arange(5), 20)
-        pa = rng.integers(0, 5, size=100)
-        pb = rng.integers(0, 5, size=100)
-        da = ek.per_class_accuracy(pa, labels)
-        db = ek.per_class_accuracy(pb, labels)
-        deltas = ek.per_class_delta(da, db)
-        want = ek.accuracy(pa, labels, "mean_per_class") - ek.accuracy(pb, labels, "mean_per_class")
-        assert abs(np.mean(list(deltas.values())) - want) < 1e-12
-
-    def test_three_class_spot_check(self):
-        a = {0: 1.0, 1: 0.5, 2: 0.0}
-        b = {0: 0.5, 1: 0.5, 2: 0.25}
-        assert ek.per_class_delta(a, b) == {0: 0.5, 1: 0.0, 2: -0.25}
-
-    def test_class_mismatch(self):
-        with pytest.raises(ValueError):
-            ek.per_class_delta({0: 1.0}, {1: 1.0})
 
 
 class TestCka:
@@ -251,7 +265,9 @@ class TestProbe:
         x = rng.normal(size=(60, 4))
         y = rng.integers(0, 3, size=60)
         result = ek.logistic_probe(x, y, lambda_grid=[1e6], seed=0)
-        probs = result.model.predict_proba(x)
+        scores = x @ result.model.weights.T + result.model.bias
+        probs = np.exp(scores - scores.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
         assert np.abs(probs - 1.0 / 3).max() < 0.05
 
     def test_gradient_matches_finite_differences(self):
@@ -283,21 +299,24 @@ class TestRetrievalMap:
     def test_single_relevant_ranked_first(self):
         gallery = np.array([[1.0, 0.0], [0.0, 1.0]])
         query = np.array([[1.0, 0.1]])
-        m, _ = ek.retrieval_map(query, gallery, [{0}])
+        m, _ = ek.retrieval_map(query, gallery, [0], [0, 1])
         assert m == 1.0
 
     def test_relevant_second_of_two(self):
         gallery = np.array([[1.0, 0.0], [0.0, 1.0]])
         query = np.array([[1.0, 0.1]])
-        m, _ = ek.retrieval_map(query, gallery, [{1}])
+        m, _ = ek.retrieval_map(query, gallery, [1], [0, 1])
         assert m == 0.5
 
     def test_matches_bruteforce_ap(self):
         rng = np.random.default_rng(18)
         gallery = rng.normal(size=(40, 6))
         queries = rng.normal(size=(10, 6))
-        relevance = [set(rng.choice(40, size=rng.integers(1, 8), replace=False)) for _ in range(10)]
-        got, aps = ek.retrieval_map(queries, gallery, relevance)
+        gallery_labels = rng.integers(0, 5, size=40)
+        query_labels = rng.integers(0, 5, size=10)
+        relevance = [set(np.flatnonzero(gallery_labels == lbl)) for lbl in query_labels]
+        assert all(relevance)
+        got, aps = ek.retrieval_map(queries, gallery, query_labels, gallery_labels)
 
         def ap_oracle(q, rel):
             sims = (gallery / np.linalg.norm(gallery, axis=1, keepdims=True)) @ (q / np.linalg.norm(q))
@@ -315,14 +334,15 @@ class TestRetrievalMap:
 
     def test_empty_gallery(self):
         with pytest.raises(ValueError):
-            ek.retrieval_map(np.ones((1, 2)), np.zeros((0, 2)), [set()])
+            ek.retrieval_map(np.ones((1, 2)), np.zeros((0, 2)), [0], [])
 
     def test_skip_empty_flag(self):
         gallery = np.array([[1.0, 0.0], [0.0, 1.0]])
         queries = np.array([[1.0, 0.0], [0.0, 1.0]])
-        m_skip, aps = ek.retrieval_map(queries, gallery, [{0}, set()])
+        # the second query's label 2 matches no gallery row
+        m_skip, aps = ek.retrieval_map(queries, gallery, [0, 2], [0, 1])
         assert m_skip == 1.0 and len(aps) == 1
-        m_zero, aps = ek.retrieval_map(queries, gallery, [{0}, set()], skip_empty=False)
+        m_zero, aps = ek.retrieval_map(queries, gallery, [0, 2], [0, 1], skip_empty=False)
         assert m_zero == 0.5 and len(aps) == 2
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fungi import backbone as bb
+from fungi import evalkit as ek
 from fungi import segmem as sm
 
 
@@ -245,3 +246,22 @@ def augments_to_pixels(grid, size):
     from fungi.augment import resize_nearest
 
     return resize_nearest(grid, size, size)
+
+
+class TestQueryBlocks:
+    @pytest.mark.parametrize("ivf", [False, True])
+    def test_predict_grid_matches_single_queries(self, ivf):
+        rng = np.random.default_rng(6)
+        bank = make_bank(rng, n=600)
+        queries = unit_rows(rng, 2 * ek.QUERY_BLOCK + 5, 16)
+        config = sm.SegConfig(k=7, temperature=0.05)
+        index = None
+        if ivf:
+            params = sm.IvfParams(num_leaves=16, leaves_to_search=4, rerank=20, kmeans_iters=5)
+            index = sm.ivf_build(bank.features, params, seed=6)
+        labels, dists = sm.predict_grid(bank, queries, config, index=index)
+        alone = np.stack([sm.query_label(bank, q, config=config, index=index) for q in queries])
+        np.testing.assert_array_equal(labels, np.argmax(alone, axis=1))
+        # float32 similarities from a one-row and a many-row matrix product
+        # may differ in the last bit, scaled by 1 / temperature
+        np.testing.assert_allclose(dists, alone, rtol=0, atol=1e-5)

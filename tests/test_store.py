@@ -84,3 +84,26 @@ class TestValidation:
         path.write_bytes(bytes(raw))
         with pytest.raises(store.StoreError):
             store.read_sections(path)
+
+
+class TestMalformedFiles:
+    def test_every_truncation_and_bit_flip_reads_or_raises_store_error(self, tmp_path):
+        good = tmp_path / "good.fngi"
+        store.write_sections(good, {
+            "w": np.arange(6, dtype=np.float32).reshape(2, 3),
+            "note": store.encode_text("ok"),
+        })
+        raw = good.read_bytes()
+        bad = tmp_path / "bad.fngi"
+        for length in range(len(raw)):
+            bad.write_bytes(raw[:length])
+            with pytest.raises(store.StoreError):
+                store.read_sections(bad)
+        for bit in range(8 * len(raw)):
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            bad.write_bytes(bytes(flipped))
+            try:
+                store.read_sections(bad)
+            except store.StoreError:
+                pass
