@@ -27,9 +27,9 @@ def resize_bilinear(image, out_h, out_w):
 
     y0, y1, fy = axis_coords(h, out_h)
     x0, x1, fx = axis_coords(w, out_w)
-    top = image[:, y0][:, :, x0] * (1 - fx) + image[:, y0][:, :, x1] * fx
-    bot = image[:, y1][:, :, x0] * (1 - fx) + image[:, y1][:, :, x1] * fx
-    out = top * (1 - fy[None, :, None]) + bot * fy[None, :, None]
+    # separable: interpolate along x over every source row, then along y
+    rows = image[:, :, x0] * (1 - fx) + image[:, :, x1] * fx
+    out = rows[:, y0] * (1 - fy[None, :, None]) + rows[:, y1] * fy[None, :, None]
     return out.astype(image.dtype)
 
 

@@ -11,6 +11,7 @@ plain read-only tensors and may be shared freely.
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -365,18 +366,20 @@ def log_softmax(x, axis=-1, tau=None):
     return _apply("log_softmax", (x,), value, backward)
 
 
-_GELU_C = np.sqrt(2.0 / np.pi)
+# a python float, not a numpy float64 scalar: under numpy's promotion rules
+# (NEP 50) the latter would turn float32 data into float64
+_GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(x):
     """Gaussian error linear unit (tanh form)."""
     x = as_tensor(x)
-    cubic = x.data + 0.044715 * x.data**3
+    cubic = x.data + 0.044715 * (x.data * x.data * x.data)
     t = np.tanh(_GELU_C * cubic)
     value = 0.5 * x.data * (1.0 + t)
 
     def backward(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * x.data**2)
+        du = _GELU_C * (1.0 + 3 * 0.044715 * (x.data * x.data))
         local = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du
         return (g * local,)
 
@@ -486,7 +489,7 @@ def scaled_dot_product_attention(q, k, v, num_heads):
         return t.reshape(tokens, num_heads, head_dim).transpose(1, 0, 2)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    inv_sqrt = 1.0 / np.sqrt(head_dim)
+    inv_sqrt = 1.0 / math.sqrt(head_dim)  # python float: keeps float32 data float32
     scores = (qh @ kh.transpose(0, 2, 1)) * inv_sqrt
     scores = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(scores)

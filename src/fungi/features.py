@@ -111,6 +111,16 @@ def fuse(embedding, gradient_vectors=()):
     return np.concatenate(segments)
 
 
+def _read_required(path, names):
+    """store.read_sections, raising StoreError that names any missing
+    required section (a bit flip in a section name still reads back)."""
+    sections = store.read_sections(path)
+    missing = [name for name in names if name not in sections]
+    if missing:
+        raise store.StoreError(f"{path}: missing required section(s) {', '.join(map(repr, missing))}")
+    return sections
+
+
 @dataclass
 class PcaModel:
     mean: np.ndarray
@@ -140,7 +150,7 @@ class PcaModel:
 
     @classmethod
     def load(cls, path):
-        s = store.read_sections(path)
+        s = _read_required(path, ("pca_mean", "pca_components", "pca_explained_variance"))
         return cls(
             mean=s["pca_mean"],
             components=s["pca_components"],
@@ -218,7 +228,9 @@ class FeatureBank:
 
     @classmethod
     def load(cls, path):
-        s = store.read_sections(path)
+        s = _read_required(
+            path, ("ids", "labels", "fused", "split", "objectives", "config_echo", "config_hash")
+        )
         gradients = {
             name[len("grad::") :]: arr for name, arr in s.items() if name.startswith("grad::")
         }

@@ -49,24 +49,29 @@ class SegConfig:
 
 
 def downsample_mask(mask, patch_size, ignore_label=IGNORE_LABEL):
-    """Per-cell majority label; ignore pixels don't vote. All-ignore cells
-    keep the ignore label."""
+    """Per-cell majority label, ties to the lower label; ignore pixels don't
+    vote. All-ignore cells keep the ignore label."""
     mask = np.asarray(mask)
     h, w = mask.shape
     if h % patch_size or w % patch_size:
         raise ValueError("mask size not divisible by patch size")
     gh, gw = h // patch_size, w // patch_size
+    n_cells = gh * gw
     cells = mask.reshape(gh, patch_size, gw, patch_size).transpose(0, 2, 1, 3)
-    cells = cells.reshape(gh, gw, patch_size * patch_size)
-    out = np.full((gh, gw), ignore_label, dtype=np.int32)
-    for i in range(gh):
-        for j in range(gw):
-            votes = cells[i, j]
-            votes = votes[votes != ignore_label]
-            if votes.size:
-                counts = np.bincount(votes)
-                out[i, j] = np.argmax(counts)
-    return out
+    cells = cells.reshape(n_cells, patch_size * patch_size).astype(np.int64)
+    valid = cells != ignore_label
+    if np.any(valid & (cells < 0)):
+        raise ValueError("mask labels must be non-negative")
+    # one histogram over (cell, bin) pairs: bin 0 takes ignore pixels and
+    # label l goes to bin l + 1; at least one label bin, so argmax has a column
+    binned = (cells + 1) * valid
+    n_bins = max(int(binned.max()) + 1, 2)
+    binned += np.arange(n_cells)[:, None] * n_bins
+    counts = np.bincount(binned.ravel(), minlength=n_cells * n_bins)
+    counts = counts.reshape(n_cells, n_bins)[:, 1:]
+    best = counts.argmax(axis=1)  # the first, so the lower label, on ties
+    out = np.where(counts.max(axis=1) > 0, best, ignore_label)
+    return out.astype(np.int32).reshape(gh, gw)
 
 
 @dataclass

@@ -125,6 +125,30 @@ class TestResize:
         out = aug.resize_bilinear(img, 2, 2)
         np.testing.assert_allclose(out[0], [[2.5, 4.5], [10.5, 12.5]])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("in_hw, out_hw", [((7, 12), (19, 5)), ((23, 9), (6, 31)), ((5, 5), (11, 3))])
+    def test_matches_per_pixel_oracle(self, in_hw, out_hw, dtype):
+        (h, w), (out_h, out_w) = in_hw, out_hw
+        img = np.random.default_rng(h * w).random((2, h, w)).astype(dtype)
+        out = aug.resize_bilinear(img, out_h, out_w)
+        assert out.dtype == dtype and out.shape == (2, out_h, out_w)
+
+        def source(i, n_in, n_out):  # half-pixel centers, clamped at the border
+            pos = min(max((i + 0.5) * n_in / n_out - 0.5, 0.0), n_in - 1.0)
+            lo = int(pos)
+            return lo, min(lo + 1, n_in - 1), pos - lo
+
+        want = np.empty((2, out_h, out_w))
+        for i in range(out_h):
+            y0, y1, fy = source(i, h, out_h)
+            for j in range(out_w):
+                x0, x1, fx = source(j, w, out_w)
+                top = img[:, y0, x0] * (1 - fx) + img[:, y0, x1] * fx
+                bot = img[:, y1, x0] * (1 - fx) + img[:, y1, x1] * fx
+                want[:, i, j] = top * (1 - fy) + bot * fy
+        tol = 1e-6 if dtype == np.float32 else 1e-12
+        np.testing.assert_allclose(out, want.astype(dtype), rtol=0, atol=tol)
+
     def test_nearest_for_labels(self):
         grid = np.array([[1, 2], [3, 4]])
         out = aug.resize_nearest(grid, 4, 4)

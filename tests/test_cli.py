@@ -4,6 +4,7 @@ import pytest
 
 from fungi import cli
 from fungi import features as feat
+from fungi.store import StoreError
 
 TINY_CFG = """\
 [encoder]
@@ -154,6 +155,19 @@ class TestExitCodes:
         raw = bytearray((banks / "bank_train.fngi").read_bytes())
         raw[-6] ^= 0xFF
         bad.write_bytes(bytes(raw))
+        assert cli.main(["eval", "--train", str(bad),
+                         "--test", str(banks / "bank_test.fngi"),
+                         "--out", str(tmp_path / "e.csv")]) == 3
+
+    def test_renamed_required_section_is_3(self, tmp_path, workspace):
+        _, _, _, banks = workspace
+        bad = tmp_path / "renamed.fngi"
+        raw = bytearray((banks / "bank_train.fngi").read_bytes())
+        at = raw.index(b"\x06\x00labels") + 2  # u16 name length, then the name
+        raw[at] ^= 0x01  # "labels" -> "mabels": every CRC still holds
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(StoreError, match="'labels'"):
+            feat.FeatureBank.load(bad)
         assert cli.main(["eval", "--train", str(bad),
                          "--test", str(banks / "bank_test.fngi"),
                          "--out", str(tmp_path / "e.csv")]) == 3

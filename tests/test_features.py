@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fungi import features as feat
+from fungi import store
 
 
 class TestFlatten:
@@ -160,6 +161,12 @@ class TestPca:
         back = feat.PcaModel.load(path)
         np.testing.assert_array_equal(back.mean, model.mean)
         np.testing.assert_array_equal(back.components, model.components)
+
+    def test_load_names_a_missing_section(self, tmp_path):
+        path = tmp_path / "pca.fngi"
+        store.write_sections(path, {"pca_mean": np.zeros(3), "pca_components": np.eye(3)})
+        with pytest.raises(store.StoreError, match="'pca_explained_variance'"):
+            feat.PcaModel.load(path)
 
 
 class TestFeatureBank:

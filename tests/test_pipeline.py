@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from fungi import autodiff as ad
+from fungi import backbone as bb
 from fungi import features as feat
+from fungi import objectives as obj
 from fungi import pipeline
 from fungi import synth
 from fungi.config import RunConfig
@@ -76,6 +79,58 @@ class TestExtraction:
         images, labels = synth.make_classification("blobs", 4, 2, 32, seed=6)
         with pytest.raises(ValueError):
             pipeline.extract_bank(cfg, params, heads, projections, images, labels, "train")
+
+
+@pytest.fixture
+def primitive_dtypes(monkeypatch):
+    """Set of dtypes of every array a primitive sees: its inputs, its output
+    and the cotangents its backward returns (before the tape casts them)."""
+    seen = set()
+    apply = ad._apply
+
+    def recording_apply(op, inputs, value, backward_fn):
+        seen.add(value.dtype)
+        seen.update(t.dtype for t in inputs)
+
+        def backward(g):
+            grads = backward_fn(g)
+            seen.update(np.asarray(x).dtype for x in grads if x is not None)
+            return grads
+
+        return apply(op, inputs, value, backward)
+
+    monkeypatch.setattr(ad, "_apply", recording_apply)
+    return seen
+
+
+class TestPrecision:
+    @pytest.mark.parametrize("precision, dtype", [("f32", np.float32), ("f64", np.float64)])
+    def test_every_tape_value_has_the_parameter_dtype(self, precision, dtype, primitive_dtypes):
+        cfg = tiny_config()
+        cfg.gradients.precision = precision
+        params = pipeline.build_encoder(cfg)
+        heads = pipeline.build_heads(cfg)
+        source = cfg.gradient_source()
+        images, _ = synth.make_classification("blobs", 4, 2, 32, seed=6)
+        neg_bank = pipeline.build_negative_bank(params, heads["simclr"], images, cfg)
+        assert neg_bank.rows.dtype == dtype
+        for name in ("kl", "dino", "simclr"):
+            fn = pipeline.make_objective(name, cfg, heads, images[0], neg_bank, 5, params)
+            dw, db = bb.loss_gradient(params, source, fn)
+            assert dw.dtype == dtype and db.dtype == dtype, name
+        out = bb.encode(params, images[1])
+        tokens = np.concatenate([out.embedding.data[None], out.patch_tokens.data])
+        support = obj.SupportIndex(heads["simclr"].apply_array(out.patch_tokens.data))
+        grads, _ = obj.simclr_patch_loss(tokens, heads["simclr"], support)
+        assert grads.dtype == dtype
+        assert primitive_dtypes == {np.dtype(dtype)}
+
+    def test_default_config_embeds_in_float32(self):
+        cfg = RunConfig()
+        image = np.random.default_rng(0).random((3, cfg.encoder.image_size, cfg.encoder.image_size))
+        out = bb.encode(pipeline.build_encoder(cfg), image)
+        assert out.embedding.dtype == np.float32
+        assert out.patch_tokens.dtype == np.float32
 
 
 class TestHeadsAndProjections:

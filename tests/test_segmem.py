@@ -38,6 +38,42 @@ class TestMaskDownsampling:
         mask = np.full((2, 2), sm.IGNORE_LABEL, dtype=np.int32)
         assert sm.downsample_mask(mask, 2)[0, 0] == sm.IGNORE_LABEL
 
+    @staticmethod
+    def loop_oracle(mask, patch_size, ignore_label):
+        h, w = mask.shape
+        gh, gw = h // patch_size, w // patch_size
+        cells = mask.reshape(gh, patch_size, gw, patch_size).transpose(0, 2, 1, 3)
+        cells = cells.reshape(gh, gw, patch_size * patch_size)
+        out = np.full((gh, gw), ignore_label, dtype=np.int32)
+        for i in range(gh):
+            for j in range(gw):
+                votes = cells[i, j]
+                votes = votes[votes != ignore_label]
+                if votes.size:
+                    out[i, j] = np.argmax(np.bincount(votes))
+        return out
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_loop_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        patch = int(rng.choice([2, 3, 4]))
+        gh, gw = rng.integers(1, 7, size=2)
+        # few labels and small cells, so ties and all-ignore cells occur
+        mask = rng.integers(0, int(rng.integers(1, 5)), size=(gh * patch, gw * patch))
+        mask = mask.astype(rng.choice([np.uint8, np.int32]))
+        mask[rng.random(mask.shape) < rng.choice([0.3, 0.9])] = sm.IGNORE_LABEL
+        got = sm.downsample_mask(mask, patch)
+        assert got.dtype == np.int32
+        np.testing.assert_array_equal(got, self.loop_oracle(mask, patch, sm.IGNORE_LABEL))
+
+    def test_tie_goes_to_lower_label(self):
+        mask = np.array([[4, 1], [1, 4]], dtype=np.int32)
+        assert sm.downsample_mask(mask, 2)[0, 0] == 1
+
+    def test_negative_label_rejected(self):
+        with pytest.raises(ValueError):
+            sm.downsample_mask(np.array([[0, -1], [1, 1]]), 2)
+
 
 class TestQueryLabel:
     def test_k1_returns_one_hot(self):
