@@ -198,6 +198,12 @@ def cmd_probe(args):
             max_epochs=run_cfg.eval.probe_max_epochs,
             seed=feat.derive_seed(run_cfg.encoder.seed, "probe"),
         )
+        for i, fit in enumerate(result.fits):
+            log.info(
+                "probe %s %s: lambda %g, %d epochs, %d trial steps, %d accepted, stop %s",
+                kind, "refit" if i == len(result.lambda_grid) else "select", fit.lam,
+                fit.epochs, fit.trials, fit.accepted, fit.stop,
+            )
         preds = result.model.predict(pipeline.bank_feature_matrix(test, kind))
         acc = evalkit.accuracy(preds, test.labels)
         reports.append(evalkit.EvalReport(f"probe_top1_{kind}", acc))

@@ -299,15 +299,11 @@ def hungarian(cost):
 def cluster_overlap(assignments, labels):
     """Fraction of points whose cluster maps to their class under the
     optimal cluster/class matching (cost = -overlap)."""
-    assignments = np.asarray(assignments)
-    labels = np.asarray(labels)
-    clusters = np.unique(assignments)
-    classes = np.unique(labels)
-    contingency = np.zeros((len(clusters), len(classes)))
-    for ci, c in enumerate(clusters):
-        member_labels = labels[assignments == c]
-        for ki, k in enumerate(classes):
-            contingency[ci, ki] = np.sum(member_labels == k)
+    clusters, cluster_index = np.unique(assignments, return_inverse=True)
+    classes, class_index = np.unique(labels, return_inverse=True)
+    shape = (len(clusters), len(classes))
+    pairs = cluster_index * len(classes) + class_index
+    contingency = np.bincount(pairs, minlength=shape[0] * shape[1]).reshape(shape)
     mapping, _ = hungarian(-contingency)
     matched = sum(
         contingency[ci, col] for ci, col in enumerate(mapping) if col >= 0
@@ -331,49 +327,96 @@ class ProbeModel:
         return self.classes[np.argmax(scores, axis=1)]
 
 
+def _loss_terms(scores, y_index, w, lam):
+    """Mean cross-entropy of (C, n) class scores + 0.5 * lam * ||w||^2.
+
+    Also returns the exponentials shifted by each sample's top score and their
+    per-sample sums, from which `_loss_gradient` forms the softmax.
+    """
+    top = scores.max(axis=0)
+    e = np.exp(scores - top)
+    z = e.sum(axis=0)
+    true_shifted = scores[y_index, np.arange(scores.shape[1])] - top
+    ce = float(np.mean(np.log(z) - true_shifted))
+    return ce + 0.5 * lam * float(np.sum(w * w)), e, z
+
+
+def _loss_gradient(e, z, y_index, x, w, lam):
+    """Gradient of the `_loss_terms` loss over (W, b), from its exponentials.
+
+    (softmax - onehot) @ x / n + lam * W for the weights, the per-class mean
+    of (softmax - onehot) for the bias.
+    """
+    n = len(x)
+    resid = e / z
+    resid[y_index, np.arange(n)] -= 1.0
+    return resid @ x / n + lam * w, resid.sum(axis=1) / n
+
+
 def probe_loss_and_grad(wb, x, y_index, n_classes, lam):
     """Mean cross-entropy + 0.5 * lam * ||W||^2 (bias unpenalized).
 
     wb is the flat concatenation of W (C, D) and b (C,). Returns
-    (loss, gradient) for the full batch.
+    (loss, gradient) for the full batch: the objective `_train_logreg`
+    minimizes, through the same helpers.
     """
-    n, dim = x.shape
+    dim = x.shape[1]
     w = wb[: n_classes * dim].reshape(n_classes, dim)
     b = wb[n_classes * dim :]
-    scores = x @ w.T + b
-    scores -= scores.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(scores).sum(axis=1))
-    ce = float(np.mean(log_z - scores[np.arange(n), y_index]))
-    loss = ce + 0.5 * lam * float(np.sum(w * w))
-    probs = np.exp(scores - log_z[:, None])
-    probs[np.arange(n), y_index] -= 1.0
-    gw = probs.T @ x / n + lam * w
-    gb = probs.sum(axis=0) / n
+    loss, e, z = _loss_terms(w @ x.T + b[:, None], y_index, w, lam)
+    gw, gb = _loss_gradient(e, z, y_index, x, w, lam)
     return loss, np.concatenate([gw.ravel(), gb])
 
 
+@dataclass
+class ProbeFit:
+    """How one probe training ran."""
+
+    lam: float
+    epochs: int = 0  # epochs that started a line search
+    trials: int = 0  # trial steps evaluated
+    accepted: int = 0  # steps taken
+    stop: str = "max_epochs"  # or "grad_tol", or "line_search": no step lowered the loss
+
+
 def _train_logreg(x, y_index, n_classes, lam, max_epochs, grad_tol=1e-8):
-    dim = x.shape[1]
-    wb = np.zeros(n_classes * dim + n_classes)
-    loss, grad = probe_loss_and_grad(wb, x, y_index, n_classes, lam)
+    """Minimize `probe_loss_and_grad` from zero weights.
+
+    Full-batch gradient descent with Armijo backtracking: halve the step
+    until the loss falls by at least half the step times the squared gradient
+    norm; double it after each accepted step. The class scores move affinely
+    along a step, scores(W - s gW, b - s gb) = scores - s (gW x^T + gb), so an
+    epoch makes two products over x (that direction, and the gradient at the
+    accepted point) and each trial step costs O(C n + C D).
+    Returns (W, b, loss, ProbeFit).
+    """
+    w, b = np.zeros((n_classes, x.shape[1])), np.zeros(n_classes)
+    scores = np.zeros((n_classes, len(x)))
+    loss, e, z = _loss_terms(scores, y_index, w, lam)
+    fit = ProbeFit(lam=float(lam))
     step = 1.0
     for _ in range(max_epochs):
-        if np.max(np.abs(grad)) < grad_tol:
+        gw, gb = _loss_gradient(e, z, y_index, x, w, lam)
+        if max(np.max(np.abs(gw)), np.max(np.abs(gb))) < grad_tol:
+            fit.stop = "grad_tol"
             break
-        g2 = float(np.sum(grad * grad))
-        improved = False
+        fit.epochs += 1
+        g2 = float(np.sum(gw * gw) + np.sum(gb * gb))
+        direction = gw @ x.T + gb[:, None]
         while step > 1e-12:
-            candidate = wb - step * grad
-            new_loss, new_grad = probe_loss_and_grad(candidate, x, y_index, n_classes, lam)
+            fit.trials += 1
+            new_w, new_scores = w - step * gw, scores - step * direction
+            new_loss, e, z = _loss_terms(new_scores, y_index, new_w, lam)
             if new_loss <= loss - 0.5 * step * g2:
-                improved = True
                 break
             step *= 0.5
-        if not improved:
-            break  # at the numerical limit of the line search
-        wb, loss, grad = candidate, new_loss, new_grad
+        else:
+            fit.stop = "line_search"  # at the numerical limit of the line search
+            break
+        fit.accepted += 1
+        w, b, scores, loss = new_w, b - step * gb, new_scores, new_loss
         step = min(step * 2.0, 1e6)
-    return wb, loss
+    return w, b, loss, fit
 
 
 def _stratified_split(labels, val_fraction, seed):
@@ -394,6 +437,7 @@ class ProbeResult:
     best_lambda: float
     val_accuracy: float
     lambda_grid: np.ndarray
+    fits: list  # ProbeFit per lambda of the grid, then the refit at best_lambda
 
 
 def logistic_probe(
@@ -414,49 +458,42 @@ def logistic_probe(
     """
     train_x = np.asarray(train_x, dtype=np.float64)
     train_y = np.asarray(train_y)
-    classes = np.unique(train_y)
+    classes, y_index = np.unique(train_y, return_inverse=True)
     if len(classes) < 2:
         raise ValueError("probe needs at least two classes")
     if lambda_grid is None:
         lambda_grid = np.linspace(5e-6, 5e-4, 5)
     lambda_grid = np.asarray(lambda_grid, dtype=np.float64)
 
-    class_index = {c: i for i, c in enumerate(classes)}
-    y_index = np.array([class_index[c] for c in train_y])
-
     if val_x is None:
         fit_rows, val_rows = _stratified_split(train_y, 0.2, seed)
         fit_x, fit_y = train_x[fit_rows], y_index[fit_rows]
         sel_x, sel_y = train_x[val_rows], y_index[val_rows]
     else:
+        val_y = np.asarray(val_y)
+        if not np.isin(val_y, classes).all():
+            raise ValueError("validation labels include a class absent from the training labels")
         fit_x, fit_y = train_x, y_index
         sel_x = np.asarray(val_x, dtype=np.float64)
-        sel_y = np.array([class_index[c] for c in np.asarray(val_y)])
+        sel_y = np.searchsorted(classes, val_y)
 
-    best = None
+    best, fits = None, []
     for lam in lambda_grid:
-        wb, _ = _train_logreg(fit_x, fit_y, len(classes), lam, max_epochs)
-        dim = train_x.shape[1]
-        w = wb[: len(classes) * dim].reshape(len(classes), dim)
-        b = wb[len(classes) * dim :]
-        preds = np.argmax(sel_x @ w.T + b, axis=1)
-        acc = float(np.mean(preds == sel_y))
+        w, b, _, fit = _train_logreg(fit_x, fit_y, len(classes), lam, max_epochs)
+        fits.append(fit)
+        acc = float(np.mean(np.argmax(sel_x @ w.T + b, axis=1) == sel_y))
         if best is None or acc > best[0]:
             best = (acc, float(lam))
 
     val_acc, best_lambda = best
-    wb, _ = _train_logreg(train_x, y_index, len(classes), best_lambda, max_epochs)
-    dim = train_x.shape[1]
-    model = ProbeModel(
-        weights=wb[: len(classes) * dim].reshape(len(classes), dim),
-        bias=wb[len(classes) * dim :],
-        classes=classes,
-    )
+    w, b, _, fit = _train_logreg(train_x, y_index, len(classes), best_lambda, max_epochs)
+    fits.append(fit)
     return ProbeResult(
-        model=model,
+        model=ProbeModel(weights=w, bias=b, classes=classes),
         best_lambda=best_lambda,
         val_accuracy=val_acc,
         lambda_grid=lambda_grid,
+        fits=fits,
     )
 
 

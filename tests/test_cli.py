@@ -1,3 +1,4 @@
+import logging
 import os
 
 import pytest
@@ -81,6 +82,23 @@ class TestPipelineCommands:
             out = root / f"{cmd}.csv"
             assert cli.main([cmd, *args, "--out", str(out)]) == 0
             assert out.exists()
+
+    def test_probe_logs_each_training(self, workspace, caplog):
+        root, _, _, banks = workspace
+        out = root / "probe_logged.csv"
+        with caplog.at_level(logging.INFO, logger="fungi"):
+            assert cli.main(["probe", "--train", str(banks / "bank_train.fngi"),
+                             "--test", str(banks / "bank_test.fngi"), "--out", str(out)]) == 0
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("probe ")]
+        grid = 5  # [eval] probe_lambda_grid default
+        for kind in ("embedding", "fused"):
+            mine = [line for line in lines if line.startswith(f"probe {kind} ")]
+            assert [line.split()[2] for line in mine] == ["select:"] * grid + ["refit:"]
+            assert all("epochs" in line and "trial steps" in line and "accepted" in line for line in mine)
+            assert all(line.split("stop ")[1] in ("grad_tol", "max_epochs", "line_search") for line in mine)
+        rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        assert rows == ["metric,class,value"] + [row for row in rows[1:] if row.startswith("probe_top1_")]
+        assert len(rows) == 3
 
     def test_segment_both_feature_modes(self, workspace):
         root, cfg_path, _, _ = workspace

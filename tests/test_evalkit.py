@@ -27,6 +27,59 @@ def brute_force_knn(train_x, train_y, query, k):
     return min(c for c in winners if weights[c] == best)
 
 
+def oracle_loss_and_grad(wb, x, y_index, n_classes, lam):
+    """The probe loss as first written: (n, C) scores from x @ W^T per call."""
+    n, dim = x.shape
+    w = wb[: n_classes * dim].reshape(n_classes, dim)
+    b = wb[n_classes * dim :]
+    scores = x @ w.T + b
+    scores -= scores.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(scores).sum(axis=1))
+    ce = float(np.mean(log_z - scores[np.arange(n), y_index]))
+    loss = ce + 0.5 * lam * float(np.sum(w * w))
+    probs = np.exp(scores - log_z[:, None])
+    probs[np.arange(n), y_index] -= 1.0
+    gw = probs.T @ x / n + lam * w
+    gb = probs.sum(axis=0) / n
+    return loss, np.concatenate([gw.ravel(), gb])
+
+
+def oracle_train_logreg(x, y_index, n_classes, lam, max_epochs, grad_tol=1e-8):
+    """The serial trainer as first written: a full loss and gradient per trial step."""
+    dim = x.shape[1]
+    wb = np.zeros(n_classes * dim + n_classes)
+    loss, grad = oracle_loss_and_grad(wb, x, y_index, n_classes, lam)
+    step = 1.0
+    for _ in range(max_epochs):
+        if np.max(np.abs(grad)) < grad_tol:
+            break
+        g2 = float(np.sum(grad * grad))
+        improved = False
+        while step > 1e-12:
+            candidate = wb - step * grad
+            new_loss, new_grad = oracle_loss_and_grad(candidate, x, y_index, n_classes, lam)
+            if new_loss <= loss - 0.5 * step * g2:
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            break
+        wb, loss, grad = candidate, new_loss, new_grad
+        step = min(step * 2.0, 1e6)
+    return wb[: n_classes * dim].reshape(n_classes, dim), wb[n_classes * dim :], loss
+
+
+def oracle_cluster_contingency(assignments, labels):
+    """Clusters x classes member counts, one masked count per pair."""
+    clusters, classes = np.unique(assignments), np.unique(labels)
+    table = np.zeros((len(clusters), len(classes)))
+    for ci, c in enumerate(clusters):
+        member_labels = labels[assignments == c]
+        for ki, k in enumerate(classes):
+            table[ci, ki] = np.sum(member_labels == k)
+    return table
+
+
 def lexsort_top_k(scores, k):
     """Reference ranking: per row, descending score, then ascending column id."""
     cols = np.arange(scores.shape[1])
@@ -247,6 +300,19 @@ class TestKmeansAndOverlap:
         b = ek.kmeans(x, 4, seed=2)
         np.testing.assert_array_equal(a.assignments, b.assignments)
 
+    def test_overlap_matches_double_loop_contingency(self):
+        rng = np.random.default_rng(19)
+        for trial in range(20):
+            n = int(rng.integers(5, 80))
+            # cluster ids with gaps (ids never used are clusters without members)
+            # and class labels with gaps
+            assignments = rng.choice([0, 2, 3, 7, 11], size=n)
+            labels = rng.choice([-4, 1, 5, 6], size=n)
+            table = oracle_cluster_contingency(assignments, labels)
+            mapping, _ = ek.hungarian(-table)
+            want = sum(table[ci, col] for ci, col in enumerate(mapping) if col >= 0) / n
+            assert ek.cluster_overlap(assignments, labels) == want
+
     def test_more_clusters_than_points(self):
         with pytest.raises(ValueError):
             ek.kmeans(np.zeros((3, 2)), 4)
@@ -281,6 +347,67 @@ class TestProbe:
             lambda p: ek.probe_loss_and_grad(p, x, y, 3, lam)[0], wb0, eps=1e-6
         )
         assert ad.max_relative_error(got, want) < 1e-6
+
+    @staticmethod
+    def fixture(seed, n=120, dim=8, classes=4):
+        rng = np.random.default_rng(seed)
+        means = rng.normal(size=(classes, dim))
+        y = rng.integers(0, classes, size=n)
+        x = means[y] + 1.5 * rng.normal(size=(n, dim))
+        return x / np.linalg.norm(x, axis=1, keepdims=True), y, classes
+
+    def test_trainer_matches_serial_oracle(self):
+        for seed in (20, 21, 22):
+            x, y, classes = self.fixture(seed)
+            for lam in np.linspace(5e-6, 5e-4, 5):
+                w, b, _, _ = ek._train_logreg(x, y, classes, lam, 300)
+                ow, ob, _ = oracle_train_logreg(x, y, classes, lam, 300)
+                scale = max(np.abs(ow).max(), np.abs(ob).max())
+                assert np.abs(w - ow).max() / scale < 1e-6
+                assert np.abs(b - ob).max() / scale < 1e-6
+                np.testing.assert_array_equal(
+                    np.argmax(x @ w.T + b, axis=1), np.argmax(x @ ow.T + ob, axis=1)
+                )
+
+    def test_returned_loss_is_the_loss_at_the_returned_weights(self):
+        for seed in (23, 24):
+            x, y, classes = self.fixture(seed)
+            for lam in np.linspace(5e-6, 5e-4, 5):
+                w, b, loss, _ = ek._train_logreg(x, y, classes, lam, 300)
+                want, _ = ek.probe_loss_and_grad(np.concatenate([w.ravel(), b]), x, y, classes, lam)
+                assert abs(loss - want) <= 1e-12 * abs(want)
+
+    def test_training_is_byte_identical_across_runs(self):
+        x, y, classes = self.fixture(25)
+        first = ek._train_logreg(x, y, classes, 5e-5, 300)
+        second = ek._train_logreg(x, y, classes, 5e-5, 300)
+        assert first[0].tobytes() == second[0].tobytes()
+        assert first[1].tobytes() == second[1].tobytes()
+
+    def test_fit_counters_and_stop_reasons(self):
+        x, y, classes = self.fixture(26)
+        *_, fit = ek._train_logreg(x, y, classes, 5e-4, 3)
+        assert (fit.stop, fit.epochs, fit.accepted) == ("max_epochs", 3, 3)
+        assert fit.trials >= fit.epochs
+        *_, fit = ek._train_logreg(x, y, classes, 5e-4, 300, grad_tol=1e-3)
+        assert fit.stop == "grad_tol" and fit.epochs == fit.accepted < 300
+        x[0, 0] = np.nan  # every trial loss is NaN, so no step passes the Armijo test
+        *_, fit = ek._train_logreg(x, y, classes, 5e-4, 300)
+        # steps 1, 1/2, ..., 2**-39 are tried; 2**-40 is below the 1e-12 floor
+        assert (fit.stop, fit.epochs, fit.trials, fit.accepted) == ("line_search", 1, 40, 0)
+        x, y, classes = self.fixture(26)
+        result = ek.logistic_probe(x, y, max_epochs=5, seed=0)
+        assert len(result.fits) == len(result.lambda_grid) + 1
+        assert result.fits[-1].lam == result.best_lambda
+
+    def test_validation_labels_map_to_training_classes(self):
+        x, y, _ = self.fixture(27)
+        labels = np.array([10, 30, 20, 40])[y]  # unsorted, gapped class ids
+        result = ek.logistic_probe(x[:90], labels[:90], x[90:], labels[90:], lambda_grid=[1e-4])
+        want = np.mean(result.model.predict(x[90:]) == labels[90:])
+        assert result.val_accuracy == want
+        with pytest.raises(ValueError):
+            ek.logistic_probe(x[:90], labels[:90], x[90:], labels[90:] + 1, lambda_grid=[1e-4])
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
