@@ -243,30 +243,6 @@ def scale(a, factor):
     return _apply("scale", (a,), value, backward)
 
 
-def matmul(a, b):
-    """2-D @ 2-D or 2-D @ 1-D matrix product."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim not in (1, 2):
-        raise ValueError(f"matmul expects 2-D @ (1|2)-D, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul inner dim mismatch: {a.shape} @ {b.shape}")
-    value = a.data @ b.data
-
-    def backward(g):
-        if b.data.ndim == 2:
-            return g @ b.data.T, a.data.T @ g
-        return np.outer(g, b.data), a.data.T @ g
-
-    return _apply("matmul", (a, b), value, backward)
-
-
-def transpose(a):
-    a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ValueError("transpose expects a 2-D tensor")
-    return _apply("transpose", (a,), a.data.T, lambda g: (g.T,))
-
-
 def reshape(a, shape):
     a = as_tensor(a)
     value = a.data.reshape(shape)
@@ -274,13 +250,18 @@ def reshape(a, shape):
 
 
 def linear(x, weight, bias=None):
-    """Affine map y = x W^T + b with weight of shape (out, in)."""
+    """Affine map y = x W^T + b over the last axis, weight of shape (out, in).
+
+    Any leading shape of x is flattened to rows. Gradients are formed only
+    for inputs that require them: frozen weights cost no weight product.
+    """
     x, weight = as_tensor(x), as_tensor(weight)
     if weight.data.ndim != 2:
         raise ValueError("linear weight must be 2-D (out, in)")
-    if x.shape[-1] != weight.shape[1]:
+    if x.data.ndim == 0 or x.shape[-1] != weight.shape[1]:
         raise ValueError(f"linear dim mismatch: x {x.shape} vs W {weight.shape}")
-    value = x.data @ weight.data.T
+    rows = x.data.reshape(-1, weight.shape[1])
+    value = rows @ weight.data.T
     inputs = [x, weight]
     if bias is not None:
         bias = as_tensor(bias)
@@ -289,26 +270,17 @@ def linear(x, weight, bias=None):
         value = value + bias.data
         inputs.append(bias)
 
-    if x.data.ndim == 2:
+    def backward(g):
+        g = g.reshape(-1, weight.shape[0])
+        grads = [
+            (g @ weight.data).reshape(x.shape) if x.requires_grad else None,
+            g.T @ rows if weight.requires_grad else None,
+        ]
+        if bias is not None:
+            grads.append(g.sum(axis=0) if bias.requires_grad else None)
+        return grads
 
-        def backward(g):
-            grads = [g @ weight.data, g.T @ x.data]
-            if bias is not None:
-                grads.append(g.sum(axis=0))
-            return grads
-
-    elif x.data.ndim == 1:
-
-        def backward(g):
-            grads = [weight.data.T @ g, np.outer(g, x.data)]
-            if bias is not None:
-                grads.append(g)
-            return grads
-
-    else:
-        raise ValueError("linear input must be 1-D or 2-D")
-
-    return _apply("linear", tuple(inputs), value, backward)
+    return _apply("linear", tuple(inputs), value.reshape(x.shape[:-1] + value.shape[-1:]), backward)
 
 
 def layer_norm(x, gamma, beta, eps=1e-6):
@@ -332,22 +304,6 @@ def layer_norm(x, gamma, beta, eps=1e-6):
         return gx, ggamma, gbeta
 
     return _apply("layer_norm", (x, gamma, beta), value, backward)
-
-
-def softmax(x, axis=-1, tau=None):
-    """softmax(x / tau) along an axis."""
-    x = as_tensor(x)
-    inv_tau = 1.0 if tau is None else 1.0 / float(tau)
-    z = x.data * inv_tau
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    value = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        inner = (g * value).sum(axis=axis, keepdims=True)
-        return ((value * (g - inner)) * inv_tau,)
-
-    return _apply("softmax", (x,), value, backward)
 
 
 def log_softmax(x, axis=-1, tau=None):

@@ -5,19 +5,17 @@ positional embeddings, `depth` blocks of multi-head attention and a GELU MLP,
 a final layer norm, and CLS or mean pooling. Per-sample gradients of a single
 designated hidden linear layer are harvested by running an objective inside a
 gradient tape; all other parameters stay untracked, so the tape only sees the
-subgraph downstream of that layer.
+subgraph downstream of that layer. Every parameter array is read-only, so
+shared weights cannot be changed by a gradient pass or a worker thread.
 """
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
-
-LAYER_KINDS = ("attn_proj", "mlp_fc1", "mlp_fc2", "qkv")
 
 
 @dataclass(frozen=True)
@@ -89,32 +87,6 @@ class EncoderParams:
         yield "norm_g", self.norm_g
         yield "norm_b", self.norm_b
 
-    def checksum(self):
-        crc = 0
-        for _, t in self.named_tensors():
-            crc = zlib.crc32(np.ascontiguousarray(t.data).tobytes(), crc)
-        return crc
-
-    def astype(self, dtype):
-        """Copy of the parameter set at another precision."""
-        def cast(t):
-            return ad.Tensor(t.data.astype(dtype))
-
-        blocks = [
-            BlockParams(**{k: cast(getattr(b, k)) for k in BlockParams.__dataclass_fields__})
-            for b in self.blocks
-        ]
-        return EncoderParams(
-            config=self.config,
-            patch_w=cast(self.patch_w),
-            patch_b=cast(self.patch_b),
-            cls_token=cast(self.cls_token),
-            pos=cast(self.pos),
-            blocks=blocks,
-            norm_g=cast(self.norm_g),
-            norm_b=cast(self.norm_b),
-        )
-
     @property
     def dtype(self):
         return self.patch_w.dtype
@@ -127,8 +99,11 @@ class GradientSource:
     block_index: int
     layer_kind: str = "attn_proj"
 
+    # layer kind -> prefix of its weight and bias attributes in BlockParams
+    PREFIXES = {"attn_proj": "proj", "mlp_fc1": "fc1", "mlp_fc2": "fc2", "qkv": "qkv"}
+
     def validate(self, config):
-        if self.layer_kind not in LAYER_KINDS:
+        if self.layer_kind not in self.PREFIXES:
             raise ValueError(f"unknown layer kind {self.layer_kind!r}")
         if not 0 <= self.block_index < config.depth:
             raise ValueError(f"block index {self.block_index} out of range for depth {config.depth}")
@@ -136,8 +111,17 @@ class GradientSource:
     def resolve(self, params):
         self.validate(params.config)
         block = params.blocks[self.block_index]
-        prefix = {"attn_proj": "proj", "mlp_fc1": "fc1", "mlp_fc2": "fc2", "qkv": "qkv"}[self.layer_kind]
+        prefix = self.PREFIXES[self.layer_kind]
         return getattr(block, prefix + "_w"), getattr(block, prefix + "_b")
+
+
+LAYER_KINDS = tuple(GradientSource.PREFIXES)
+
+
+def _read_only(tensors):
+    """Mark parameter arrays read-only: any later write raises ValueError."""
+    for t in tensors:
+        t.data.flags.writeable = False
 
 
 def init_encoder(config, seed, dtype=np.float32):
@@ -179,7 +163,7 @@ def init_encoder(config, seed, dtype=np.float32):
                 fc2_b=fc2_b,
             )
         )
-    return EncoderParams(
+    params = EncoderParams(
         config=config,
         patch_w=patch_w,
         patch_b=patch_b,
@@ -189,6 +173,8 @@ def init_encoder(config, seed, dtype=np.float32):
         norm_g=ad.Tensor(np.ones(d, dtype=dtype)),
         norm_b=ad.Tensor(np.zeros(d, dtype=dtype)),
     )
+    _read_only(t for _, t in params.named_tensors())
+    return params
 
 
 def patchify(image, patch_size):
@@ -271,37 +257,27 @@ def attach_head(dim, proj_dim, seed, normalize_input=True, dtype=np.float32):
         raise ValueError("proj_dim must be at least 1")
     rng = np.random.default_rng(seed)
     w = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(proj_dim, dim)).astype(dtype)
-    return Head(
+    head = Head(
         weight=ad.Tensor(w),
         bias=ad.Tensor(np.zeros(proj_dim, dtype=dtype)),
         normalize_input=normalize_input,
         seed=seed,
     )
+    _read_only((head.weight, head.bias))
+    return head
 
 
-def _with_tracked_source(params, source):
-    """Shallow copy of params with the source layer tensors marked for grads."""
+def replace_source_layer(params, source, weight, bias):
+    """Copy of params with the designated layer's weight and bias (tensors or
+    arrays) substituted."""
     w, b = source.resolve(params)
-    w2 = ad.Tensor(w.data, requires_grad=True)
-    b2 = ad.Tensor(b.data, requires_grad=True)
-    blocks = list(params.blocks)
-    prefix = {"attn_proj": "proj", "mlp_fc1": "fc1", "mlp_fc2": "fc2", "qkv": "qkv"}[source.layer_kind]
-    blocks[source.block_index] = replace(
-        blocks[source.block_index], **{prefix + "_w": w2, prefix + "_b": b2}
-    )
-    return replace(params, blocks=blocks), w2, b2
-
-
-def replace_source_layer(params, source, w_data, b_data):
-    """Copy of params with the designated layer's weights substituted."""
-    w, b = source.resolve(params)
-    if np.shape(w_data) != w.shape or np.shape(b_data) != b.shape:
+    weight, bias = ad.as_tensor(weight), ad.as_tensor(bias)
+    if weight.shape != w.shape or bias.shape != b.shape:
         raise ValueError("replacement layer shapes do not match")
     blocks = list(params.blocks)
-    prefix = {"attn_proj": "proj", "mlp_fc1": "fc1", "mlp_fc2": "fc2", "qkv": "qkv"}[source.layer_kind]
+    prefix = source.PREFIXES[source.layer_kind]
     blocks[source.block_index] = replace(
-        blocks[source.block_index],
-        **{prefix + "_w": ad.Tensor(w_data), prefix + "_b": ad.Tensor(b_data)},
+        blocks[source.block_index], **{prefix + "_w": weight, prefix + "_b": bias}
     )
     return replace(params, blocks=blocks)
 
@@ -310,13 +286,12 @@ def loss_gradient(params, source, objective_eval):
     """Gradient of a scalar objective w.r.t. the designated layer only.
 
     `objective_eval` receives a parameter set and must build its loss from
-    `encode()` outputs of that instance. Returns (dW, db) numpy arrays; the
-    shared parameters are asserted unchanged.
+    `encode()` outputs of that instance. Returns (dW, db) numpy arrays.
     """
-    before = params.checksum()
-    tracked, w, b = _with_tracked_source(params, source)
+    w, b = source.resolve(params)
+    w, b = ad.parameter(w.data), ad.parameter(b.data)
     with ad.GradTape() as tape:
-        loss = objective_eval(tracked)
+        loss = objective_eval(replace_source_layer(params, source, w, b))
     grads = tape.backward(loss)
     dw = grads.get(w)
     db = grads.get(b)
@@ -324,8 +299,6 @@ def loss_gradient(params, source, objective_eval):
         dw = np.zeros(w.shape, dtype=w.dtype)
     if db is None:
         db = np.zeros(b.shape, dtype=b.dtype)
-    if params.checksum() != before:
-        raise RuntimeError("encoder parameters mutated during gradient extraction")
     return dw, db
 
 
@@ -353,4 +326,6 @@ def collapse_output_paths(params):
                 fc2_w=ad.Tensor(np.zeros_like(blk.fc2_w.data)),
             )
         )
-    return replace(params, blocks=blocks)
+    params = replace(params, blocks=blocks)
+    _read_only(t for _, t in params.named_tensors())
+    return params

@@ -85,7 +85,6 @@ class PcaSection:
 @dataclass
 class EvalSection:
     knn_k: int = 20
-    shots: int = 5
     probe_lambda_min: float = 5e-06
     probe_lambda_max: float = 0.0005
     probe_lambda_count: int = 5

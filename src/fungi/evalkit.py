@@ -7,7 +7,7 @@ ties by summed inverse distance then class id, and all stochastic steps
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -353,21 +353,6 @@ def _loss_gradient(e, z, y_index, x, w, lam):
     return resid @ x / n + lam * w, resid.sum(axis=1) / n
 
 
-def probe_loss_and_grad(wb, x, y_index, n_classes, lam):
-    """Mean cross-entropy + 0.5 * lam * ||W||^2 (bias unpenalized).
-
-    wb is the flat concatenation of W (C, D) and b (C,). Returns
-    (loss, gradient) for the full batch: the objective `_train_logreg`
-    minimizes, through the same helpers.
-    """
-    dim = x.shape[1]
-    w = wb[: n_classes * dim].reshape(n_classes, dim)
-    b = wb[n_classes * dim :]
-    loss, e, z = _loss_terms(w @ x.T + b[:, None], y_index, w, lam)
-    gw, gb = _loss_gradient(e, z, y_index, x, w, lam)
-    return loss, np.concatenate([gw.ravel(), gb])
-
-
 @dataclass
 class ProbeFit:
     """How one probe training ran."""
@@ -380,7 +365,7 @@ class ProbeFit:
 
 
 def _train_logreg(x, y_index, n_classes, lam, max_epochs, grad_tol=1e-8):
-    """Minimize `probe_loss_and_grad` from zero weights.
+    """Minimize the `_loss_terms` loss over (W, b) from zero weights.
 
     Full-batch gradient descent with Armijo backtracking: halve the step
     until the loss falls by at least half the step times the squared gradient
@@ -543,7 +528,6 @@ class EvalReport:
     metric: str
     value: float
     per_class: dict = None
-    config: dict = field(default_factory=dict)
 
     def csv_rows(self):
         rows = [("metric", "class", "value")]

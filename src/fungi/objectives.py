@@ -22,47 +22,35 @@ from . import evalkit
 _NEG_INF = -1e30
 
 
-def kl_loss(z, tau=15.0, to_uniform=False):
-    """Divergence between softmax(z / tau) and the uniform distribution.
-
-    The default direction is KL(uniform || softmax(z / tau)); passing
-    to_uniform=True computes KL(softmax(z / tau) || uniform) instead. Both
-    are zero exactly when the softmax is uniform.
-    """
+def kl_loss(z, tau=15.0):
+    """KL(uniform || softmax(z / tau)); zero exactly when the softmax is uniform."""
     z = ad.as_tensor(z)
-    dim = z.size
-    log_dim = float(np.log(dim))
+    log_dim = float(np.log(z.size))
     ls = ad.log_softmax(z, axis=-1, tau=tau)
-    if to_uniform:
-        probs = ad.softmax(z, axis=-1, tau=tau)
-        return ad.add(ad.total(ad.mul(probs, ls)), ad.as_tensor(log_dim, dtype=z.dtype))
     return ad.add(ad.scale(ad.mean(ls), -1.0), ad.as_tensor(-log_dim, dtype=z.dtype))
 
 
 def dino_loss(student_z, teacher_z, tau_s=0.1, tau_t=0.07):
     """Mean teacher/student cross-entropy over crop pairs.
 
-    teacher_z are the latents of the global crops and are treated as
+    teacher_z are the latents of the G global crops and are treated as
     constants (no gradient flows through them). student_z holds the latents
-    of all crops, globals first, so pairs with identical view index are
-    skipped.
+    of all V crops, globals first, so pairs with identical view index are
+    skipped. The G * (V - 1) pair terms collapse into one weighted sum: the
+    student log-probabilities of view s meet W[s], the sum of the teacher
+    distributions of the global views other than s over the pair count.
     """
     if len(teacher_z) < 2:
         raise ValueError("dino_loss requires at least 2 global (teacher) views")
-    terms = []
-    for t_idx, zt in enumerate(teacher_z):
-        zt = zt.data if isinstance(zt, ad.Tensor) else np.asarray(zt)
-        scaled = zt / tau_t
-        scaled = scaled - scaled.max()
-        probs = np.exp(scaled)
-        probs /= probs.sum()
-        pt = ad.as_tensor(probs)
-        for s_idx, zs in enumerate(student_z):
-            if s_idx == t_idx:
-                continue
-            ls = ad.log_softmax(zs, axis=-1, tau=tau_s)
-            terms.append(ad.scale(ad.total(ad.mul(pt, ls)), -1.0))
-    return ad.mean(ad.stack(terms))
+    teacher = np.stack([zt.data if isinstance(zt, ad.Tensor) else np.asarray(zt) for zt in teacher_z])
+    scaled = teacher / tau_t
+    probs = np.exp(scaled - scaled.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    # pairs[s, t] = 1 when student view s meets teacher view t (s != t)
+    pairs = 1.0 - np.eye(len(student_z), len(teacher_z), dtype=probs.dtype)
+    weights = (pairs @ probs) / float(pairs.sum())
+    log_probs = ad.log_softmax(ad.stack(student_z), axis=-1, tau=tau_s)
+    return ad.scale(ad.total(ad.mul(log_probs, ad.as_tensor(weights))), -1.0)
 
 
 @dataclass
@@ -84,24 +72,6 @@ class NegativeBank:
     def __len__(self):
         return self.rows.shape[0]
 
-    def save(self, path):
-        from . import store
-
-        store.write_sections(
-            path,
-            {
-                "negative_rows": self.rows.astype(np.float32),
-                "negative_seed": np.array([self.seed], dtype=np.int32),
-            },
-        )
-
-    @classmethod
-    def load(cls, path):
-        from . import store
-
-        sections = store.read_sections(path)
-        return cls(rows=sections["negative_rows"], seed=int(sections["negative_seed"][0]))
-
 
 def _check_unit_rows(data, what, tol=1e-4):
     norms = np.linalg.norm(data, axis=-1)
@@ -119,11 +89,9 @@ def _info_nce(z_norm, bank_rows, tau):
     p = z_norm.shape[0]
     if p < 2:
         raise ValueError("contrastive loss needs at least 2 positive views")
-    sims_pos = ad.matmul(z_norm, ad.transpose(z_norm))
-    blocks = [sims_pos]
+    blocks = [ad.linear(z_norm, z_norm)]
     if bank_rows is not None and len(bank_rows):
-        sims_bank = ad.matmul(z_norm, ad.as_tensor(np.asarray(bank_rows, dtype=z_norm.dtype).T))
-        blocks.append(sims_bank)
+        blocks.append(ad.linear(z_norm, np.asarray(bank_rows, dtype=z_norm.dtype)))
     logits = ad.scale(ad.concat(blocks, axis=1), 1.0 / tau)
 
     total_cols = logits.shape[1]

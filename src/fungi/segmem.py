@@ -90,27 +90,26 @@ class PatchFeatureExtractor:
         if self.use_fungi and self.head is None:
             raise ValueError("gradient fusion needs a projection head")
 
-    @property
-    def dim(self):
-        d = self.params.config.dim
-        return 2 * d if self.use_fungi else d
-
     def _tokens(self, image):
         out = bb.encode(self.params, image)
         return out.embedding.data, out.patch_tokens.data
 
     def build_support(self, images):
-        """Support index over the head latents of all bank patches."""
-        latents = []
-        for image in images:
-            _, patches = self._tokens(image)
-            latents.append(self.head.apply_array(patches))
-        self.support = obj.SupportIndex(np.concatenate(latents, axis=0))
-        return self.support
+        """Support index over the head latents of all bank patches.
+
+        Returns each image's (embedding, patch tokens), so a caller that
+        also needs the images' feature rows does not encode them again.
+        """
+        tokens = [self._tokens(image) for image in images]
+        self.support = obj.SupportIndex(np.concatenate([self.head.apply_array(p) for _, p in tokens]))
+        return tokens
 
     def features(self, image, seed=0):
         """(patches, dim) unit-norm feature rows for one image."""
-        cls_emb, patches = self._tokens(image)
+        return self.token_features(*self._tokens(image), seed=seed)
+
+    def token_features(self, cls_emb, patches, seed=0):
+        """features() of an image from its encoder outputs."""
         emb_n = patches / np.linalg.norm(patches, axis=1, keepdims=True)
         if not self.use_fungi:
             return emb_n.astype(np.float32)
@@ -137,7 +136,6 @@ class PatchMemoryBank:
     features: np.ndarray  # (M, D) unit rows
     labels: np.ndarray  # (M,) int32
     num_classes: int
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float32)
@@ -180,8 +178,9 @@ def build_bank(images, masks, extractor, config, seed=0, ignore_label=IGNORE_LAB
     bank is uniformly subsampled (after augmentation) with the given seed.
     """
     patch_size = extractor.params.config.patch_size
+    tokens = None
     if extractor.use_fungi and extractor.support is None:
-        extractor.build_support(images)
+        tokens = extractor.build_support(images)
     rng = np.random.default_rng(seed)
     feats, labels = [], []
     for epoch in range(config.augmentation_epochs):
@@ -193,7 +192,10 @@ def build_bank(images, masks, extractor, config, seed=0, ignore_label=IGNORE_LAB
             if epoch > 0:
                 image, mask = _augment_pair(image, mask, rng)
             grid = downsample_mask(mask, patch_size, ignore_label)
-            rows = extractor.features(image, seed=int(rng.integers(2**31)) if epoch else seed + idx)
+            if epoch == 0 and tokens is not None:
+                rows = extractor.token_features(*tokens[idx], seed=seed + idx)
+            else:
+                rows = extractor.features(image, seed=int(rng.integers(2**31)) if epoch else seed + idx)
             keep = grid.ravel() != ignore_label
             feats.append(rows[keep])
             labels.append(grid.ravel()[keep])
@@ -203,18 +205,7 @@ def build_bank(images, masks, extractor, config, seed=0, ignore_label=IGNORE_LAB
         pick = np.sort(rng.choice(len(labels), size=config.bank_cap, replace=False))
         features, labels = features[pick], labels[pick]
     num_classes = int(labels.max()) + 1 if len(labels) else 0
-    return PatchMemoryBank(
-        features=features,
-        labels=labels,
-        num_classes=num_classes,
-        meta={
-            "images": len(images),
-            "epochs": config.augmentation_epochs,
-            "seed": seed,
-            "fungi": extractor.use_fungi,
-            "order": "augment-then-subsample",
-        },
-    )
+    return PatchMemoryBank(features=features, labels=labels, num_classes=num_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +297,9 @@ def ivf_search(index, query, k):
 # ---------------------------------------------------------------------------
 
 
-def _propagate(bank, queries, k, tau, config, index):
+def _propagate(bank, queries, config, index):
     """(queries, classes) distributions by attention over each row's neighbors."""
-    if config is not None:
-        k = config.k if k is None else k
-        tau = config.temperature if tau is None else tau
-    if k is None or tau is None:
-        raise ValueError("k and tau (or a config) are required")
+    k, tau = config.k, config.temperature
     if len(bank) == 0:
         raise ValueError("empty bank")
     if k > len(bank):
@@ -335,14 +322,9 @@ def _propagate(bank, queries, k, tau, config, index):
     return np.concatenate(dists)
 
 
-def query_label(bank, query, k=None, tau=None, config=None, index=None):
-    """Class distribution for one patch by attention over its neighbors."""
-    return _propagate(bank, np.asarray(query)[None], k, tau, config, index)[0]
-
-
 def predict_grid(bank, features, config, index=None):
     """Argmax class per patch row; returns (labels, distributions)."""
-    dists = _propagate(bank, features, None, None, config, index)
+    dists = _propagate(bank, features, config, index)
     return np.argmax(dists, axis=1).astype(np.int32), dists
 
 

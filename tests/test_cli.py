@@ -159,6 +159,17 @@ class TestExitCodes:
                          "--test", str(other / "bank_test.fngi"),
                          "--out", str(tmp_path / "e.csv")]) == 2
 
+    def test_bank_echoing_removed_shots_key_is_2(self, tmp_path, workspace):
+        _, _, _, banks = workspace
+        paths = []
+        for split in ("train", "test"):
+            bank = feat.FeatureBank.load(banks / f"bank_{split}.fngi")
+            bank.config_echo = bank.config_echo.replace("knn_k = 20", "knn_k = 20\nshots = 5")
+            paths.append(tmp_path / f"bank_{split}.fngi")
+            bank.save(paths[-1])
+        assert cli.main(["eval", "--train", str(paths[0]), "--test", str(paths[1]),
+                         "--out", str(tmp_path / "e.csv")]) == 2
+
     def test_truncated_bank_is_3(self, tmp_path, workspace):
         _, _, _, banks = workspace
         bad = tmp_path / "truncated.fngi"

@@ -75,11 +75,17 @@ class TestMaskDownsampling:
             sm.downsample_mask(np.array([[0, -1], [1, 1]]), 2)
 
 
+def query_dist(bank, query, k, tau, index=None):
+    """Class distribution of one patch row, through the block search."""
+    _, dists = sm.predict_grid(bank, np.asarray(query)[None], sm.SegConfig(k=k, temperature=tau), index=index)
+    return dists[0]
+
+
 class TestQueryLabel:
     def test_k1_returns_one_hot(self):
         rng = np.random.default_rng(0)
         bank = make_bank(rng)
-        dist = sm.query_label(bank, bank.features[17], k=1, tau=0.02)
+        dist = query_dist(bank, bank.features[17], k=1, tau=0.02)
         assert dist[bank.labels[17]] == 1.0
         assert dist.sum() == 1.0
 
@@ -90,7 +96,7 @@ class TestQueryLabel:
             features=np.stack([v, w]), labels=np.array([0, 1]), num_classes=2
         )
         q = np.array([np.sqrt(0.5), np.sqrt(0.5)], dtype=np.float32)
-        dist = sm.query_label(bank, q, k=2, tau=0.1)
+        dist = query_dist(bank, q, k=2, tau=0.1)
         assert abs(dist[0] - 0.5) < 1e-8 and abs(dist[1] - 0.5) < 1e-8
 
     def test_tiny_temperature_selects_argmax(self):
@@ -98,7 +104,7 @@ class TestQueryLabel:
         bank = make_bank(rng)
         q = unit_rows(rng, 1, 16)[0]
         ids, _ = sm.exact_search(bank.features, q, 5)
-        dist = sm.query_label(bank, q, k=5, tau=1e-6)
+        dist = query_dist(bank, q, k=5, tau=1e-6)
         assert np.argmax(dist) == bank.labels[ids[0]]
         assert dist[bank.labels[ids[0]]] > 1 - 1e-6
 
@@ -106,7 +112,7 @@ class TestQueryLabel:
         rng = np.random.default_rng(2)
         bank = make_bank(rng)
         for _ in range(10):
-            dist = sm.query_label(bank, unit_rows(rng, 1, 16)[0], k=13, tau=0.05)
+            dist = query_dist(bank, unit_rows(rng, 1, 16)[0], k=13, tau=0.05)
             assert abs(dist.sum() - 1.0) < 1e-8
             assert np.all(dist >= 0)
 
@@ -114,7 +120,7 @@ class TestQueryLabel:
         rng = np.random.default_rng(3)
         bank = make_bank(rng, n=4)
         with pytest.raises(ValueError):
-            sm.query_label(bank, bank.features[0], k=9, tau=0.1)
+            query_dist(bank, bank.features[0], k=9, tau=0.1)
 
 
 class TestIvf:
@@ -241,6 +247,21 @@ class TestBankBuilding:
         assert bank.features.shape[1] == 16
         assert extractor.support is not None
 
+    def test_fungi_bank_encodes_each_image_once(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        images, masks = synthetic_seg_images(rng, 3)
+        extractor = tiny_extractor(use_fungi=True)
+        encode, calls = bb.encode, []
+        monkeypatch.setattr(bb, "encode", lambda params, image: calls.append(1) or encode(params, image))
+        bank = sm.build_bank(images, masks, extractor, sm.SegConfig(k=1, temperature=0.02), seed=4)
+        assert len(calls) == len(images)
+        # the same rows as a features() pass of their own over the same support
+        want = [
+            extractor.features(image, seed=4 + i)[sm.downsample_mask(mask, 16).ravel() != sm.IGNORE_LABEL]
+            for i, (image, mask) in enumerate(zip(images, masks))
+        ]
+        np.testing.assert_array_equal(bank.features, np.concatenate(want))
+
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         images, masks = synthetic_seg_images(rng, 3)
@@ -296,7 +317,7 @@ class TestQueryBlocks:
             params = sm.IvfParams(num_leaves=16, leaves_to_search=4, rerank=20, kmeans_iters=5)
             index = sm.ivf_build(bank.features, params, seed=6)
         labels, dists = sm.predict_grid(bank, queries, config, index=index)
-        alone = np.stack([sm.query_label(bank, q, config=config, index=index) for q in queries])
+        alone = np.concatenate([sm.predict_grid(bank, q[None], config, index=index)[1] for q in queries])
         np.testing.assert_array_equal(labels, np.argmax(alone, axis=1))
         # float32 similarities from a one-row and a many-row matrix product
         # may differ in the last bit, scaled by 1 / temperature
