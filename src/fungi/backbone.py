@@ -11,6 +11,7 @@ shared weights cannot be changed by a gradient pass or a worker thread.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -86,6 +87,13 @@ class EncoderParams:
                 yield f"block{i}.{name}", getattr(blk, name)
         yield "norm_g", self.norm_g
         yield "norm_b", self.norm_b
+
+    def checksum(self):
+        """CRC-32 of every parameter array, in `named_tensors()` order."""
+        crc = 0
+        for _, t in self.named_tensors():
+            crc = zlib.crc32(np.ascontiguousarray(t.data).tobytes(), crc)
+        return crc
 
     @property
     def dtype(self):

@@ -194,6 +194,7 @@ def build_bank(images, masks, extractor, config, seed=0, ignore_label=IGNORE_LAB
             grid = downsample_mask(mask, patch_size, ignore_label)
             if epoch == 0 and tokens is not None:
                 rows = extractor.token_features(*tokens[idx], seed=seed + idx)
+                tokens[idx] = None  # later epochs encode augmented copies
             else:
                 rows = extractor.features(image, seed=int(rng.integers(2**31)) if epoch else seed + idx)
             keep = grid.ravel() != ignore_label
