@@ -168,18 +168,6 @@ class GradTape:
         return leaf_grads
 
 
-class no_grad:
-    """Context manager masking any active tape (forward-only region)."""
-
-    def __enter__(self):
-        _tape_stack().append(None)
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        _tape_stack().pop()
-        return False
-
-
 def _apply(op, inputs, value, backward_fn):
     _check_finite(value, op)
     out = Tensor.__new__(Tensor)
@@ -432,17 +420,22 @@ def narrow(x, axis, start, length):
 
 
 def scaled_dot_product_attention(q, k, v, num_heads):
-    """Multi-head attention on (tokens, dim) tensors; returns (tokens, dim)."""
+    """Multi-head attention of (queries, dim) q over (tokens, dim) k and v;
+    returns (queries, dim). There may be fewer queries than tokens."""
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    tokens, dim = q.shape
+    queries, dim = q.shape
+    tokens = k.shape[0]
     if dim % num_heads != 0:
         raise ValueError(f"dim {dim} not divisible by heads {num_heads}")
-    if k.shape != q.shape or v.shape != q.shape:
-        raise ValueError("attention expects q, k, v of identical shape")
+    if k.shape != (tokens, dim) or v.shape != k.shape:
+        raise ValueError("attention expects q, k, v of one width and k, v of identical shape")
     head_dim = dim // num_heads
 
     def split(t):
-        return t.reshape(tokens, num_heads, head_dim).transpose(1, 0, 2)
+        return t.reshape(len(t), num_heads, head_dim).transpose(1, 0, 2)
+
+    def merge(t):
+        return t.transpose(1, 0, 2).reshape(t.shape[1], dim)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     inv_sqrt = 1.0 / math.sqrt(head_dim)  # python float: keeps float32 data float32
@@ -450,20 +443,15 @@ def scaled_dot_product_attention(q, k, v, num_heads):
     scores = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(scores)
     attn = e / e.sum(axis=-1, keepdims=True)
-    out_h = attn @ vh
-    value = out_h.transpose(1, 0, 2).reshape(tokens, dim)
+    value = merge(attn @ vh)
 
     def backward(g):
-        gh = g.reshape(tokens, num_heads, head_dim).transpose(1, 0, 2)
+        gh = split(g)
         g_attn = gh @ vh.transpose(0, 2, 1)
         g_vh = attn.transpose(0, 2, 1) @ gh
         g_scores = attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True))
         g_qh = (g_scores @ kh) * inv_sqrt
         g_kh = (g_scores.transpose(0, 2, 1) @ qh) * inv_sqrt
-
-        def merge(t):
-            return t.transpose(1, 0, 2).reshape(tokens, dim)
-
         return merge(g_qh), merge(g_kh), merge(g_vh)
 
     return _apply("attention", (q, k, v), value, backward)

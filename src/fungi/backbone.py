@@ -2,11 +2,14 @@
 
 The encoder follows the usual pre-norm layout: patch embedding + learned
 positional embeddings, `depth` blocks of multi-head attention and a GELU MLP,
-a final layer norm, and CLS or mean pooling. Per-sample gradients of a single
-designated hidden linear layer are harvested by running an objective inside a
-gradient tape; all other parameters stay untracked, so the tape only sees the
-subgraph downstream of that layer. Every parameter array is read-only, so
-shared weights cannot be changed by a gradient pass or a worker thread.
+a final layer norm, and CLS or mean pooling. One forward, written in the
+`autodiff` primitives, serves three callers: `encode` keeps every token,
+`embed` trims the last block to the rows that pooling reads, and
+`loss_gradient` runs the trimmed forward with the designated layer's output
+as the tape's leaf, so an objective sees only embeddings and a sample's
+gradient of that layer is `G^T X` over its views. Every parameter array is
+read-only, so shared weights cannot be changed by a gradient pass or a
+worker thread.
 """
 
 from __future__ import annotations
@@ -196,42 +199,61 @@ def patchify(image, patch_size):
     return np.ascontiguousarray(out)
 
 
-@dataclass
-class EncodeResult:
-    embedding: ad.Tensor
-    patch_tokens: ad.Tensor
+def _forward(params, image, pooled_only=False, source=None, taps=None):
+    """Final-norm token rows of one image (3, S, S), CLS first.
 
-
-def encode(params, image):
-    """Forward pass: image (3, S, S) -> pooled embedding and patch tokens."""
+    With `pooled_only` under CLS pooling, the last block carries on only the
+    row that pooling reads: the CLS query attends to every key and value, and
+    proj, the MLP and the final norm see that one row. With `source`, the
+    source layer's output becomes a fresh leaf of the active tape, and
+    `(leaf, input rows)` is appended to `taps`; nothing upstream is tracked.
+    """
     cfg = params.config
     image = np.asarray(image)
     if image.shape != (3, cfg.image_size, cfg.image_size):
         raise ValueError(f"expected image of shape (3, {cfg.image_size}, {cfg.image_size}), got {image.shape}")
-    patches = ad.Tensor(patchify(image, cfg.patch_size).astype(params.dtype))
+    tap_at = None if source is None else (source.block_index, source.PREFIXES[source.layer_kind])
 
+    def layer(x, i, prefix):
+        blk = params.blocks[i]
+        y = ad.linear(x, getattr(blk, prefix + "_w"), getattr(blk, prefix + "_b"))
+        if (i, prefix) != tap_at:
+            return y
+        leaf = ad.parameter(y.data)
+        taps.append((leaf, x.data))
+        return leaf
+
+    patches = ad.Tensor(patchify(image, cfg.patch_size).astype(params.dtype))
     x = ad.linear(patches, params.patch_w, params.patch_b)
-    x = ad.concat([params.cls_token, x], axis=0)
-    x = ad.add(x, params.pos)
+    x = ad.add(ad.concat([params.cls_token, x], axis=0), params.pos)
     d = cfg.dim
-    for blk in params.blocks:
-        h = ad.layer_norm(x, blk.ln1_g, blk.ln1_b)
-        qkv = ad.linear(h, blk.qkv_w, blk.qkv_b)
-        q = ad.narrow(qkv, 1, 0, d)
-        k = ad.narrow(qkv, 1, d, d)
-        v = ad.narrow(qkv, 1, 2 * d, d)
-        attn = ad.scaled_dot_product_attention(q, k, v, cfg.heads)
-        x = ad.add(x, ad.linear(attn, blk.proj_w, blk.proj_b))
-        h2 = ad.layer_norm(x, blk.ln2_g, blk.ln2_b)
-        m = ad.linear(ad.gelu(ad.linear(h2, blk.fc1_w, blk.fc1_b)), blk.fc2_w, blk.fc2_b)
-        x = ad.add(x, m)
-    x = ad.layer_norm(x, params.norm_g, params.norm_b)
-    patch_tokens = ad.narrow(x, 0, 1, cfg.num_patches)
-    if cfg.pooling == "cls":
-        embedding = ad.reshape(ad.narrow(x, 0, 0, 1), (d,))
-    else:
-        embedding = ad.mean(patch_tokens, axis=0)
-    return EncodeResult(embedding=embedding, patch_tokens=patch_tokens)
+    for i, blk in enumerate(params.blocks):
+        qkv = layer(ad.layer_norm(x, blk.ln1_g, blk.ln1_b), i, "qkv")
+        q, k, v = (ad.narrow(qkv, 1, j * d, d) for j in range(3))
+        if pooled_only and cfg.pooling == "cls" and i == cfg.depth - 1:
+            q, x = ad.narrow(q, 0, 0, 1), ad.narrow(x, 0, 0, 1)
+        x = ad.add(x, layer(ad.scaled_dot_product_attention(q, k, v, cfg.heads), i, "proj"))
+        h = ad.gelu(layer(ad.layer_norm(x, blk.ln2_g, blk.ln2_b), i, "fc1"))
+        x = ad.add(x, layer(h, i, "fc2"))
+    return ad.layer_norm(x, params.norm_g, params.norm_b)
+
+
+def _pool(x, pooling):
+    """(dim,) embedding of final token rows: the CLS row, or the patch mean."""
+    if pooling == "cls":
+        return ad.reshape(ad.narrow(x, 0, 0, 1), x.shape[1:])
+    return ad.mean(ad.narrow(x, 0, 1, x.shape[0] - 1), axis=0)
+
+
+def encode(params, image):
+    """Forward pass: image (3, S, S) -> (pooled embedding, patch tokens) arrays."""
+    x = _forward(params, image)
+    return _pool(x, params.config.pooling).data, x.data[1:]
+
+
+def embed(params, image):
+    """`encode(params, image)[0]`, without the rows that pooling does not read."""
+    return _pool(_forward(params, image, pooled_only=True), params.config.pooling).data
 
 
 @dataclass
@@ -241,7 +263,6 @@ class Head:
     weight: ad.Tensor
     bias: ad.Tensor
     normalize_input: bool
-    seed: int
 
     @property
     def proj_dim(self):
@@ -269,7 +290,6 @@ def attach_head(dim, proj_dim, seed, normalize_input=True, dtype=np.float32):
         weight=ad.Tensor(w),
         bias=ad.Tensor(np.zeros(proj_dim, dtype=dtype)),
         normalize_input=normalize_input,
-        seed=seed,
     )
     _read_only((head.weight, head.bias))
     return head
@@ -277,7 +297,7 @@ def attach_head(dim, proj_dim, seed, normalize_input=True, dtype=np.float32):
 
 def replace_source_layer(params, source, weight, bias):
     """Copy of params with the designated layer's weight and bias (tensors or
-    arrays) substituted."""
+    arrays) substituted: how finite-difference checks perturb that layer."""
     w, b = source.resolve(params)
     weight, bias = ad.as_tensor(weight), ad.as_tensor(bias)
     if weight.shape != w.shape or bias.shape != b.shape:
@@ -290,24 +310,25 @@ def replace_source_layer(params, source, weight, bias):
     return replace(params, blocks=blocks)
 
 
-def loss_gradient(params, source, objective_eval):
+def loss_gradient(params, source, views, loss_fn):
     """Gradient of a scalar objective w.r.t. the designated layer only.
 
-    `objective_eval` receives a parameter set and must build its loss from
-    `encode()` outputs of that instance. Returns (dW, db) numpy arrays.
+    Runs one forward per view on a single tape whose leaves are the source
+    layer's outputs, and hands `loss_fn` the stacked (V, dim) embeddings.
+    With G the cotangents at those outputs and X the layer's input rows, over
+    all views, the gradient is dW = G^T X and db = G.sum(0). Returns numpy
+    arrays.
     """
-    w, b = source.resolve(params)
-    w, b = ad.parameter(w.data), ad.parameter(b.data)
+    source.validate(params.config)
+    pooling = params.config.pooling
+    taps = []
     with ad.GradTape() as tape:
-        loss = objective_eval(replace_source_layer(params, source, w, b))
+        rows = [_forward(params, v, pooled_only=True, source=source, taps=taps) for v in views]
+        loss = loss_fn(ad.stack([_pool(x, pooling) for x in rows]))
     grads = tape.backward(loss)
-    dw = grads.get(w)
-    db = grads.get(b)
-    if dw is None:
-        dw = np.zeros(w.shape, dtype=w.dtype)
-    if db is None:
-        db = np.zeros(b.shape, dtype=b.dtype)
-    return dw, db
+    g = np.concatenate([grads[leaf] for leaf, _ in taps])
+    x = np.concatenate([inputs for _, inputs in taps])
+    return g.T @ x, g.sum(axis=0)
 
 
 def collapse_output_paths(params):

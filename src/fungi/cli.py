@@ -93,6 +93,11 @@ def cmd_extract(args):
     config = _load_config(args)
     train = _load_split(args.data, "train", need_labels=True)
     test = _load_split(args.data, "test", need_labels=True)
+    size = config.encoder.image_size
+    for split, data in (("train", train), ("test", test)):
+        if data["images"].shape[1:] != (3, size, size):
+            raise DataError(f"{split} images have shape {data['images'].shape[1:]}, "
+                            f"but encoder.image_size is {size}: expected (3, {size}, {size})")
     train_bank, test_bank = pipeline.extract_splits(
         config, train["images"], train["labels"], test["images"], test["labels"], jobs=args.jobs
     )

@@ -33,23 +33,23 @@ def kl_loss(z, tau=15.0):
 def dino_loss(student_z, teacher_z, tau_s=0.1, tau_t=0.07):
     """Mean teacher/student cross-entropy over crop pairs.
 
-    teacher_z are the latents of the G global crops and are treated as
-    constants (no gradient flows through them). student_z holds the latents
-    of all V crops, globals first, so pairs with identical view index are
-    skipped. The G * (V - 1) pair terms collapse into one weighted sum: the
-    student log-probabilities of view s meet W[s], the sum of the teacher
-    distributions of the global views other than s over the pair count.
+    student_z is the (V, P) tensor of the latents of all V crops, globals
+    first; teacher_z is the (G, P) array of the global crops' teacher
+    latents, a constant (no gradient flows through it). Pairs with identical
+    view index are skipped. The G * (V - 1) pair terms collapse into one
+    weighted sum: the student log-probabilities of view s meet W[s], the sum
+    of the teacher distributions of the global views other than s over the
+    pair count.
     """
     if len(teacher_z) < 2:
         raise ValueError("dino_loss requires at least 2 global (teacher) views")
-    teacher = np.stack([zt.data if isinstance(zt, ad.Tensor) else np.asarray(zt) for zt in teacher_z])
-    scaled = teacher / tau_t
+    scaled = np.asarray(teacher_z) / tau_t
     probs = np.exp(scaled - scaled.max(axis=1, keepdims=True))
     probs /= probs.sum(axis=1, keepdims=True)
     # pairs[s, t] = 1 when student view s meets teacher view t (s != t)
-    pairs = 1.0 - np.eye(len(student_z), len(teacher_z), dtype=probs.dtype)
+    pairs = 1.0 - np.eye(student_z.shape[0], len(probs), dtype=probs.dtype)
     weights = (pairs @ probs) / float(pairs.sum())
-    log_probs = ad.log_softmax(ad.stack(student_z), axis=-1, tau=tau_s)
+    log_probs = ad.log_softmax(student_z, axis=-1, tau=tau_s)
     return ad.scale(ad.total(ad.mul(log_probs, ad.as_tensor(weights))), -1.0)
 
 
@@ -58,7 +58,6 @@ class NegativeBank:
     """Fixed set of unit-norm latents contrasted against every sample."""
 
     rows: np.ndarray
-    seed: int = 0
 
     def __post_init__(self):
         rows = np.asarray(self.rows)
@@ -108,12 +107,10 @@ def _info_nce(z_norm, bank_rows, tau):
 def simclr_loss(z_views, bank, tau=0.07):
     """InfoNCE over ordered pairs of positive views against a fixed bank.
 
-    z_views is a (P, D) tensor (or list of D-vectors) of already normalized
-    latents; bank is a NegativeBank. Each denominator ranges over the other
-    P - 1 positives plus every bank row.
+    z_views is a (P, D) tensor of already normalized latents; bank is a
+    NegativeBank. Each denominator ranges over the other P - 1 positives plus
+    every bank row.
     """
-    if isinstance(z_views, (list, tuple)):
-        z_views = ad.stack(z_views)
     _check_unit_rows(z_views.data, "positive latents")
     rows = None
     if bank is not None:
@@ -157,7 +154,7 @@ def simclr_patch_loss(patch_tokens, head, support, tau=0.07, seed=0, retrieved_p
     Returns (per_patch_grads, loss_value) where per_patch_grads has shape
     (T, d): the CLS row is dropped from the output.
     """
-    tokens_data = np.asarray(patch_tokens.data if isinstance(patch_tokens, ad.Tensor) else patch_tokens)
+    tokens_data = np.asarray(patch_tokens)
     if len(support) < retrieved_per_patch:
         raise ValueError("support index smaller than retrieved_per_patch")
 

@@ -1,10 +1,11 @@
 """Extraction pipeline: encoder + heads + objectives -> feature banks.
 
-Per sample: encode once for the embedding, then for each configured
-objective build its views, evaluate its loss on a fresh tape, harvest the
-designated layer's gradient, flatten it, and project it down to the
-embedding width. Fused rows are the unit-norm gradient segments followed by
-the unit-norm embedding.
+Per sample: embed once for the embedding, then for each configured
+objective build its views and a loss over their stacked embeddings,
+harvest the designated layer's gradient from one forward per view, flatten
+it, and project it down to the embedding width. Objectives never call the
+encoder. Fused rows are the unit-norm gradient segments followed by the
+unit-norm embedding.
 """
 
 from __future__ import annotations
@@ -94,28 +95,23 @@ def build_negative_bank(params, head, train_images, config):
     rows = []
     for idx in picked:
         for view in _simclr_views(np.asarray(train_images[idx]), config):
-            emb = bb.encode(params, view).embedding.data
-            rows.append(head.apply_array(emb))
-    bank = obj.NegativeBank(np.stack(rows), seed=int(picked[0]))
+            rows.append(head.apply_array(bb.embed(params, view)))
+    bank = obj.NegativeBank(np.stack(rows))
     log.info("negative bank: %d rows from %d images", len(bank), scfg.negative_images)
     return bank
 
 
-def make_objective(name, config, heads, image, neg_bank, sample_seed, params):
-    """Loss closure for one sample, evaluated against a parameter set.
+def make_objective(name, config, heads, image, neg_bank, sample_seed):
+    """(views, loss_fn) of one sample: `loss_fn` maps the (V, dim) tensor of
+    the views' embeddings to a scalar loss.
 
-    The distillation teacher is frozen here, at closure creation: its
-    latents are plain constants of the unperturbed encoder, so the closure's
-    derivative is exactly the stop-gradient objective the tape computes.
+    The distillation teacher reads the global views' embedding values as
+    constants, so the loss's derivative is exactly the stop-gradient
+    objective.
     """
     if name == "kl":
-        head, kl_cfg = heads["kl"], config.kl
-
-        def kl_fn(p):
-            z = head.apply(bb.encode(p, image).embedding)
-            return obj.kl_loss(z, tau=kl_cfg.temperature)
-
-        return kl_fn
+        head, tau = heads["kl"], config.kl.temperature
+        return [image], lambda z: obj.kl_loss(head.apply(z), tau=tau)
 
     if name == "dino":
         student_head, teacher_head = heads["dino"]
@@ -129,30 +125,22 @@ def make_objective(name, config, heads, image, neg_bank, sample_seed, params):
             local_scale=tuple(dcfg.local_scale),
             out_size=config.encoder.image_size,
         )
-        views = globals_ + locals_
-        with ad.no_grad():
-            teacher = [
-                teacher_head.apply_array(bb.encode(params, v).embedding.data) for v in globals_
-            ]
 
-        def dino_fn(p):
-            student = [student_head.apply(bb.encode(p, v).embedding) for v in views]
+        def dino_fn(z):
+            teacher = teacher_head.apply_array(z.data[: len(globals_)])
             return obj.dino_loss(
-                student, teacher, tau_s=dcfg.student_temperature, tau_t=dcfg.teacher_temperature
+                student_head.apply(z), teacher, tau_s=dcfg.student_temperature, tau_t=dcfg.teacher_temperature
             )
 
-        return dino_fn
+        return globals_ + locals_, dino_fn
 
     if name == "simclr":
-        head, scfg = heads["simclr"], config.simclr
-        views = _simclr_views(image, config)
+        head, tau = heads["simclr"], config.simclr.temperature
 
-        def simclr_fn(p):
-            latents = [head.apply(bb.encode(p, v).embedding) for v in views]
-            z = ad.l2_normalize(ad.stack(latents), axis=-1)
-            return obj.simclr_loss(z, neg_bank, tau=scfg.temperature)
+        def simclr_fn(z):
+            return obj.simclr_loss(ad.l2_normalize(head.apply(z), axis=-1), neg_bank, tau=tau)
 
-        return simclr_fn
+        return _simclr_views(image, config), simclr_fn
 
     raise ValueError(f"unknown objective {name!r}")
 
@@ -166,12 +154,12 @@ def extract_bank(config, params, heads, projections, images, labels, split, neg_
 
     def worker(i):
         image = np.asarray(images[i])
-        embedding = bb.encode(params, image).embedding.data
+        embedding = bb.embed(params, image)
         grads = {}
         for name in objectives:
             seed = feat.derive_seed(config.encoder.seed, "views", split, name, i)
-            fn = make_objective(name, config, heads, image, neg_bank, seed, params)
-            dw, db = bb.loss_gradient(params, source, fn)
+            views, loss_fn = make_objective(name, config, heads, image, neg_bank, seed)
+            dw, db = bb.loss_gradient(params, source, views, loss_fn)
             grads[name] = feat.project(projections[name], feat.flatten_gradient(dw, db))
         return embedding, grads
 

@@ -90,23 +90,19 @@ class PatchFeatureExtractor:
         if self.use_fungi and self.head is None:
             raise ValueError("gradient fusion needs a projection head")
 
-    def _tokens(self, image):
-        out = bb.encode(self.params, image)
-        return out.embedding.data, out.patch_tokens.data
-
     def build_support(self, images):
         """Support index over the head latents of all bank patches.
 
         Returns each image's (embedding, patch tokens), so a caller that
         also needs the images' feature rows does not encode them again.
         """
-        tokens = [self._tokens(image) for image in images]
+        tokens = [bb.encode(self.params, image) for image in images]
         self.support = obj.SupportIndex(np.concatenate([self.head.apply_array(p) for _, p in tokens]))
         return tokens
 
     def features(self, image, seed=0):
         """(patches, dim) unit-norm feature rows for one image."""
-        return self.token_features(*self._tokens(image), seed=seed)
+        return self.token_features(*bb.encode(self.params, image), seed=seed)
 
     def token_features(self, cls_emb, patches, seed=0):
         """features() of an image from its encoder outputs."""

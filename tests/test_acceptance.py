@@ -74,29 +74,37 @@ class TestCriterion01GradientCorrectness:
             weight=ad.Tensor(rng.normal(0, 10 / np.sqrt(64), size=(16, 64))),
             bias=ad.Tensor(np.zeros(16)),
             normalize_input=True,
-            seed=9,
         )
-
-        def kl_fn(p):
-            z = kl_head.apply(bb.encode(p, image).embedding)
-            return obj.kl_loss(z, tau=cfg.kl.temperature)
-
         objectives = {
-            "kl": kl_fn,
-            "dino": pipeline.make_objective("dino", cfg, heads, image, neg_bank, 3, params),
-            "simclr": pipeline.make_objective("simclr", cfg, heads, image, neg_bank, 3, params),
+            "kl": ([image], lambda z: obj.kl_loss(kl_head.apply(z), tau=cfg.kl.temperature)),
+            "dino": pipeline.make_objective("dino", cfg, heads, image, neg_bank, 3),
+            "simclr": pipeline.make_objective("simclr", cfg, heads, image, neg_bank, 3),
         }
 
+        # the oracle evaluates the loss from encode() of every view under a
+        # perturbed W; the DINO teacher stays at its unperturbed latents,
+        # which the production loss reads from the forward's values
+        student, teacher = heads["dino"]
+        globals_ = objectives["dino"][0][: cfg.dino.global_crops]
+        teacher_z = teacher.apply_array(np.stack([bb.embed(params, v) for v in globals_]))
+
+        def oracle_loss(name, loss_fn, z):
+            if name == "dino":
+                return obj.dino_loss(student.apply(z), teacher_z, tau_s=cfg.dino.student_temperature,
+                                     tau_t=cfg.dino.teacher_temperature)
+            return loss_fn(z)
+
         worst = {}
-        for name, fn in objectives.items():
-            dw, db = bb.loss_gradient(params, source, fn)
+        for name, (views, loss_fn) in objectives.items():
+            dw, db = bb.loss_gradient(params, source, views, loss_fn)
             got = np.concatenate([dw.ravel(), db.ravel()])
 
-            def f(flat, fn=fn):
+            def f(flat, name=name, views=views, loss_fn=loss_fn):
                 p2 = bb.replace_source_layer(
                     params, source, flat[:n_w].reshape(w0.shape), flat[n_w:]
                 )
-                return fn(p2).item()
+                z = ad.as_tensor(np.stack([bb.encode(p2, v)[0] for v in views]))
+                return oracle_loss(name, loss_fn, z).item()
 
             want = ad.finite_diff_gradient(f, flat0, eps=1e-4)
             worst[name] = ad.max_relative_error(got, want)
@@ -118,14 +126,13 @@ class TestCriterion02KlStationarity:
             weight=ad.Tensor(np.zeros((768, 64))),
             bias=ad.Tensor(np.zeros(768)),
             normalize_input=True,
-            seed=0,
         )
 
-        def fn(p):
-            return obj.kl_loss(head.apply(bb.encode(p, image).embedding), tau=cfg.kl.temperature)
+        def fn(z):
+            return obj.kl_loss(head.apply(z), tau=cfg.kl.temperature)
 
-        loss = fn(params).item()
-        dw, db = bb.loss_gradient(params, cfg.gradient_source(), fn)
+        loss = fn(ad.as_tensor(bb.embed(params, image)[None])).item()
+        dw, db = bb.loss_gradient(params, cfg.gradient_source(), [image], fn)
         assert abs(loss) < 1e-12
         assert np.linalg.norm(dw) < 1e-8 and np.linalg.norm(db) < 1e-8
         report(2, f"uniform logits: loss={loss:.1e}, grad norm={np.linalg.norm(dw):.1e}")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -68,14 +70,14 @@ class TestEncode:
     def test_patch_token_counts(self):
         cfg = bb.EncoderConfig(image_size=512, patch_size=16, depth=1, dim=8, heads=2)
         params = bb.init_encoder(cfg, seed=1)
-        out = bb.encode(params, np.zeros((3, 512, 512), dtype=np.float32))
-        assert out.patch_tokens.shape == (1024, 8)
+        _, tokens = bb.encode(params, np.zeros((3, 512, 512), dtype=np.float32))
+        assert tokens.shape == (1024, 8)
 
     def test_224_gives_196_tokens(self):
         params = bb.init_encoder(bb.EncoderConfig(image_size=224, patch_size=16, depth=1, dim=8, heads=2), seed=1)
-        out = bb.encode(params, np.zeros((3, 224, 224), dtype=np.float32))
-        assert out.patch_tokens.shape == (196, 8)
-        assert out.embedding.shape == (8,)
+        embedding, tokens = bb.encode(params, np.zeros((3, 224, 224), dtype=np.float32))
+        assert tokens.shape == (196, 8)
+        assert embedding.shape == (8,)
 
     def test_pure_function(self):
         rng = np.random.default_rng(2)
@@ -84,20 +86,30 @@ class TestEncode:
         before = snapshot(params)
         a = bb.encode(params, img)
         b = bb.encode(params, img)
-        assert np.array_equal(a.embedding.data, b.embedding.data)
-        assert np.array_equal(a.patch_tokens.data, b.patch_tokens.data)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
         assert unchanged(params, before)
 
     def test_wrong_size_rejected(self):
         params = bb.init_encoder(TINY, seed=2)
         with pytest.raises(ValueError):
             bb.encode(params, np.zeros((3, 48, 48)))
+        with pytest.raises(ValueError):
+            bb.embed(params, np.zeros((3, 48, 48)))
 
     def test_mean_pooling(self):
         cfg = bb.EncoderConfig(image_size=32, patch_size=16, depth=1, dim=8, heads=2, pooling="mean")
         params = bb.init_encoder(cfg, seed=3, dtype=np.float64)
-        out = bb.encode(params, rand_image(np.random.default_rng(0), 32))
-        np.testing.assert_allclose(out.embedding.data, out.patch_tokens.data.mean(axis=0), rtol=1e-12)
+        embedding, tokens = bb.encode(params, rand_image(np.random.default_rng(0), 32))
+        np.testing.assert_allclose(embedding, tokens.mean(axis=0), rtol=1e-12)
+
+    @pytest.mark.parametrize("pooling", ["cls", "mean"])
+    def test_embed_matches_encode(self, pooling):
+        cfg = bb.EncoderConfig(image_size=64, patch_size=16, depth=2, dim=8, heads=2, pooling=pooling)
+        params = bb.init_encoder(cfg, seed=4, dtype=np.float64)
+        for seed in range(3):
+            img = rand_image(np.random.default_rng(seed), 64)
+            np.testing.assert_allclose(bb.embed(params, img), bb.encode(params, img)[0], rtol=0, atol=1e-12)
 
     def test_patchify_layout(self):
         img = np.arange(3 * 4 * 4, dtype=np.float64).reshape(3, 4, 4)
@@ -113,7 +125,6 @@ class TestHead:
             weight=ad.Tensor(np.zeros((6, 8))),
             bias=ad.Tensor(np.zeros(6)),
             normalize_input=True,
-            seed=0,
         )
         z = head.apply(ad.as_tensor(np.full(8, 0.25)))
         np.testing.assert_array_equal(z.data, np.zeros(6))
@@ -135,14 +146,12 @@ class TestHead:
             bb.attach_head(8, 0, seed=0)
 
 
-def kl_objective(head, image, tau=15.0):
-    def objective(params):
-        out = bb.encode(params, image)
-        z = head.apply(out.embedding)
-        ls = ad.log_softmax(z, tau=tau)
-        return ad.add(ad.scale(ad.mean(ls), -1.0), ad.as_tensor(-np.log(z.size)))
+def kl_objective(head, tau=15.0):
+    def loss_fn(z):
+        ls = ad.log_softmax(head.apply(z), tau=tau)
+        return ad.add(ad.scale(ad.mean(ls), -1.0), ad.as_tensor(-np.log(head.proj_dim)))
 
-    return objective
+    return loss_fn
 
 
 class TestLossGradient:
@@ -152,39 +161,35 @@ class TestLossGradient:
             weight=ad.Tensor(np.zeros((12, 8))),
             bias=ad.Tensor(np.zeros(12)),
             normalize_input=True,
-            seed=0,
         )
         img = rand_image(np.random.default_rng(3), 32)
         source = bb.GradientSource(block_index=TINY.depth - 1, layer_kind="attn_proj")
-        dw, db = bb.loss_gradient(params, source, kl_objective(head, img))
+        dw, db = bb.loss_gradient(params, source, [img], kl_objective(head))
         assert np.linalg.norm(dw) < 1e-8
         assert np.linalg.norm(db) < 1e-8
 
     @pytest.mark.parametrize("kind", bb.LAYER_KINDS)
     def test_matches_finite_differences(self, kind):
-        params = bb.init_encoder(TINY, seed=9, dtype=np.float64)
         head = bb.attach_head(8, 6, seed=10, normalize_input=True, dtype=np.float64)
-        img = rand_image(np.random.default_rng(4), 32)
-        source = bb.GradientSource(block_index=1, layer_kind=kind)
-        objective = kl_objective(head, img, tau=2.0)
+        views = [rand_image(np.random.default_rng(4), 32)]
+        loss_fn = kl_objective(head, tau=2.0)
+        for pooling in ("cls", "mean"):
+            params = bb.init_encoder(replace(TINY, pooling=pooling), seed=9, dtype=np.float64)
+            for block in range(TINY.depth):
+                source = bb.GradientSource(block_index=block, layer_kind=kind)
+                dw, db = bb.loss_gradient(params, source, views, loss_fn)
+                w0, b0 = source.resolve(params)
+                assert dw.shape == w0.shape and db.shape == b0.shape
 
-        dw, db = bb.loss_gradient(params, source, objective)
-        w0, b0 = source.resolve(params)
-        assert dw.shape == w0.shape and db.shape == b0.shape
+                def f(flat, source=source, params=params, n_w=w0.size, shape=w0.shape):
+                    p2 = bb.replace_source_layer(params, source, flat[:n_w].reshape(shape), flat[n_w:])
+                    return loss_fn(ad.as_tensor(np.stack([bb.encode(p2, v)[0] for v in views]))).item()
 
-        n_w = w0.size
-
-        def f(flat):
-            p2 = bb.replace_source_layer(
-                params, source, flat[:n_w].reshape(w0.shape), flat[n_w:]
-            )
-            return objective(p2).item()
-
-        flat0 = np.concatenate([w0.data.ravel(), b0.data.ravel()])
-        # eps balances truncation against roundoff for O(1) loss values
-        want = ad.finite_diff_gradient(f, flat0, eps=1e-4)
-        got = np.concatenate([dw.ravel(), db.ravel()])
-        assert ad.max_relative_error(got, want) < 1e-5
+                flat0 = np.concatenate([w0.data.ravel(), b0.data.ravel()])
+                # eps balances truncation against roundoff for O(1) loss values
+                want = ad.finite_diff_gradient(f, flat0, eps=1e-4)
+                error = ad.max_relative_error(np.concatenate([dw.ravel(), db.ravel()]), want)
+                assert error < 1e-5, f"block {block}, {pooling} pooling: rel error {error:.2e}"
 
     def test_params_not_mutated(self):
         params = bb.init_encoder(TINY, seed=11, dtype=np.float64)
@@ -193,7 +198,8 @@ class TestLossGradient:
         bb.loss_gradient(
             params,
             bb.GradientSource(0, "mlp_fc1"),
-            kl_objective(head, rand_image(np.random.default_rng(5), 32)),
+            [rand_image(np.random.default_rng(5), 32)],
+            kl_objective(head),
         )
         assert unchanged(params, before)
 
@@ -209,14 +215,14 @@ class TestCollapsedEmbedding:
         rng = np.random.default_rng(13)
         params = bb.collapse_output_paths(bb.init_encoder(TINY, seed=14, dtype=np.float64))
         img_a, img_b = rand_image(rng, 32), rand_image(rng, 32)
-        emb_a = bb.encode(params, img_a).embedding.data
-        emb_b = bb.encode(params, img_b).embedding.data
+        emb_a = bb.embed(params, img_a)
+        emb_b = bb.embed(params, img_b)
         np.testing.assert_allclose(emb_a, emb_b, atol=1e-12)
         assert np.linalg.norm(emb_a) > 1e-6
 
         head = bb.attach_head(8, 6, seed=15, dtype=np.float64)
         source = bb.GradientSource(1, "qkv")
-        dw_a, _ = bb.loss_gradient(params, source, kl_objective(head, img_a, tau=2.0))
-        dw_b, _ = bb.loss_gradient(params, source, kl_objective(head, img_b, tau=2.0))
+        dw_a, _ = bb.loss_gradient(params, source, [img_a], kl_objective(head, tau=2.0))
+        dw_b, _ = bb.loss_gradient(params, source, [img_b], kl_objective(head, tau=2.0))
         assert np.linalg.norm(dw_a) > 1e-10
         assert np.linalg.norm(dw_a - dw_b) > 1e-10 * np.linalg.norm(dw_a)

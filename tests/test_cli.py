@@ -148,6 +148,16 @@ class TestExitCodes:
         assert cli.main(["extract", "--config", str(cfg_path),
                          "--data", str(tmp_path / "nowhere"), "--out", str(tmp_path / "x")]) == 3
 
+    def test_image_size_mismatch_is_3(self, tmp_path, workspace, caplog):
+        _, cfg_path, _, _ = workspace
+        data = tmp_path / "data64"
+        assert cli.main(["synth", "--kind", "blobs", "--n", "8", "--classes", "2",
+                         "--image-size", "64", "--seed", "3", "--out", str(data)]) == 0
+        with caplog.at_level(logging.ERROR, logger="fungi"):
+            assert cli.main(["extract", "--config", str(cfg_path), "--data", str(data),
+                             "--out", str(tmp_path / "x")]) == 3
+        assert "(3, 64, 64)" in caplog.text and "image_size is 32" in caplog.text
+
     def test_hash_mismatch_is_2(self, tmp_path, workspace):
         root, cfg_path, data, banks = workspace
         other_cfg = tmp_path / "other.cfg"

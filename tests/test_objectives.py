@@ -85,8 +85,7 @@ class TestDinoLoss:
 
     def test_equal_logits_equal_temps_gives_entropy(self):
         zs = self._latents(0, 1)[0]
-        students = [zs, zs, zs]
-        loss = obj.dino_loss(students, [zs, zs], tau_s=0.1, tau_t=0.1).item()
+        loss = obj.dino_loss(ad.stack([zs, zs, zs]), np.stack([zs.data, zs.data]), tau_s=0.1, tau_t=0.1).item()
         p = np.exp(zs.data / 0.1 - np.max(zs.data / 0.1))
         p /= p.sum()
         entropy = -np.sum(p * np.log(p))
@@ -96,7 +95,7 @@ class TestDinoLoss:
         rng = np.random.default_rng(4)
         zt = rng.normal(size=6)
         zs = rng.normal(size=6)
-        loss = obj.dino_loss([zs, zs, zs], [zt, zt], tau_s=0.1, tau_t=1e-3).item()
+        loss = obj.dino_loss(ad.stack([zs, zs, zs]), np.stack([zt, zt]), tau_s=0.1, tau_t=1e-3).item()
         scaled = zs / 0.1
         log_q = scaled - np.log(np.exp(scaled - scaled.max()).sum()) - scaled.max()
         want = -log_q[np.argmax(zt)]
@@ -105,14 +104,14 @@ class TestDinoLoss:
     def test_requires_two_teacher_views(self):
         z = self._latents(5, 1)
         with pytest.raises(ValueError):
-            obj.dino_loss(z, z[:1])
+            obj.dino_loss(ad.stack(z), np.stack([z[0].data]))
 
     def test_identical_view_pair_excluded(self):
         # 2 teacher + 2 student views -> 2 pairs, each teacher against the
         # other view only
         rng = np.random.default_rng(6)
         s = [ad.as_tensor(rng.normal(size=5)) for _ in range(2)]
-        loss = obj.dino_loss(s, [t.data for t in s], tau_s=0.1, tau_t=0.07).item()
+        loss = obj.dino_loss(ad.stack(s), np.stack([t.data for t in s]), tau_s=0.1, tau_t=0.07).item()
 
         def ce(zt, zs):
             p = np.exp(zt / 0.07 - np.max(zt / 0.07))
@@ -134,11 +133,15 @@ class TestDinoLoss:
         def run(loss_fn):
             leaf = ad.parameter(raw)
             with ad.GradTape() as tape:
-                rows = [ad.reshape(ad.narrow(leaf, 0, i, 1), (dim,)) for i in range(len(raw))]
-                loss = loss_fn(rows, teacher, tau_s=0.1, tau_t=0.07)
+                loss = loss_fn(leaf)
             return loss.item(), tape.backward(loss)[leaf]
 
-        (got, got_grad), (want, want_grad) = run(obj.dino_loss), run(dino_pair_loop)
+        def pair_loop(leaf):
+            rows = [ad.reshape(ad.narrow(leaf, 0, i, 1), (dim,)) for i in range(len(raw))]
+            return dino_pair_loop(rows, teacher, tau_s=0.1, tau_t=0.07)
+
+        got, got_grad = run(lambda leaf: obj.dino_loss(leaf, np.stack(teacher), tau_s=0.1, tau_t=0.07))
+        want, want_grad = run(pair_loop)
         assert abs(got - want) < 1e-12
         np.testing.assert_allclose(got_grad, want_grad, rtol=0, atol=1e-12)
 
@@ -147,12 +150,10 @@ class TestDinoLoss:
         teacher_w = ad.parameter(rng.normal(size=(6, 4)))
         student_w = ad.parameter(rng.normal(size=(6, 4)))
         x = ad.as_tensor(rng.normal(size=4))
+        zt = ad.linear(x, teacher_w).data  # outside the tape: a constant
         with ad.GradTape() as tape:
-            with ad.no_grad():
-                zt = ad.linear(x, teacher_w)
-            z_teacher = [zt.data, zt.data * 0.5]
             zs = ad.linear(x, student_w)
-            loss = obj.dino_loss([zs, zs, zs], z_teacher)
+            loss = obj.dino_loss(ad.stack([zs, zs, zs]), np.stack([zt, zt * 0.5]))
         grads = tape.backward(loss)
         assert grads.get(teacher_w) is None
         assert grads.get(student_w) is not None
@@ -246,7 +247,7 @@ class TestSimclrLoss:
 class TestNegativeBank:
     def test_rows_normalized_and_persisted(self):
         rng = np.random.default_rng(30)
-        bank = obj.NegativeBank(rng.normal(size=(20, 8)) * 3.0, seed=5)
+        bank = obj.NegativeBank(rng.normal(size=(20, 8)) * 3.0)
         np.testing.assert_allclose(np.linalg.norm(bank.rows, axis=1), 1.0, atol=1e-12)
 
     def test_zero_row_rejected(self):
@@ -286,8 +287,8 @@ class TestSimclrPatchLoss:
         cfg, params, head = self._setup()
         rng = np.random.default_rng(22)
         img = rng.random((3, 64, 64))
-        out = bb.encode(params, img)
-        tokens = np.concatenate([out.embedding.data[None], out.patch_tokens.data], axis=0)
+        embedding, patches = bb.encode(params, img)
+        tokens = np.concatenate([embedding[None], patches], axis=0)
         support = obj.SupportIndex(head.apply_array(np.random.default_rng(23).normal(size=(50, cfg.dim))))
         grads, loss = obj.simclr_patch_loss(tokens, head, support, tau=0.07, seed=1)
         assert grads.shape == (cfg.num_patches, cfg.dim)
@@ -308,9 +309,9 @@ class TestSimclrPatchLoss:
         cfg = bb.EncoderConfig(image_size=512, patch_size=16, depth=1, dim=8, heads=2)
         params = bb.init_encoder(cfg, seed=40)
         head = bb.attach_head(8, 12, seed=41, normalize_input=False)
-        out = bb.encode(params, np.random.default_rng(42).random((3, 512, 512), dtype=np.float64))
-        assert out.patch_tokens.shape == (1024, 8)
-        tokens = np.concatenate([out.embedding.data[None], out.patch_tokens.data], axis=0)
+        embedding, patches = bb.encode(params, np.random.default_rng(42).random((3, 512, 512), dtype=np.float64))
+        assert patches.shape == (1024, 8)
+        tokens = np.concatenate([embedding[None], patches], axis=0)
         support = obj.SupportIndex(np.random.default_rng(43).normal(size=(64, 12)))
         grads, _ = obj.simclr_patch_loss(tokens, head, support, tau=0.07, seed=4)
         assert grads.shape == (1024, 8)

@@ -115,12 +115,12 @@ class TestPrecision:
         neg_bank = pipeline.build_negative_bank(params, heads["simclr"], images, cfg)
         assert neg_bank.rows.dtype == dtype
         for name in ("kl", "dino", "simclr"):
-            fn = pipeline.make_objective(name, cfg, heads, images[0], neg_bank, 5, params)
-            dw, db = bb.loss_gradient(params, source, fn)
+            views, loss_fn = pipeline.make_objective(name, cfg, heads, images[0], neg_bank, 5)
+            dw, db = bb.loss_gradient(params, source, views, loss_fn)
             assert dw.dtype == dtype and db.dtype == dtype, name
-        out = bb.encode(params, images[1])
-        tokens = np.concatenate([out.embedding.data[None], out.patch_tokens.data])
-        support = obj.SupportIndex(heads["simclr"].apply_array(out.patch_tokens.data))
+        embedding, patches = bb.encode(params, images[1])
+        tokens = np.concatenate([embedding[None], patches])
+        support = obj.SupportIndex(heads["simclr"].apply_array(patches))
         grads, _ = obj.simclr_patch_loss(tokens, heads["simclr"], support)
         assert grads.dtype == dtype
         assert primitive_dtypes == {np.dtype(dtype)}
@@ -128,9 +128,40 @@ class TestPrecision:
     def test_default_config_embeds_in_float32(self):
         cfg = RunConfig()
         image = np.random.default_rng(0).random((3, cfg.encoder.image_size, cfg.encoder.image_size))
-        out = bb.encode(pipeline.build_encoder(cfg), image)
-        assert out.embedding.dtype == np.float32
-        assert out.patch_tokens.dtype == np.float32
+        params = pipeline.build_encoder(cfg)
+        embedding, patches = bb.encode(params, image)
+        assert embedding.dtype == np.float32
+        assert patches.dtype == np.float32
+        assert bb.embed(params, image).dtype == np.float32
+
+
+class TestHarvestTape:
+    def test_tape_rows_at_most_views_at_default_source(self, monkeypatch):
+        # at the last block's attn_proj under CLS pooling, every recorded
+        # value is per view: no token rows reach the tape
+        cfg = tiny_config()
+        cfg.encoder.image_size = 64
+        cfg.validate()
+        source = cfg.gradient_source()
+        assert (source.block_index, source.layer_kind) == (cfg.encoder.depth - 1, "attn_proj")
+        assert cfg.encoder.pooling == "cls"
+        params = pipeline.build_encoder(cfg)
+        heads = pipeline.build_heads(cfg)
+        images, _ = synth.make_classification("blobs", 2, 2, 64, seed=6)
+        neg_bank = pipeline.build_negative_bank(params, heads["simclr"], images, cfg)
+        rows = []
+        record = ad.GradTape._record
+
+        def recording(tape, inputs, output, backward_fn):
+            rows.append(int(np.prod(output.shape[:-1])))
+            return record(tape, inputs, output, backward_fn)
+
+        monkeypatch.setattr(ad.GradTape, "_record", recording)
+        for name in ("kl", "dino", "simclr"):
+            views, loss_fn = pipeline.make_objective(name, cfg, heads, images[0], neg_bank, 5)
+            rows.clear()
+            bb.loss_gradient(params, source, views, loss_fn)
+            assert rows and max(rows) <= len(views) < cfg.encoder_config().num_patches, name
 
 
 class TestHeadsAndProjections:

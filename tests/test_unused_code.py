@@ -20,6 +20,7 @@ PACKAGE = ROOT / "src" / "fungi"
 ALLOWED = {
     "finite_diff_gradient": "the central-difference oracle that gradient tests check the tape against",
     "max_relative_error": "the error measure of that oracle's comparisons",
+    "replace_source_layer": "how that oracle perturbs the source layer's W and b in the encoder parameters",
     "entry_variance": "the scale of the projection-distance oracle",
 }
 
