@@ -48,11 +48,7 @@ def patchify_overlap(image, patch=112, grid=7):
     _, h, w = image.shape
     if patch > h or patch > w:
         raise ValueError(f"patch {patch} larger than image {h}x{w}")
-    if grid == 1:
-        offsets = [0]
-    else:
-        span = h - patch
-        offsets = [round(i * span / (grid - 1)) for i in range(grid)]
+    offsets = [round(i * (h - patch) / (grid - 1)) for i in range(grid)]
     views = [
         image[:, oy : oy + patch, ox : ox + patch].copy()
         for oy in offsets

@@ -68,9 +68,9 @@ def as_tensor(value, dtype=None):
     return Tensor(np.asarray(value), dtype=dtype)
 
 
-def parameter(value, dtype=None):
+def parameter(value):
     """A leaf tensor whose gradient is wanted."""
-    return Tensor(np.asarray(value), requires_grad=True, dtype=dtype)
+    return Tensor(np.asarray(value), requires_grad=True)
 
 
 class _Node:
@@ -271,13 +271,13 @@ def linear(x, weight, bias=None):
     return _apply("linear", tuple(inputs), value.reshape(x.shape[:-1] + value.shape[-1:]), backward)
 
 
-def layer_norm(x, gamma, beta, eps=1e-6):
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+def layer_norm(x, gamma, beta):
+    """Normalize the last axis to zero mean / unit variance (eps 1e-6), then affine."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = np.mean(centered * centered, axis=-1, keepdims=True)
-    inv_sigma = 1.0 / np.sqrt(var + eps)
+    inv_sigma = 1.0 / np.sqrt(var + 1e-6)
     xhat = centered * inv_sigma
     value = xhat * gamma.data + beta.data
 
@@ -358,16 +358,13 @@ def mean(x, axis=None):
     return _apply("mean", (x,), value, backward)
 
 
-def total(x, axis=None):
-    """Sum of all entries (or along an axis)."""
+def total(x):
+    """Sum of all entries."""
     x = as_tensor(x)
-    value = x.data.sum(axis=axis)
+    value = x.data.sum()
 
     def backward(g):
-        if axis is None:
-            return (np.full(x.shape, g, dtype=x.dtype),)
-        g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.shape).copy(),)
+        return (np.full(x.shape, g, dtype=x.dtype),)
 
     return _apply("total", (x,), value, backward)
 
@@ -462,10 +459,10 @@ def scaled_dot_product_attention(q, k, v, num_heads):
 # ---------------------------------------------------------------------------
 
 
-def max_relative_error(got, want, floor_scale=1e-3):
+def max_relative_error(got, want):
     """Worst-case elementwise relative error between two gradients.
 
-    Coordinates whose magnitude is below floor_scale times the gradient's
+    Coordinates whose magnitude is below 1e-3 times the gradient's
     max-norm are measured against that floor instead: central differences are
     roundoff-limited there and a raw ratio would only amplify oracle noise.
     """
@@ -474,7 +471,7 @@ def max_relative_error(got, want, floor_scale=1e-3):
     if got.shape != want.shape:
         raise ValueError("gradient shapes differ")
     scale = max(np.max(np.abs(want)), np.finfo(np.float64).tiny)
-    denom = np.maximum(np.maximum(np.abs(want), np.abs(got)), floor_scale * scale)
+    denom = np.maximum(np.maximum(np.abs(want), np.abs(got)), 1e-3 * scale)
     return float(np.max(np.abs(got - want) / denom))
 
 

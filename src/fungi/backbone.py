@@ -246,13 +246,14 @@ def _pool(x, pooling):
 
 
 def encode(params, image):
-    """Forward pass: image (3, S, S) -> (pooled embedding, patch tokens) arrays."""
-    x = _forward(params, image)
-    return _pool(x, params.config.pooling).data, x.data[1:]
+    """Forward pass: image (3, S, S) -> (patches + 1, dim) array of final-norm
+    token rows, CLS first."""
+    return _forward(params, image).data
 
 
 def embed(params, image):
-    """`encode(params, image)[0]`, without the rows that pooling does not read."""
+    """Pooled (dim,) embedding of an image: the CLS row or the patch mean of
+    `encode`'s rows, without the rows that pooling does not read."""
     return _pool(_forward(params, image, pooled_only=True), params.config.pooling).data
 
 

@@ -116,6 +116,9 @@ def cmd_fuse_pca(args):
     if out_dim is None:
         config = RunConfig.from_text(train.config_echo)
         out_dim = config.pca.out_dim
+    limit = min(train.dim, len(train))
+    if not 1 <= out_dim <= limit:
+        raise ConfigError(f"PCA out_dim {out_dim} outside 1..{limit} (bank width {train.dim}, {len(train)} train rows)")
     train2, test2, model = pipeline.fuse_pca_banks(train, test, out_dim)
     os.makedirs(args.out, exist_ok=True)
     train2.save(os.path.join(args.out, "bank_train_pca.fngi"))
@@ -162,6 +165,9 @@ def cmd_eval(args):
         reports.append(evalkit.EvalReport(f"knn_mean_per_class_{kind}", mpc))
         table_rows.append([kind, f"{top1:.4f}", f"{mpc:.4f}", f"{top1 - baseline:+.4f}"])
     if args.shots:
+        smallest = int(np.unique(train.labels, return_counts=True)[1].min())
+        if not 1 <= args.shots <= smallest:
+            raise ConfigError(f"--shots {args.shots} outside 1..{smallest}, the smallest training class")
         rows = evalkit.few_shot_subset(train.labels, shots=args.shots,
                                        seed=feat.derive_seed(run_cfg.encoder.seed, "few-shot"))
         for kind in ("embedding", "fused"):
@@ -248,6 +254,8 @@ def cmd_cka(args):
 
 
 def cmd_segment(args):
+    if args.bank_cap is not None and args.bank_cap < 1:
+        raise ConfigError(f"--bank-cap {args.bank_cap} must be at least 1")
     config = _load_config(args)
     train = _load_split(args.data, "train", need_masks=True)
     test = _load_split(args.data, "test", need_masks=True)

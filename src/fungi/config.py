@@ -9,6 +9,7 @@ key order), so a configuration hash identifies compatible artifacts.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 from typing import get_type_hints
 
@@ -132,12 +133,27 @@ class RunConfig:
             raise ConfigError(f"unknown layer kind {self.gradients.layer_kind!r}")
         if self.gradients.precision not in ("f32", "f64"):
             raise ConfigError("precision must be f32 or f64")
-        if "simclr" in self.gradients.objectives:
-            grid = round(self.simclr.positive_views ** 0.5)
-            if grid * grid != self.simclr.positive_views:
-                raise ConfigError("simclr positive_views must be a perfect square (patch grid)")
-            if self.simclr.view_patch > self.encoder.image_size:
-                raise ConfigError("simclr view_patch larger than encoder input")
+        simclr, seg = self.simclr, self.segmentation
+        uses_simclr = "simclr" in self.gradients.objectives
+        for bad, message in (
+            (uses_simclr and (simclr.positive_views < 4
+                              or math.isqrt(simclr.positive_views) ** 2 != simclr.positive_views),
+             "simclr positive_views must be a perfect square of at least 4 (a patch grid of 2x2 or more)"),
+            (uses_simclr and simclr.view_patch > self.encoder.image_size,
+             "simclr view_patch larger than encoder input"),
+            (uses_simclr and simclr.negative_images < 1, "simclr negative_images must be at least 1"),
+            ("dino" in self.gradients.objectives and self.dino.global_crops < 2,
+             "dino global_crops must be at least 2"),
+            (self.eval.knn_k < 1, "eval knn_k must be at least 1"),
+            (self.eval.probe_lambda_count < 1, "eval probe_lambda_count must be at least 1"),
+            (min(seg.k, seg.few_shot_k) < 1, "segmentation k and few_shot_k must be at least 1"),
+            (not 1 <= seg.loss_negatives_per_patch <= seg.retrieved_negatives_per_patch,
+             "segmentation loss_negatives_per_patch must be in 1..retrieved_negatives_per_patch"),
+            (seg.ivf_rerank < seg.k, "segmentation ivf_rerank must be at least k"),
+            (seg.few_shot_ivf_rerank < seg.few_shot_k, "segmentation few_shot_ivf_rerank must be at least few_shot_k"),
+        ):
+            if bad:
+                raise ConfigError(message)
         try:
             self.encoder_config()
             self.gradient_source().validate(self.encoder_config())

@@ -30,8 +30,8 @@ class KnnIndex:
             raise ValueError("index needs a non-empty (n, d) feature matrix")
         if len(self.labels) != len(self.features):
             raise ValueError("labels do not match feature rows")
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
+        if not 1 <= self.k <= len(self.features):
+            raise ValueError(f"k={self.k} outside 1..{len(self.features)} (index size)")
 
 
 def top_k(scores, k):
@@ -68,43 +68,34 @@ def top_k(scores, k):
 QUERY_BLOCK = 64
 
 
-def _vote(neighbor_labels, neighbor_dists):
-    """Majority vote; ties by larger summed inverse distance, then class id."""
-    classes, counts = np.unique(neighbor_labels, return_counts=True)
-    winners = classes[counts == counts.max()]
-    if len(winners) == 1:
-        return winners[0]
-    inv = 1.0 / (neighbor_dists + 1e-12)
-    weights = {c: inv[neighbor_labels == c].sum() for c in winners}
-    best = max(weights.values())
-    tied = sorted(c for c, w in weights.items() if w == best)
-    return tied[0]
-
-
-def knn_classify(index, queries, k=None):
-    """Predicted label per query by majority vote over the k nearest rows.
+def knn_classify(index, queries):
+    """Predicted label per (n, d) query row by majority vote over its
+    `index.k` nearest rows.
 
     Distances are Euclidean, from squared norms and one matrix product per
     block of queries; neighbor ties at equal distance resolve to the lower
-    row id (`top_k`).
+    row id (`top_k`). A block votes at once: each query's (row, class) pairs
+    are counted and their 1/(d + 1e-12) weights summed; classes below the
+    top count drop out, the larger summed weight wins and an exact weight
+    tie goes to the lower class id.
     """
-    k = index.k if k is None else k
-    if k > len(index.features):
-        raise ValueError(f"k={k} exceeds index size {len(index.features)}")
     queries = np.asarray(queries, dtype=np.float64)
-    single = queries.ndim == 1
-    if single:
-        queries = queries[None]
+    classes, label_ids = np.unique(index.labels, return_inverse=True)
     row_sq = np.sum(index.features**2, axis=1)
     preds = np.empty(len(queries), dtype=index.labels.dtype)
     for start in range(0, len(queries), QUERY_BLOCK):
         block = queries[start : start + QUERY_BLOCK]
         d2 = row_sq - 2.0 * (block @ index.features.T) + np.sum(block**2, axis=1)[:, None]
-        ids = top_k(-d2, k)
+        ids = top_k(-d2, index.k)
         dists = np.sqrt(np.maximum(np.take_along_axis(d2, ids, axis=1), 0.0))
-        for row, (row_ids, row_dists) in enumerate(zip(ids, dists)):
-            preds[start + row] = _vote(index.labels[row_ids], row_dists)
-    return preds[0] if single else preds
+        pairs = (np.arange(len(block))[:, None], label_ids[ids])
+        counts = np.zeros((len(block), len(classes)), dtype=np.int64)
+        np.add.at(counts, pairs, 1)
+        weights = np.zeros(counts.shape)
+        np.add.at(weights, pairs, 1.0 / (dists + 1e-12))
+        weights[counts < counts.max(axis=1, keepdims=True)] = -np.inf
+        preds[start : start + len(block)] = classes[np.argmax(weights, axis=1)]
+    return preds
 
 
 def few_shot_subset(labels, shots=5, seed=0):
@@ -194,11 +185,11 @@ def _plusplus_init(x, n_clusters, rng):
     return centroids
 
 
-def kmeans(x, n_clusters, seed=0, max_iter=300, tol=1e-6):
+def kmeans(x, n_clusters, seed=0, max_iter=300):
     """Lloyd iterations from a seeded k-means++ start.
 
     Empty clusters are reseeded from the point farthest from its centroid.
-    Stops when the largest centroid shift falls below tol.
+    Stops when the largest centroid shift falls below 1e-6.
     """
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
@@ -223,7 +214,7 @@ def kmeans(x, n_clusters, seed=0, max_iter=300, tol=1e-6):
                 point_d2[farthest] = 0.0
         shift = np.sqrt(np.max(np.sum((new_centroids - centroids) ** 2, axis=1)))
         centroids = new_centroids
-        if shift < tol:
+        if shift < 1e-6:
             break
     d2 = x_sq[:, None] - 2.0 * (x @ centroids.T) + np.sum(centroids**2, axis=1)
     assignments = np.argmin(d2, axis=1)
@@ -425,21 +416,13 @@ class ProbeResult:
     fits: list  # ProbeFit per lambda of the grid, then the refit at best_lambda
 
 
-def logistic_probe(
-    train_x,
-    train_y,
-    val_x=None,
-    val_y=None,
-    lambda_grid=None,
-    max_epochs=300,
-    seed=0,
-):
+def logistic_probe(train_x, train_y, lambda_grid=None, max_epochs=300, seed=0):
     """L2-regularized multinomial logistic regression with grid-searched
     regularization strength.
 
-    The best lambda is chosen by validation accuracy (an 80/20 stratified
-    split of the training set is generated when no validation split is
-    given); the returned model is refit on the full training set.
+    The best lambda is chosen by accuracy on the held-out 20% of a seeded
+    stratified split of the training set; the returned model is refit on the
+    full training set.
     """
     train_x = np.asarray(train_x, dtype=np.float64)
     train_y = np.asarray(train_y)
@@ -450,17 +433,9 @@ def logistic_probe(
         lambda_grid = np.linspace(5e-6, 5e-4, 5)
     lambda_grid = np.asarray(lambda_grid, dtype=np.float64)
 
-    if val_x is None:
-        fit_rows, val_rows = _stratified_split(train_y, 0.2, seed)
-        fit_x, fit_y = train_x[fit_rows], y_index[fit_rows]
-        sel_x, sel_y = train_x[val_rows], y_index[val_rows]
-    else:
-        val_y = np.asarray(val_y)
-        if not np.isin(val_y, classes).all():
-            raise ValueError("validation labels include a class absent from the training labels")
-        fit_x, fit_y = train_x, y_index
-        sel_x = np.asarray(val_x, dtype=np.float64)
-        sel_y = np.searchsorted(classes, val_y)
+    fit_rows, val_rows = _stratified_split(train_y, 0.2, seed)
+    fit_x, fit_y = train_x[fit_rows], y_index[fit_rows]
+    sel_x, sel_y = train_x[val_rows], y_index[val_rows]
 
     best, fits = None, []
     for lam in lambda_grid:
@@ -487,12 +462,11 @@ def logistic_probe(
 # ---------------------------------------------------------------------------
 
 
-def retrieval_map(query_features, gallery_features, query_labels, gallery_labels, skip_empty=True):
+def retrieval_map(query_features, gallery_features, query_labels, gallery_labels):
     """Mean average precision of cosine-ranked galleries.
 
     A gallery row is relevant to a query when their labels are equal.
-    Queries with no relevant items are skipped when skip_empty is set,
-    otherwise they contribute an AP of zero. Returns (mAP, per-query APs).
+    Queries with no relevant items are skipped. Returns (mAP, per-query APs).
     """
     gallery = np.asarray(gallery_features, dtype=np.float64)
     queries = np.asarray(query_features, dtype=np.float64)
@@ -511,7 +485,7 @@ def retrieval_map(query_features, gallery_features, query_labels, gallery_labels
         n_rel = np.count_nonzero(relevant, axis=1)
         precision = np.cumsum(relevant, axis=1) / ranks
         ap = np.where(relevant, precision, 0.0).sum(axis=1) / np.maximum(n_rel, 1)
-        aps.append(ap[n_rel > 0] if skip_empty else ap)
+        aps.append(ap[n_rel > 0])
     aps = np.concatenate(aps)
     if not aps.size:
         raise ValueError("no query had relevant gallery items")

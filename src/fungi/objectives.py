@@ -88,9 +88,7 @@ def _info_nce(z_norm, bank_rows, tau):
     p = z_norm.shape[0]
     if p < 2:
         raise ValueError("contrastive loss needs at least 2 positive views")
-    blocks = [ad.linear(z_norm, z_norm)]
-    if bank_rows is not None and len(bank_rows):
-        blocks.append(ad.linear(z_norm, np.asarray(bank_rows, dtype=z_norm.dtype)))
+    blocks = [ad.linear(z_norm, z_norm), ad.linear(z_norm, np.asarray(bank_rows, dtype=z_norm.dtype))]
     logits = ad.scale(ad.concat(blocks, axis=1), 1.0 / tau)
 
     total_cols = logits.shape[1]
@@ -112,11 +110,8 @@ def simclr_loss(z_views, bank, tau=0.07):
     every bank row.
     """
     _check_unit_rows(z_views.data, "positive latents")
-    rows = None
-    if bank is not None:
-        rows = bank.rows if isinstance(bank, NegativeBank) else np.asarray(bank)
-        _check_unit_rows(rows, "negative bank rows", tol=1e-6)
-    return _info_nce(z_views, rows, tau)
+    _check_unit_rows(bank.rows, "negative bank rows", tol=1e-6)
+    return _info_nce(z_views, bank.rows, tau)
 
 
 @dataclass

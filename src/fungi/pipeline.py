@@ -189,7 +189,7 @@ def extract_bank(config, params, heads, projections, images, labels, split, neg_
     provenance["gradient_source"] = f"block{source.block_index}.{source.layer_kind}"
     return feat.FeatureBank(
         ids=np.arange(len(images), dtype=np.int32),
-        labels=np.asarray(labels if labels is not None else -np.ones(len(images)), dtype=np.int32),
+        labels=np.asarray(labels, dtype=np.int32),
         fused=fused,
         embedding=embeddings,
         gradients=grad_mats,

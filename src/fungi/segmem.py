@@ -48,7 +48,7 @@ class SegConfig:
             raise ValueError("k must be >= 1 and temperature positive")
 
 
-def downsample_mask(mask, patch_size, ignore_label=IGNORE_LABEL):
+def downsample_mask(mask, patch_size):
     """Per-cell majority label, ties to the lower label; ignore pixels don't
     vote. All-ignore cells keep the ignore label."""
     mask = np.asarray(mask)
@@ -59,7 +59,7 @@ def downsample_mask(mask, patch_size, ignore_label=IGNORE_LABEL):
     n_cells = gh * gw
     cells = mask.reshape(gh, patch_size, gw, patch_size).transpose(0, 2, 1, 3)
     cells = cells.reshape(n_cells, patch_size * patch_size).astype(np.int64)
-    valid = cells != ignore_label
+    valid = cells != IGNORE_LABEL
     if np.any(valid & (cells < 0)):
         raise ValueError("mask labels must be non-negative")
     # one histogram over (cell, bin) pairs: bin 0 takes ignore pixels and
@@ -70,7 +70,7 @@ def downsample_mask(mask, patch_size, ignore_label=IGNORE_LABEL):
     counts = np.bincount(binned.ravel(), minlength=n_cells * n_bins)
     counts = counts.reshape(n_cells, n_bins)[:, 1:]
     best = counts.argmax(axis=1)  # the first, so the lower label, on ties
-    out = np.where(counts.max(axis=1) > 0, best, ignore_label)
+    out = np.where(counts.max(axis=1) > 0, best, IGNORE_LABEL)
     return out.astype(np.int32).reshape(gh, gw)
 
 
@@ -93,25 +93,27 @@ class PatchFeatureExtractor:
     def build_support(self, images):
         """Support index over the head latents of all bank patches.
 
-        Returns each image's (embedding, patch tokens), so a caller that
-        also needs the images' feature rows does not encode them again.
+        Returns each image's encoder token rows, so a caller that also needs
+        the images' feature rows does not encode them again.
         """
         tokens = [bb.encode(self.params, image) for image in images]
-        self.support = obj.SupportIndex(np.concatenate([self.head.apply_array(p) for _, p in tokens]))
+        self.support = obj.SupportIndex(np.concatenate([self.head.apply_array(t[1:]) for t in tokens]))
         return tokens
 
     def features(self, image, seed=0):
         """(patches, dim) unit-norm feature rows for one image."""
-        return self.token_features(*bb.encode(self.params, image), seed=seed)
+        return self.token_features(bb.encode(self.params, image), seed=seed)
 
-    def token_features(self, cls_emb, patches, seed=0):
-        """features() of an image from its encoder outputs."""
+    def token_features(self, tokens, seed=0):
+        """features() of an image from its (patches + 1, dim) encoder token
+        rows, CLS first: the dense loss reads the CLS token itself, whatever
+        the pooling."""
+        patches = tokens[1:]
         emb_n = patches / np.linalg.norm(patches, axis=1, keepdims=True)
         if not self.use_fungi:
             return emb_n.astype(np.float32)
         if self.support is None:
             raise ValueError("support index not built")
-        tokens = np.concatenate([cls_emb[None], patches], axis=0)
         grads, _ = obj.simclr_patch_loss(
             tokens,
             self.head,
@@ -166,7 +168,7 @@ def _augment_pair(image, mask, rng):
     return np.clip(img_out, 0.0, 1.0), mask_out
 
 
-def build_bank(images, masks, extractor, config, seed=0, ignore_label=IGNORE_LABEL):
+def build_bank(images, masks, extractor, config, seed=0):
     """Patch memory bank over all images and augmentation epochs.
 
     Epoch 0 uses the images untouched; later epochs add augmented copies.
@@ -187,13 +189,13 @@ def build_bank(images, masks, extractor, config, seed=0, ignore_label=IGNORE_LAB
                 raise ValueError("mask and image sizes disagree")
             if epoch > 0:
                 image, mask = _augment_pair(image, mask, rng)
-            grid = downsample_mask(mask, patch_size, ignore_label)
+            grid = downsample_mask(mask, patch_size)
             if epoch == 0 and tokens is not None:
-                rows = extractor.token_features(*tokens[idx], seed=seed + idx)
+                rows = extractor.token_features(tokens[idx], seed=seed + idx)
                 tokens[idx] = None  # later epochs encode augmented copies
             else:
                 rows = extractor.features(image, seed=int(rng.integers(2**31)) if epoch else seed + idx)
-            keep = grid.ravel() != ignore_label
+            keep = grid.ravel() != IGNORE_LABEL
             feats.append(rows[keep])
             labels.append(grid.ravel()[keep])
     features = np.concatenate(feats, axis=0)
@@ -339,7 +341,7 @@ def segment_image(extractor, bank, image, config, index=None, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def miou(pred_masks, gt_masks, num_classes, ignore_label=IGNORE_LABEL):
+def miou(pred_masks, gt_masks, num_classes):
     """Mean IoU over classes present in ground truth or predictions.
 
     Pixels whose ground truth is the ignore label are excluded everywhere.
@@ -349,7 +351,7 @@ def miou(pred_masks, gt_masks, num_classes, ignore_label=IGNORE_LABEL):
     gt_masks = np.asarray(gt_masks)
     if pred_masks.shape != gt_masks.shape:
         raise ValueError("prediction and ground-truth shapes disagree")
-    valid = gt_masks != ignore_label
+    valid = gt_masks != IGNORE_LABEL
     pred = pred_masks[valid].astype(np.int64)
     gt = gt_masks[valid].astype(np.int64)
     confusion = np.zeros((num_classes, num_classes), dtype=np.int64)

@@ -58,11 +58,11 @@ def decode_text(array):
     return bytes(np.asarray(array, dtype=np.uint8)).decode("utf-8")
 
 
-def write_sections(path, sections, version=FORMAT_VERSION):
+def write_sections(path, sections):
     """Write an ordered mapping name -> ndarray; atomic replace on success."""
     blob = bytearray()
     blob += MAGIC
-    blob += struct.pack("<HI", version, len(sections))
+    blob += struct.pack("<HI", FORMAT_VERSION, len(sections))
     for name, array in sections.items():
         array = _coerce(array)
         name_b = name.encode("utf-8")

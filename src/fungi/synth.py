@@ -20,8 +20,7 @@ import numpy as np
 
 from . import store
 from .features import derive_seed
-
-IGNORE_LABEL = 255
+from .segmem import IGNORE_LABEL
 
 
 def _class_rng(seed, *key):
@@ -83,10 +82,10 @@ def make_classification(kind, n, classes, image_size, seed):
     return images, labels.astype(np.int32)
 
 
-def make_segmentation(n, classes, image_size, seed, max_shapes=3):
+def make_segmentation(n, classes, image_size, seed):
     """Images plus per-pixel masks; class 0 is background.
 
-    Rectangles carry classes 1..classes-1; each rectangle is surrounded by
+    One to three rectangles carry classes 1..classes-1; each is surrounded by
     a one-pixel ignore ring so the ignore path is always exercised.
     """
     if classes < 2:
@@ -99,7 +98,7 @@ def make_segmentation(n, classes, image_size, seed, max_shapes=3):
         rng = _class_rng(seed, "seg-sample", i)
         img = rng.random((3, image_size, image_size)) * 0.15
         mask = np.zeros((image_size, image_size), dtype=np.uint8)
-        for _ in range(int(rng.integers(1, max_shapes + 1))):
+        for _ in range(int(rng.integers(1, 4))):
             cls = int(rng.integers(1, classes))
             h = int(rng.integers(image_size // 4, image_size // 2))
             w = int(rng.integers(image_size // 4, image_size // 2))
@@ -136,23 +135,20 @@ def load_dataset(path):
     }
 
 
-def write_dataset_dir(out_dir, kind, n, classes, image_size, seed, train_fraction=0.75):
-    """Materialize train/test splits under a directory; returns the paths."""
+def write_dataset_dir(out_dir, kind, n, classes, image_size, seed):
+    """Materialize train/test splits (the first 75% of the samples train)
+    under a directory; returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
     meta = f"kind={kind} n={n} classes={classes} image_size={image_size} seed={seed}"
-    paths = {}
     if kind == "segmentation":
         images, masks = make_segmentation(n, classes, image_size, seed)
-        n_train = max(1, int(round(n * train_fraction)))
-        for split, sl in (("train", slice(0, n_train)), ("test", slice(n_train, n))):
-            path = os.path.join(out_dir, f"{split}.fngi")
-            save_dataset(path, images[sl], masks=masks[sl], meta=f"{meta} split={split}")
-            paths[split] = path
+        labels, n_train = None, max(1, round(n * 0.75))
     else:
         images, labels = make_classification(kind, n, classes, image_size, seed)
-        n_train = max(classes, int(round(n * train_fraction)))
-        for split, sl in (("train", slice(0, n_train)), ("test", slice(n_train, n))):
-            path = os.path.join(out_dir, f"{split}.fngi")
-            save_dataset(path, images[sl], labels=labels[sl], meta=f"{meta} split={split}")
-            paths[split] = path
+        masks, n_train = None, max(classes, round(n * 0.75))
+    paths = {}
+    for split, sl in (("train", slice(0, n_train)), ("test", slice(n_train, n))):
+        paths[split] = os.path.join(out_dir, f"{split}.fngi")
+        save_dataset(paths[split], images[sl], labels=None if labels is None else labels[sl],
+                     masks=None if masks is None else masks[sl], meta=f"{meta} split={split}")
     return paths

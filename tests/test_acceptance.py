@@ -81,7 +81,8 @@ class TestCriterion01GradientCorrectness:
             "simclr": pipeline.make_objective("simclr", cfg, heads, image, neg_bank, 3),
         }
 
-        # the oracle evaluates the loss from encode() of every view under a
+        # the oracle evaluates the loss from the CLS row of encode() (the
+        # pooled embedding under CLS pooling) of every view under a
         # perturbed W; the DINO teacher stays at its unperturbed latents,
         # which the production loss reads from the forward's values
         student, teacher = heads["dino"]
@@ -203,8 +204,8 @@ class TestCriterion06KnnOracle:
         train = rng.normal(size=(1000, 32))
         train_y = rng.integers(0, 7, size=1000)
         test = rng.normal(size=(200, 32))
-        index = ek.KnnIndex(train, train_y)
-        got = ek.knn_classify(index, test, k=k)
+        index = ek.KnnIndex(train, train_y, k=k)
+        got = ek.knn_classify(index, test)
 
         from .test_evalkit import brute_force_knn
 

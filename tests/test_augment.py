@@ -24,12 +24,6 @@ class TestPatchifyOverlap:
         # view at grid position (5, 6) starts at (93, 112): marked pixel lands at (0, 0)
         assert vs[5 * 7 + 6][0, 0, 0] == 1.0
 
-    def test_grid_one_is_topleft_crop(self):
-        img = rand_image(1)
-        vs = aug.patchify_overlap(img, 112, 1)
-        assert len(vs) == 1
-        np.testing.assert_array_equal(vs[0], img[:, :112, :112])
-
     def test_views_tile_image(self):
         cover = np.zeros((224, 224), dtype=bool)
         offsets = [round(i * 112 / 6) for i in range(7)]

@@ -13,6 +13,11 @@ def rand_image(rng, size):
     return rng.random((3, size, size)).astype(np.float64)
 
 
+def pooled(tokens, pooling):
+    """The embedding that `pooling` reads from encode()'s token rows."""
+    return tokens[0] if pooling == "cls" else tokens[1:].mean(axis=0)
+
+
 def snapshot(params):
     return [t.data.copy() for _, t in params.named_tensors()]
 
@@ -70,14 +75,14 @@ class TestEncode:
     def test_patch_token_counts(self):
         cfg = bb.EncoderConfig(image_size=512, patch_size=16, depth=1, dim=8, heads=2)
         params = bb.init_encoder(cfg, seed=1)
-        _, tokens = bb.encode(params, np.zeros((3, 512, 512), dtype=np.float32))
-        assert tokens.shape == (1024, 8)
+        tokens = bb.encode(params, np.zeros((3, 512, 512), dtype=np.float32))
+        assert tokens.shape == (1025, 8)  # CLS first, then 32 x 32 patches
 
     def test_224_gives_196_tokens(self):
         params = bb.init_encoder(bb.EncoderConfig(image_size=224, patch_size=16, depth=1, dim=8, heads=2), seed=1)
-        embedding, tokens = bb.encode(params, np.zeros((3, 224, 224), dtype=np.float32))
-        assert tokens.shape == (196, 8)
-        assert embedding.shape == (8,)
+        tokens = bb.encode(params, np.zeros((3, 224, 224), dtype=np.float32))
+        assert tokens[1:].shape == (196, 8)  # the patch tokens, after the CLS row
+        assert bb.embed(params, np.zeros((3, 224, 224), dtype=np.float32)).shape == (8,)
 
     def test_pure_function(self):
         rng = np.random.default_rng(2)
@@ -86,8 +91,7 @@ class TestEncode:
         before = snapshot(params)
         a = bb.encode(params, img)
         b = bb.encode(params, img)
-        assert np.array_equal(a[0], b[0])
-        assert np.array_equal(a[1], b[1])
+        assert np.array_equal(a, b)
         assert unchanged(params, before)
 
     def test_wrong_size_rejected(self):
@@ -100,8 +104,8 @@ class TestEncode:
     def test_mean_pooling(self):
         cfg = bb.EncoderConfig(image_size=32, patch_size=16, depth=1, dim=8, heads=2, pooling="mean")
         params = bb.init_encoder(cfg, seed=3, dtype=np.float64)
-        embedding, tokens = bb.encode(params, rand_image(np.random.default_rng(0), 32))
-        np.testing.assert_allclose(embedding, tokens.mean(axis=0), rtol=1e-12)
+        img = rand_image(np.random.default_rng(0), 32)
+        np.testing.assert_allclose(bb.embed(params, img), bb.encode(params, img)[1:].mean(axis=0), rtol=1e-12)
 
     @pytest.mark.parametrize("pooling", ["cls", "mean"])
     def test_embed_matches_encode(self, pooling):
@@ -109,7 +113,8 @@ class TestEncode:
         params = bb.init_encoder(cfg, seed=4, dtype=np.float64)
         for seed in range(3):
             img = rand_image(np.random.default_rng(seed), 64)
-            np.testing.assert_allclose(bb.embed(params, img), bb.encode(params, img)[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(bb.embed(params, img), pooled(bb.encode(params, img), pooling),
+                                       rtol=0, atol=1e-12)
 
     def test_patchify_layout(self):
         img = np.arange(3 * 4 * 4, dtype=np.float64).reshape(3, 4, 4)
@@ -183,7 +188,7 @@ class TestLossGradient:
 
                 def f(flat, source=source, params=params, n_w=w0.size, shape=w0.shape):
                     p2 = bb.replace_source_layer(params, source, flat[:n_w].reshape(shape), flat[n_w:])
-                    return loss_fn(ad.as_tensor(np.stack([bb.encode(p2, v)[0] for v in views]))).item()
+                    return loss_fn(ad.as_tensor(np.stack([pooled(bb.encode(p2, v), pooling) for v in views]))).item()
 
                 flat0 = np.concatenate([w0.data.ravel(), b0.data.ravel()])
                 # eps balances truncation against roundoff for O(1) loss values

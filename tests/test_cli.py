@@ -143,6 +143,32 @@ class TestExitCodes:
         assert cli.main(["extract", "--config", str(bad), "--data", str(data),
                          "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("out_dim", ["0", "19"])
+    def test_pca_out_dim_out_of_range_is_2(self, tmp_path, workspace, out_dim, caplog):
+        # 18 train rows of 48 fused columns: 1..18 is the range
+        _, _, _, banks = workspace
+        with caplog.at_level(logging.ERROR, logger="fungi"):
+            assert cli.main(["fuse-pca", "--train", str(banks / "bank_train.fngi"),
+                             "--test", str(banks / "bank_test.fngi"), "--out-dim", out_dim,
+                             "--out", str(tmp_path / "pca")]) == 2
+        assert f"out_dim {out_dim} outside 1..18" in caplog.text
+
+    def test_shots_above_smallest_class_is_2(self, tmp_path, workspace, caplog):
+        # 18 train rows over 2 classes: 9 per class
+        _, _, _, banks = workspace
+        with caplog.at_level(logging.ERROR, logger="fungi"):
+            assert cli.main(["eval", "--train", str(banks / "bank_train.fngi"),
+                             "--test", str(banks / "bank_test.fngi"),
+                             "--shots", "10", "--out", str(tmp_path / "e.csv")]) == 2
+        assert "--shots 10 outside 1..9" in caplog.text
+
+    def test_zero_bank_cap_is_2(self, tmp_path, workspace, caplog):
+        _, cfg_path, _, _ = workspace
+        with caplog.at_level(logging.ERROR, logger="fungi"):
+            assert cli.main(["segment", "--config", str(cfg_path), "--data", str(tmp_path),
+                             "--out", str(tmp_path / "s.csv"), "--bank-cap", "0"]) == 2
+        assert "--bank-cap 0" in caplog.text
+
     def test_missing_data_is_3(self, tmp_path, workspace):
         _, cfg_path, _, _ = workspace
         assert cli.main(["extract", "--config", str(cfg_path),

@@ -105,6 +105,28 @@ class TestValidation:
         with pytest.raises(ConfigError):
             RunConfig.from_text("knn_k = 7\n")
 
+    @pytest.mark.parametrize("text", [
+        "[simclr]\npositive_views = 1\n",
+        "[simclr]\npositive_views = -4\n",
+        "[simclr]\nnegative_images = 0\n",
+        "[dino]\nglobal_crops = 1\n",
+        "[eval]\nknn_k = 0\n",
+        "[eval]\nprobe_lambda_count = 0\n",
+        "[segmentation]\nk = 0\n",
+        "[segmentation]\nfew_shot_k = 0\n",
+        "[segmentation]\nloss_negatives_per_patch = 0\n",
+        "[segmentation]\nloss_negatives_per_patch = 3\n",
+        "[segmentation]\nivf_rerank = 29\n",
+        "[segmentation]\nfew_shot_ivf_rerank = 89\n",
+    ])
+    def test_out_of_range_values(self, text):
+        with pytest.raises(ConfigError):
+            RunConfig.from_text(text)
+
+    def test_ranges_of_unused_objectives_are_free(self):
+        text = "[gradients]\nobjectives = kl\n[simclr]\npositive_views = 1\n[dino]\nglobal_crops = 1\n"
+        assert RunConfig.from_text(text).simclr.positive_views == 1
+
 
 class TestDerived:
     def test_gradient_source_last_block(self):

@@ -118,7 +118,7 @@ class TestQueryBlocks:
         queries = rng.normal(size=(2 * ek.QUERY_BLOCK + 5, 6))
         index = ek.KnnIndex(train, train_y, k=9)
         batch = ek.knn_classify(index, queries)
-        alone = [ek.knn_classify(index, q) for q in queries]
+        alone = [ek.knn_classify(index, q[None])[0] for q in queries]
         np.testing.assert_array_equal(batch, alone)
 
     def test_retrieval_map(self):
@@ -136,8 +136,8 @@ class TestKnn:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(20, 4))
         y = rng.integers(0, 3, size=20)
-        index = ek.KnnIndex(x, y)
-        assert ek.knn_classify(index, x[7], k=1) == y[7]
+        index = ek.KnnIndex(x, y, k=1)
+        assert ek.knn_classify(index, x[7:8])[0] == y[7]
 
     @pytest.mark.parametrize("k", [1, 20])
     def test_matches_brute_force_oracle(self, k):
@@ -145,8 +145,20 @@ class TestKnn:
         train = rng.normal(size=(300, 8))
         train_y = rng.integers(0, 5, size=300)
         queries = rng.normal(size=(60, 8))
-        index = ek.KnnIndex(train, train_y)
-        got = ek.knn_classify(index, queries, k=k)
+        index = ek.KnnIndex(train, train_y, k=k)
+        got = ek.knn_classify(index, queries)
+        want = [brute_force_knn(train, train_y, q, k) for q in queries]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("k", [2, 6, 20])
+    def test_block_vote_matches_oracle_on_tied_counts(self, k):
+        # integer coordinates: equal distances, equal vote counts and equal
+        # summed inverse distances all occur, so every tie rule decides
+        rng = np.random.default_rng(3)
+        train = rng.integers(0, 4, size=(150, 2)).astype(np.float64)
+        train_y = rng.choice([7, 3, 11, 5], size=150)
+        queries = rng.integers(0, 4, size=(2 * ek.QUERY_BLOCK + 9, 2)).astype(np.float64)
+        got = ek.knn_classify(ek.KnnIndex(train, train_y, k=k), queries)
         want = [brute_force_knn(train, train_y, q, k) for q in queries]
         assert np.array_equal(got, want)
 
@@ -155,25 +167,23 @@ class TestKnn:
         train = rng.normal(size=(100, 5))
         train_y = rng.integers(0, 4, size=100)
         queries = rng.normal(size=(25, 5))
-        a = ek.knn_classify(ek.KnnIndex(train, train_y), queries, k=7)
+        a = ek.knn_classify(ek.KnnIndex(train, train_y, k=7), queries)
         b = ek.knn_classify(
-            ek.KnnIndex(np.hstack([train, train]), train_y),
+            ek.KnnIndex(np.hstack([train, train]), train_y, k=7),
             np.hstack([queries, queries]),
-            k=7,
         )
         assert np.array_equal(a, b)
 
     def test_k_exceeds_index(self):
-        index = ek.KnnIndex(np.zeros((3, 2)), np.zeros(3))
         with pytest.raises(ValueError):
-            ek.knn_classify(index, np.zeros(2), k=5)
+            ek.KnnIndex(np.zeros((3, 2)), np.zeros(3), k=5)
 
     def test_vote_tie_breaks_by_inverse_distance(self):
         # two labels, one neighbor each: the closer one wins
         train = np.array([[0.0], [1.0]])
         labels = np.array([5, 9])
-        pred = ek.knn_classify(ek.KnnIndex(train, labels), np.array([0.2]), k=2)
-        assert pred == 5
+        pred = ek.knn_classify(ek.KnnIndex(train, labels, k=2), np.array([[0.2]]))
+        assert pred[0] == 5
 
 
 class TestFewShot:
@@ -410,15 +420,6 @@ class TestProbe:
         assert len(result.fits) == len(result.lambda_grid) + 1
         assert result.fits[-1].lam == result.best_lambda
 
-    def test_validation_labels_map_to_training_classes(self):
-        x, y, _ = self.fixture(27)
-        labels = np.array([10, 30, 20, 40])[y]  # unsorted, gapped class ids
-        result = ek.logistic_probe(x[:90], labels[:90], x[90:], labels[90:], lambda_grid=[1e-4])
-        want = np.mean(result.model.predict(x[90:]) == labels[90:])
-        assert result.val_accuracy == want
-        with pytest.raises(ValueError):
-            ek.logistic_probe(x[:90], labels[:90], x[90:], labels[90:] + 1, lambda_grid=[1e-4])
-
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             ek.logistic_probe(np.zeros((5, 2)), np.zeros(5))
@@ -473,14 +474,12 @@ class TestRetrievalMap:
         with pytest.raises(ValueError):
             ek.retrieval_map(np.ones((1, 2)), np.zeros((0, 2)), [0], [])
 
-    def test_skip_empty_flag(self):
+    def test_query_without_relevant_items_is_skipped(self):
         gallery = np.array([[1.0, 0.0], [0.0, 1.0]])
         queries = np.array([[1.0, 0.0], [0.0, 1.0]])
         # the second query's label 2 matches no gallery row
         m_skip, aps = ek.retrieval_map(queries, gallery, [0, 2], [0, 1])
         assert m_skip == 1.0 and len(aps) == 1
-        m_zero, aps = ek.retrieval_map(queries, gallery, [0, 2], [0, 1], skip_empty=False)
-        assert m_zero == 0.5 and len(aps) == 2
 
 
 class TestReports:

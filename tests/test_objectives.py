@@ -221,7 +221,7 @@ class TestSimclrLoss:
     def test_needs_two_positives(self):
         rng = np.random.default_rng(11)
         with pytest.raises(ValueError):
-            obj.simclr_loss(ad.as_tensor(unit_rows(rng, 1, 8)), None)
+            obj.simclr_loss(ad.as_tensor(unit_rows(rng, 1, 8)), obj.NegativeBank(unit_rows(rng, 3, 8)))
 
     def test_gradient_matches_oracle(self):
         rng = np.random.default_rng(12)
@@ -287,8 +287,7 @@ class TestSimclrPatchLoss:
         cfg, params, head = self._setup()
         rng = np.random.default_rng(22)
         img = rng.random((3, 64, 64))
-        embedding, patches = bb.encode(params, img)
-        tokens = np.concatenate([embedding[None], patches], axis=0)
+        tokens = bb.encode(params, img)
         support = obj.SupportIndex(head.apply_array(np.random.default_rng(23).normal(size=(50, cfg.dim))))
         grads, loss = obj.simclr_patch_loss(tokens, head, support, tau=0.07, seed=1)
         assert grads.shape == (cfg.num_patches, cfg.dim)
@@ -309,9 +308,8 @@ class TestSimclrPatchLoss:
         cfg = bb.EncoderConfig(image_size=512, patch_size=16, depth=1, dim=8, heads=2)
         params = bb.init_encoder(cfg, seed=40)
         head = bb.attach_head(8, 12, seed=41, normalize_input=False)
-        embedding, patches = bb.encode(params, np.random.default_rng(42).random((3, 512, 512), dtype=np.float64))
-        assert patches.shape == (1024, 8)
-        tokens = np.concatenate([embedding[None], patches], axis=0)
+        tokens = bb.encode(params, np.random.default_rng(42).random((3, 512, 512), dtype=np.float64))
+        assert tokens.shape == (1025, 8)
         support = obj.SupportIndex(np.random.default_rng(43).normal(size=(64, 12)))
         grads, _ = obj.simclr_patch_loss(tokens, head, support, tau=0.07, seed=4)
         assert grads.shape == (1024, 8)

@@ -118,9 +118,8 @@ class TestPrecision:
             views, loss_fn = pipeline.make_objective(name, cfg, heads, images[0], neg_bank, 5)
             dw, db = bb.loss_gradient(params, source, views, loss_fn)
             assert dw.dtype == dtype and db.dtype == dtype, name
-        embedding, patches = bb.encode(params, images[1])
-        tokens = np.concatenate([embedding[None], patches])
-        support = obj.SupportIndex(heads["simclr"].apply_array(patches))
+        tokens = bb.encode(params, images[1])
+        support = obj.SupportIndex(heads["simclr"].apply_array(tokens[1:]))
         grads, _ = obj.simclr_patch_loss(tokens, heads["simclr"], support)
         assert grads.dtype == dtype
         assert primitive_dtypes == {np.dtype(dtype)}
@@ -129,9 +128,7 @@ class TestPrecision:
         cfg = RunConfig()
         image = np.random.default_rng(0).random((3, cfg.encoder.image_size, cfg.encoder.image_size))
         params = pipeline.build_encoder(cfg)
-        embedding, patches = bb.encode(params, image)
-        assert embedding.dtype == np.float32
-        assert patches.dtype == np.float32
+        assert bb.encode(params, image).dtype == np.float32
         assert bb.embed(params, image).dtype == np.float32
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from fungi import backbone as bb
 from fungi import evalkit as ek
+from fungi import objectives as obj
 from fungi import segmem as sm
 
 
@@ -246,6 +247,21 @@ class TestBankBuilding:
         bank = sm.build_bank(images, masks, extractor, sm.SegConfig(k=1, temperature=0.02))
         assert bank.features.shape[1] == 16
         assert extractor.support is not None
+
+    def test_fungi_features_read_the_cls_token_under_mean_pooling(self):
+        cfg = bb.EncoderConfig(image_size=64, patch_size=16, depth=1, dim=8, heads=2, pooling="mean")
+        params = bb.init_encoder(cfg, seed=30, dtype=np.float64)
+        head = bb.attach_head(8, 12, seed=31, normalize_input=False, dtype=np.float64)
+        extractor = sm.PatchFeatureExtractor(params=params, use_fungi=True, head=head)
+        images = [np.random.default_rng(i).random((3, 64, 64)) for i in range(3)]
+        extractor.build_support(images)
+        tokens = bb._forward(params, images[0]).data  # final-norm rows, CLS first
+        grads, _ = obj.simclr_patch_loss(tokens, head, extractor.support, tau=extractor.tau, seed=5,
+                                         retrieved_per_patch=extractor.retrieved_per_patch,
+                                         kept_per_patch=extractor.kept_per_patch)
+        unit = [g / np.linalg.norm(g, axis=1, keepdims=True) for g in (grads, tokens[1:])]
+        want = np.concatenate(unit, axis=1) / np.sqrt(2.0)
+        np.testing.assert_allclose(extractor.features(images[0], seed=5), want, rtol=0, atol=1e-6)
 
     def test_fungi_bank_encodes_each_image_once(self, monkeypatch):
         rng = np.random.default_rng(8)

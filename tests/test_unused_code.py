@@ -1,4 +1,4 @@
-"""Every function, class and method of the package has a caller.
+"""Every function, class, method and option of the package has a caller.
 
 Definitions are read with `ast` from `src/fungi`; a definition counts as used
 when its name appears in `src/fungi` or `perfbench` outside the definition's
@@ -7,6 +7,8 @@ or class, and only as an attribute (`x.name`) for a method. Tests do not
 count: code whose only caller is its own test goes. The check matches names,
 not objects, so a method that shares its name with an attribute used
 elsewhere (`dim`, `save`, `config`) passes without a caller of its own.
+Likewise, a defaulted parameter of a public function or method counts as
+used when some call of that name in `src/fungi` or `perfbench` sets it.
 """
 
 import ast
@@ -22,6 +24,11 @@ ALLOWED = {
     "max_relative_error": "the error measure of that oracle's comparisons",
     "replace_source_layer": "how that oracle perturbs the source layer's W and b in the encoder parameters",
     "entry_variance": "the scale of the projection-distance oracle",
+}
+
+# defaulted parameters kept although no package caller sets them, each with its reason
+ALLOWED_OPTIONS = {
+    "finite_diff_gradient.eps": "the oracle's step, which each gradient test sets to its loss's scale",
 }
 
 
@@ -76,3 +83,58 @@ def test_allowed_names_are_defined():
         for node, _ in definitions(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert set(ALLOWED) <= defined
+
+
+def _name(node):
+    """The name a call target or argument refers to: `f` or `x.f` gives "f"."""
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def set_options(trees):
+    """(function name, parameter keyword or position) pairs that some call
+    sets. A call that passes a function on (`run(fn, x, seed=1)`) also sets
+    its keywords on that function."""
+    out = set()
+    for tree in trees:
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                callee = _name(call.func)
+                out.update((callee, i) for i in range(len(call.args)))
+                for name in {callee} | {_name(a) for a in call.args}:
+                    out.update((name, kw.arg) for kw in call.keywords if kw.arg)
+    return out
+
+
+def test_every_option_has_a_caller():
+    """A defaulted parameter of a public function or method is set, by
+    keyword or by position, by some call in `src/fungi` or `perfbench`."""
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    calls = set_options(trees.values())
+    unset = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node, is_method in definitions(trees[path]):
+            if isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            # a call's positions start after `self` or `cls`
+            params = [(a.arg, i - is_method) for i, a in enumerate(positional) if i >= first]
+            params += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            for name, position in params:
+                key = f"{node.name}.{name}"
+                if not {(node.name, name), (node.name, position)} & calls and key not in ALLOWED_OPTIONS:
+                    unset.append(f"{path.name}:{node.lineno} {key}")
+    assert not unset, "options that no caller outside tests sets: " + ", ".join(unset)
+
+
+def test_allowed_options_are_parameters():
+    params = {
+        f"{node.name}.{a.arg}"
+        for path in PACKAGE.glob("*.py")
+        for node, _ in definitions(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+        for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+    }
+    assert set(ALLOWED_OPTIONS) <= params
