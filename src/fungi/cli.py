@@ -82,9 +82,12 @@ def _echo_lines(config_echo, config_hash):
 
 
 def cmd_synth(args):
-    paths = synth.write_dataset_dir(
-        args.out, args.kind, args.n, args.classes, args.image_size, args.seed
-    )
+    try:
+        paths = synth.write_dataset_dir(
+            args.out, args.kind, args.n, args.classes, args.image_size, args.seed
+        )
+    except ValueError as exc:  # the generators reject their arguments with ValueError
+        raise ConfigError(f"synth: {exc}") from exc
     log.info("wrote %s", ", ".join(paths.values()))
     return 0
 
@@ -262,10 +265,15 @@ def cmd_segment(args):
     seg = config.segmentation
     data_size = int(train["images"].shape[-1])
     if config.encoder.image_size != data_size:
-        # dense prediction runs the encoder at the dataset's resolution
+        # dense prediction runs the encoder at the dataset's resolution; of the
+        # config only the encoder depends on it (segmentation builds no
+        # extraction views), so only the encoder is checked again
         log.info("building segmentation encoder for %dx%d inputs", data_size, data_size)
         config.encoder.image_size = data_size
-        config.validate()
+        try:
+            config.encoder_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     if args.few_shot:
         k, temperature, epochs = seg.few_shot_k, seg.few_shot_temperature, seg.few_shot_augmentation_epochs
         leaves_to_search, rerank = seg.few_shot_ivf_leaves_to_search, seg.few_shot_ivf_rerank

@@ -151,6 +151,11 @@ class RunConfig:
              "segmentation loss_negatives_per_patch must be in 1..retrieved_negatives_per_patch"),
             (seg.ivf_rerank < seg.k, "segmentation ivf_rerank must be at least k"),
             (seg.few_shot_ivf_rerank < seg.few_shot_k, "segmentation few_shot_ivf_rerank must be at least few_shot_k"),
+            (not all(t > 0 for t in (self.kl.temperature, self.dino.teacher_temperature,
+                                     self.dino.student_temperature, simclr.temperature)),
+             "kl temperature, dino teacher_temperature and student_temperature, and simclr temperature must be positive"),
+            (not all(t > 0 for t in (seg.temperature, seg.few_shot_temperature, seg.simclr_temperature)),
+             "segmentation temperature, few_shot_temperature and simclr_temperature must be positive"),
         ):
             if bad:
                 raise ConfigError(message)

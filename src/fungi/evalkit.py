@@ -170,18 +170,39 @@ class KmeansResult:
     n_iter: int
 
 
-def _plusplus_init(x, n_clusters, rng):
+def _sq_dists(x, x_sq, centroids):
+    """(n, k) squared distances x_sq - 2 x.c + |c|^2, built in place on the
+    one (n, k) product; the same bits as that expression left to right."""
+    d2 = x @ centroids.T
+    d2 *= -2.0
+    d2 += x_sq[:, None]
+    d2 += np.sum(centroids**2, axis=1)
+    return d2
+
+
+def _plusplus_init(x, x_sq, n_clusters, rng):
+    """k-means++ start: each centre after the first is a row drawn with
+    probability proportional to its squared distance to the nearest centre
+    so far, |x|^2 - 2 x.c + |c|^2 from one matrix-vector product."""
     n = len(x)
     centroids = np.empty((n_clusters, x.shape[1]))
-    centroids[0] = x[rng.integers(n)]
-    d2 = np.sum((x - centroids[0]) ** 2, axis=1)
-    for i in range(1, n_clusters):
-        total = d2.sum()
-        if total == 0:
-            centroids[i] = x[rng.integers(n)]
-            continue
-        centroids[i] = x[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((x - centroids[i]) ** 2, axis=1))
+    d2 = np.full(n, np.inf)
+    row = rng.integers(n)
+    for i in range(n_clusters):
+        if i:
+            total = d2.sum()
+            row = rng.integers(n) if total == 0 else rng.choice(n, p=d2 / total)
+        centre = centroids[i] = x[row]
+        to_c = x @ centre
+        to_c *= -2.0
+        to_c += x_sq
+        to_c += x_sq[row]
+        # where the expansion cancels down to rounding noise, take the
+        # difference instead: copies of a centre must read exactly 0, or with
+        # fewer distinct rows than clusters the draw picks among noise
+        near = np.flatnonzero(to_c <= 1e-9 * (x_sq + x_sq[row]))
+        to_c[near] = np.sum((x[near] - centre) ** 2, axis=1)
+        np.minimum(d2, to_c, out=d2)
     return centroids
 
 
@@ -189,35 +210,39 @@ def kmeans(x, n_clusters, seed=0, max_iter=300):
     """Lloyd iterations from a seeded k-means++ start.
 
     Empty clusters are reseeded from the point farthest from its centroid.
-    Stops when the largest centroid shift falls below 1e-6.
+    Stops when the largest centroid shift falls below 1e-6. Each centroid is
+    the mean of its members in row order: one stable sort by cluster lays
+    every cluster's rows out as one contiguous slice.
     """
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
     if n_clusters > n:
         raise ValueError("more clusters than points")
     rng = np.random.default_rng(seed)
-    centroids = _plusplus_init(x, n_clusters, rng)
     x_sq = np.sum(x * x, axis=1)
-    assignments = np.zeros(n, dtype=np.int64)
+    centroids = _plusplus_init(x, x_sq, n_clusters, rng)
     for iteration in range(1, max_iter + 1):
-        d2 = x_sq[:, None] - 2.0 * (x @ centroids.T) + np.sum(centroids**2, axis=1)
+        d2 = _sq_dists(x, x_sq, centroids)
         assignments = np.argmin(d2, axis=1)
+        counts = np.bincount(assignments, minlength=n_clusters)
+        ends = np.cumsum(counts)
+        grouped = x[np.argsort(assignments, kind="stable")]
         new_centroids = centroids.copy()
-        point_d2 = d2[np.arange(n), assignments]
-        for c in range(n_clusters):
-            members = assignments == c
-            if members.any():
-                new_centroids[c] = x[members].mean(axis=0)
-            else:
+        for c in np.flatnonzero(counts):
+            new_centroids[c] = grouped[ends[c] - counts[c] : ends[c]].mean(axis=0)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            point_d2 = d2[np.arange(n), assignments]
+            for c in empty:
                 farthest = int(np.argmax(point_d2))
                 new_centroids[c] = x[farthest]
                 point_d2[farthest] = 0.0
+        del d2, grouped  # free both before the next iteration forms them again
         shift = np.sqrt(np.max(np.sum((new_centroids - centroids) ** 2, axis=1)))
         centroids = new_centroids
         if shift < 1e-6:
             break
-    d2 = x_sq[:, None] - 2.0 * (x @ centroids.T) + np.sum(centroids**2, axis=1)
-    assignments = np.argmin(d2, axis=1)
+    assignments = np.argmin(_sq_dists(x, x_sq, centroids), axis=1)
     inertia = float(np.sum((x - centroids[assignments]) ** 2))
     return KmeansResult(
         assignments=assignments,

@@ -227,32 +227,26 @@ def exact_search(features, query, k):
 @dataclass
 class IvfIndex:
     centroids: np.ndarray
-    posting: list  # leaf -> array of bank row ids
+    row_leaf: np.ndarray  # bank row id -> leaf
     features: np.ndarray
     params: IvfParams
-    row_leaf: np.ndarray = field(init=False, repr=False)  # bank row id -> leaf
-
-    def __post_init__(self):
-        self.row_leaf = np.empty(len(self.features), dtype=np.int64)
-        for leaf, rows in enumerate(self.posting):
-            self.row_leaf[rows] = leaf
 
     def __len__(self):
         return len(self.features)
 
 
 def ivf_build(bank_features, params, seed=0):
-    """Partition bank rows into k-means leaves with posting lists."""
+    """Partition bank rows into k-means leaves: each row's leaf is its
+    k-means assignment."""
     features = np.asarray(bank_features, dtype=np.float32)
     if len(features) < params.num_leaves:
         raise ValueError("bank smaller than the requested number of leaves")
     result = evalkit.kmeans(
         features.astype(np.float64), params.num_leaves, seed=seed, max_iter=params.kmeans_iters
     )
-    posting = [np.flatnonzero(result.assignments == leaf) for leaf in range(params.num_leaves)]
     return IvfIndex(
         centroids=result.centroids.astype(np.float32),
-        posting=posting,
+        row_leaf=result.assignments,
         features=features,
         params=params,
     )

@@ -50,6 +50,8 @@ def _stripe_image(size, freq, theta, base_phase, rng, noise=0.08):
 
 def make_classification(kind, n, classes, image_size, seed):
     """Images (n, 3, S, S) float32 in [0, 1] plus integer labels."""
+    if classes < 1:
+        raise ValueError("need at least one class")
     if n < classes:
         raise ValueError("need at least one sample per class")
     if kind not in ("blobs", "stripes"):
@@ -137,15 +139,18 @@ def load_dataset(path):
 
 def write_dataset_dir(out_dir, kind, n, classes, image_size, seed):
     """Materialize train/test splits (the first 75% of the samples train)
-    under a directory; returns the paths."""
-    os.makedirs(out_dir, exist_ok=True)
-    meta = f"kind={kind} n={n} classes={classes} image_size={image_size} seed={seed}"
+    under a directory; returns the paths. Bad arguments raise ValueError
+    before anything is written."""
+    if n < 1 or image_size < 4:
+        raise ValueError(f"need n >= 1 and image_size >= 4, got n={n}, image_size={image_size}")
     if kind == "segmentation":
         images, masks = make_segmentation(n, classes, image_size, seed)
         labels, n_train = None, max(1, round(n * 0.75))
     else:
         images, labels = make_classification(kind, n, classes, image_size, seed)
         masks, n_train = None, max(classes, round(n * 0.75))
+    os.makedirs(out_dir, exist_ok=True)
+    meta = f"kind={kind} n={n} classes={classes} image_size={image_size} seed={seed}"
     paths = {}
     for split, sl in (("train", slice(0, n_train)), ("test", slice(n_train, n))):
         paths[split] = os.path.join(out_dir, f"{split}.fngi")

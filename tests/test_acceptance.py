@@ -272,7 +272,7 @@ class TestCriterion09IvfSearch:
         # full leaf scan must reproduce the exact oracle bit for bit
         full = sm.IvfIndex(
             centroids=index.centroids,
-            posting=index.posting,
+            row_leaf=index.row_leaf,
             features=index.features,
             params=sm.IvfParams(num_leaves=512, leaves_to_search=512, rerank=120, kmeans_iters=25),
         )

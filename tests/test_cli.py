@@ -124,6 +124,16 @@ class TestPipelineCommands:
                          "--out", str(out)]) == 0
         assert "miou" in out.read_text()
 
+    def test_segment_default_config_on_small_images(self, tmp_path):
+        # the default SimCLR view patch (112 px) exceeds 32-px data; segmentation
+        # builds no SimCLR views, so it must not reject the config for that
+        segdata = tmp_path / "seg32"
+        assert cli.main(["synth", "--kind", "segmentation", "--n", "6", "--classes", "3",
+                         "--image-size", "32", "--seed", "5", "--out", str(segdata)]) == 0
+        out = tmp_path / "seg.csv"
+        assert cli.main(["segment", "--data", str(segdata), "--out", str(out)]) == 0
+        assert "miou" in out.read_text()
+
 
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, workspace):
@@ -168,6 +178,27 @@ class TestExitCodes:
             assert cli.main(["segment", "--config", str(cfg_path), "--data", str(tmp_path),
                              "--out", str(tmp_path / "s.csv"), "--bank-cap", "0"]) == 2
         assert "--bank-cap 0" in caplog.text
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--kind", "blobs", "--n", "2", "--classes", "4"], "at least one sample per class"),
+        (["--kind", "stripes", "--classes", "0"], "at least one class"),
+        (["--kind", "segmentation", "--classes", "1"], "background + at least one class"),
+        (["--kind", "segmentation", "--n", "0"], "n >= 1"),
+        (["--kind", "blobs", "--image-size", "3"], "image_size >= 4"),
+    ])
+    def test_bad_synth_arguments_are_2(self, tmp_path, argv, message, caplog):
+        out = tmp_path / "synth"
+        with caplog.at_level(logging.ERROR, logger="fungi"):
+            assert cli.main(["synth", *argv, "--out", str(out)]) == 2
+        assert message in caplog.text
+        assert not out.exists()
+
+    def test_zero_temperature_is_2(self, tmp_path, workspace):
+        _, _, data, _ = workspace
+        bad = tmp_path / "hot.cfg"
+        bad.write_text(TINY_CFG.replace("[kl]\n", "[kl]\ntemperature = 0\n"))
+        assert cli.main(["extract", "--config", str(bad), "--data", str(data),
+                         "--out", str(tmp_path / "x")]) == 2
 
     def test_missing_data_is_3(self, tmp_path, workspace):
         _, cfg_path, _, _ = workspace

@@ -118,6 +118,13 @@ class TestValidation:
         "[segmentation]\nloss_negatives_per_patch = 3\n",
         "[segmentation]\nivf_rerank = 29\n",
         "[segmentation]\nfew_shot_ivf_rerank = 89\n",
+        "[kl]\ntemperature = 0\n",
+        "[dino]\nteacher_temperature = 0\n",
+        "[dino]\nstudent_temperature = -0.1\n",
+        "[simclr]\ntemperature = 0\n",
+        "[segmentation]\ntemperature = 0\n",
+        "[segmentation]\nfew_shot_temperature = -1\n",
+        "[segmentation]\nsimclr_temperature = nan\n",
     ])
     def test_out_of_range_values(self, text):
         with pytest.raises(ConfigError):

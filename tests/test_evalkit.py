@@ -90,6 +90,53 @@ def oracle_cluster_contingency(assignments, labels):
     return table
 
 
+def oracle_kmeans(x, n_clusters, seed=0, max_iter=300):
+    """Reference k-means, bit for bit what `ek.kmeans` must return: a
+    difference per k-means++ centre, the distance expression with its
+    temporaries, and one member mask per cluster."""
+
+    def plusplus_init(x, n_clusters, rng):
+        n = len(x)
+        centroids = np.empty((n_clusters, x.shape[1]))
+        centroids[0] = x[rng.integers(n)]
+        d2 = np.sum((x - centroids[0]) ** 2, axis=1)
+        for i in range(1, n_clusters):
+            total = d2.sum()
+            if total == 0:
+                centroids[i] = x[rng.integers(n)]
+                continue
+            centroids[i] = x[rng.choice(n, p=d2 / total)]
+            d2 = np.minimum(d2, np.sum((x - centroids[i]) ** 2, axis=1))
+        return centroids
+
+    x = np.asarray(x, dtype=np.float64)
+    n = len(x)
+    rng = np.random.default_rng(seed)
+    centroids = plusplus_init(x, n_clusters, rng)
+    x_sq = np.sum(x * x, axis=1)
+    for iteration in range(1, max_iter + 1):
+        d2 = x_sq[:, None] - 2.0 * (x @ centroids.T) + np.sum(centroids**2, axis=1)
+        assignments = np.argmin(d2, axis=1)
+        new_centroids = centroids.copy()
+        point_d2 = d2[np.arange(n), assignments]
+        for c in range(n_clusters):
+            members = assignments == c
+            if members.any():
+                new_centroids[c] = x[members].mean(axis=0)
+            else:
+                farthest = int(np.argmax(point_d2))
+                new_centroids[c] = x[farthest]
+                point_d2[farthest] = 0.0
+        shift = np.sqrt(np.max(np.sum((new_centroids - centroids) ** 2, axis=1)))
+        centroids = new_centroids
+        if shift < 1e-6:
+            break
+    d2 = x_sq[:, None] - 2.0 * (x @ centroids.T) + np.sum(centroids**2, axis=1)
+    assignments = np.argmin(d2, axis=1)
+    inertia = float(np.sum((x - centroids[assignments]) ** 2))
+    return ek.KmeansResult(assignments=assignments, centroids=centroids, inertia=inertia, n_iter=iteration)
+
+
 def lexsort_top_k(scores, k):
     """Reference ranking: per row, descending score, then ascending column id."""
     cols = np.arange(scores.shape[1])
@@ -336,6 +383,63 @@ class TestKmeansAndOverlap:
     def test_more_clusters_than_points(self):
         with pytest.raises(ValueError):
             ek.kmeans(np.zeros((3, 2)), 4)
+
+    @staticmethod
+    def assert_matches_oracle(x, k, seed, max_iter=300):
+        got = ek.kmeans(x, k, seed=seed, max_iter=max_iter)
+        want = oracle_kmeans(x, k, seed=seed, max_iter=max_iter)
+        np.testing.assert_array_equal(got.assignments, want.assignments)
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        assert got.inertia == want.inertia
+        assert got.n_iter == want.n_iter
+        return got
+
+    @pytest.mark.parametrize("blob_seed, spread, seed, max_iter", [
+        (11, 8.0, 0, 300), (12, 2.0, 1, 3), (12, 2.0, 1, 300), (13, 8.0, 2, 300),
+    ])
+    def test_blobs_match_oracle(self, blob_seed, spread, seed, max_iter):
+        x, _ = self.blobs(blob_seed, spread=spread)
+        self.assert_matches_oracle(x, 4, seed, max_iter)
+
+    def test_unit_rows_match_oracle(self):
+        x = np.random.default_rng(20).normal(size=(2000, 32))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        self.assert_matches_oracle(x, 128, seed=3)
+
+    def test_empty_cluster_reseeding_matches_oracle(self):
+        # 6 distinct rows for 9 clusters: k-means++ repeats rows, so Lloyd's
+        # first assignment leaves at least three clusters empty. The draws
+        # after the sixth centre see only copies of centres, whose distances
+        # must be exact zeros for the draw to match
+        rng = np.random.default_rng(39)
+        x = rng.normal(size=(6, 32))[rng.permutation(np.repeat(np.arange(6), [1, 2, 3, 5, 8, 13]))]
+        self.assert_matches_oracle(x, 9, seed=39)
+
+    def test_equidistant_lattice_matches_oracle(self):
+        # on a grid of step 0.1 many rows are equidistant from two centres,
+        # so the rounding of the distance expression decides their cluster
+        g = np.arange(12) * 0.1
+        x = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+        self.assert_matches_oracle(x, 20, seed=2)
+
+    def test_duplicate_rows_each_distinct_point_is_a_centroid(self):
+        rng = np.random.default_rng(22)
+        distinct = rng.normal(size=(7, 16))
+        x = distinct[rng.permutation(np.repeat(np.arange(7), [1, 4, 2, 9, 3, 6, 5]))]
+        result = self.assert_matches_oracle(x, 7, seed=5)
+        for c in range(7):
+            rows = x[result.assignments == c]
+            assert len(rows) and np.all(rows == rows[0])  # one distinct point per cluster
+        # a centroid is the mean of copies of one point: that point up to rounding
+        gap = np.abs(result.centroids[:, None, :] - distinct[None]).max(axis=2)
+        np.testing.assert_array_equal(np.count_nonzero(gap < 1e-12, axis=0), np.ones(7))
+
+    def test_sq_dists_bits_match_the_expression(self):
+        rng = np.random.default_rng(23)
+        x, centroids = rng.normal(size=(300, 24)), rng.normal(size=(40, 24))
+        x_sq = np.sum(x * x, axis=1)
+        want = x_sq[:, None] - 2.0 * (x @ centroids.T) + np.sum(centroids**2, axis=1)
+        assert ek._sq_dists(x, x_sq, centroids).tobytes() == want.tobytes()
 
 
 class TestProbe:
