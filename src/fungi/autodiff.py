@@ -5,8 +5,8 @@ whose inputs require gradients appends a node (inputs, output, backward
 closure) to the tape. Nodes are appended in execution order, which is a valid
 topological order, so the backward pass is a single reverse sweep.
 
-Tapes are single-use and must not be shared across threads; parameters are
-plain read-only tensors and may be shared freely.
+Tapes are single-use, do not nest and must not be shared across threads;
+parameters are plain read-only tensors and may be shared freely.
 """
 
 from __future__ import annotations
@@ -82,20 +82,8 @@ class _Node:
         self.backward_fn = backward_fn
 
 
+# the one active tape of each thread, or None
 _STATE = threading.local()
-
-
-def _tape_stack():
-    stack = getattr(_STATE, "stack", None)
-    if stack is None:
-        stack = []
-        _STATE.stack = stack
-    return stack
-
-
-def _active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
 
 
 class GradTape:
@@ -106,12 +94,13 @@ class GradTape:
         self._consumed = False
 
     def __enter__(self):
-        _tape_stack().append(self)
+        if getattr(_STATE, "tape", None) is not None:
+            raise RuntimeError("a gradient tape is already active on this thread")
+        _STATE.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _tape_stack().pop()
-        assert popped is self, "unbalanced tape nesting"
+        _STATE.tape = None
         return False
 
     def _record(self, inputs, output, backward_fn):
@@ -174,7 +163,7 @@ def _apply(op, inputs, value, backward_fn):
     out.data = np.ascontiguousarray(value)
     out.requires_grad = False
     out.node = None
-    tape = _active_tape()
+    tape = getattr(_STATE, "tape", None)
     if tape is not None and any(t.requires_grad for t in inputs):
         tape._record(inputs, out, backward_fn)
     return out
@@ -186,37 +175,19 @@ def _apply(op, inputs, value, backward_fn):
 
 
 def add(a, b):
-    """Elementwise sum; shapes must match or one operand is a scalar."""
+    """Elementwise sum of equal-shape tensors."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape and a.size != 1 and b.size != 1:
+    if a.shape != b.shape:
         raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    value = a.data + b.data
-
-    def backward(g):
-        ga = g if a.shape == value.shape else np.sum(g).reshape(a.shape)
-        gb = g if b.shape == value.shape else np.sum(g).reshape(b.shape)
-        return ga, gb
-
-    return _apply("add", (a, b), value, backward)
+    return _apply("add", (a, b), a.data + b.data, lambda g: (g, g))
 
 
 def mul(a, b):
-    """Elementwise product; shapes must match or one operand is a scalar."""
+    """Elementwise product of equal-shape tensors."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape and a.size != 1 and b.size != 1:
+    if a.shape != b.shape:
         raise ValueError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    value = a.data * b.data
-
-    def backward(g):
-        ga = g * b.data
-        gb = g * a.data
-        if a.shape != value.shape:
-            ga = np.sum(ga).reshape(a.shape)
-        if b.shape != value.shape:
-            gb = np.sum(gb).reshape(b.shape)
-        return ga, gb
-
-    return _apply("mul", (a, b), value, backward)
+    return _apply("mul", (a, b), a.data * b.data, lambda g: (g * b.data, g * a.data))
 
 
 def scale(a, factor):
@@ -229,12 +200,6 @@ def scale(a, factor):
         return (g * factor,)
 
     return _apply("scale", (a,), value, backward)
-
-
-def reshape(a, shape):
-    a = as_tensor(a)
-    value = a.data.reshape(shape)
-    return _apply("reshape", (a,), value, lambda g: (g.reshape(a.shape),))
 
 
 def linear(x, weight, bias=None):
@@ -294,18 +259,18 @@ def layer_norm(x, gamma, beta):
     return _apply("layer_norm", (x, gamma, beta), value, backward)
 
 
-def log_softmax(x, axis=-1, tau=None):
-    """log(softmax(x / tau)) along an axis."""
+def log_softmax(x, tau):
+    """log(softmax(x / tau)) over the last axis."""
     x = as_tensor(x)
-    inv_tau = 1.0 if tau is None else 1.0 / float(tau)
+    inv_tau = 1.0 / float(tau)
     z = x.data * inv_tau
-    z = z - z.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
+    z = z - z.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     value = z - lse
     soft = np.exp(value)
 
     def backward(g):
-        return ((g - soft * g.sum(axis=axis, keepdims=True)) * inv_tau,)
+        return ((g - soft * g.sum(axis=-1, keepdims=True)) * inv_tau,)
 
     return _apply("log_softmax", (x,), value, backward)
 
@@ -330,15 +295,15 @@ def gelu(x):
     return _apply("gelu", (x,), value, backward)
 
 
-def l2_normalize(x, axis=-1):
-    """x / ||x||_2 along an axis; a zero slice raises NumericError."""
+def l2_normalize(x):
+    """x / ||x||_2 over the last axis; a zero row raises NumericError."""
     x = as_tensor(x)
-    norm = np.sqrt((x.data * x.data).sum(axis=axis, keepdims=True))
+    norm = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True))
     with np.errstate(divide="ignore", invalid="ignore"):
         value = x.data / norm
 
     def backward(g):
-        inner = (g * x.data).sum(axis=axis, keepdims=True)
+        inner = (g * x.data).sum(axis=-1, keepdims=True)
         return (g / norm - x.data * inner / norm**3,)
 
     return _apply("l2_normalize", (x,), value, backward)
@@ -350,9 +315,8 @@ def mean(x, axis=None):
     count = x.size if axis is None else x.shape[axis]
 
     def backward(g):
-        if axis is None:
-            return (np.full(x.shape, g / count, dtype=x.dtype),)
-        g = np.expand_dims(g, axis)
+        if axis is not None:
+            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g / count, x.shape).copy(),)
 
     return _apply("mean", (x,), value, backward)
@@ -374,17 +338,8 @@ def concat(tensors, axis=0):
     if not tensors:
         raise ValueError("concat of zero tensors")
     value = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        moved = np.moveaxis(g, axis, 0)
-        return [
-            np.moveaxis(moved[offsets[i] : offsets[i + 1]], 0, axis)
-            for i in range(len(tensors))
-        ]
-
-    return _apply("concat", tuple(tensors), value, backward)
+    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+    return _apply("concat", tuple(tensors), value, lambda g: np.split(g, splits, axis=axis))
 
 
 def stack(tensors):

@@ -240,9 +240,8 @@ def _forward(params, image, pooled_only=False, source=None, taps=None):
 
 def _pool(x, pooling):
     """(dim,) embedding of final token rows: the CLS row, or the patch mean."""
-    if pooling == "cls":
-        return ad.reshape(ad.narrow(x, 0, 0, 1), x.shape[1:])
-    return ad.mean(ad.narrow(x, 0, 1, x.shape[0] - 1), axis=0)
+    start, rows = (0, 1) if pooling == "cls" else (1, x.shape[0] - 1)
+    return ad.mean(ad.narrow(x, 0, start, rows), axis=0)
 
 
 def encode(params, image):
@@ -271,7 +270,7 @@ class Head:
 
     def apply(self, x):
         if self.normalize_input:
-            x = ad.l2_normalize(x, axis=-1)
+            x = ad.l2_normalize(x)
         return ad.linear(x, self.weight, self.bias)
 
     def apply_array(self, x):

@@ -54,6 +54,8 @@ def _load_split(data_dir, split, need_labels=False, need_masks=False):
         raise DataError(f"{path} has no labels section")
     if need_masks and data["masks"] is None:
         raise DataError(f"{path} has no masks section")
+    if len(data["images"]) == 0:
+        raise DataError(f"{path} holds no images")
     return data
 
 
@@ -67,6 +69,9 @@ def _load_banks(train_path, test_path, config=None):
         raise ConfigError("train/test banks carry different config hashes")
     if config is not None and config.config_hash() != train.config_hash:
         raise ConfigError("banks were not extracted with the given config")
+    if train.dim != test.dim or train.objective_names != test.objective_names:  # e.g. fuse-pca beside raw
+        raise DataError(f"train and test banks do not match: {train.dim} vs {test.dim} columns, "
+                        f"objectives {','.join(train.objective_names)} vs {','.join(test.objective_names)}")
     return train, test
 
 
@@ -203,6 +208,8 @@ def cmd_cluster(args):
 def cmd_probe(args):
     train, test = _load_banks(args.train, args.test)
     run_cfg = RunConfig.from_text(train.config_echo)
+    if len(np.unique(train.labels)) < 2:
+        raise DataError(f"{args.train}: the probe needs at least two classes in the train bank")
     reports, table_rows = [], []
     for kind in ("embedding", "fused"):
         result = evalkit.logistic_probe(
@@ -245,6 +252,10 @@ def cmd_cka(args):
     train, _ = _load_banks(args.train, args.test)
     kinds = ["embedding"] + list(train.objective_names) + ["fused"]
     mats = {kind: pipeline.bank_feature_matrix(train, kind) for kind in kinds}
+    constant = [kind for kind in kinds if np.all(mats[kind] == mats[kind][0])]
+    if constant:
+        raise DataError("CKA is undefined for a feature family that is the same on every train row: "
+                        + ", ".join(constant))
     with open(args.out, "w", encoding="utf-8") as fh:
         for line in _echo_lines(train.config_echo, train.config_hash):
             fh.write(f"# {line}\n")

@@ -17,8 +17,8 @@ import numpy as np
 from . import autodiff as ad
 from . import evalkit
 
-# large negative logit used to exclude self-similarity terms from softmax
-# denominators while keeping every tape value finite
+# large negative logit that excludes self-similarity terms from softmax
+# denominators; finite after the 1 / tau scaling (float32: for tau > 3e-9)
 _NEG_INF = -1e30
 
 
@@ -26,7 +26,7 @@ def kl_loss(z, tau=15.0):
     """KL(uniform || softmax(z / tau)); zero exactly when the softmax is uniform."""
     z = ad.as_tensor(z)
     log_dim = float(np.log(z.size))
-    ls = ad.log_softmax(z, axis=-1, tau=tau)
+    ls = ad.log_softmax(z, tau)
     return ad.add(ad.scale(ad.mean(ls), -1.0), ad.as_tensor(-log_dim, dtype=z.dtype))
 
 
@@ -49,7 +49,7 @@ def dino_loss(student_z, teacher_z, tau_s=0.1, tau_t=0.07):
     # pairs[s, t] = 1 when student view s meets teacher view t (s != t)
     pairs = 1.0 - np.eye(student_z.shape[0], len(probs), dtype=probs.dtype)
     weights = (pairs @ probs) / float(pairs.sum())
-    log_probs = ad.log_softmax(student_z, axis=-1, tau=tau_s)
+    log_probs = ad.log_softmax(student_z, tau_s)
     return ad.scale(ad.total(ad.mul(log_probs, ad.as_tensor(weights))), -1.0)
 
 
@@ -83,23 +83,22 @@ def _info_nce(z_norm, bank_rows, tau):
 
     z_norm: (P, D) tape tensor of unit rows. bank_rows: (M, D) constant
     unit rows. Every positive row is scored against the other positives and
-    the whole bank; the self term is masked out of each denominator.
+    the whole bank; the self term is masked out of each denominator. Only
+    the (P, P) block of positive pairs is read after the softmax.
     """
     p = z_norm.shape[0]
     if p < 2:
         raise ValueError("contrastive loss needs at least 2 positive views")
     blocks = [ad.linear(z_norm, z_norm), ad.linear(z_norm, np.asarray(bank_rows, dtype=z_norm.dtype))]
-    logits = ad.scale(ad.concat(blocks, axis=1), 1.0 / tau)
+    logits = ad.concat(blocks, axis=1)
 
-    total_cols = logits.shape[1]
-    self_mask = np.zeros((p, total_cols), dtype=logits.dtype)
+    self_mask = np.zeros(logits.shape, dtype=logits.dtype)
     self_mask[np.arange(p), np.arange(p)] = _NEG_INF
-    log_probs = ad.log_softmax(ad.add(logits, ad.as_tensor(self_mask)), axis=1)
+    log_probs = ad.log_softmax(ad.add(logits, ad.as_tensor(self_mask)), tau)
 
-    pair_mask = np.zeros((p, total_cols), dtype=logits.dtype)
-    pair_mask[:p, :p] = 1.0 - np.eye(p)
-    n_pairs = p * (p - 1)
-    return ad.scale(ad.total(ad.mul(log_probs, ad.as_tensor(pair_mask))), -1.0 / n_pairs)
+    pair_mask = (1.0 - np.eye(p)).astype(logits.dtype)
+    pairs = ad.mul(ad.narrow(log_probs, 1, 0, p), ad.as_tensor(pair_mask))
+    return ad.scale(ad.total(pairs), -1.0 / (p * (p - 1)))
 
 
 def simclr_loss(z_views, bank, tau=0.07):
@@ -153,21 +152,15 @@ def simclr_patch_loss(patch_tokens, head, support, tau=0.07, seed=0, retrieved_p
     if len(support) < retrieved_per_patch:
         raise ValueError("support index smaller than retrieved_per_patch")
 
-    latents = head.apply_array(tokens_data)
-    latents = latents / np.linalg.norm(latents, axis=1, keepdims=True)
-    neighbor_ids = support.search(latents, retrieved_per_patch)
-
-    rng = np.random.default_rng(seed)
-    kept = np.empty((tokens_data.shape[0], kept_per_patch), dtype=np.int64)
-    for i in range(tokens_data.shape[0]):
-        choice = rng.choice(retrieved_per_patch, size=kept_per_patch, replace=False)
-        kept[i] = neighbor_ids[i, np.sort(choice)]
-    negatives = support.rows[kept.reshape(-1)]
-
     leaf = ad.parameter(tokens_data)
     with ad.GradTape() as tape:
-        z = head.apply(leaf)
-        z_norm = ad.l2_normalize(z, axis=-1)
-        loss = _info_nce(z_norm, negatives, tau)
+        z_norm = ad.l2_normalize(head.apply(leaf))
+        neighbor_ids = support.search(z_norm.data, retrieved_per_patch)
+        rng = np.random.default_rng(seed)
+        kept = np.empty((tokens_data.shape[0], kept_per_patch), dtype=np.int64)
+        for i in range(tokens_data.shape[0]):
+            choice = rng.choice(retrieved_per_patch, size=kept_per_patch, replace=False)
+            kept[i] = neighbor_ids[i, np.sort(choice)]
+        loss = _info_nce(z_norm, support.rows[kept.reshape(-1)], tau)
     grads = tape.backward(loss)[leaf]
     return grads[1:], loss.item()

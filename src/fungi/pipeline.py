@@ -138,7 +138,7 @@ def make_objective(name, config, heads, image, neg_bank, sample_seed):
         head, tau = heads["simclr"], config.simclr.temperature
 
         def simclr_fn(z):
-            return obj.simclr_loss(ad.l2_normalize(head.apply(z), axis=-1), neg_bank, tau=tau)
+            return obj.simclr_loss(ad.l2_normalize(head.apply(z)), neg_bank, tau=tau)
 
         return _simclr_views(image, config), simclr_fn
 

@@ -139,8 +139,8 @@ def load_dataset(path):
 
 def write_dataset_dir(out_dir, kind, n, classes, image_size, seed):
     """Materialize train/test splits (the first 75% of the samples train)
-    under a directory; returns the paths. Bad arguments raise ValueError
-    before anything is written."""
+    under a directory; returns the paths. Bad arguments, and an n too small
+    to leave a test sample, raise ValueError before anything is written."""
     if n < 1 or image_size < 4:
         raise ValueError(f"need n >= 1 and image_size >= 4, got n={n}, image_size={image_size}")
     if kind == "segmentation":
@@ -149,6 +149,8 @@ def write_dataset_dir(out_dir, kind, n, classes, image_size, seed):
     else:
         images, labels = make_classification(kind, n, classes, image_size, seed)
         masks, n_train = None, max(classes, round(n * 0.75))
+    if n_train >= n:
+        raise ValueError(f"n={n} leaves no test sample: the train split takes {n_train}")
     os.makedirs(out_dir, exist_ok=True)
     meta = f"kind={kind} n={n} classes={classes} image_size={image_size} seed={seed}"
     paths = {}

@@ -1,10 +1,12 @@
 import logging
 import os
 
+import numpy as np
 import pytest
 
 from fungi import cli
 from fungi import features as feat
+from fungi import synth
 from fungi.store import StoreError
 
 TINY_CFG = """\
@@ -184,6 +186,7 @@ class TestExitCodes:
         (["--kind", "stripes", "--classes", "0"], "at least one class"),
         (["--kind", "segmentation", "--classes", "1"], "background + at least one class"),
         (["--kind", "segmentation", "--n", "0"], "n >= 1"),
+        (["--kind", "blobs", "--n", "4", "--classes", "4"], "n=4 leaves no test sample"),
         (["--kind", "blobs", "--image-size", "3"], "image_size >= 4"),
     ])
     def test_bad_synth_arguments_are_2(self, tmp_path, argv, message, caplog):
@@ -214,6 +217,62 @@ class TestExitCodes:
             assert cli.main(["extract", "--config", str(cfg_path), "--data", str(data),
                              "--out", str(tmp_path / "x")]) == 3
         assert "(3, 64, 64)" in caplog.text and "image_size is 32" in caplog.text
+
+    def test_split_without_images_is_3(self, tmp_path, workspace, caplog):
+        _, cfg_path, data, _ = workspace
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "train.fngi").write_bytes((data / "train.fngi").read_bytes())
+        synth.save_dataset(empty / "test.fngi", np.zeros((0, 3, 32, 32)), labels=np.zeros(0))
+        with caplog.at_level(logging.ERROR, logger="fungi"):
+            assert cli.main(["extract", "--config", str(cfg_path), "--data", str(empty),
+                             "--out", str(tmp_path / "x")]) == 3
+        assert "test.fngi holds no images" in caplog.text
+
+    def test_mismatched_banks_are_3(self, tmp_path, workspace, caplog):
+        # one config hash, different processing: a fuse-pca train bank
+        # beside a raw test bank, or banks over different objectives
+        _, _, _, banks = workspace
+        assert cli.main(["fuse-pca", "--train", str(banks / "bank_train.fngi"),
+                         "--test", str(banks / "bank_test.fngi"), "--out", str(tmp_path / "pca")]) == 0
+        bank = feat.FeatureBank.load(banks / "bank_test.fngi")
+        bank.objective_names = ("kl", "dino")
+        bank.save(tmp_path / "renamed.fngi")
+        for train, test in ((tmp_path / "pca" / "bank_train_pca.fngi", banks / "bank_test.fngi"),
+                            (banks / "bank_train.fngi", tmp_path / "renamed.fngi")):
+            for cmd in ("eval", "probe", "retrieve"):
+                with caplog.at_level(logging.ERROR, logger="fungi"):
+                    assert cli.main([cmd, "--train", str(train), "--test", str(test),
+                                     "--out", str(tmp_path / "r.csv")]) == 3, (cmd, train.name)
+                assert "do not match" in caplog.text
+                caplog.clear()
+
+    def test_one_class_probe_is_3(self, tmp_path, workspace, caplog):
+        _, _, _, banks = workspace
+        paths = []
+        for split in ("train", "test"):
+            bank = feat.FeatureBank.load(banks / f"bank_{split}.fngi")
+            bank.labels[:] = 0
+            paths.append(tmp_path / f"bank_{split}.fngi")
+            bank.save(paths[-1])
+        with caplog.at_level(logging.ERROR, logger="fungi"):
+            assert cli.main(["probe", "--train", str(paths[0]), "--test", str(paths[1]),
+                             "--out", str(tmp_path / "p.csv")]) == 3
+        assert "at least two classes" in caplog.text
+
+    def test_constant_feature_family_cka_is_3(self, tmp_path, workspace, caplog):
+        # collapsed output paths make the embedding the same for every input,
+        # and at the default source (the last attn_proj) the gradients too
+        _, _, data, _ = workspace
+        cfg = tmp_path / "collapsed.cfg"
+        cfg.write_text(TINY_CFG.replace("seed = 7\n", "seed = 7\ncollapse_output_paths = true\n"))
+        banks = tmp_path / "banks"
+        assert cli.main(["extract", "--config", str(cfg), "--data", str(data), "--out", str(banks)]) == 0
+        with caplog.at_level(logging.ERROR, logger="fungi"):
+            assert cli.main(["cka", "--train", str(banks / "bank_train.fngi"),
+                             "--test", str(banks / "bank_test.fngi"), "--out", str(tmp_path / "c.csv")]) == 3
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and errors[0].endswith("the same on every train row: embedding, kl, simclr, fused")
 
     def test_hash_mismatch_is_2(self, tmp_path, workspace):
         root, cfg_path, data, banks = workspace

@@ -73,7 +73,7 @@ def dino_pair_loop(student_z, teacher_z, tau_s, tau_t):
         pt = ad.as_tensor(probs / probs.sum())
         for s_idx, zs in enumerate(student_z):
             if s_idx != t_idx:
-                ls = ad.log_softmax(zs, axis=-1, tau=tau_s)
+                ls = ad.log_softmax(zs, tau_s)
                 terms.append(ad.scale(ad.total(ad.mul(pt, ls)), -1.0))
     return ad.mean(ad.stack(terms))
 
@@ -137,7 +137,7 @@ class TestDinoLoss:
             return loss.item(), tape.backward(loss)[leaf]
 
         def pair_loop(leaf):
-            rows = [ad.reshape(ad.narrow(leaf, 0, i, 1), (dim,)) for i in range(len(raw))]
+            rows = [ad.mean(ad.narrow(leaf, 0, i, 1), axis=0) for i in range(len(raw))]
             return dino_pair_loop(rows, teacher, tau_s=0.1, tau_t=0.07)
 
         got, got_grad = run(lambda leaf: obj.dino_loss(leaf, np.stack(teacher), tau_s=0.1, tau_t=0.07))
@@ -229,7 +229,7 @@ class TestSimclrLoss:
         bank = obj.NegativeBank(unit_rows(rng, 12, 6))
 
         def build(leaf):
-            return obj.simclr_loss(ad.l2_normalize(leaf, axis=-1), bank, tau=0.2)
+            return obj.simclr_loss(ad.l2_normalize(leaf), bank, tau=0.2)
 
         leaf = ad.parameter(raw)
         with ad.GradTape() as tape:
@@ -242,6 +242,107 @@ class TestSimclrLoss:
 
         want = ad.finite_diff_gradient(f, raw.ravel(), eps=1e-5).reshape(raw.shape)
         assert ad.max_relative_error(got, want) < 1e-6
+
+
+def parent_info_nce(z_norm, bank_rows, tau):
+    """The earlier InfoNCE, which scaled, masked and reduced the full
+    (P, P + M) logits: the oracle for the narrowed loss. Verbatim but for
+    log_softmax's temperature of 1, the identity that was its default."""
+    p = z_norm.shape[0]
+    if p < 2:
+        raise ValueError("contrastive loss needs at least 2 positive views")
+    blocks = [ad.linear(z_norm, z_norm), ad.linear(z_norm, np.asarray(bank_rows, dtype=z_norm.dtype))]
+    logits = ad.scale(ad.concat(blocks, axis=1), 1.0 / tau)
+
+    total_cols = logits.shape[1]
+    self_mask = np.zeros((p, total_cols), dtype=logits.dtype)
+    self_mask[np.arange(p), np.arange(p)] = obj._NEG_INF
+    log_probs = ad.log_softmax(ad.add(logits, ad.as_tensor(self_mask)), 1.0)
+
+    pair_mask = np.zeros((p, total_cols), dtype=logits.dtype)
+    pair_mask[:p, :p] = 1.0 - np.eye(p)
+    n_pairs = p * (p - 1)
+    return ad.scale(ad.total(ad.mul(log_probs, ad.as_tensor(pair_mask))), -1.0 / n_pairs)
+
+
+def parent_simclr_patch_loss(patch_tokens, head, support, tau, seed, retrieved_per_patch=2, kept_per_patch=1):
+    """The earlier dense loss: a numpy head forward picks the negatives, a
+    second, taped head forward feeds parent_info_nce."""
+    tokens_data = np.asarray(patch_tokens)
+    latents = head.apply_array(tokens_data)
+    latents = latents / np.linalg.norm(latents, axis=1, keepdims=True)
+    neighbor_ids = support.search(latents, retrieved_per_patch)
+    rng = np.random.default_rng(seed)
+    kept = np.empty((tokens_data.shape[0], kept_per_patch), dtype=np.int64)
+    for i in range(tokens_data.shape[0]):
+        choice = rng.choice(retrieved_per_patch, size=kept_per_patch, replace=False)
+        kept[i] = neighbor_ids[i, np.sort(choice)]
+    negatives = support.rows[kept.reshape(-1)]
+    leaf = ad.parameter(tokens_data)
+    with ad.GradTape() as tape:
+        loss = parent_info_nce(ad.l2_normalize(head.apply(leaf)), negatives, tau)
+    return tape.backward(loss)[leaf][1:], loss.item()
+
+
+def assert_loss_close(got, want, dtype):
+    # the loss sums the (P, P) block, the oracle the (P, P + M) rows, so the
+    # value may differ in the last bits of the dtype
+    assert abs(got - want) <= 16 * np.finfo(dtype).eps * abs(want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestInfoNceAgainstParent:
+    def test_simclr_loss(self, dtype):
+        rng = np.random.default_rng(50)
+        raw = rng.normal(size=(9, 24)).astype(dtype)
+        bank = obj.NegativeBank(unit_rows(rng, 40, 24).astype(dtype))
+
+        def run(loss_fn):
+            leaf = ad.parameter(raw)
+            with ad.GradTape() as tape:
+                loss = loss_fn(ad.l2_normalize(leaf))
+            return loss.item(), tape.backward(loss)[leaf]
+
+        got, got_grad = run(lambda z: obj.simclr_loss(z, bank, tau=0.07))
+        want, want_grad = run(lambda z: parent_info_nce(z, bank.rows, 0.07))
+        assert got_grad.dtype == dtype
+        assert np.array_equal(got_grad, want_grad)
+        assert_loss_close(got, want, dtype)
+
+    def test_simclr_patch_loss(self, dtype):
+        dim = 16
+        params = bb.init_encoder(bb.EncoderConfig(image_size=64, patch_size=16, depth=1, dim=dim, heads=2),
+                                 seed=51, dtype=dtype)
+        head = bb.attach_head(dim, 12, seed=52, normalize_input=False, dtype=dtype)
+        rng = np.random.default_rng(53)
+        support = obj.SupportIndex(head.apply_array(rng.normal(size=(40, dim)).astype(dtype)))
+        for seed in (0, 7):
+            tokens = bb.encode(params, rng.random((3, 64, 64)))
+            got, got_loss = obj.simclr_patch_loss(tokens, head, support, tau=0.07, seed=seed)
+            want, want_loss = parent_simclr_patch_loss(tokens, head, support, tau=0.07, seed=seed)
+            assert got.dtype == dtype
+            assert np.array_equal(got, want)
+            assert_loss_close(got_loss, want_loss, dtype)
+
+
+class TestDenseLossTape:
+    def test_at_most_three_full_width_outputs(self, monkeypatch):
+        # the (P, P + M) logits are formed, masked and normalized; every
+        # later node reads only the (P, P) block of positive pairs
+        dim, tokens = 8, 17
+        head = bb.attach_head(dim, 12, seed=54, normalize_input=False, dtype=np.float64)
+        rng = np.random.default_rng(55)
+        support = obj.SupportIndex(rng.normal(size=(40, 12)))
+        shapes = []
+        record = ad.GradTape._record
+
+        def recording(tape, inputs, output, backward_fn):
+            shapes.append(output.shape)
+            return record(tape, inputs, output, backward_fn)
+
+        monkeypatch.setattr(ad.GradTape, "_record", recording)
+        obj.simclr_patch_loss(rng.normal(size=(tokens, dim)), head, support, seed=1, kept_per_patch=1)
+        assert 0 < shapes.count((tokens, tokens + tokens)) <= 3
 
 
 class TestNegativeBank:
