@@ -186,8 +186,8 @@ class TestExitCodes:
         (["--kind", "stripes", "--classes", "0"], "at least one class"),
         (["--kind", "segmentation", "--classes", "1"], "background + at least one class"),
         (["--kind", "segmentation", "--n", "0"], "n >= 1"),
-        (["--kind", "blobs", "--n", "4", "--classes", "4"], "n=4 leaves no test sample"),
         (["--kind", "blobs", "--image-size", "3"], "image_size >= 4"),
+        (["--kind", "blobs", "--n", "4", "--classes", "4"], "n=4 leaves no test sample"),
     ])
     def test_bad_synth_arguments_are_2(self, tmp_path, argv, message, caplog):
         out = tmp_path / "synth"
