@@ -337,8 +337,11 @@ def collapse_output_paths(params):
     Zeroes the attention value projection (the V block of the fused qkv
     weight) and the MLP output weight in every block. The CLS stream then
     receives only constant bias contributions, so the pooled embedding is
-    the same for every input, while attention patterns and the qkv layer's
-    gradient still depend on the input tokens.
+    the same for every input. At the default gradient source, the last
+    block's `attn_proj`, every gradient family is constant as well: that
+    layer's input rows, the attention output over zeroed values, are zero,
+    so dW = 0 and db does not depend on the input. Attention patterns and
+    the qkv layer's gradient still depend on the input tokens.
     """
     d = params.config.dim
     blocks = []

@@ -146,6 +146,9 @@ class RunConfig:
              "dino global_crops must be at least 2"),
             (self.eval.knn_k < 1, "eval knn_k must be at least 1"),
             (self.eval.probe_lambda_count < 1, "eval probe_lambda_count must be at least 1"),
+            (not 0 < self.eval.probe_lambda_min <= self.eval.probe_lambda_max,
+             "eval probe_lambda_min must be positive and at most probe_lambda_max"),
+            (self.eval.probe_max_epochs < 1, "eval probe_max_epochs must be at least 1"),
             (min(seg.k, seg.few_shot_k) < 1, "segmentation k and few_shot_k must be at least 1"),
             (not 1 <= seg.loss_negatives_per_patch <= seg.retrieved_negatives_per_patch,
              "segmentation loss_negatives_per_patch must be in 1..retrieved_negatives_per_patch"),

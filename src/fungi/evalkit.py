@@ -7,6 +7,7 @@ ties by summed inverse distance then class id, and all stochastic steps
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,7 +210,8 @@ def _plusplus_init(x, x_sq, n_clusters, rng):
 def kmeans(x, n_clusters, seed=0, max_iter=300):
     """Lloyd iterations from a seeded k-means++ start.
 
-    Empty clusters are reseeded from the point farthest from its centroid.
+    Empty clusters are reseeded from the point farthest from its centroid;
+    when every point sits exactly on its centroid, they stay where they are.
     Stops when the largest centroid shift falls below 1e-6. Each centroid is
     the mean of its members in row order: one stable sort by cluster lays
     every cluster's rows out as one contiguous slice.
@@ -233,8 +235,14 @@ def kmeans(x, n_clusters, seed=0, max_iter=300):
         empty = np.flatnonzero(counts == 0)
         if empty.size:
             point_d2 = d2[np.arange(n), assignments]
+            # as in `_plusplus_init`: rows on their centroid up to rounding
+            # take the exact difference, so copies of a centroid read 0
+            near = np.flatnonzero(point_d2 <= 1e-9 * (x_sq + np.sum(centroids**2, axis=1)[assignments]))
+            point_d2[near] = np.sum((x[near] - centroids[assignments[near]]) ** 2, axis=1)
             for c in empty:
                 farthest = int(np.argmax(point_d2))
+                if point_d2[farthest] <= 0.0:
+                    break  # every row sits on its centroid: the rest stay put
                 new_centroids[c] = x[farthest]
                 point_d2[farthest] = 0.0
         del d2, grouped  # free both before the next iteration forms them again
@@ -374,49 +382,82 @@ class ProbeFit:
     """How one probe training ran."""
 
     lam: float
-    epochs: int = 0  # epochs that started a line search
+    epochs: int = 0  # iterations that started a line search
     trials: int = 0  # trial steps evaluated
     accepted: int = 0  # steps taken
     stop: str = "max_epochs"  # or "grad_tol", or "line_search": no step lowered the loss
 
 
-def _train_logreg(x, y_index, n_classes, lam, max_epochs, grad_tol=1e-8):
-    """Minimize the `_loss_terms` loss over (W, b) from zero weights.
+def _lbfgs_direction(g, pairs):
+    """-H g for the L-BFGS inverse-Hessian estimate H of the (s, y, 1 / s.y)
+    pairs, oldest first, with H0 = (s.y / y.y) I from the newest pair: the
+    two-loop recursion."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ q))
+        q -= alphas[-1] * y
+    if pairs:
+        s, y, _ = pairs[-1]
+        q *= (s @ y) / (y @ y)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * (y @ q)) * s
+    return -q
 
-    Full-batch gradient descent with Armijo backtracking: halve the step
-    until the loss falls by at least half the step times the squared gradient
-    norm; double it after each accepted step. The class scores move affinely
-    along a step, scores(W - s gW, b - s gb) = scores - s (gW x^T + gb), so an
-    epoch makes two products over x (that direction, and the gradient at the
-    accepted point) and each trial step costs O(C n + C D).
+
+def _train_logreg(x, y_index, n_classes, lam, max_epochs, grad_tol=1e-8, start=None):
+    """Minimize the `_loss_terms` loss over (W, b) by L-BFGS, from `start`
+    = (W, b) or from zero weights.
+
+    Directions come from the last 10 curvature pairs of flat [W.ravel(), b]
+    vectors (Liu & Nocedal 1989); a pair whose s.y is not positive is
+    dropped, and a direction that does not descend is replaced by -g.
+    Backtracking halves the step from 1 until the Armijo test
+    f(θ + s p) <= f + 1e-4 s g.p holds. The class scores move affinely along
+    a direction, scores(W + s P, b + s p_b) = scores + s (P x^T + p_b), so an
+    iteration makes two products over x (that direction, and the gradient at
+    the accepted point) and each trial step costs O(C n + C D).
     Returns (W, b, loss, ProbeFit).
     """
-    w, b = np.zeros((n_classes, x.shape[1])), np.zeros(n_classes)
-    scores = np.zeros((n_classes, len(x)))
+    if start is None:
+        w, b = np.zeros((n_classes, x.shape[1])), np.zeros(n_classes)
+        scores = np.zeros((n_classes, len(x)))
+    else:
+        w, b = start
+        scores = w @ x.T + b[:, None]
     loss, e, z = _loss_terms(scores, y_index, w, lam)
+    g = np.concatenate(_loss_gradient(e, z, y_index, x, w, lam), axis=None)
     fit = ProbeFit(lam=float(lam))
-    step = 1.0
+    pairs = deque(maxlen=10)
     for _ in range(max_epochs):
-        gw, gb = _loss_gradient(e, z, y_index, x, w, lam)
-        if max(np.max(np.abs(gw)), np.max(np.abs(gb))) < grad_tol:
+        if np.max(np.abs(g)) < grad_tol:
             fit.stop = "grad_tol"
             break
         fit.epochs += 1
-        g2 = float(np.sum(gw * gw) + np.sum(gb * gb))
-        direction = gw @ x.T + gb[:, None]
+        p = _lbfgs_direction(g, pairs)
+        slope = float(g @ p)
+        if not slope < 0:
+            p, slope = -g, -float(g @ g)
+        pw, pb = p[:-n_classes].reshape(w.shape), p[-n_classes:]
+        direction = pw @ x.T + pb[:, None]
+        step = 1.0
         while step > 1e-12:
             fit.trials += 1
-            new_w, new_scores = w - step * gw, scores - step * direction
+            new_w, new_scores = w + step * pw, scores + step * direction
             new_loss, e, z = _loss_terms(new_scores, y_index, new_w, lam)
-            if new_loss <= loss - 0.5 * step * g2:
+            if new_loss <= loss + 1e-4 * step * slope:
                 break
             step *= 0.5
         else:
             fit.stop = "line_search"  # at the numerical limit of the line search
             break
         fit.accepted += 1
-        w, b, scores, loss = new_w, b - step * gb, new_scores, new_loss
-        step = min(step * 2.0, 1e6)
+        new_g = np.concatenate(_loss_gradient(e, z, y_index, x, new_w, lam), axis=None)
+        s, y = step * p, new_g - g
+        sy = float(s @ y)
+        if sy > 0:
+            pairs.append((s, y, 1.0 / sy))
+        w, b, scores, loss, g = new_w, b + step * pb, new_scores, new_loss, new_g
     return w, b, loss, fit
 
 
@@ -462,16 +503,22 @@ def logistic_probe(train_x, train_y, lambda_grid=None, max_epochs=300, seed=0):
     fit_x, fit_y = train_x[fit_rows], y_index[fit_rows]
     sel_x, sel_y = train_x[val_rows], y_index[val_rows]
 
-    best, fits = None, []
-    for lam in lambda_grid:
-        w, b, _, fit = _train_logreg(fit_x, fit_y, len(classes), lam, max_epochs)
-        fits.append(fit)
+    # largest lambda first, each training warm-started from the last one;
+    # on an accuracy tie the smaller lambda, trained later, wins
+    best, fits, start = None, [None] * len(lambda_grid), None
+    for i in np.argsort(-lambda_grid, kind="stable"):
+        w, b, _, fits[i] = _train_logreg(
+            fit_x, fit_y, len(classes), lambda_grid[i], max_epochs, start=start
+        )
+        start = (w, b)
         acc = float(np.mean(np.argmax(sel_x @ w.T + b, axis=1) == sel_y))
-        if best is None or acc > best[0]:
-            best = (acc, float(lam))
+        if best is None or acc >= best[0]:
+            best = (acc, float(lambda_grid[i]), start)
 
-    val_acc, best_lambda = best
-    w, b, _, fit = _train_logreg(train_x, y_index, len(classes), best_lambda, max_epochs)
+    val_acc, best_lambda, best_start = best
+    w, b, _, fit = _train_logreg(
+        train_x, y_index, len(classes), best_lambda, max_epochs, start=best_start
+    )
     fits.append(fit)
     return ProbeResult(
         model=ProbeModel(weights=w, bias=b, classes=classes),

@@ -125,6 +125,11 @@ class TestValidation:
         "[segmentation]\ntemperature = 0\n",
         "[segmentation]\nfew_shot_temperature = -1\n",
         "[segmentation]\nsimclr_temperature = nan\n",
+        "[eval]\nprobe_lambda_min = -1\n",
+        "[eval]\nprobe_lambda_min = 0\n",
+        "[eval]\nprobe_lambda_min = 0.001\n",
+        "[eval]\nprobe_lambda_max = nan\n",
+        "[eval]\nprobe_max_epochs = 0\n",
     ])
     def test_out_of_range_values(self, text):
         with pytest.raises(ConfigError):

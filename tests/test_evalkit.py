@@ -27,23 +27,6 @@ def brute_force_knn(train_x, train_y, query, k):
     return min(c for c in winners if weights[c] == best)
 
 
-def oracle_loss_and_grad(wb, x, y_index, n_classes, lam):
-    """The probe loss as first written: (n, C) scores from x @ W^T per call."""
-    n, dim = x.shape
-    w = wb[: n_classes * dim].reshape(n_classes, dim)
-    b = wb[n_classes * dim :]
-    scores = x @ w.T + b
-    scores -= scores.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(scores).sum(axis=1))
-    ce = float(np.mean(log_z - scores[np.arange(n), y_index]))
-    loss = ce + 0.5 * lam * float(np.sum(w * w))
-    probs = np.exp(scores - log_z[:, None])
-    probs[np.arange(n), y_index] -= 1.0
-    gw = probs.T @ x / n + lam * w
-    gb = probs.sum(axis=0) / n
-    return loss, np.concatenate([gw.ravel(), gb])
-
-
 def probe_loss_and_grad(wb, x, y_index, n_classes, lam):
     """(loss, flat gradient) at wb = [W.ravel(), b], through the trainer's own helpers."""
     dim = x.shape[1]
@@ -54,29 +37,45 @@ def probe_loss_and_grad(wb, x, y_index, n_classes, lam):
     return loss, np.concatenate([gw.ravel(), gb])
 
 
-def oracle_train_logreg(x, y_index, n_classes, lam, max_epochs, grad_tol=1e-8):
-    """The serial trainer as first written: a full loss and gradient per trial step."""
-    dim = x.shape[1]
-    wb = np.zeros(n_classes * dim + n_classes)
-    loss, grad = oracle_loss_and_grad(wb, x, y_index, n_classes, lam)
-    step = 1.0
-    for _ in range(max_epochs):
+def newton_train_logreg(x, y_index, n_classes, lam, grad_tol=1e-13):
+    """Independent oracle: damped Newton on the dense Hessian of the probe loss
+    over the augmented weights A = [W | b], run until max |grad| < grad_tol.
+
+    The bias is unregularised and a shift of every bias by the same constant
+    leaves the loss unchanged, so the Hessian is singular along that shift;
+    the minimum-norm (lstsq) step is orthogonal to it, and from zero the
+    biases keep summing to zero, as the trainer's do. Backtracking ignores
+    loss rises at rounding level, where near the optimum the loss can no
+    longer resolve a step.
+    """
+    n, dim = x.shape
+    xa = np.hstack([x, np.ones((n, 1))])
+    onehot = np.eye(n_classes)[y_index]
+    reg = lam * np.append(np.ones(dim), 0.0)  # per column of A
+
+    def loss_at(a):
+        s = xa @ a.T
+        top = s.max(axis=1, keepdims=True)
+        log_z = np.log(np.exp(s - top).sum(axis=1)) + top[:, 0]
+        return np.mean(log_z - s[np.arange(n), y_index]) + 0.5 * lam * np.sum(a[:, :dim] ** 2)
+
+    a = np.zeros((n_classes, dim + 1))
+    for _ in range(100):
+        s = xa @ a.T
+        p = np.exp(s - s.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        grad = (p - onehot).T @ xa / n + a * reg
         if np.max(np.abs(grad)) < grad_tol:
-            break
-        g2 = float(np.sum(grad * grad))
-        improved = False
-        while step > 1e-12:
-            candidate = wb - step * grad
-            new_loss, new_grad = oracle_loss_and_grad(candidate, x, y_index, n_classes, lam)
-            if new_loss <= loss - 0.5 * step * g2:
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-        wb, loss, grad = candidate, new_loss, new_grad
-        step = min(step * 2.0, 1e6)
-    return wb[: n_classes * dim].reshape(n_classes, dim), wb[n_classes * dim :], loss
+            return a[:, :dim], a[:, dim]
+        cov = np.einsum("ic,ck->ick", p, np.eye(n_classes)) - np.einsum("ic,ik->ick", p, p)
+        hess = np.einsum("ick,ij,il->cjkl", cov, xa, xa).reshape(a.size, a.size) / n
+        hess += np.diag(np.tile(reg, n_classes))
+        step = -np.linalg.lstsq(hess, grad.ravel(), rcond=None)[0].reshape(a.shape)
+        loss, slope, t = loss_at(a), float(np.sum(grad * step)), 1.0
+        while loss_at(a + t * step) > loss + 1e-4 * t * slope + 1e-15 * abs(loss):
+            t *= 0.5
+        a = a + t * step
+    raise AssertionError("Newton oracle did not converge")
 
 
 def oracle_cluster_contingency(assignments, labels):
@@ -93,7 +92,9 @@ def oracle_cluster_contingency(assignments, labels):
 def oracle_kmeans(x, n_clusters, seed=0, max_iter=300):
     """Reference k-means, bit for bit what `ek.kmeans` must return: a
     difference per k-means++ centre, the distance expression with its
-    temporaries, and one member mask per cluster."""
+    temporaries, one member mask per cluster, and an empty cluster reseeded
+    from the row farthest from its centroid by difference, while one is off
+    its centroid."""
 
     def plusplus_init(x, n_clusters, rng):
         n = len(x)
@@ -118,12 +119,12 @@ def oracle_kmeans(x, n_clusters, seed=0, max_iter=300):
         d2 = x_sq[:, None] - 2.0 * (x @ centroids.T) + np.sum(centroids**2, axis=1)
         assignments = np.argmin(d2, axis=1)
         new_centroids = centroids.copy()
-        point_d2 = d2[np.arange(n), assignments]
+        point_d2 = np.sum((x - centroids[assignments]) ** 2, axis=1)
         for c in range(n_clusters):
             members = assignments == c
             if members.any():
                 new_centroids[c] = x[members].mean(axis=0)
-            else:
+            elif point_d2.max() > 0:
                 farthest = int(np.argmax(point_d2))
                 new_centroids[c] = x[farthest]
                 point_d2[farthest] = 0.0
@@ -415,6 +416,17 @@ class TestKmeansAndOverlap:
         x = rng.normal(size=(6, 32))[rng.permutation(np.repeat(np.arange(6), [1, 2, 3, 5, 8, 13]))]
         self.assert_matches_oracle(x, 9, seed=39)
 
+    @pytest.mark.parametrize("seed, k", [(38, 9), (38, 12), (59, 9), (59, 12)])
+    def test_fewer_distinct_rows_than_clusters_converge(self, seed, k):
+        # 6 distinct rows for 9 or 12 clusters: after k-means++ every row sits
+        # on a centroid, so no row can reseed an empty cluster and those stay
+        # put. Reseeding from rounding noise instead ran 300 iterations
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(6, 32))[rng.permutation(np.repeat(np.arange(6), [1, 2, 3, 5, 8, 13]))]
+        result = self.assert_matches_oracle(x, k, seed)
+        assert result.n_iter <= 2
+        assert result.inertia < 1e-24  # 0 up to the rounding of a mean of copies
+
     def test_equidistant_lattice_matches_oracle(self):
         # on a grid of step 0.1 many rows are equidistant from two centres,
         # so the rounding of the distance expression decides their cluster
@@ -450,7 +462,9 @@ class TestProbe:
         result = ek.logistic_probe(x, y, lambda_grid=[1e-6], seed=0)
         assert ek.accuracy(result.model.predict(x), y) == 1.0
 
-    def test_huge_lambda_gives_near_uniform_predictions(self):
+    def test_huge_lambda_predicts_training_class_frequencies(self):
+        # at the optimum W is ~0 and the unregularised bias fits the class
+        # frequencies of the (refit) training rows: softmax(b) = counts / n
         rng = np.random.default_rng(15)
         x = rng.normal(size=(60, 4))
         y = rng.integers(0, 3, size=60)
@@ -458,7 +472,7 @@ class TestProbe:
         scores = x @ result.model.weights.T + result.model.bias
         probs = np.exp(scores - scores.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
-        assert np.abs(probs - 1.0 / 3).max() < 0.05
+        assert np.abs(probs - np.bincount(y) / len(y)).max() < 1e-6
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(16)
@@ -480,18 +494,33 @@ class TestProbe:
         x = means[y] + 1.5 * rng.normal(size=(n, dim))
         return x / np.linalg.norm(x, axis=1, keepdims=True), y, classes
 
-    def test_trainer_matches_serial_oracle(self):
+    def test_trainer_matches_newton_oracle(self):
+        for seed in (20, 21, 22):
+            x, y, classes = self.fixture(seed)
+            start = None
+            for lam in np.linspace(5e-4, 5e-6, 5):
+                ow, ob = newton_train_logreg(x, y, classes, lam)
+                scale = max(np.abs(ow).max(), np.abs(ob).max())
+                # from zero, and warm-started from the previous lambda's solution
+                for w, b, _, _ in (
+                    ek._train_logreg(x, y, classes, lam, 300),
+                    ek._train_logreg(x, y, classes, lam, 300, start=start),
+                ):
+                    assert np.abs(w - ow).max() / scale < 1e-6
+                    assert np.abs(b - ob).max() / scale < 1e-6
+                    np.testing.assert_array_equal(
+                        np.argmax(x @ w.T + b, axis=1), np.argmax(x @ ow.T + ob, axis=1)
+                    )
+                start = (w, b)
+
+    def test_trainings_stop_below_grad_tol(self):
         for seed in (20, 21, 22):
             x, y, classes = self.fixture(seed)
             for lam in np.linspace(5e-6, 5e-4, 5):
-                w, b, _, _ = ek._train_logreg(x, y, classes, lam, 300)
-                ow, ob, _ = oracle_train_logreg(x, y, classes, lam, 300)
-                scale = max(np.abs(ow).max(), np.abs(ob).max())
-                assert np.abs(w - ow).max() / scale < 1e-6
-                assert np.abs(b - ob).max() / scale < 1e-6
-                np.testing.assert_array_equal(
-                    np.argmax(x @ w.T + b, axis=1), np.argmax(x @ ow.T + ob, axis=1)
-                )
+                w, b, _, fit = ek._train_logreg(x, y, classes, lam, 300)
+                assert fit.stop == "grad_tol"
+                _, grad = probe_loss_and_grad(np.concatenate([w.ravel(), b]), x, y, classes, lam)
+                assert np.abs(grad).max() < 1e-8
 
     def test_returned_loss_is_the_loss_at_the_returned_weights(self):
         for seed in (23, 24):
@@ -523,6 +552,22 @@ class TestProbe:
         result = ek.logistic_probe(x, y, max_epochs=5, seed=0)
         assert len(result.fits) == len(result.lambda_grid) + 1
         assert result.fits[-1].lam == result.best_lambda
+
+    def test_accuracy_tie_selects_the_smallest_lambda(self):
+        # separable classes of 60 and 20 rows: lambdas 1e-4 and 1e-5 both
+        # classify every validation row, while at 1e6 the weights vanish and
+        # every row goes to the larger class. Trained from the largest lambda
+        # down, 1e-4 comes first of the tied pair and must not win the tie
+        rng = np.random.default_rng(27)
+        x = np.concatenate([rng.normal(size=(60, 2)) + [4, 0], rng.normal(size=(20, 2)) - [4, 0]])
+        y = np.repeat([0, 1], [60, 20])
+        grid = [1e-5, 1e6, 1e-4]
+        result = ek.logistic_probe(x, y, lambda_grid=grid, seed=0)
+        assert (result.best_lambda, result.val_accuracy) == (1e-5, 1.0)
+        assert [fit.lam for fit in result.fits] == grid + [1e-5]
+        assert all(fit.stop == "grad_tol" for fit in result.fits)
+        low = ek.logistic_probe(x, y, lambda_grid=[1e6], seed=0)
+        assert low.val_accuracy == 0.75
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
