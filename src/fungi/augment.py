@@ -121,19 +121,23 @@ def _hsv_to_rgb(img):
     return np.stack([r, g, b])
 
 
-def color_jitter(image, max_delta=0.1, p=0.5, seed=0):
-    """Brightness / contrast / saturation / hue, each applied with prob p.
+JITTER_MAX_DELTA = 0.1  # bound on each factor's distance from 1 and on the hue shift
+JITTER_P = 0.5  # probability of each of the four adjustments
 
-    Factors are bounded by max_delta; output is clamped to [0, 1]. With
-    max_delta == 0 or p == 0 the input is returned unchanged.
+
+def color_jitter(image, seed=0):
+    """Brightness / contrast / saturation / hue, each applied with
+    probability JITTER_P.
+
+    Factors lie within JITTER_MAX_DELTA of 1; output is clamped to [0, 1].
     """
     image = np.asarray(image, dtype=np.float64)
     rng = np.random.default_rng(seed)
     out = image
 
-    apply = rng.random(4) < p
-    factors = 1.0 + rng.uniform(-max_delta, max_delta, size=3)
-    hue_shift = rng.uniform(-max_delta, max_delta)
+    apply = rng.random(4) < JITTER_P
+    factors = 1.0 + rng.uniform(-JITTER_MAX_DELTA, JITTER_MAX_DELTA, size=3)
+    hue_shift = rng.uniform(-JITTER_MAX_DELTA, JITTER_MAX_DELTA)
 
     if apply[0] and factors[0] != 1.0:  # brightness
         out = out * factors[0]

@@ -407,45 +407,3 @@ def scaled_dot_product_attention(q, k, v, num_heads):
         return merge(g_qh), merge(g_kh), merge(g_vh)
 
     return _apply("attention", (q, k, v), value, backward)
-
-
-# ---------------------------------------------------------------------------
-# verification oracle
-# ---------------------------------------------------------------------------
-
-
-def max_relative_error(got, want):
-    """Worst-case elementwise relative error between two gradients.
-
-    Coordinates whose magnitude is below 1e-3 times the gradient's
-    max-norm are measured against that floor instead: central differences are
-    roundoff-limited there and a raw ratio would only amplify oracle noise.
-    """
-    got = np.asarray(got, dtype=np.float64)
-    want = np.asarray(want, dtype=np.float64)
-    if got.shape != want.shape:
-        raise ValueError("gradient shapes differ")
-    scale = max(np.max(np.abs(want)), np.finfo(np.float64).tiny)
-    denom = np.maximum(np.maximum(np.abs(want), np.abs(got)), 1e-3 * scale)
-    return float(np.max(np.abs(got - want) / denom))
-
-
-def finite_diff_gradient(f, p, eps=1e-5):
-    """Central-difference gradient of a scalar function of a flat vector."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    p = np.asarray(p, dtype=np.float64)
-    grad = np.zeros_like(p)
-    flat = p.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = float(f(p))
-        flat[i] = orig - eps
-        lo = float(f(p))
-        flat[i] = orig
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise NumericError("non-finite objective during finite differencing")
-        gflat[i] = (hi - lo) / (2.0 * eps)
-    return grad

@@ -15,7 +15,7 @@ worker thread.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -295,21 +295,6 @@ def attach_head(dim, proj_dim, seed, normalize_input=True, dtype=np.float32):
     return head
 
 
-def replace_source_layer(params, source, weight, bias):
-    """Copy of params with the designated layer's weight and bias (tensors or
-    arrays) substituted: how finite-difference checks perturb that layer."""
-    w, b = source.resolve(params)
-    weight, bias = ad.as_tensor(weight), ad.as_tensor(bias)
-    if weight.shape != w.shape or bias.shape != b.shape:
-        raise ValueError("replacement layer shapes do not match")
-    blocks = list(params.blocks)
-    prefix = source.PREFIXES[source.layer_kind]
-    blocks[source.block_index] = replace(
-        blocks[source.block_index], **{prefix + "_w": weight, prefix + "_b": bias}
-    )
-    return replace(params, blocks=blocks)
-
-
 def loss_gradient(params, source, views, loss_fn):
     """Gradient of a scalar objective w.r.t. the designated layer only.
 
@@ -329,35 +314,3 @@ def loss_gradient(params, source, views, loss_fn):
     g = np.concatenate([grads[leaf] for leaf, _ in taps])
     x = np.concatenate([inputs for _, inputs in taps])
     return g.T @ x, g.sum(axis=0)
-
-
-def collapse_output_paths(params):
-    """Copy of params whose pooled embedding is input-independent.
-
-    Zeroes the attention value projection (the V block of the fused qkv
-    weight) and the MLP output weight in every block. The CLS stream then
-    receives only constant bias contributions, so the pooled embedding is
-    the same for every input. At the default gradient source, the last
-    block's `attn_proj`, every gradient family is constant as well: that
-    layer's input rows, the attention output over zeroed values, are zero,
-    so dW = 0 and db does not depend on the input. Attention patterns and
-    the qkv layer's gradient still depend on the input tokens.
-    """
-    d = params.config.dim
-    blocks = []
-    for blk in params.blocks:
-        qkv_w = blk.qkv_w.data.copy()
-        qkv_w[2 * d :, :] = 0.0
-        qkv_b = blk.qkv_b.data.copy()
-        qkv_b[2 * d :] = 0.0
-        blocks.append(
-            replace(
-                blk,
-                qkv_w=ad.Tensor(qkv_w),
-                qkv_b=ad.Tensor(qkv_b),
-                fc2_w=ad.Tensor(np.zeros_like(blk.fc2_w.data)),
-            )
-        )
-    params = replace(params, blocks=blocks)
-    _read_only(t for _, t in params.named_tensors())
-    return params

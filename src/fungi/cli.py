@@ -98,6 +98,8 @@ def cmd_synth(args):
 
 
 def cmd_extract(args):
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs {args.jobs} must be at least 1")
     config = _load_config(args)
     train = _load_split(args.data, "train", need_labels=True)
     test = _load_split(args.data, "test", need_labels=True)
@@ -154,7 +156,7 @@ def _knn_report(train_bank, test_bank, kind, k, rows=None):
 
 
 def cmd_eval(args):
-    config = _load_config(args) if args.config else None
+    config = _load_config(args) if args.config or args.seed is not None else None
     train, test = _load_banks(args.train, args.test, config)
     run_cfg = RunConfig.from_text(train.config_echo)
     k = run_cfg.eval.knn_k
@@ -240,7 +242,10 @@ def cmd_retrieve(args):
     for kind in ("embedding", "fused"):
         gallery = pipeline.bank_feature_matrix(train, kind)
         queries = pipeline.bank_feature_matrix(test, kind)
-        mean_ap, _ = evalkit.retrieval_map(queries, gallery, test.labels, train.labels)
+        try:
+            mean_ap, _ = evalkit.retrieval_map(queries, gallery, test.labels, train.labels)
+        except ValueError as exc:  # e.g. no test label occurs in the train bank
+            raise DataError(f"retrieve: {exc}") from exc
         reports.append(evalkit.EvalReport(f"retrieval_map_{kind}", mean_ap))
         table_rows.append([kind, f"{mean_ap:.4f}"])
     evalkit.write_csv(args.out, reports, _echo_lines(train.config_echo, train.config_hash))

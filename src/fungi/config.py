@@ -32,7 +32,6 @@ class EncoderSection:
     mlp_ratio: float = 4.0
     pooling: str = "cls"
     seed: int = 0
-    collapse_output_paths: bool = False
 
 
 @dataclass

@@ -167,7 +167,6 @@ def linear_cka(x, y):
 class KmeansResult:
     assignments: np.ndarray
     centroids: np.ndarray
-    inertia: float
     n_iter: int
 
 
@@ -251,21 +250,14 @@ def kmeans(x, n_clusters, seed=0, max_iter=300):
         if shift < 1e-6:
             break
     assignments = np.argmin(_sq_dists(x, x_sq, centroids), axis=1)
-    inertia = float(np.sum((x - centroids[assignments]) ** 2))
-    return KmeansResult(
-        assignments=assignments,
-        centroids=centroids,
-        inertia=inertia,
-        n_iter=iteration,
-    )
+    return KmeansResult(assignments=assignments, centroids=centroids, n_iter=iteration)
 
 
 def hungarian(cost):
     """Minimum-cost assignment via the potentials (Jonker-Volgenant) method.
 
     Accepts any rectangular matrix; it is padded to square with zeros.
-    Returns (row_to_col, total_cost) where entries assigned to padding
-    columns are -1.
+    Returns row_to_col, where rows assigned to padding columns read -1.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
@@ -311,13 +303,8 @@ def hungarian(cost):
         if col_row[j] > 0:
             row_to_col[col_row[j] - 1] = j - 1
     row_to_col = row_to_col[:n_rows]
-    total = 0.0
-    for r, c in enumerate(row_to_col):
-        if 0 <= c < n_cols:
-            total += cost[r, c]
-        else:
-            row_to_col[r] = -1
-    return row_to_col, float(total)
+    row_to_col[row_to_col >= n_cols] = -1
+    return row_to_col
 
 
 def cluster_overlap(assignments, labels):
@@ -328,7 +315,7 @@ def cluster_overlap(assignments, labels):
     shape = (len(clusters), len(classes))
     pairs = cluster_index * len(classes) + class_index
     contingency = np.bincount(pairs, minlength=shape[0] * shape[1]).reshape(shape)
-    mapping, _ = hungarian(-contingency)
+    mapping = hungarian(-contingency)
     matched = sum(
         contingency[ci, col] for ci, col in enumerate(mapping) if col >= 0
     )
@@ -477,12 +464,11 @@ def _stratified_split(labels, val_fraction, seed):
 class ProbeResult:
     model: ProbeModel
     best_lambda: float
-    val_accuracy: float
     lambda_grid: np.ndarray
     fits: list  # ProbeFit per lambda of the grid, then the refit at best_lambda
 
 
-def logistic_probe(train_x, train_y, lambda_grid=None, max_epochs=300, seed=0):
+def logistic_probe(train_x, train_y, lambda_grid, max_epochs=300, seed=0):
     """L2-regularized multinomial logistic regression with grid-searched
     regularization strength.
 
@@ -495,8 +481,6 @@ def logistic_probe(train_x, train_y, lambda_grid=None, max_epochs=300, seed=0):
     classes, y_index = np.unique(train_y, return_inverse=True)
     if len(classes) < 2:
         raise ValueError("probe needs at least two classes")
-    if lambda_grid is None:
-        lambda_grid = np.linspace(5e-6, 5e-4, 5)
     lambda_grid = np.asarray(lambda_grid, dtype=np.float64)
 
     fit_rows, val_rows = _stratified_split(train_y, 0.2, seed)
@@ -515,7 +499,7 @@ def logistic_probe(train_x, train_y, lambda_grid=None, max_epochs=300, seed=0):
         if best is None or acc >= best[0]:
             best = (acc, float(lambda_grid[i]), start)
 
-    val_acc, best_lambda, best_start = best
+    _, best_lambda, best_start = best
     w, b, _, fit = _train_logreg(
         train_x, y_index, len(classes), best_lambda, max_epochs, start=best_start
     )
@@ -523,7 +507,6 @@ def logistic_probe(train_x, train_y, lambda_grid=None, max_epochs=300, seed=0):
     return ProbeResult(
         model=ProbeModel(weights=w, bias=b, classes=classes),
         best_lambda=best_lambda,
-        val_accuracy=val_acc,
         lambda_grid=lambda_grid,
         fits=fits,
     )

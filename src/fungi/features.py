@@ -65,13 +65,6 @@ class ProjectionMatrix:
         mat[u > 1.0 - density / 2] = 1.0
         return mat
 
-    @property
-    def entry_variance(self):
-        """Variance of a single matrix entry (for distance-scale checks)."""
-        if self.kind in ("binary", "gaussian"):
-            return 1.0
-        return 1.0 / np.sqrt(self.in_dim)
-
 
 def flatten_gradient(dw, db):
     """Row-major [dW | db] flattening; the bias is the last column."""

@@ -31,10 +31,7 @@ def _dtype_of(config):
 
 
 def build_encoder(config):
-    params = bb.init_encoder(config.encoder_config(), config.encoder.seed, dtype=_dtype_of(config))
-    if config.encoder.collapse_output_paths:
-        params = bb.collapse_output_paths(params)
-    return params
+    return bb.init_encoder(config.encoder_config(), config.encoder.seed, dtype=_dtype_of(config))
 
 
 def build_heads(config):

@@ -21,6 +21,7 @@ from . import evalkit
 from . import objectives as obj
 
 IGNORE_LABEL = 255
+KMEANS_ITERS = 25  # Lloyd iterations of the IVF partition
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,6 @@ class IvfParams:
     num_leaves: int = 512
     leaves_to_search: int = 32
     rerank: int = 120
-    kmeans_iters: int = 25
     # recorded for config fidelity; the score-aware quantizer itself is
     # replaced by exact candidate scoring + re-ranking
     dims_per_block: int = 4
@@ -163,7 +163,7 @@ def _augment_pair(image, mask, rng):
     img_c = image[:, y0 : y0 + side, x0 : x0 + side]
     mask_c = mask[y0 : y0 + side, x0 : x0 + side]
     img_out = augment.resize_bilinear(img_c, h, w)
-    img_out = augment.color_jitter(img_out, max_delta=0.1, p=0.5, seed=int(rng.integers(2**31)))
+    img_out = augment.color_jitter(img_out, seed=int(rng.integers(2**31)))
     mask_out = augment.resize_nearest(mask_c, h, w)
     return np.clip(img_out, 0.0, 1.0), mask_out
 
@@ -241,9 +241,7 @@ def ivf_build(bank_features, params, seed=0):
     features = np.asarray(bank_features, dtype=np.float32)
     if len(features) < params.num_leaves:
         raise ValueError("bank smaller than the requested number of leaves")
-    result = evalkit.kmeans(
-        features.astype(np.float64), params.num_leaves, seed=seed, max_iter=params.kmeans_iters
-    )
+    result = evalkit.kmeans(features.astype(np.float64), params.num_leaves, seed=seed, max_iter=KMEANS_ITERS)
     return IvfIndex(
         centroids=result.centroids.astype(np.float32),
         row_leaf=result.assignments,

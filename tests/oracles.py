@@ -1,0 +1,148 @@
+"""Independent oracles and test-only helpers.
+
+The program never calls these: they rebuild a result by another route
+(finite differences, an exhaustive sum, a perturbed or collapsed encoder),
+or compute a value that only the tests read.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+
+from fungi import autodiff as ad
+from fungi import evalkit as ek
+from fungi import pipeline
+
+
+def max_relative_error(got, want):
+    """Worst-case elementwise relative error between two gradients.
+
+    Coordinates whose magnitude is below 1e-3 times the gradient's
+    max-norm are measured against that floor instead: finite differences are
+    roundoff-limited there and a raw ratio would only amplify oracle noise.
+    """
+    got = np.asarray(got, dtype=np.float64)
+    want = np.asarray(want, dtype=np.float64)
+    if got.shape != want.shape:
+        raise ValueError("gradient shapes differ")
+    scale = max(np.max(np.abs(want)), np.finfo(np.float64).tiny)
+    denom = np.maximum(np.maximum(np.abs(want), np.abs(got)), 1e-3 * scale)
+    return float(np.max(np.abs(got - want) / denom))
+
+
+def finite_diff_gradient(f, p, eps):
+    """Central-difference gradient of a scalar function of a flat vector:
+    truncation error O(eps^2)."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    p = np.array(p, dtype=np.float64)
+    grad = np.zeros_like(p)
+    flat = p.reshape(-1)
+    gflat = grad.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        hi = float(f(p))
+        flat[i] = orig - eps
+        lo = float(f(p))
+        flat[i] = orig
+        if not (np.isfinite(hi) and np.isfinite(lo)):
+            raise ad.NumericError("non-finite objective during finite differencing")
+        gflat[i] = (hi - lo) / (2.0 * eps)
+    return grad
+
+
+def richardson_gradient(f, p, eps):
+    """One Richardson step over central differences, (4 D(eps/2) - D(eps)) / 3:
+    the O(eps^2) truncation terms cancel, leaving O(eps^4)."""
+    return (4.0 * finite_diff_gradient(f, p, eps / 2) - finite_diff_gradient(f, p, eps)) / 3.0
+
+
+def replace_source_layer(params, source, weight, bias):
+    """Copy of params with the designated layer's weight and bias (arrays)
+    substituted: how finite-difference checks perturb that layer."""
+    w, b = source.resolve(params)
+    weight, bias = ad.as_tensor(weight), ad.as_tensor(bias)
+    if weight.shape != w.shape or bias.shape != b.shape:
+        raise ValueError("replacement layer shapes do not match")
+    blocks = list(params.blocks)
+    prefix = source.PREFIXES[source.layer_kind]
+    blocks[source.block_index] = replace(
+        blocks[source.block_index], **{prefix + "_w": weight, prefix + "_b": bias}
+    )
+    return replace(params, blocks=blocks)
+
+
+def collapse_output_paths(params):
+    """Copy of params whose pooled embedding is input-independent.
+
+    Zeroes the attention value projection (the V block of the fused qkv
+    weight) and the MLP output weight in every block. The CLS stream then
+    receives only constant bias contributions, so the pooled embedding is
+    the same for every input. At the default gradient source, the last
+    block's `attn_proj`, every gradient family is constant as well: that
+    layer's input rows, the attention output over zeroed values, are zero,
+    so dW = 0 and db does not depend on the input. Attention patterns and
+    the qkv layer's gradient still depend on the input tokens.
+    """
+    d = params.config.dim
+    blocks = []
+    for blk in params.blocks:
+        qkv_w = blk.qkv_w.data.copy()
+        qkv_w[2 * d :, :] = 0.0
+        qkv_b = blk.qkv_b.data.copy()
+        qkv_b[2 * d :] = 0.0
+        blocks.append(
+            replace(
+                blk,
+                qkv_w=ad.Tensor(qkv_w),
+                qkv_b=ad.Tensor(qkv_b),
+                fc2_w=ad.Tensor(np.zeros_like(blk.fc2_w.data)),
+            )
+        )
+    return replace(params, blocks=blocks)
+
+
+def collapsed_banks(config, train_images, train_labels, test_images, test_labels):
+    """(train, test) banks as `pipeline.extract_splits` builds them, from the
+    config's encoder with collapsed output paths."""
+    params = collapse_output_paths(pipeline.build_encoder(config))
+    heads = pipeline.build_heads(config)
+    projections = pipeline.build_projections(config)
+    neg_bank = None
+    if "simclr" in config.gradients.objectives:
+        neg_bank = pipeline.build_negative_bank(params, heads["simclr"], train_images, config)
+    return tuple(
+        pipeline.extract_bank(config, params, heads, projections, images, labels, split, neg_bank=neg_bank)
+        for images, labels, split in ((train_images, train_labels, "train"), (test_images, test_labels, "test"))
+    )
+
+
+def entry_variance(kind, in_dim):
+    """Variance of a single entry of a random projection matrix of that kind
+    and input width: the scale of the distance-preservation checks."""
+    if kind in ("binary", "gaussian"):
+        return 1.0
+    return 1.0 / np.sqrt(in_dim)
+
+
+def inertia(x, result):
+    """k-means objective of a result: the summed squared distance of each row
+    to its assigned centroid."""
+    x = np.asarray(x, dtype=np.float64)
+    return float(np.sum((x - result.centroids[result.assignments]) ** 2))
+
+
+def assignment_cost(cost, row_to_col):
+    """Total cost of an assignment; rows marked -1 (padding) cost nothing."""
+    return float(sum(cost[r, c] for r, c in enumerate(row_to_col) if c >= 0))
+
+
+def validation_accuracy(x, y, lam, seed, max_epochs=300):
+    """Accuracy on the probe's held-out 20% of a model trained from zero at
+    `lam` on the other 80%, the split `logistic_probe(..., seed=seed)` makes."""
+    x = np.asarray(x, dtype=np.float64)
+    classes, y_index = np.unique(y, return_inverse=True)
+    fit_rows, val_rows = ek._stratified_split(np.asarray(y), 0.2, seed)
+    w, b, _, _ = ek._train_logreg(x[fit_rows], y_index[fit_rows], len(classes), lam, max_epochs)
+    return float(np.mean(np.argmax(x[val_rows] @ w.T + b, axis=1) == y_index[val_rows]))

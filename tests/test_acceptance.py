@@ -23,6 +23,15 @@ from fungi import segmem as sm
 from fungi import synth
 from fungi.config import RunConfig
 
+from .oracles import (
+    assignment_cost,
+    collapsed_banks,
+    entry_variance,
+    finite_diff_gradient,
+    max_relative_error,
+    replace_source_layer,
+)
+
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "default_config.txt"
 
 
@@ -101,14 +110,14 @@ class TestCriterion01GradientCorrectness:
             got = np.concatenate([dw.ravel(), db.ravel()])
 
             def f(flat, name=name, views=views, loss_fn=loss_fn):
-                p2 = bb.replace_source_layer(
+                p2 = replace_source_layer(
                     params, source, flat[:n_w].reshape(w0.shape), flat[n_w:]
                 )
                 z = ad.as_tensor(np.stack([bb.encode(p2, v)[0] for v in views]))
                 return oracle_loss(name, loss_fn, z).item()
 
-            want = ad.finite_diff_gradient(f, flat0, eps=1e-4)
-            worst[name] = ad.max_relative_error(got, want)
+            want = finite_diff_gradient(f, flat0, eps=1e-4)
+            worst[name] = max_relative_error(got, want)
             assert worst[name] < 1e-5, f"{name}: rel error {worst[name]:.2e}"
 
         elapsed = time.monotonic() - start
@@ -162,7 +171,7 @@ class TestCriterion04JohnsonLindenstrauss:
         fractions = {}
         for kind in feat.PROJECTION_KINDS:
             proj = feat.ProjectionMatrix(kind, out_dim, in_dim, seed=44)
-            scale = np.sqrt(out_dim * proj.entry_variance)
+            scale = np.sqrt(out_dim * entry_variance(kind, in_dim))
             projected = data @ proj.matrix.T / scale
             approx = np.sqrt(((projected[iu[0]] - projected[iu[1]]) ** 2).sum(axis=1))
             ok = np.abs(approx - exact) <= 0.35 * exact
@@ -222,7 +231,7 @@ class TestCriterion07HungarianOptimality:
         rng = np.random.default_rng(7)
         for _ in range(100):
             cost = rng.integers(0, 100, size=(7, 7)).astype(np.float64)
-            _, total = ek.hungarian(cost)
+            total = assignment_cost(cost, ek.hungarian(cost))
             best = min(
                 sum(cost[i, p[i]] for i in range(7))
                 for p in itertools.permutations(range(7))
@@ -256,7 +265,7 @@ class TestCriterion09IvfSearch:
         data = base[idx] + (0.5 / np.sqrt(dim)) * rng.normal(size=(n, dim))
         data = (data / np.linalg.norm(data, axis=1, keepdims=True)).astype(np.float32)
 
-        params = sm.IvfParams(num_leaves=512, leaves_to_search=32, rerank=120, kmeans_iters=25)
+        params = sm.IvfParams(num_leaves=512, leaves_to_search=32, rerank=120)
         index = sm.ivf_build(data, params, seed=0)
 
         queries = data[rng.choice(n, 100, replace=False)] + 0.02 * rng.normal(size=(100, dim)).astype(np.float32)
@@ -274,7 +283,7 @@ class TestCriterion09IvfSearch:
             centroids=index.centroids,
             row_leaf=index.row_leaf,
             features=index.features,
-            params=sm.IvfParams(num_leaves=512, leaves_to_search=512, rerank=120, kmeans_iters=25),
+            params=sm.IvfParams(num_leaves=512, leaves_to_search=512, rerank=120),
         )
         for q in queries[:20]:
             ids_a, sims_a = sm.ivf_search(full, q, 30)
@@ -318,16 +327,13 @@ class TestCriterion11FungiEffect:
         cfg.encoder.heads = 4
         cfg.encoder.mlp_ratio = 2.0
         cfg.encoder.seed = 11
-        cfg.encoder.collapse_output_paths = True
         cfg.gradients.objectives = ("kl",)
         cfg.gradients.layer_kind = "qkv"
         cfg.kl.proj_dim = 64
         cfg.validate()
 
         images, labels = synth.make_classification("blobs", 180, 4, 32, seed=21)
-        train_bank, test_bank = pipeline.extract_splits(
-            cfg, images[:120], labels[:120], images[120:], labels[120:]
-        )
+        train_bank, test_bank = collapsed_banks(cfg, images[:120], labels[:120], images[120:], labels[120:])
         accs = {}
         for kind in ("embedding", "fused"):
             tr = pipeline.bank_feature_matrix(train_bank, kind)

@@ -79,17 +79,9 @@ def _side_of_crop(img, seed, scale_range):
 
 
 class TestColorJitter:
-    def test_zero_delta_is_identity(self):
-        img = rand_image(6, 32)
-        np.testing.assert_array_equal(aug.color_jitter(img, max_delta=0.0, p=1.0, seed=3), img)
-
-    def test_zero_prob_is_identity(self):
-        img = rand_image(7, 32)
-        np.testing.assert_array_equal(aug.color_jitter(img, max_delta=0.5, p=0.0, seed=3), img)
-
     def test_output_in_unit_range(self):
         for seed in range(50):
-            out = aug.color_jitter(rand_image(seed, 16), max_delta=0.1, p=0.5, seed=seed)
+            out = aug.color_jitter(rand_image(seed, 16), seed=seed)
             assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_deterministic(self):

@@ -6,6 +6,8 @@ import pytest
 
 from fungi import autodiff as ad
 
+from .oracles import finite_diff_gradient, richardson_gradient
+
 
 def numeric_grad(build_loss, x0, eps=1e-6):
     """Finite-difference gradient of build_loss w.r.t. a leaf array."""
@@ -15,7 +17,7 @@ def numeric_grad(build_loss, x0, eps=1e-6):
             leaf = ad.parameter(p)
             return build_loss(leaf).item()
 
-    return ad.finite_diff_gradient(f, np.asarray(x0, dtype=np.float64), eps)
+    return finite_diff_gradient(f, np.asarray(x0, dtype=np.float64), eps)
 
 
 def tape_grad(build_loss, x0):
@@ -295,20 +297,30 @@ class TestGradientsAgainstOracle:
 
 class TestFiniteDiffOracle:
     def test_square(self):
-        g = ad.finite_diff_gradient(lambda p: float(p[0] ** 2), np.array([3.0]), eps=1e-4)
+        g = finite_diff_gradient(lambda p: float(p[0] ** 2), np.array([3.0]), eps=1e-4)
         assert abs(g[0] - 6.0) < 1e-7
 
     def test_quadratic_form(self):
         rng = np.random.default_rng(10)
         a = rng.normal(size=(5, 5))
         p = rng.normal(size=5)
-        g = ad.finite_diff_gradient(lambda q: float(q @ a @ q), p, eps=1e-5)
+        g = finite_diff_gradient(lambda q: float(q @ a @ q), p, eps=1e-5)
         np.testing.assert_allclose(g, (a + a.T) @ p, atol=1e-6)
 
     def test_constant(self):
-        g = ad.finite_diff_gradient(lambda p: 1.25, np.zeros(4), eps=1e-4)
+        g = finite_diff_gradient(lambda p: 1.25, np.zeros(4), eps=1e-4)
         np.testing.assert_allclose(g, np.zeros(4))
 
     def test_bad_eps(self):
         with pytest.raises(ValueError):
-            ad.finite_diff_gradient(lambda p: 0.0, np.zeros(2), eps=0.0)
+            finite_diff_gradient(lambda p: 0.0, np.zeros(2), eps=0.0)
+
+    def test_richardson_cancels_the_second_order_term(self):
+        # central differences of p^3 are exact but for eps^2; one Richardson
+        # step removes that term
+        p = np.array([0.5, -2.0])
+        want = 3.0 * p**2
+        central = finite_diff_gradient(lambda q: float(np.sum(q**3)), p, eps=1e-2)
+        np.testing.assert_allclose(central - want, [1e-4, 1e-4], rtol=1e-6)
+        np.testing.assert_allclose(richardson_gradient(lambda q: float(np.sum(q**3)), p, eps=1e-2), want,
+                                   rtol=0, atol=1e-10)

@@ -6,6 +6,8 @@ import pytest
 from fungi import autodiff as ad
 from fungi import backbone as bb
 
+from .oracles import collapse_output_paths, max_relative_error, replace_source_layer, richardson_gradient
+
 TINY = bb.EncoderConfig(image_size=32, patch_size=16, depth=2, dim=8, heads=2)
 
 
@@ -41,8 +43,7 @@ class TestInit:
     def test_parameters_are_read_only(self):
         params = bb.init_encoder(TINY, seed=5)
         head = bb.attach_head(8, 4, seed=1)
-        collapsed = bb.collapse_output_paths(params)
-        tensors = [t for p in (params, collapsed) for _, t in p.named_tensors()] + [head.weight, head.bias]
+        tensors = [t for _, t in params.named_tensors()] + [head.weight, head.bias]
         for t in tensors:
             with pytest.raises(ValueError):
                 t.data[...] = 0.0
@@ -173,28 +174,39 @@ class TestLossGradient:
         assert np.linalg.norm(dw) < 1e-8
         assert np.linalg.norm(db) < 1e-8
 
+    @staticmethod
+    def assert_matches_finite_differences(kind, pooling, block, views):
+        head = bb.attach_head(8, 6, seed=10, normalize_input=True, dtype=np.float64)
+        loss_fn = kl_objective(head, tau=2.0)
+        params = bb.init_encoder(replace(TINY, pooling=pooling), seed=9, dtype=np.float64)
+        source = bb.GradientSource(block_index=block, layer_kind=kind)
+        dw, db = bb.loss_gradient(params, source, views, loss_fn)
+        w0, b0 = source.resolve(params)
+        assert dw.shape == w0.shape and db.shape == b0.shape
+
+        def f(flat):
+            p2 = replace_source_layer(params, source, flat[: w0.size].reshape(w0.shape), flat[w0.size :])
+            return loss_fn(ad.as_tensor(np.stack([pooled(bb.encode(p2, v), pooling) for v in views]))).item()
+
+        flat0 = np.concatenate([w0.data.ravel(), b0.data.ravel()])
+        # eps balances truncation against roundoff for O(1) loss values; the
+        # Richardson step leaves O(eps^4) truncation, where plain central
+        # differences reach 1.5e-5 on two views
+        want = richardson_gradient(f, flat0, eps=1e-4)
+        error = max_relative_error(np.concatenate([dw.ravel(), db.ravel()]), want)
+        assert error < 1e-5, f"{kind}, block {block}, {pooling} pooling: rel error {error:.2e}"
+
     @pytest.mark.parametrize("kind", bb.LAYER_KINDS)
     def test_matches_finite_differences(self, kind):
-        head = bb.attach_head(8, 6, seed=10, normalize_input=True, dtype=np.float64)
         views = [rand_image(np.random.default_rng(4), 32)]
-        loss_fn = kl_objective(head, tau=2.0)
         for pooling in ("cls", "mean"):
-            params = bb.init_encoder(replace(TINY, pooling=pooling), seed=9, dtype=np.float64)
             for block in range(TINY.depth):
-                source = bb.GradientSource(block_index=block, layer_kind=kind)
-                dw, db = bb.loss_gradient(params, source, views, loss_fn)
-                w0, b0 = source.resolve(params)
-                assert dw.shape == w0.shape and db.shape == b0.shape
+                self.assert_matches_finite_differences(kind, pooling, block, views)
 
-                def f(flat, source=source, params=params, n_w=w0.size, shape=w0.shape):
-                    p2 = bb.replace_source_layer(params, source, flat[:n_w].reshape(shape), flat[n_w:])
-                    return loss_fn(ad.as_tensor(np.stack([pooled(bb.encode(p2, v), pooling) for v in views]))).item()
-
-                flat0 = np.concatenate([w0.data.ravel(), b0.data.ravel()])
-                # eps balances truncation against roundoff for O(1) loss values
-                want = ad.finite_diff_gradient(f, flat0, eps=1e-4)
-                error = ad.max_relative_error(np.concatenate([dw.ravel(), db.ravel()]), want)
-                assert error < 1e-5, f"block {block}, {pooling} pooling: rel error {error:.2e}"
+    def test_two_views_match_finite_differences(self):
+        rng = np.random.default_rng(4)
+        views = [rand_image(rng, 32), rand_image(rng, 32)]
+        self.assert_matches_finite_differences("mlp_fc1", "mean", 0, views)
 
     def test_params_not_mutated(self):
         params = bb.init_encoder(TINY, seed=11, dtype=np.float64)
@@ -218,7 +230,7 @@ class TestLossGradient:
 class TestCollapsedEmbedding:
     def test_embedding_constant_but_qkv_gradient_varies(self):
         rng = np.random.default_rng(13)
-        params = bb.collapse_output_paths(bb.init_encoder(TINY, seed=14, dtype=np.float64))
+        params = collapse_output_paths(bb.init_encoder(TINY, seed=14, dtype=np.float64))
         img_a, img_b = rand_image(rng, 32), rand_image(rng, 32)
         emb_a = bb.embed(params, img_a)
         emb_b = bb.embed(params, img_b)

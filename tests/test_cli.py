@@ -7,7 +7,10 @@ import pytest
 from fungi import cli
 from fungi import features as feat
 from fungi import synth
+from fungi.config import RunConfig
 from fungi.store import StoreError
+
+from .oracles import collapsed_banks
 
 TINY_CFG = """\
 [encoder]
@@ -263,14 +266,16 @@ class TestExitCodes:
     def test_constant_feature_family_cka_is_3(self, tmp_path, workspace, caplog):
         # collapsed output paths make the embedding the same for every input,
         # and at the default source (the last attn_proj) the gradients too
-        _, _, data, _ = workspace
-        cfg = tmp_path / "collapsed.cfg"
-        cfg.write_text(TINY_CFG.replace("seed = 7\n", "seed = 7\ncollapse_output_paths = true\n"))
-        banks = tmp_path / "banks"
-        assert cli.main(["extract", "--config", str(cfg), "--data", str(data), "--out", str(banks)]) == 0
+        _, cfg_path, data, _ = workspace
+        splits = [synth.load_dataset(data / f"{split}.fngi") for split in ("train", "test")]
+        banks = collapsed_banks(RunConfig.load(cfg_path), splits[0]["images"], splits[0]["labels"],
+                                splits[1]["images"], splits[1]["labels"])
+        paths = [tmp_path / f"bank_{split}.fngi" for split in ("train", "test")]
+        for bank, path in zip(banks, paths):
+            bank.save(path)
         with caplog.at_level(logging.ERROR, logger="fungi"):
-            assert cli.main(["cka", "--train", str(banks / "bank_train.fngi"),
-                             "--test", str(banks / "bank_test.fngi"), "--out", str(tmp_path / "c.csv")]) == 3
+            assert cli.main(["cka", "--train", str(paths[0]), "--test", str(paths[1]),
+                             "--out", str(tmp_path / "c.csv")]) == 3
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
         assert len(errors) == 1 and errors[0].endswith("the same on every train row: embedding, kl, simclr, fused")
 
@@ -295,6 +300,16 @@ class TestExitCodes:
             bank.save(paths[-1])
         assert cli.main(["eval", "--train", str(paths[0]), "--test", str(paths[1]),
                          "--out", str(tmp_path / "e.csv")]) == 2
+
+    def test_seed_without_config_is_checked_against_the_banks(self, tmp_path, workspace, caplog):
+        # --seed alone means the default config at that seed, whose hash the
+        # tiny config's banks do not carry
+        _, _, _, banks = workspace
+        with caplog.at_level(logging.ERROR, logger="fungi"):
+            assert cli.main(["eval", "--train", str(banks / "bank_train.fngi"),
+                             "--test", str(banks / "bank_test.fngi"), "--seed", "99",
+                             "--out", str(tmp_path / "e.csv")]) == 2
+        assert "not extracted with the given config" in caplog.text
 
     def test_truncated_bank_is_3(self, tmp_path, workspace):
         _, _, _, banks = workspace
@@ -326,3 +341,24 @@ class TestExitCodes:
         assert cli.main(["eval", "--train", str(bad),
                          "--test", str(banks / "bank_test.fngi"),
                          "--out", str(tmp_path / "e.csv")]) == 3
+
+    def test_retrieve_without_relevant_gallery_rows_is_3(self, tmp_path, workspace, caplog):
+        _, _, _, banks = workspace
+        bank = feat.FeatureBank.load(banks / "bank_test.fngi")
+        bank.labels[:] = 5  # the train bank holds classes 0 and 1 only
+        bank.save(tmp_path / "bank_test.fngi")
+        with caplog.at_level(logging.ERROR, logger="fungi"):
+            assert cli.main(["retrieve", "--train", str(banks / "bank_train.fngi"),
+                             "--test", str(tmp_path / "bank_test.fngi"),
+                             "--out", str(tmp_path / "r.csv")]) == 3
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and errors[0].endswith("no query had relevant gallery items")
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_2(self, tmp_path, workspace, jobs, caplog):
+        _, cfg_path, data, _ = workspace
+        with caplog.at_level(logging.ERROR, logger="fungi"):
+            assert cli.main(["extract", "--config", str(cfg_path), "--data", str(data),
+                             "--out", str(tmp_path / "x"), "--jobs", jobs]) == 2
+        assert f"--jobs {jobs} must be at least 1" in caplog.text
+        assert not (tmp_path / "x").exists()

@@ -3,8 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from fungi import autodiff as ad
 from fungi import evalkit as ek
+
+from .oracles import assignment_cost, finite_diff_gradient, inertia, max_relative_error, validation_accuracy
+
+GRID = np.linspace(5e-6, 5e-4, 5)  # [eval]'s default probe lambda grid
 
 
 def brute_force_knn(train_x, train_y, query, k):
@@ -134,8 +137,7 @@ def oracle_kmeans(x, n_clusters, seed=0, max_iter=300):
             break
     d2 = x_sq[:, None] - 2.0 * (x @ centroids.T) + np.sum(centroids**2, axis=1)
     assignments = np.argmin(d2, axis=1)
-    inertia = float(np.sum((x - centroids[assignments]) ** 2))
-    return ek.KmeansResult(assignments=assignments, centroids=centroids, inertia=inertia, n_iter=iteration)
+    return ek.KmeansResult(assignments=assignments, centroids=centroids, n_iter=iteration)
 
 
 def lexsort_top_k(scores, k):
@@ -322,21 +324,21 @@ class TestHungarian:
         rng = np.random.default_rng(10)
         for _ in range(100):
             cost = rng.integers(0, 50, size=(7, 7)).astype(np.float64)
-            assignment, total = ek.hungarian(cost)
+            assignment = ek.hungarian(cost)
             want_total, _ = self.brute_force(cost)
-            assert total == want_total
+            assert assignment_cost(cost, assignment) == want_total
             assert sorted(assignment) == list(range(7))
 
     def test_identity_cost(self):
         cost = 1.0 - np.eye(5)
-        assignment, total = ek.hungarian(cost)
+        assignment = ek.hungarian(cost)
         np.testing.assert_array_equal(assignment, np.arange(5))
-        assert total == 0.0
+        assert assignment_cost(cost, assignment) == 0.0
 
     def test_rectangular_padded(self):
         cost = np.array([[1.0, 0.0, 2.0], [2.0, 3.0, 0.0]])
-        assignment, total = ek.hungarian(cost)
-        assert total == 0.0
+        assignment = ek.hungarian(cost)
+        assert assignment_cost(cost, assignment) == 0.0
         np.testing.assert_array_equal(assignment, [1, 2])
 
 
@@ -357,7 +359,7 @@ class TestKmeansAndOverlap:
         x, _ = self.blobs(12, spread=2.0)
 
         def inertia_after(iters):
-            return ek.kmeans(x, 4, seed=1, max_iter=iters).inertia
+            return inertia(x, ek.kmeans(x, 4, seed=1, max_iter=iters))
 
         values = [inertia_after(i) for i in range(1, 8)]
         assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
@@ -377,7 +379,7 @@ class TestKmeansAndOverlap:
             assignments = rng.choice([0, 2, 3, 7, 11], size=n)
             labels = rng.choice([-4, 1, 5, 6], size=n)
             table = oracle_cluster_contingency(assignments, labels)
-            mapping, _ = ek.hungarian(-table)
+            mapping = ek.hungarian(-table)
             want = sum(table[ci, col] for ci, col in enumerate(mapping) if col >= 0) / n
             assert ek.cluster_overlap(assignments, labels) == want
 
@@ -385,13 +387,21 @@ class TestKmeansAndOverlap:
         with pytest.raises(ValueError):
             ek.kmeans(np.zeros((3, 2)), 4)
 
+    def test_emptied_cluster_is_reseeded_from_the_farthest_row(self, monkeypatch):
+        # from the centres 0, 5 and 6, the first Lloyd step leaves the centre
+        # at 5 without members; it is reseeded from the row at 10, the one
+        # farthest from its centroid. Left at 5 it would stay empty: [0, 0, 2, 2]
+        monkeypatch.setattr(ek, "_plusplus_init", lambda x, x_sq, k, rng: np.array([[0.0], [5.0], [6.0]]))
+        result = ek.kmeans(np.array([[0.0], [1.0], [9.0], [10.0]]), 3)
+        np.testing.assert_array_equal(result.assignments, [0, 0, 2, 1])
+        np.testing.assert_array_equal(result.centroids, [[0.5], [10.0], [9.0]])
+
     @staticmethod
     def assert_matches_oracle(x, k, seed, max_iter=300):
         got = ek.kmeans(x, k, seed=seed, max_iter=max_iter)
         want = oracle_kmeans(x, k, seed=seed, max_iter=max_iter)
         np.testing.assert_array_equal(got.assignments, want.assignments)
         assert got.centroids.tobytes() == want.centroids.tobytes()
-        assert got.inertia == want.inertia
         assert got.n_iter == want.n_iter
         return got
 
@@ -425,7 +435,7 @@ class TestKmeansAndOverlap:
         x = rng.normal(size=(6, 32))[rng.permutation(np.repeat(np.arange(6), [1, 2, 3, 5, 8, 13]))]
         result = self.assert_matches_oracle(x, k, seed)
         assert result.n_iter <= 2
-        assert result.inertia < 1e-24  # 0 up to the rounding of a mean of copies
+        assert inertia(x, result) < 1e-24  # 0 up to the rounding of a mean of copies
 
     def test_equidistant_lattice_matches_oracle(self):
         # on a grid of step 0.1 many rows are equidistant from two centres,
@@ -481,10 +491,10 @@ class TestProbe:
         lam = 1e-3
         wb0 = rng.normal(size=3 * 5 + 3) * 0.1
         _, got = probe_loss_and_grad(wb0, x, y, 3, lam)
-        want = ad.finite_diff_gradient(
+        want = finite_diff_gradient(
             lambda p: probe_loss_and_grad(p, x, y, 3, lam)[0], wb0, eps=1e-6
         )
-        assert ad.max_relative_error(got, want) < 1e-6
+        assert max_relative_error(got, want) < 1e-6
 
     @staticmethod
     def fixture(seed, n=120, dim=8, classes=4):
@@ -549,7 +559,7 @@ class TestProbe:
         # steps 1, 1/2, ..., 2**-39 are tried; 2**-40 is below the 1e-12 floor
         assert (fit.stop, fit.epochs, fit.trials, fit.accepted) == ("line_search", 1, 40, 0)
         x, y, classes = self.fixture(26)
-        result = ek.logistic_probe(x, y, max_epochs=5, seed=0)
+        result = ek.logistic_probe(x, y, GRID, max_epochs=5, seed=0)
         assert len(result.fits) == len(result.lambda_grid) + 1
         assert result.fits[-1].lam == result.best_lambda
 
@@ -563,23 +573,23 @@ class TestProbe:
         y = np.repeat([0, 1], [60, 20])
         grid = [1e-5, 1e6, 1e-4]
         result = ek.logistic_probe(x, y, lambda_grid=grid, seed=0)
-        assert (result.best_lambda, result.val_accuracy) == (1e-5, 1.0)
+        assert result.best_lambda == 1e-5
+        assert validation_accuracy(x, y, 1e-5, seed=0) == 1.0
         assert [fit.lam for fit in result.fits] == grid + [1e-5]
         assert all(fit.stop == "grad_tol" for fit in result.fits)
-        low = ek.logistic_probe(x, y, lambda_grid=[1e6], seed=0)
-        assert low.val_accuracy == 0.75
+        assert validation_accuracy(x, y, 1e6, seed=0) == 0.75
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
-            ek.logistic_probe(np.zeros((5, 2)), np.zeros(5))
+            ek.logistic_probe(np.zeros((5, 2)), np.zeros(5), GRID)
 
     def test_validation_split_selects_lambda(self):
         rng = np.random.default_rng(17)
         x = np.concatenate([rng.normal(size=(50, 3)) + 2, rng.normal(size=(50, 3)) - 2])
         y = np.repeat([0, 1], 50)
-        result = ek.logistic_probe(x, y, seed=1)
-        assert result.best_lambda in np.linspace(5e-6, 5e-4, 5)
-        assert result.val_accuracy > 0.9
+        result = ek.logistic_probe(x, y, GRID, seed=1)
+        assert result.best_lambda in GRID
+        assert validation_accuracy(x, y, result.best_lambda, seed=1) > 0.9
 
 
 class TestRetrievalMap:

@@ -4,6 +4,8 @@ import pytest
 from fungi import features as feat
 from fungi import store
 
+from .oracles import entry_variance
+
 
 class TestFlatten:
     def test_layout_by_definition(self):
@@ -61,7 +63,7 @@ class TestProjection:
         n, in_dim, out_dim = 60, 2000, 256
         data = rng.normal(size=(n, in_dim))
         proj = feat.ProjectionMatrix(kind, out_dim, in_dim, seed=7)
-        scale = np.sqrt(out_dim * proj.entry_variance)
+        scale = np.sqrt(out_dim * entry_variance(kind, in_dim))
         projected = data @ proj.matrix.T / scale
 
         ok = total = 0

@@ -9,15 +9,16 @@ from fungi import pipeline
 from fungi import synth
 from fungi.config import RunConfig
 
+from .oracles import collapsed_banks
 
-def tiny_config(objectives=("kl", "dino", "simclr"), collapse=False, seed=7):
+
+def tiny_config(objectives=("kl", "dino", "simclr"), seed=7):
     cfg = RunConfig()
     cfg.encoder.image_size = 32
     cfg.encoder.dim = 16
     cfg.encoder.heads = 2
     cfg.encoder.mlp_ratio = 2.0
     cfg.encoder.seed = seed
-    cfg.encoder.collapse_output_paths = collapse
     cfg.gradients.objectives = tuple(objectives)
     cfg.kl.proj_dim = 32
     cfg.dino.proj_dim = 48
@@ -281,10 +282,10 @@ class TestFeatureMatrix:
                 assert np.abs(grads - grads[0]).max() > 1e-8
 
     def test_collapsed_encoder_constant_embeddings(self):
-        cfg = tiny_config(objectives=("kl",), collapse=True)
+        cfg = tiny_config(objectives=("kl",))
         cfg.gradients.layer_kind = "qkv"
         images, labels = synth.make_classification("blobs", 8, 2, 32, seed=10)
-        train, _ = pipeline.extract_splits(cfg, images[:6], labels[:6], images[6:], labels[6:])
+        train, _ = collapsed_banks(cfg, images[:6], labels[:6], images[6:], labels[6:])
         emb = train.embedding
         assert np.abs(emb - emb[0]).max() < 1e-5
         grads = train.gradients["kl"]

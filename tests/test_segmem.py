@@ -128,12 +128,12 @@ class TestIvf:
     def setup_index(self, n=3000, dim=12, seed=4, **kw):
         rng = np.random.default_rng(seed)
         feats = unit_rows(rng, n, dim)
-        params = sm.IvfParams(num_leaves=32, leaves_to_search=8, rerank=40, kmeans_iters=10, **kw)
+        params = sm.IvfParams(num_leaves=32, leaves_to_search=8, rerank=40, **kw)
         return feats, sm.ivf_build(feats, params, seed=seed), rng
 
     def test_full_scan_equals_exact_bitwise(self):
         feats, index, rng = self.setup_index()
-        index.params = sm.IvfParams(num_leaves=32, leaves_to_search=32, rerank=40, kmeans_iters=10)
+        index.params = sm.IvfParams(num_leaves=32, leaves_to_search=32, rerank=40)
         for _ in range(20):
             q = unit_rows(rng, 1, 12)[0]
             ids_a, sims_a = sm.ivf_search(index, q, 10)
@@ -330,7 +330,7 @@ class TestQueryBlocks:
         config = sm.SegConfig(k=7, temperature=0.05)
         index = None
         if ivf:
-            params = sm.IvfParams(num_leaves=16, leaves_to_search=4, rerank=20, kmeans_iters=5)
+            params = sm.IvfParams(num_leaves=16, leaves_to_search=4, rerank=20)
             index = sm.ivf_build(bank.features, params, seed=6)
         labels, dists = sm.predict_grid(bank, queries, config, index=index)
         alone = np.concatenate([sm.predict_grid(bank, q[None], config, index=index)[1] for q in queries])

@@ -1,4 +1,4 @@
-"""Every function, class, method and option of the package has a caller.
+"""Every function, class, method, option and field of the package has a caller.
 
 Definitions are read with `ast` from `src/fungi`; a definition counts as used
 when its name appears in `src/fungi` or `perfbench` outside the definition's
@@ -8,7 +8,8 @@ count: code whose only caller is its own test goes. The check matches names,
 not objects, so a method that shares its name with an attribute used
 elsewhere (`dim`, `save`, `config`) passes without a caller of its own.
 Likewise, a defaulted parameter of a public function or method counts as
-used when some call of that name in `src/fungi` or `perfbench` sets it.
+used when some call of that name in `src/fungi` or `perfbench` sets it, and
+a dataclass field when `src/fungi` or `perfbench` reads it as an attribute.
 """
 
 import ast
@@ -17,20 +18,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fungi"
-
-# names kept although only tests call them, each with its reason
-ALLOWED = {
-    "finite_diff_gradient": "the central-difference oracle that gradient tests check the tape against",
-    "max_relative_error": "the error measure of that oracle's comparisons",
-    "replace_source_layer": "how that oracle perturbs the source layer's W and b in the encoder parameters",
-    "entry_variance": "the scale of the projection-distance oracle",
-}
-
-# defaulted parameters kept although no package caller sets them, each with its reason
-ALLOWED_OPTIONS = {
-    "finite_diff_gradient.eps": "the oracle's step, which each gradient test sets to its loss's scale",
-}
-
 
 def references(tree):
     """Counters of the names a syntax tree refers to: (all, attributes only)."""
@@ -71,18 +58,9 @@ def test_every_definition_has_a_caller():
     for path in sorted(PACKAGE.glob("*.py")):
         for node, is_method in definitions(trees[path]):
             total, own = (used_as_attribute, references(node)[1]) if is_method else (used, references(node)[0])
-            if total[node.name] - own[node.name] <= 0 and node.name not in ALLOWED:
+            if total[node.name] - own[node.name] <= 0:
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unused, "defined but never called outside tests: " + ", ".join(unused)
-
-
-def test_allowed_names_are_defined():
-    defined = {
-        node.name
-        for path in PACKAGE.glob("*.py")
-        for node, _ in definitions(ast.parse(path.read_text(encoding="utf-8")))
-    }
-    assert set(ALLOWED) <= defined
 
 
 def _name(node):
@@ -124,17 +102,58 @@ def test_every_option_has_a_caller():
             params += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
             for name, position in params:
                 key = f"{node.name}.{name}"
-                if not {(node.name, name), (node.name, position)} & calls and key not in ALLOWED_OPTIONS:
+                if not {(node.name, name), (node.name, position)} & calls:
                     unset.append(f"{path.name}:{node.lineno} {key}")
     assert not unset, "options that no caller outside tests sets: " + ", ".join(unset)
 
 
-def test_allowed_options_are_parameters():
-    params = {
-        f"{node.name}.{a.arg}"
-        for path in PACKAGE.glob("*.py")
-        for node, _ in definitions(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.FunctionDef)
-        for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+# dataclass fields that no `x.field` expression reads, each with its reason
+UNREAD_FIELDS = {
+    **{
+        f"BlockParams.{prefix}_{part}": "read through getattr(blk, prefix + '_w') and '_b' for the source layer"
+        for prefix in ("qkv", "proj", "fc1", "fc2")
+        for part in ("w", "b")
+    },
+    "IvfParams.dims_per_block": "set by the benchmark harness; goes when the harness stops passing it",
+    "IvfParams.anisotropic_threshold": "set by the benchmark harness; goes when the harness stops passing it",
+}
+
+
+def fields_and_reads():
+    """([(path, class, field)] for every annotated field of a dataclass in
+    `src/fungi`, and the set of attribute names read in `src/fungi` or
+    `perfbench`)."""
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    fields = [
+        (path, node, item.target.id)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in trees[path].body
+        if isinstance(node, ast.ClassDef)
+        and any(_name(d.func if isinstance(d, ast.Call) else d) == "dataclass" for d in node.decorator_list)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
-    assert set(ALLOWED_OPTIONS) <= params
+    return fields, read
+
+
+def test_every_field_is_read():
+    fields, read = fields_and_reads()
+    unread = [
+        f"{path.name}:{cls.lineno} {cls.name}.{name}"
+        for path, cls, name in fields
+        if name not in read and f"{cls.name}.{name}" not in UNREAD_FIELDS
+    ]
+    assert not unread, "dataclass fields that nothing outside tests reads: " + ", ".join(unread)
+
+
+def test_unread_field_allowances_are_unread_fields():
+    fields, read = fields_and_reads()
+    unread = {f"{cls.name}.{name}" for _, cls, name in fields if name not in read}
+    assert set(UNREAD_FIELDS) <= unread
