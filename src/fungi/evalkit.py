@@ -47,7 +47,7 @@ def top_k(scores, k):
     if k < 1:
         raise ValueError("k must be at least 1")
     if k >= n:
-        return np.argsort(-scores, axis=1, kind="stable")
+        return _full_ranking(scores)
     ids = np.argpartition(scores, n - k, axis=1)[:, n - k :]
     cut = np.take_along_axis(scores, ids, axis=1).min(axis=1, keepdims=True)
     # argpartition keeps an arbitrary subset of the scores equal to the cut;
@@ -61,6 +61,31 @@ def top_k(scores, k):
         ids[tied] = np.nonzero(above | (at & fill))[1].reshape(len(tied), k)
     order = np.lexsort((ids, -np.take_along_axis(scores, ids, axis=1)))
     return np.take_along_axis(ids, order, axis=1)
+
+
+def _full_ranking(scores):
+    """Every column id of each row, best first, lower id on ties: the order of
+    a stable argsort of -scores, from an unstable sort.
+
+    Rows where neighbouring ranked scores are equal are repaired: each run of
+    equal scores gets a number, and the key `run * n + id` is sorted.
+    """
+    n = scores.shape[1]
+    order = np.argsort(-scores, axis=1)
+    ranked = np.take_along_axis(scores, order, axis=1)
+    same = ranked[:, 1:] == ranked[:, :-1]
+    if ranked.dtype.kind == "f":
+        # NaNs sort last and compare unequal; they too go in id order
+        nan_rows = np.flatnonzero(np.isnan(ranked[:, -1:]).any(axis=1))
+        same[nan_rows] |= np.isnan(ranked[nan_rows, :-1])
+    tied = np.flatnonzero(same.any(axis=1))
+    if tied.size:
+        run = np.zeros((len(tied), n), dtype=np.int64)
+        np.cumsum(~same[tied], axis=1, out=run[:, 1:])
+        key = run * n + order[tied]
+        key.sort(axis=1)
+        order[tied] = key % n
+    return order
 
 
 # query rows per block: 64 keeps a block's (rows, index rows) float64
@@ -517,11 +542,22 @@ def logistic_probe(train_x, train_y, lambda_grid, max_epochs=300, seed=0):
 # ---------------------------------------------------------------------------
 
 
+def _unit_rows(x, name):
+    norms = np.linalg.norm(x, axis=1)
+    bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0))
+    if bad.size:
+        raise ValueError(f"{name} row {bad[0]} has a zero or non-finite norm and cannot be ranked")
+    return x / norms[:, None]
+
+
 def retrieval_map(query_features, gallery_features, query_labels, gallery_labels):
     """Mean average precision of cosine-ranked galleries.
 
     A gallery row is relevant to a query when their labels are equal.
     Queries with no relevant items are skipped. Returns (mAP, per-query APs).
+    Each query's gallery is ranked in full by `top_k`; its AP sums i / r over
+    its hits, the i-th hit at rank r, and divides by the hit count. A
+    zero-norm or non-finite row cannot be ranked and raises ValueError.
     """
     gallery = np.asarray(gallery_features, dtype=np.float64)
     queries = np.asarray(query_features, dtype=np.float64)
@@ -529,17 +565,17 @@ def retrieval_map(query_features, gallery_features, query_labels, gallery_labels
         raise ValueError("empty gallery")
     gallery_labels = np.asarray(gallery_labels)
     query_labels = np.asarray(query_labels)
-    gallery_n = gallery / np.linalg.norm(gallery, axis=1, keepdims=True)
-    queries_n = queries / np.linalg.norm(queries, axis=1, keepdims=True)
-    ranks = np.arange(1, len(gallery) + 1)
+    gallery_n = _unit_rows(gallery, "gallery")
+    queries_n = _unit_rows(queries, "query")
     aps = []
     for start in range(0, len(queries_n), QUERY_BLOCK):
         block = slice(start, start + QUERY_BLOCK)
         order = top_k(queries_n[block] @ gallery_n.T, len(gallery))
-        relevant = gallery_labels[order] == query_labels[block, None]
-        n_rel = np.count_nonzero(relevant, axis=1)
-        precision = np.cumsum(relevant, axis=1) / ranks
-        ap = np.where(relevant, precision, 0.0).sum(axis=1) / np.maximum(n_rel, 1)
+        rows, cols = np.nonzero(gallery_labels[order] == query_labels[block, None])
+        n_rel = np.bincount(rows, minlength=len(order))
+        # hits come row by row; the i-th of its row is at rank cols + 1
+        hit = np.arange(1, len(rows) + 1) - np.repeat(np.cumsum(n_rel) - n_rel, n_rel)
+        ap = np.bincount(rows, weights=hit / (cols + 1), minlength=len(order)) / np.maximum(n_rel, 1)
         aps.append(ap[n_rel > 0])
     aps = np.concatenate(aps)
     if not aps.size:

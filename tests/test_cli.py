@@ -354,6 +354,21 @@ class TestExitCodes:
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
         assert len(errors) == 1 and errors[0].endswith("no query had relevant gallery items")
 
+    @pytest.mark.parametrize("kind, row", [("fused", 0.0), ("embedding", np.nan)])
+    def test_retrieve_row_that_cannot_be_ranked_is_3(self, tmp_path, workspace, kind, row, caplog, capsys):
+        _, _, _, banks = workspace
+        bank = feat.FeatureBank.load(banks / "bank_test.fngi")
+        getattr(bank, kind)[2] = row
+        bank.save(tmp_path / "bank_test.fngi")
+        with caplog.at_level(logging.ERROR, logger="fungi"):
+            assert cli.main(["retrieve", "--train", str(banks / "bank_train.fngi"),
+                             "--test", str(tmp_path / "bank_test.fngi"),
+                             "--out", str(tmp_path / "r.csv")]) == 3
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and errors[0].endswith("query row 2 has a zero or non-finite norm and cannot be ranked")
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_2(self, tmp_path, workspace, jobs, caplog):
         _, cfg_path, data, _ = workspace

@@ -158,6 +158,25 @@ class TestTopK:
         scores = np.random.default_rng(31).normal(size=(50, 300))
         np.testing.assert_array_equal(ek.top_k(scores, 20), lexsort_top_k(scores, 20))
 
+    @pytest.mark.parametrize("case", ["no_ties", "duplicated_column", "all_equal_row", "integer_ties"])
+    def test_full_ranking_at_benchmark_width(self, case):
+        # a 64-query block against a 3000-row gallery, as `retrieval_map` ranks it
+        rng = np.random.default_rng(34)
+        scores = rng.normal(size=(64, 3000))
+        if case == "duplicated_column":
+            scores[:, 2100] = scores[:, 17]  # a tie in every row
+        elif case == "all_equal_row":
+            scores[40] = 0.25
+        elif case == "integer_ties":
+            scores = rng.integers(-3, 4, size=(64, 3000))
+        np.testing.assert_array_equal(ek.top_k(scores, 3000), lexsort_top_k(scores, 3000))
+
+    def test_full_ranking_puts_nans_last_in_id_order(self):
+        scores = np.random.default_rng(35).integers(-2, 3, size=(6, 50)).astype(np.float64)
+        scores[1, [3, 9, 20]] = np.nan
+        scores[4] = np.nan
+        np.testing.assert_array_equal(ek.top_k(scores, 50), np.argsort(-scores, axis=1, kind="stable"))
+
 
 class TestQueryBlocks:
     """A query ranked alone gets the result it gets inside a multi-block batch."""
@@ -417,11 +436,14 @@ class TestKmeansAndOverlap:
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         self.assert_matches_oracle(x, 128, seed=3)
 
-    def test_empty_cluster_reseeding_matches_oracle(self):
+    def test_empty_clusters_stay_put_matches_oracle(self):
         # 6 distinct rows for 9 clusters: k-means++ repeats rows, so Lloyd's
-        # first assignment leaves at least three clusters empty. The draws
-        # after the sixth centre see only copies of centres, whose distances
-        # must be exact zeros for the draw to match
+        # first assignment leaves at least three clusters empty. Every row
+        # sits on a centroid, so no row can reseed them and they stay where
+        # they are (`test_emptied_cluster_is_reseeded_from_the_farthest_row`
+        # covers the reseed).
+        # The draws after the sixth centre see only copies of centres, whose
+        # distances must be exact zeros for the draw to match
         rng = np.random.default_rng(39)
         x = rng.normal(size=(6, 32))[rng.permutation(np.repeat(np.arange(6), [1, 2, 3, 5, 8, 13]))]
         self.assert_matches_oracle(x, 9, seed=39)
@@ -605,29 +627,49 @@ class TestRetrievalMap:
         m, _ = ek.retrieval_map(query, gallery, [1], [0, 1])
         assert m == 0.5
 
+    @staticmethod
+    def ap_oracle(gallery, q, rel):
+        sims = (gallery / np.linalg.norm(gallery, axis=1, keepdims=True)) @ (q / np.linalg.norm(q))
+        order = np.argsort(-sims, kind="stable")
+        hits, precision_sum = 0, 0.0
+        for rank, g in enumerate(order, start=1):
+            if g in rel:
+                hits += 1
+                precision_sum += hits / rank
+        return precision_sum / len(rel)
+
+    def assert_matches_oracle(self, queries, gallery, query_labels, gallery_labels):
+        relevance = [set(np.flatnonzero(gallery_labels == lbl)) for lbl in query_labels]
+        assert all(relevance)
+        got, aps = ek.retrieval_map(queries, gallery, query_labels, gallery_labels)
+        want = [self.ap_oracle(gallery, q, r) for q, r in zip(queries, relevance)]
+        np.testing.assert_allclose(aps, want, atol=1e-12)
+        assert abs(got - np.mean(want)) < 1e-12
+
     def test_matches_bruteforce_ap(self):
         rng = np.random.default_rng(18)
         gallery = rng.normal(size=(40, 6))
         queries = rng.normal(size=(10, 6))
-        gallery_labels = rng.integers(0, 5, size=40)
-        query_labels = rng.integers(0, 5, size=10)
-        relevance = [set(np.flatnonzero(gallery_labels == lbl)) for lbl in query_labels]
-        assert all(relevance)
-        got, aps = ek.retrieval_map(queries, gallery, query_labels, gallery_labels)
+        self.assert_matches_oracle(queries, gallery, rng.integers(0, 5, size=10), rng.integers(0, 5, size=40))
 
-        def ap_oracle(q, rel):
-            sims = (gallery / np.linalg.norm(gallery, axis=1, keepdims=True)) @ (q / np.linalg.norm(q))
-            order = np.argsort(-sims, kind="stable")
-            hits, precision_sum = 0, 0.0
-            for rank, g in enumerate(order, start=1):
-                if g in rel:
-                    hits += 1
-                    precision_sum += hits / rank
-            return precision_sum / len(rel)
+    def test_duplicate_gallery_rows_match_bruteforce_ap(self):
+        # copies score equal against every query, so each query ranks ties,
+        # and the copies carry different labels: the tie order sets the AP
+        rng = np.random.default_rng(19)
+        distinct = rng.normal(size=(30, 6))
+        gallery = distinct[rng.integers(0, 30, size=120)]
+        queries = np.concatenate([rng.normal(size=(2 * ek.QUERY_BLOCK - 10, 6)), distinct[:10]])
+        self.assert_matches_oracle(queries, gallery, rng.integers(0, 4, size=len(queries)),
+                                   rng.integers(0, 4, size=len(gallery)))
 
-        want = [ap_oracle(q, r) for q, r in zip(queries, relevance)]
-        np.testing.assert_allclose(aps, want, atol=1e-12)
-        assert abs(got - np.mean(want)) < 1e-12
+    @pytest.mark.parametrize("side, row", [("query", np.zeros(3)), ("gallery", np.zeros(3)),
+                                           ("query", [1.0, np.nan, 0.0]), ("gallery", [np.inf, 0.0, 1.0])])
+    def test_row_that_cannot_be_ranked_rejected(self, side, row):
+        # an all-zero query used to score NaN against every row and AP 1.0
+        rows = {"query": np.ones((4, 3)), "gallery": np.eye(3)}
+        rows[side][1] = row
+        with pytest.raises(ValueError, match=f"{side} row 1 has a zero or non-finite norm"):
+            ek.retrieval_map(rows["query"], rows["gallery"], [0, 1, 2, 0], [0, 1, 2])
 
     def test_empty_gallery(self):
         with pytest.raises(ValueError):
