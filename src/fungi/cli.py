@@ -75,6 +75,15 @@ def _load_banks(train_path, test_path, config=None):
     return train, test
 
 
+def _bank_rows(bank, kind, role):
+    """`pipeline.bank_feature_matrix` with the rows named by their role in
+    the command; rows that it refuses are a data error."""
+    try:
+        return pipeline.bank_feature_matrix(bank, kind, role)
+    except ValueError as exc:
+        raise DataError(f"{kind} features: {exc}") from exc
+
+
 def _echo_lines(config_echo, config_hash):
     lines = [f"config_hash={config_hash}"]
     lines.extend(line for line in config_echo.splitlines() if line)
@@ -138,16 +147,9 @@ def cmd_fuse_pca(args):
     return 0
 
 
-def _knn_report(train_bank, test_bank, kind, k, rows=None):
-    features_train = pipeline.bank_feature_matrix(train_bank, kind)
-    features_test = pipeline.bank_feature_matrix(test_bank, kind)
-    if rows is not None:
-        features_train = features_train[rows]
-        train_labels = train_bank.labels[rows]
-    else:
-        train_labels = train_bank.labels
-    index = evalkit.KnnIndex(features_train, train_labels, k=k)
-    preds = evalkit.knn_classify(index, features_test)
+def _knn_report(train_bank, test_bank, kind, k, rows=slice(None)):
+    index = evalkit.KnnIndex(_bank_rows(train_bank, kind, "index")[rows], train_bank.labels[rows], k=k)
+    preds = evalkit.knn_classify(index, _bank_rows(test_bank, kind, "query"))
     return (
         evalkit.accuracy(preds, test_bank.labels, "top1"),
         evalkit.accuracy(preds, test_bank.labels, "mean_per_class"),
@@ -197,7 +199,7 @@ def cmd_cluster(args):
     n_classes = len(np.unique(labels))
     reports, table_rows = [], []
     for kind in ("embedding", "fused"):
-        x = pipeline.bank_feature_matrix(test, kind)
+        x = _bank_rows(test, kind, "test")
         result = evalkit.kmeans(x, n_classes, seed=feat.derive_seed(run_cfg.encoder.seed, "kmeans"))
         overlap = evalkit.cluster_overlap(result.assignments, labels)
         reports.append(evalkit.EvalReport(f"cluster_overlap_{kind}", overlap))
@@ -215,7 +217,7 @@ def cmd_probe(args):
     reports, table_rows = [], []
     for kind in ("embedding", "fused"):
         result = evalkit.logistic_probe(
-            pipeline.bank_feature_matrix(train, kind),
+            _bank_rows(train, kind, "train"),
             train.labels,
             lambda_grid=run_cfg.probe_lambda_grid(),
             max_epochs=run_cfg.eval.probe_max_epochs,
@@ -227,7 +229,7 @@ def cmd_probe(args):
                 kind, "refit" if i == len(result.lambda_grid) else "select", fit.lam,
                 fit.epochs, fit.trials, fit.accepted, fit.stop,
             )
-        preds = result.model.predict(pipeline.bank_feature_matrix(test, kind))
+        preds = result.model.predict(_bank_rows(test, kind, "test"))
         acc = evalkit.accuracy(preds, test.labels)
         reports.append(evalkit.EvalReport(f"probe_top1_{kind}", acc))
         table_rows.append([kind, f"{acc:.4f}", repr(result.best_lambda)])
@@ -240,8 +242,8 @@ def cmd_retrieve(args):
     train, test = _load_banks(args.train, args.test)
     reports, table_rows = [], []
     for kind in ("embedding", "fused"):
-        gallery = pipeline.bank_feature_matrix(train, kind)
-        queries = pipeline.bank_feature_matrix(test, kind)
+        gallery = _bank_rows(train, kind, "gallery")
+        queries = _bank_rows(test, kind, "query")
         try:
             mean_ap, _ = evalkit.retrieval_map(queries, gallery, test.labels, train.labels)
         except ValueError as exc:  # e.g. no test label occurs in the train bank
@@ -256,7 +258,7 @@ def cmd_retrieve(args):
 def cmd_cka(args):
     train, _ = _load_banks(args.train, args.test)
     kinds = ["embedding"] + list(train.objective_names) + ["fused"]
-    mats = {kind: pipeline.bank_feature_matrix(train, kind) for kind in kinds}
+    mats = {kind: _bank_rows(train, kind, "train") for kind in kinds}
     constant = [kind for kind in kinds if np.all(mats[kind] == mats[kind][0])]
     if constant:
         raise DataError("CKA is undefined for a feature family that is the same on every train row: "
@@ -331,6 +333,8 @@ def cmd_segment(args):
         list(train["images"]), list(train["masks"]), extractor, seg_cfg,
         seed=feat.derive_seed(config.encoder.seed, "seg-bank"),
     )
+    if not len(bank):
+        raise DataError(f"{args.data}: every train mask patch is ignore-labelled; the segmentation bank is empty")
     if seg_cfg.k > len(bank):
         log.warning("clamping k=%d to bank size %d", seg_cfg.k, len(bank))
         seg_cfg = dataclasses.replace(seg_cfg, k=len(bank))
@@ -342,16 +346,15 @@ def cmd_segment(args):
     else:
         log.info("exact search over %d bank rows", len(bank))
 
-    preds, gts = [], []
-    for i, (image, mask) in enumerate(zip(test["images"], test["masks"])):
-        pred = segmem.segment_image(
-            extractor, bank, image, seg_cfg, index=index,
-            seed=feat.derive_seed(config.encoder.seed, "seg-query", i),
-        )
-        preds.append(pred)
-        gts.append(np.asarray(mask))
-    num_classes = int(max(bank.labels.max(), max(int(g[g != segmem.IGNORE_LABEL].max()) for g in gts))) + 1
-    mean, per_class = segmem.miou(np.stack(preds), np.stack(gts), num_classes)
+    preds = [
+        segmem.segment_image(extractor, bank, image, seg_cfg, index=index,
+                             seed=feat.derive_seed(config.encoder.seed, "seg-query", i))
+        for i, image in enumerate(test["images"])
+    ]
+    gts = np.asarray(test["masks"])
+    # a test mask that is all ignore label scores no pixels
+    num_classes = int(max(bank.labels.max(), gts[gts != segmem.IGNORE_LABEL].max(initial=0))) + 1
+    mean, per_class = segmem.miou(np.stack(preds), gts, num_classes)
     report = evalkit.EvalReport(
         "miou_fungi" if args.fungi else "miou_embeddings", mean, per_class=per_class
     )

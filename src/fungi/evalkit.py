@@ -542,7 +542,9 @@ def logistic_probe(train_x, train_y, lambda_grid, max_epochs=300, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def _unit_rows(x, name):
+def unit_rows(x, name):
+    """`x` with each row divided by its L2 norm. A row whose norm is zero
+    or not finite raises ValueError naming the first as `<name> row <i>`."""
     norms = np.linalg.norm(x, axis=1)
     bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0))
     if bad.size:
@@ -565,8 +567,8 @@ def retrieval_map(query_features, gallery_features, query_labels, gallery_labels
         raise ValueError("empty gallery")
     gallery_labels = np.asarray(gallery_labels)
     query_labels = np.asarray(query_labels)
-    gallery_n = _unit_rows(gallery, "gallery")
-    queries_n = _unit_rows(queries, "query")
+    gallery_n = unit_rows(gallery, "gallery")
+    queries_n = unit_rows(queries, "query")
     aps = []
     for start in range(0, len(queries_n), QUERY_BLOCK):
         block = slice(start, start + QUERY_BLOCK)

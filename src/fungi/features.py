@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import evalkit
 from . import store
 
 PROJECTION_KINDS = ("binary", "gaussian", "sparse")
@@ -85,23 +86,15 @@ def project(projection, gradient):
     return projection.matrix @ gradient.astype(np.float64)
 
 
-def l2n(x):
-    x = np.asarray(x, dtype=np.float64)
-    norm = np.linalg.norm(x)
-    if not norm > 0:
-        raise ValueError("zero-norm segment cannot be normalized")
-    return x / norm
-
-
-def fuse(embedding, gradient_vectors=()):
-    """Concatenate unit-norm gradient segments with the unit-norm embedding.
+def fuse(embeddings, gradient_rows=()):
+    """Concatenate the unit-norm gradient segments with the unit-norm
+    embedding, row by row, for a whole (n, width) bank at once.
 
     Gradient segments come first in registration order; the embedding is the
-    final segment. Rescaling any input leaves the output unchanged.
+    final segment. Rescaling any input row leaves its output row unchanged.
     """
-    segments = [l2n(g) for g in gradient_vectors]
-    segments.append(l2n(embedding))
-    return np.concatenate(segments)
+    segments = [evalkit.unit_rows(np.asarray(x, dtype=np.float64), "segment") for x in (*gradient_rows, embeddings)]
+    return np.concatenate(segments, axis=1)
 
 
 def _read_required(path, names):
@@ -191,7 +184,10 @@ class FeatureBank:
         n = len(self.ids)
         if len(np.unique(self.ids)) != n:
             raise ValueError("feature bank ids must be unique")
-        if self.fused.shape[0] != n or self.labels.shape[0] != n:
+        rows = [self.fused, self.labels, *self.gradients.values()]
+        if self.embedding is not None:
+            rows.append(self.embedding)
+        if any(len(x) != n for x in rows):
             raise ValueError("feature bank arrays disagree on sample count")
 
     def __len__(self):
@@ -233,15 +229,18 @@ class FeatureBank:
             if name.startswith("prov::")
         }
         objectives = store.decode_text(s["objectives"])
-        return cls(
-            ids=s["ids"],
-            labels=s["labels"],
-            fused=s["fused"],
-            embedding=s.get("embedding"),
-            gradients=gradients,
-            objective_names=tuple(x for x in objectives.split(",") if x),
-            split=store.decode_text(s["split"]),
-            config_echo=store.decode_text(s["config_echo"]),
-            config_hash=store.decode_text(s["config_hash"]),
-            provenance=provenance,
-        )
+        try:
+            return cls(
+                ids=s["ids"],
+                labels=s["labels"],
+                fused=s["fused"],
+                embedding=s.get("embedding"),
+                gradients=gradients,
+                objective_names=tuple(x for x in objectives.split(",") if x),
+                split=store.decode_text(s["split"]),
+                config_echo=store.decode_text(s["config_echo"]),
+                config_hash=store.decode_text(s["config_hash"]),
+                provenance=provenance,
+            )
+        except ValueError as exc:  # repeated ids, or sections that disagree on row count
+            raise store.StoreError(f"{path}: {exc}") from exc

@@ -63,10 +63,7 @@ class NegativeBank:
         rows = np.asarray(self.rows)
         if rows.ndim != 2:
             raise ValueError("negative bank must be a 2-D matrix")
-        norms = np.linalg.norm(rows, axis=1)
-        if np.any(norms <= 0):
-            raise ValueError("negative bank contains a zero row")
-        self.rows = rows / norms[:, None]
+        self.rows = evalkit.unit_rows(rows, "negative bank")
 
     def __len__(self):
         return self.rows.shape[0]
@@ -123,7 +120,7 @@ class SupportIndex:
         rows = np.asarray(self.rows)
         if rows.ndim != 2 or rows.shape[0] == 0:
             raise ValueError("support index needs a non-empty 2-D latent matrix")
-        self.rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        self.rows = evalkit.unit_rows(rows, "support")
 
     def __len__(self):
         return self.rows.shape[0]

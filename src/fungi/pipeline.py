@@ -20,6 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from . import augment
 from . import backbone as bb
+from . import evalkit
 from . import features as feat
 from . import objectives as obj
 
@@ -176,12 +177,7 @@ def extract_bank(config, params, heads, projections, images, labels, split, neg_
     grad_mats = {
         name: np.stack([r[1][name] for r in results]).astype(np.float32) for name in objectives
     }
-    fused = np.stack(
-        [
-            feat.fuse(embeddings[i], [grad_mats[name][i] for name in objectives])
-            for i in range(len(images))
-        ]
-    ).astype(np.float32)
+    fused = feat.fuse(embeddings, [grad_mats[name] for name in objectives]).astype(np.float32)
     provenance = {f"projection_seed_{n}": projections[n].seed for n in objectives}
     provenance["gradient_source"] = f"block{source.block_index}.{source.layer_kind}"
     return feat.FeatureBank(
@@ -243,17 +239,18 @@ def fuse_pca_banks(train_bank, test_bank, out_dim):
     return out[0], out[1], model
 
 
-def bank_feature_matrix(bank, kind="fused"):
-    """Rows used for evaluation: the fused matrix, a single normalized
-    segment, or a normalized gradient segment by objective name."""
+def bank_feature_matrix(bank, kind="fused", name="row"):
+    """Rows used for evaluation: the fused matrix as stored, or the
+    unit-norm embedding or gradient segment of one objective. A fused row
+    that is not finite, or a segment row that `evalkit.unit_rows` refuses,
+    raises ValueError naming it among the `name` rows."""
     if kind == "fused":
-        return bank.fused.astype(np.float64)
-    if kind == "embedding":
-        if bank.embedding is None:
-            raise ValueError("bank carries no embedding section")
-        rows = bank.embedding.astype(np.float64)
-        return rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    if kind in bank.gradients:
-        rows = bank.gradients[kind].astype(np.float64)
-        return rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    raise ValueError(f"unknown feature kind {kind!r}")
+        rows = bank.fused.astype(np.float64)
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if bad.size:
+            raise ValueError(f"{name} row {bad[0]} is not finite")
+        return rows
+    rows = bank.embedding if kind == "embedding" else bank.gradients.get(kind)
+    if rows is None:
+        raise ValueError(f"no {kind} section in the {name} bank")
+    return evalkit.unit_rows(rows.astype(np.float64), name)

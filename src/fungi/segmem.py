@@ -108,8 +108,7 @@ class PatchFeatureExtractor:
         """features() of an image from its (patches + 1, dim) encoder token
         rows, CLS first: the dense loss reads the CLS token itself, whatever
         the pooling."""
-        patches = tokens[1:]
-        emb_n = patches / np.linalg.norm(patches, axis=1, keepdims=True)
+        emb_n = evalkit.unit_rows(tokens[1:], "patch embedding")
         if not self.use_fungi:
             return emb_n.astype(np.float32)
         if self.support is None:
@@ -123,10 +122,8 @@ class PatchFeatureExtractor:
             retrieved_per_patch=self.retrieved_per_patch,
             kept_per_patch=self.kept_per_patch,
         )
-        grads_n = grads / np.linalg.norm(grads, axis=1, keepdims=True)
-        fused = np.concatenate([grads_n, emb_n], axis=1)
-        fused /= np.linalg.norm(fused, axis=1, keepdims=True)
-        return fused.astype(np.float32)
+        fused = np.concatenate([evalkit.unit_rows(grads, "patch gradient"), emb_n], axis=1)
+        return evalkit.unit_rows(fused, "fused patch").astype(np.float32)
 
 
 @dataclass

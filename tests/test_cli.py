@@ -6,6 +6,7 @@ import pytest
 
 from fungi import cli
 from fungi import features as feat
+from fungi import store
 from fungi import synth
 from fungi.config import RunConfig
 from fungi.store import StoreError
@@ -368,6 +369,89 @@ class TestExitCodes:
         assert len(errors) == 1 and errors[0].endswith("query row 2 has a zero or non-finite norm and cannot be ranked")
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
+
+    def test_bank_with_repeated_ids_is_3(self, tmp_path, workspace, caplog, capsys):
+        # every section's CRC holds, but the bank is malformed
+        _, _, _, banks = workspace
+        sections = store.read_sections(banks / "bank_test.fngi")
+        sections["ids"] = np.zeros_like(sections["ids"])
+        store.write_sections(tmp_path / "bank_test.fngi", sections)
+        with caplog.at_level(logging.ERROR, logger="fungi"):
+            assert cli.main(["eval", "--train", str(banks / "bank_train.fngi"),
+                             "--test", str(tmp_path / "bank_test.fngi"),
+                             "--out", str(tmp_path / "e.csv")]) == 3
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and errors[0].endswith("bank_test.fngi: feature bank ids must be unique")
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
+
+    @pytest.mark.parametrize("command, split, role", [
+        ("eval", "train", "index"), ("cluster", "test", "test"), ("probe", "train", "train"), ("cka", "train", "train"),
+    ])
+    @pytest.mark.parametrize("case", ["zero embedding row", "NaN gradient row", "no embedding section"])
+    def test_rows_that_cannot_be_used_are_3(self, tmp_path, workspace, command, split, role, case, caplog, capsys):
+        _, _, _, banks = workspace
+        paths = {s: banks / f"bank_{s}.fngi" for s in ("train", "test")}
+        bank = feat.FeatureBank.load(paths[split])
+        if case == "zero embedding row":
+            bank.embedding[3] = 0.0
+            expected = f"embedding features: {role} row 3 has a zero or non-finite norm and cannot be ranked"
+        elif case == "NaN gradient row":
+            # as extraction would write it: the kl section and the kl segment of the fused row
+            bank.gradients["kl"][3] = np.nan
+            bank.fused[3, :16] = np.nan
+            expected = (f"kl features: {role} row 3 has a zero or non-finite norm and cannot be ranked"
+                        if command in ("eval", "cka") else f"fused features: {role} row 3 is not finite")
+        else:
+            bank.embedding = None
+            expected = f"embedding features: no embedding section in the {role} bank"
+        paths[split] = tmp_path / f"bank_{split}.fngi"
+        bank.save(paths[split])
+        with caplog.at_level(logging.ERROR, logger="fungi"):
+            assert cli.main([command, "--train", str(paths["train"]), "--test", str(paths["test"]),
+                             "--out", str(tmp_path / "r.csv")]) == 3
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and errors[0] == f"data error: {expected}"
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def _segdata(self, tmp_path, name):
+        data = tmp_path / name
+        assert cli.main(["synth", "--kind", "segmentation", "--n", "8", "--classes", "3",
+                         "--image-size", "32", "--seed", "5", "--out", str(data)]) == 0
+        return data, {s: synth.load_dataset(data / f"{s}.fngi") for s in ("train", "test")}
+
+    def test_segment_test_mask_without_labels_scores_no_pixels(self, tmp_path, workspace):
+        # the report equals the one without that image
+        _, cfg_path, _, _ = workspace
+        data, splits = self._segdata(tmp_path, "seg")
+        test = splits["test"]
+        assert len(test["images"]) > 1
+        masks = np.array(test["masks"])
+        masks[-1] = 255
+        synth.save_dataset(data / "test.fngi", test["images"], masks=masks, meta=test["meta"])
+        fewer = tmp_path / "fewer"
+        fewer.mkdir()
+        (fewer / "train.fngi").write_bytes((data / "train.fngi").read_bytes())
+        synth.save_dataset(fewer / "test.fngi", test["images"][:-1], masks=masks[:-1], meta=test["meta"])
+        for d in (data, fewer):
+            assert cli.main(["segment", "--config", str(cfg_path), "--data", str(d), "--exact",
+                             "--out", str(tmp_path / f"{d.name}.csv")]) == 0
+        assert (tmp_path / "seg.csv").read_bytes() == (tmp_path / "fewer.csv").read_bytes()
+
+    def test_segment_train_masks_without_labels_are_3(self, tmp_path, workspace, caplog, capsys):
+        _, cfg_path, _, _ = workspace
+        data, splits = self._segdata(tmp_path, "seg")
+        train = splits["train"]
+        synth.save_dataset(data / "train.fngi", train["images"], masks=np.full_like(train["masks"], 255),
+                           meta=train["meta"])
+        with caplog.at_level(logging.ERROR, logger="fungi"):
+            assert cli.main(["segment", "--config", str(cfg_path), "--data", str(data), "--exact",
+                             "--out", str(tmp_path / "s.csv")]) == 3
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and errors[0].endswith("the segmentation bank is empty")
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_2(self, tmp_path, workspace, jobs, caplog):

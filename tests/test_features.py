@@ -88,28 +88,31 @@ class TestProjection:
 class TestFuse:
     def test_unit_segment_norm(self):
         rng = np.random.default_rng(8)
-        out = feat.fuse(rng.normal(size=8), [rng.normal(size=8) for _ in range(3)])
-        assert abs(np.linalg.norm(out) - 2.0) < 1e-12  # sqrt(4 segments)
+        out = feat.fuse(rng.normal(size=(5, 8)), [rng.normal(size=(5, 8)) for _ in range(3)])
+        assert out.shape == (5, 32)
+        np.testing.assert_allclose(np.linalg.norm(out, axis=1), 2.0, atol=1e-12)  # sqrt(4 segments)
 
     def test_embedding_only(self):
-        v = np.array([3.0, 4.0])
-        np.testing.assert_allclose(feat.fuse(v), [0.6, 0.8])
+        v = np.array([[3.0, 4.0], [0.0, -2.0]])
+        np.testing.assert_allclose(feat.fuse(v), [[0.6, 0.8], [0.0, -1.0]])
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(9)
-        emb, g1, g2 = rng.normal(size=6), rng.normal(size=6), rng.normal(size=6)
+        emb, g1, g2 = rng.normal(size=(4, 6)), rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
         a = feat.fuse(emb, [g1, g2])
-        b = feat.fuse(emb * 10.0, [g1 * 0.01, g2 * 1000.0])
+        b = feat.fuse(emb * [[10.0], [1e-3], [1.0], [7.0]], [g1 * 0.01, g2 * 1000.0])
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_embedding_last(self):
-        emb = np.array([1.0, 0.0])
-        g = np.array([0.0, 2.0])
-        np.testing.assert_allclose(feat.fuse(emb, [g]), [0.0, 1.0, 1.0, 0.0])
+        emb = np.array([[1.0, 0.0], [0.0, 3.0]])
+        g = np.array([[0.0, 2.0], [-1.0, 0.0]])
+        np.testing.assert_allclose(feat.fuse(emb, [g]), [[0.0, 1.0, 1.0, 0.0], [-1.0, 0.0, 0.0, 1.0]])
 
     def test_zero_segment_rejected(self):
-        with pytest.raises(ValueError):
-            feat.fuse(np.zeros(4), [np.ones(4)])
+        emb = np.ones((3, 4))
+        emb[1] = 0.0
+        with pytest.raises(ValueError, match="segment row 1 has a zero"):
+            feat.fuse(emb, [np.ones((3, 4))])
 
 
 class TestPca:
@@ -210,6 +213,16 @@ class TestFeatureBank:
                 labels=np.array([1, 2]),
                 fused=np.zeros((2, 4), dtype=np.float32),
             )
+
+    @pytest.mark.parametrize("section", ["labels", "fused", "embedding", "grad::simclr"])
+    def test_section_with_another_row_count_is_a_store_error(self, tmp_path, section):
+        path = tmp_path / "bank.fngi"
+        self._bank().save(path)
+        sections = store.read_sections(path)
+        sections[section] = sections[section][:-1]
+        store.write_sections(path, sections)
+        with pytest.raises(store.StoreError, match="bank.fngi: feature bank arrays disagree on sample count"):
+            feat.FeatureBank.load(path)
 
 
 class TestSeedDerivation:

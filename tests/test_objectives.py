@@ -372,6 +372,13 @@ class TestSupportIndex:
         with pytest.raises(ValueError):
             obj.SupportIndex(np.zeros((0, 8)))
 
+    def test_zero_row_rejected(self):
+        # such a row used to come back as NaN
+        rows = np.ones((3, 4))
+        rows[2] = 0.0
+        with pytest.raises(ValueError, match="support row 2 has a zero or non-finite norm"):
+            obj.SupportIndex(rows)
+
     def test_k_too_large(self):
         rng = np.random.default_rng(14)
         idx = obj.SupportIndex(unit_rows(rng, 3, 4))

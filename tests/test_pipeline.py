@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,29 @@ class TestFeatureMatrix:
         np.testing.assert_allclose(np.linalg.norm(grad, axis=1), 1.0, atol=1e-6)
         with pytest.raises(ValueError):
             pipeline.bank_feature_matrix(train_bank, "nope")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_fused_row_rejected(self, small_banks, value):
+        _, train_bank, _ = small_banks
+        bank = copy.deepcopy(train_bank)
+        bank.fused[4, 3] = value
+        with pytest.raises(ValueError, match="^train row 4 is not finite$"):
+            pipeline.bank_feature_matrix(bank, "fused", "train")
+
+    def test_fused_rows_are_not_rescaled(self, small_banks):
+        _, train_bank, _ = small_banks
+        bank = copy.deepcopy(train_bank)
+        bank.fused[1] = 0.0
+        bank.fused[2] *= 3.0
+        np.testing.assert_array_equal(pipeline.bank_feature_matrix(bank, "fused"), bank.fused.astype(np.float64))
+
+    @pytest.mark.parametrize("kind", ["embedding", "kl"])
+    def test_zero_segment_row_rejected(self, small_banks, kind):
+        _, train_bank, _ = small_banks
+        bank = copy.deepcopy(train_bank)
+        (bank.embedding if kind == "embedding" else bank.gradients[kind])[5] = 0.0
+        with pytest.raises(ValueError, match="^index row 5 has a zero or non-finite norm"):
+            pipeline.bank_feature_matrix(bank, kind, "index")
 
     def test_embedding_knn_separates_easy_classes(self, small_banks):
         _, train_bank, test_bank = small_banks
