@@ -42,7 +42,7 @@ def resize_nearest(grid, out_h, out_w):
     return grid[ys][:, xs]
 
 
-def patchify_overlap(image, patch=112, grid=7):
+def patchify_overlap(image, patch, grid):
     """Overlapping square patches on a regular grid with rounded offsets."""
     image = np.asarray(image)
     _, h, w = image.shape
@@ -71,15 +71,7 @@ def _random_square_crop(image, rng, scale_range, out_size):
     return resize_bilinear(crop, out_size, out_size)
 
 
-def dino_crops(
-    image,
-    seed,
-    n_global=2,
-    n_local=10,
-    global_scale=(0.25, 1.0),
-    local_scale=(0.05, 0.25),
-    out_size=224,
-):
+def dino_crops(image, seed, n_global, n_local, global_scale, local_scale, out_size):
     """Global and local random square crops, all resized to out_size.
 
     Crops only; no color augmentation. The area fraction of each crop is
@@ -125,7 +117,7 @@ JITTER_MAX_DELTA = 0.1  # bound on each factor's distance from 1 and on the hue 
 JITTER_P = 0.5  # probability of each of the four adjustments
 
 
-def color_jitter(image, seed=0):
+def color_jitter(image, seed):
     """Brightness / contrast / saturation / hue, each applied with
     probability JITTER_P.
 

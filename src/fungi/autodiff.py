@@ -333,7 +333,7 @@ def total(x):
     return _apply("total", (x,), value, backward)
 
 
-def concat(tensors, axis=0):
+def concat(tensors, axis):
     tensors = [as_tensor(t) for t in tensors]
     if not tensors:
         raise ValueError("concat of zero tensors")

@@ -15,7 +15,7 @@ worker thread.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,13 +24,13 @@ from . import autodiff as ad
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    image_size: int = 224
-    patch_size: int = 16
-    depth: int = 2
-    dim: int = 64
-    heads: int = 4
-    mlp_ratio: float = 4.0
-    pooling: str = "cls"
+    image_size: int
+    patch_size: int
+    depth: int
+    dim: int
+    heads: int
+    mlp_ratio: float
+    pooling: str
 
     def __post_init__(self):
         if self.image_size % self.patch_size != 0:
@@ -76,9 +76,9 @@ class EncoderParams:
     patch_b: ad.Tensor
     cls_token: ad.Tensor
     pos: ad.Tensor
-    blocks: list[BlockParams] = field(default_factory=list)
-    norm_g: ad.Tensor = None
-    norm_b: ad.Tensor = None
+    blocks: list[BlockParams]
+    norm_g: ad.Tensor
+    norm_b: ad.Tensor
 
     def named_tensors(self):
         yield "patch_w", self.patch_w
@@ -108,7 +108,7 @@ class GradientSource:
     """Coordinate of the hidden linear layer whose gradient is harvested."""
 
     block_index: int
-    layer_kind: str = "attn_proj"
+    layer_kind: str
 
     # layer kind -> prefix of its weight and bias attributes in BlockParams
     PREFIXES = {"attn_proj": "proj", "mlp_fc1": "fc1", "mlp_fc2": "fc2", "qkv": "qkv"}
@@ -264,10 +264,6 @@ class Head:
     bias: ad.Tensor
     normalize_input: bool
 
-    @property
-    def proj_dim(self):
-        return self.weight.shape[0]
-
     def apply(self, x):
         if self.normalize_input:
             x = ad.l2_normalize(x)
@@ -281,7 +277,7 @@ class Head:
         return x @ self.weight.data.T + self.bias.data
 
 
-def attach_head(dim, proj_dim, seed, normalize_input=True, dtype=np.float32):
+def attach_head(dim, proj_dim, seed, normalize_input, dtype):
     if proj_dim < 1:
         raise ValueError("proj_dim must be at least 1")
     rng = np.random.default_rng(seed)

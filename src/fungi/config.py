@@ -248,10 +248,6 @@ class RunConfig:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_text(fh.read())
 
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
-
 
 def _format_value(value):
     if isinstance(value, bool):

@@ -22,7 +22,7 @@ import numpy as np
 class KnnIndex:
     features: np.ndarray
     labels: np.ndarray
-    k: int = 20
+    k: int
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -38,8 +38,8 @@ class KnnIndex:
 def top_k(scores, k):
     """Column ids of the k largest scores in each row of a 2-D array, best first.
 
-    Ties go to the lower column id; with k >= the number of columns every
-    column is ranked. Every neighbor ranking in the package goes through
+    Ties go to the lower column id and NaN ranks last; with k >= the number
+    of columns every column is ranked. Every neighbor ranking in the package goes through
     this rule.
     """
     scores = np.asarray(scores)
@@ -50,6 +50,11 @@ def top_k(scores, k):
         return _full_ranking(scores)
     ids = np.argpartition(scores, n - k, axis=1)[:, n - k :]
     cut = np.take_along_axis(scores, ids, axis=1).min(axis=1, keepdims=True)
+    # argpartition takes NaN for the largest score, so a row with a NaN has
+    # a NaN cut; such rows are ranked in full, NaN last
+    nan_rows = np.flatnonzero(cut[:, 0] != cut[:, 0])
+    if nan_rows.size:
+        ids[nan_rows] = _full_ranking(scores[nan_rows])[:, :k]
     # argpartition keeps an arbitrary subset of the scores equal to the cut;
     # in rows where more columns tie there, keep the lowest ids among them
     tied = np.flatnonzero(np.count_nonzero(scores >= cut, axis=1) > k)
@@ -124,7 +129,7 @@ def knn_classify(index, queries):
     return preds
 
 
-def few_shot_subset(labels, shots=5, seed=0):
+def few_shot_subset(labels, shots, seed):
     """Indices of a seeded stratified subset with `shots` rows per class."""
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
@@ -231,7 +236,7 @@ def _plusplus_init(x, x_sq, n_clusters, rng):
     return centroids
 
 
-def kmeans(x, n_clusters, seed=0, max_iter=300):
+def kmeans(x, n_clusters, seed, max_iter=300):
     """Lloyd iterations from a seeded k-means++ start.
 
     Empty clusters are reseeded from the point farthest from its centroid;
@@ -493,7 +498,7 @@ class ProbeResult:
     fits: list  # ProbeFit per lambda of the grid, then the refit at best_lambda
 
 
-def logistic_probe(train_x, train_y, lambda_grid, max_epochs=300, seed=0):
+def logistic_probe(train_x, train_y, lambda_grid, max_epochs, seed):
     """L2-regularized multinomial logistic regression with grid-searched
     regularization strength.
 
@@ -552,6 +557,15 @@ def unit_rows(x, name):
     return x / norms[:, None]
 
 
+def check_unit_rows(x, name, tol):
+    """Raise ValueError naming the first row of `x`, as `<name> row <i>`,
+    that is not finite or whose L2 norm is more than `tol` from 1."""
+    norms = np.linalg.norm(x, axis=1)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= tol))  # a NaN norm compares False
+    if bad.size:
+        raise ValueError(f"{name} row {bad[0]} is not unit-norm within {tol:g} (norm {norms[bad[0]]:.6g})")
+
+
 def retrieval_map(query_features, gallery_features, query_labels, gallery_labels):
     """Mean average precision of cosine-ranked galleries.
 
@@ -605,7 +619,7 @@ class EvalReport:
         return rows
 
 
-def write_csv(path, reports, config_lines=()):
+def write_csv(path, reports, config_lines):
     with open(path, "w", encoding="utf-8") as fh:
         for line in config_lines:
             fh.write(f"# {line}\n")

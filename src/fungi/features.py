@@ -86,7 +86,7 @@ def project(projection, gradient):
     return projection.matrix @ gradient.astype(np.float64)
 
 
-def fuse(embeddings, gradient_rows=()):
+def fuse(embeddings, gradient_rows):
     """Concatenate the unit-norm gradient segments with the unit-norm
     embedding, row by row, for a whole (n, width) bank at once.
 
@@ -120,10 +120,6 @@ class PcaModel:
         if np.any(np.diff(self.explained_variance) > 1e-10):
             raise ValueError("explained variance must be non-increasing")
 
-    @property
-    def out_dim(self):
-        return self.components.shape[0]
-
     def save(self, path):
         store.write_sections(
             path,
@@ -132,15 +128,6 @@ class PcaModel:
                 "pca_components": self.components,
                 "pca_explained_variance": self.explained_variance,
             },
-        )
-
-    @classmethod
-    def load(cls, path):
-        s = _read_required(path, ("pca_mean", "pca_components", "pca_explained_variance"))
-        return cls(
-            mean=s["pca_mean"],
-            components=s["pca_components"],
-            explained_variance=s["pca_explained_variance"],
         )
 
 
@@ -170,13 +157,13 @@ class FeatureBank:
     ids: np.ndarray
     labels: np.ndarray
     fused: np.ndarray
-    embedding: np.ndarray = None
-    gradients: dict = field(default_factory=dict)  # objective name -> (n, d)
-    objective_names: tuple = ()
-    split: str = "train"
-    config_echo: str = ""
-    config_hash: str = ""
-    provenance: dict = field(default_factory=dict)
+    embedding: np.ndarray  # or None
+    gradients: dict  # objective name -> (n, d)
+    objective_names: tuple
+    split: str
+    config_echo: str
+    config_hash: str
+    provenance: dict
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int32)

@@ -22,7 +22,7 @@ from . import evalkit
 _NEG_INF = -1e30
 
 
-def kl_loss(z, tau=15.0):
+def kl_loss(z, tau):
     """KL(uniform || softmax(z / tau)); zero exactly when the softmax is uniform."""
     z = ad.as_tensor(z)
     log_dim = float(np.log(z.size))
@@ -30,7 +30,7 @@ def kl_loss(z, tau=15.0):
     return ad.add(ad.scale(ad.mean(ls), -1.0), ad.as_tensor(-log_dim, dtype=z.dtype))
 
 
-def dino_loss(student_z, teacher_z, tau_s=0.1, tau_t=0.07):
+def dino_loss(student_z, teacher_z, tau_s, tau_t):
     """Mean teacher/student cross-entropy over crop pairs.
 
     student_z is the (V, P) tensor of the latents of all V crops, globals
@@ -69,12 +69,6 @@ class NegativeBank:
         return self.rows.shape[0]
 
 
-def _check_unit_rows(data, what, tol=1e-4):
-    norms = np.linalg.norm(data, axis=-1)
-    if np.max(np.abs(norms - 1.0)) > tol:
-        raise ValueError(f"{what} must be L2-normalized (max deviation {np.max(np.abs(norms - 1.0)):.2e})")
-
-
 def _info_nce(z_norm, bank_rows, tau):
     """Mean of -log softmax terms over ordered positive pairs.
 
@@ -98,15 +92,15 @@ def _info_nce(z_norm, bank_rows, tau):
     return ad.scale(ad.total(pairs), -1.0 / (p * (p - 1)))
 
 
-def simclr_loss(z_views, bank, tau=0.07):
+def simclr_loss(z_views, bank, tau):
     """InfoNCE over ordered pairs of positive views against a fixed bank.
 
     z_views is a (P, D) tensor of already normalized latents; bank is a
     NegativeBank. Each denominator ranges over the other P - 1 positives plus
     every bank row.
     """
-    _check_unit_rows(z_views.data, "positive latents")
-    _check_unit_rows(bank.rows, "negative bank rows", tol=1e-6)
+    evalkit.check_unit_rows(z_views.data, "positive latent", 1e-4)
+    evalkit.check_unit_rows(bank.rows, "negative bank", 1e-6)
     return _info_nce(z_views, bank.rows, tau)
 
 
@@ -132,7 +126,7 @@ class SupportIndex:
         return evalkit.top_k(np.asarray(queries) @ self.rows.T, k)
 
 
-def simclr_patch_loss(patch_tokens, head, support, tau=0.07, seed=0, retrieved_per_patch=2, kept_per_patch=1):
+def simclr_patch_loss(patch_tokens, head, support, tau, seed, retrieved_per_patch, kept_per_patch):
     """Per-patch gradients of a dense contrastive loss.
 
     patch_tokens: (T + 1, d) array of backbone tokens, CLS first. Every token

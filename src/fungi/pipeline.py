@@ -10,6 +10,7 @@ unit-norm embedding.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 import time
@@ -143,7 +144,7 @@ def make_objective(name, config, heads, image, neg_bank, sample_seed):
     raise ValueError(f"unknown objective {name!r}")
 
 
-def extract_bank(config, params, heads, projections, images, labels, split, neg_bank=None, jobs=1):
+def extract_bank(config, params, heads, projections, images, labels, split, neg_bank, jobs):
     """FeatureBank for one split; deterministic in (config, images, seeds)."""
     source = config.gradient_source()
     objectives = tuple(config.gradients.objectives)
@@ -194,7 +195,7 @@ def extract_bank(config, params, heads, projections, images, labels, split, neg_
     )
 
 
-def extract_splits(config, train_images, train_labels, test_images, test_labels, jobs=1):
+def extract_splits(config, train_images, train_labels, test_images, test_labels, jobs):
     """Extract train and test banks with a shared encoder and bank."""
     params = build_encoder(config)
     heads = build_heads(config)
@@ -219,27 +220,18 @@ def fuse_pca_banks(train_bank, test_bank, out_dim):
     if train_bank.config_hash != test_bank.config_hash:
         raise ValueError("banks were extracted with different configurations")
     model = feat.fit_pca(train_bank.fused.astype(np.float64), out_dim)
-    out = []
-    for bank in (train_bank, test_bank):
-        transformed = feat.apply_pca(model, bank.fused.astype(np.float64)).astype(np.float32)
-        out.append(
-            feat.FeatureBank(
-                ids=bank.ids,
-                labels=bank.labels,
-                fused=transformed,
-                embedding=bank.embedding,
-                gradients=bank.gradients,
-                objective_names=bank.objective_names,
-                split=bank.split,
-                config_echo=bank.config_echo,
-                config_hash=bank.config_hash,
-                provenance={**bank.provenance, "pca_out_dim": out_dim},
-            )
+    train, test = (
+        dataclasses.replace(
+            bank,
+            fused=feat.apply_pca(model, bank.fused.astype(np.float64)).astype(np.float32),
+            provenance={**bank.provenance, "pca_out_dim": out_dim},
         )
-    return out[0], out[1], model
+        for bank in (train_bank, test_bank)
+    )
+    return train, test, model
 
 
-def bank_feature_matrix(bank, kind="fused", name="row"):
+def bank_feature_matrix(bank, kind, name):
     """Rows used for evaluation: the fused matrix as stored, or the
     unit-norm embedding or gradient segment of one objective. A fused row
     that is not finite, or a segment row that `evalkit.unit_rows` refuses,

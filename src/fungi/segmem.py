@@ -11,7 +11,7 @@ gradients and the normalized embeddings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,22 +26,22 @@ KMEANS_ITERS = 25  # Lloyd iterations of the IVF partition
 
 @dataclass(frozen=True)
 class IvfParams:
-    num_leaves: int = 512
-    leaves_to_search: int = 32
-    rerank: int = 120
+    num_leaves: int
+    leaves_to_search: int
+    rerank: int
     # recorded for config fidelity; the score-aware quantizer itself is
     # replaced by exact candidate scoring + re-ranking
-    dims_per_block: int = 4
-    anisotropic_threshold: float = 0.2
+    dims_per_block: int
+    anisotropic_threshold: float
 
 
 @dataclass(frozen=True)
 class SegConfig:
-    k: int = 30
-    temperature: float = 0.02
-    augmentation_epochs: int = 1
+    k: int
+    temperature: float
+    augmentation_epochs: int
+    ivf: IvfParams
     bank_cap: int = None
-    ivf: IvfParams = field(default_factory=IvfParams)
 
     def __post_init__(self):
         if self.k < 1 or self.temperature <= 0:
@@ -79,11 +79,11 @@ class PatchFeatureExtractor:
     """Computes per-patch features for bank building and querying."""
 
     params: bb.EncoderParams
-    use_fungi: bool = False
-    head: bb.Head = None
-    tau: float = 0.07
-    retrieved_per_patch: int = 2
-    kept_per_patch: int = 1
+    use_fungi: bool
+    head: bb.Head  # or None without gradient fusion
+    tau: float
+    retrieved_per_patch: int
+    kept_per_patch: int
     support: obj.SupportIndex = None
 
     def __post_init__(self):
@@ -100,11 +100,11 @@ class PatchFeatureExtractor:
         self.support = obj.SupportIndex(np.concatenate([self.head.apply_array(t[1:]) for t in tokens]))
         return tokens
 
-    def features(self, image, seed=0):
+    def features(self, image, seed):
         """(patches, dim) unit-norm feature rows for one image."""
         return self.token_features(bb.encode(self.params, image), seed=seed)
 
-    def token_features(self, tokens, seed=0):
+    def token_features(self, tokens, seed):
         """features() of an image from its (patches + 1, dim) encoder token
         rows, CLS first: the dense loss reads the CLS token itself, whatever
         the pooling."""
@@ -137,9 +137,7 @@ class PatchMemoryBank:
         self.labels = np.asarray(self.labels, dtype=np.int32)
         if len(self.features) != len(self.labels):
             raise ValueError("bank features and labels disagree")
-        norms = np.linalg.norm(self.features, axis=1)
-        if len(norms) and np.max(np.abs(norms - 1.0)) > 1e-4:
-            raise ValueError("bank rows must be unit-norm")
+        evalkit.check_unit_rows(self.features, "bank", 1e-4)
 
     def __len__(self):
         return len(self.features)
@@ -165,7 +163,7 @@ def _augment_pair(image, mask, rng):
     return np.clip(img_out, 0.0, 1.0), mask_out
 
 
-def build_bank(images, masks, extractor, config, seed=0):
+def build_bank(images, masks, extractor, config, seed):
     """Patch memory bank over all images and augmentation epochs.
 
     Epoch 0 uses the images untouched; later epochs add augmented copies.
@@ -228,11 +226,8 @@ class IvfIndex:
     features: np.ndarray
     params: IvfParams
 
-    def __len__(self):
-        return len(self.features)
 
-
-def ivf_build(bank_features, params, seed=0):
+def ivf_build(bank_features, params, seed):
     """Partition bank rows into k-means leaves: each row's leaf is its
     k-means assignment."""
     features = np.asarray(bank_features, dtype=np.float32)
@@ -310,13 +305,13 @@ def _propagate(bank, queries, config, index):
     return np.concatenate(dists)
 
 
-def predict_grid(bank, features, config, index=None):
+def predict_grid(bank, features, config, index):
     """Argmax class per patch row; returns (labels, distributions)."""
     dists = _propagate(bank, features, config, index)
     return np.argmax(dists, axis=1).astype(np.int32), dists
 
 
-def segment_image(extractor, bank, image, config, index=None, seed=0):
+def segment_image(extractor, bank, image, config, index, seed):
     """Pixel-resolution class prediction via patch retrieval."""
     cfg = extractor.params.config
     rows = extractor.features(np.asarray(image), seed=seed)

@@ -117,7 +117,7 @@ def make_segmentation(n, classes, image_size, seed):
     return images, masks
 
 
-def save_dataset(path, images, labels=None, masks=None, meta=""):
+def save_dataset(path, images, labels, masks, meta):
     sections = {"images": np.asarray(images, dtype=np.float32)}
     if labels is not None:
         sections["labels"] = np.asarray(labels, dtype=np.int32)

@@ -12,6 +12,53 @@ import numpy as np
 from fungi import autodiff as ad
 from fungi import evalkit as ek
 from fungi import pipeline
+from fungi import segmem
+from fungi.config import RunConfig
+
+
+def reference_encoder(**changes):
+    """The encoder config of `RunConfig()`, the reference hyperparameters,
+    with `changes`."""
+    return replace(RunConfig().encoder_config(), **changes)
+
+
+def reference_ivf(**changes):
+    """segmem.IvfParams at the reference [segmentation] settings, with `changes`."""
+    seg = RunConfig().segmentation
+    return replace(
+        segmem.IvfParams(
+            num_leaves=seg.ivf_num_leaves,
+            leaves_to_search=seg.ivf_leaves_to_search,
+            rerank=seg.ivf_rerank,
+            dims_per_block=seg.ivf_dims_per_block,
+            anisotropic_threshold=seg.ivf_anisotropic_threshold,
+        ),
+        **changes,
+    )
+
+
+def reference_seg(**changes):
+    """segmem.SegConfig at the reference [segmentation] settings (not
+    few-shot), with `changes`."""
+    seg = RunConfig().segmentation
+    config = segmem.SegConfig(
+        k=seg.k, temperature=seg.temperature, augmentation_epochs=seg.augmentation_epochs, ivf=reference_ivf()
+    )
+    return replace(config, **changes)
+
+
+def reference_extractor(params, head):
+    """segmem.PatchFeatureExtractor at the reference [segmentation]
+    settings; it fuses per-patch gradients when given a head."""
+    seg = RunConfig().segmentation
+    return segmem.PatchFeatureExtractor(
+        params=params,
+        use_fungi=head is not None,
+        head=head,
+        tau=seg.simclr_temperature,
+        retrieved_per_patch=seg.retrieved_negatives_per_patch,
+        kept_per_patch=seg.loss_negatives_per_patch,
+    )
 
 
 def max_relative_error(got, want):
@@ -113,7 +160,7 @@ def collapsed_banks(config, train_images, train_labels, test_images, test_labels
     if "simclr" in config.gradients.objectives:
         neg_bank = pipeline.build_negative_bank(params, heads["simclr"], train_images, config)
     return tuple(
-        pipeline.extract_bank(config, params, heads, projections, images, labels, split, neg_bank=neg_bank)
+        pipeline.extract_bank(config, params, heads, projections, images, labels, split, neg_bank=neg_bank, jobs=1)
         for images, labels, split in ((train_images, train_labels, "train"), (test_images, test_labels, "test"))
     )
 
@@ -138,7 +185,7 @@ def assignment_cost(cost, row_to_col):
     return float(sum(cost[r, c] for r, c in enumerate(row_to_col) if c >= 0))
 
 
-def validation_accuracy(x, y, lam, seed, max_epochs=300):
+def validation_accuracy(x, y, lam, seed, max_epochs):
     """Accuracy on the probe's held-out 20% of a model trained from zero at
     `lam` on the other 80%, the split `logistic_probe(..., seed=seed)` makes."""
     x = np.asarray(x, dtype=np.float64)

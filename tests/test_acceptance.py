@@ -29,6 +29,10 @@ from .oracles import (
     entry_variance,
     finite_diff_gradient,
     max_relative_error,
+    reference_encoder,
+    reference_extractor,
+    reference_ivf,
+    reference_seg,
     replace_source_layer,
 )
 
@@ -265,7 +269,7 @@ class TestCriterion09IvfSearch:
         data = base[idx] + (0.5 / np.sqrt(dim)) * rng.normal(size=(n, dim))
         data = (data / np.linalg.norm(data, axis=1, keepdims=True)).astype(np.float32)
 
-        params = sm.IvfParams(num_leaves=512, leaves_to_search=32, rerank=120)
+        params = reference_ivf()
         index = sm.ivf_build(data, params, seed=0)
 
         queries = data[rng.choice(n, 100, replace=False)] + 0.02 * rng.normal(size=(100, dim)).astype(np.float32)
@@ -283,7 +287,7 @@ class TestCriterion09IvfSearch:
             centroids=index.centroids,
             row_leaf=index.row_leaf,
             features=index.features,
-            params=sm.IvfParams(num_leaves=512, leaves_to_search=512, rerank=120),
+            params=reference_ivf(leaves_to_search=512),
         )
         for q in queries[:20]:
             ids_a, sims_a = sm.ivf_search(full, q, 30)
@@ -302,11 +306,11 @@ class TestCriterion10SegmentationSelfConsistency:
             mask = rng.integers(0, 3, size=(4, 4)).astype(np.uint8)
             masks.append(np.kron(mask, np.ones((16, 16), dtype=np.uint8)))
             images.append(img)
-        cfg_enc = bb.EncoderConfig(image_size=64, patch_size=16, depth=1, dim=8, heads=2)
-        extractor = sm.PatchFeatureExtractor(params=bb.init_encoder(cfg_enc, seed=3))
-        seg_cfg = sm.SegConfig(k=1, temperature=0.02)
+        cfg_enc = reference_encoder(image_size=64, depth=1, dim=8, heads=2)
+        extractor = reference_extractor(bb.init_encoder(cfg_enc, seed=3), head=None)
+        seg_cfg = reference_seg(k=1)
         bank = sm.build_bank(images, masks, extractor, seg_cfg, seed=0)
-        preds = [sm.segment_image(extractor, bank, img, seg_cfg) for img in images]
+        preds = [sm.segment_image(extractor, bank, img, seg_cfg, index=None, seed=0) for img in images]
         mean, _ = sm.miou(np.stack(preds), np.stack(masks).astype(np.int64), num_classes=3)
         assert mean == 1.0
 
@@ -314,7 +318,7 @@ class TestCriterion10SegmentationSelfConsistency:
         w = np.array([0.0, 1.0], dtype=np.float32)
         two = sm.PatchMemoryBank(features=np.stack([v, w]), labels=np.array([0, 1]), num_classes=2)
         query = np.array([[np.sqrt(0.5), np.sqrt(0.5)]], dtype=np.float32)
-        _, (dist,) = sm.predict_grid(two, query, sm.SegConfig(k=2, temperature=0.1))
+        _, (dist,) = sm.predict_grid(two, query, reference_seg(k=2, temperature=0.1), index=None)
         assert abs(dist[0] - 0.5) < 1e-8 and abs(dist[1] - 0.5) < 1e-8
         report(10, f"self-bank mIoU = {mean:.1f}; equal-similarity distribution = 0.5/0.5")
 
@@ -336,8 +340,8 @@ class TestCriterion11FungiEffect:
         train_bank, test_bank = collapsed_banks(cfg, images[:120], labels[:120], images[120:], labels[120:])
         accs = {}
         for kind in ("embedding", "fused"):
-            tr = pipeline.bank_feature_matrix(train_bank, kind)
-            te = pipeline.bank_feature_matrix(test_bank, kind)
+            tr = pipeline.bank_feature_matrix(train_bank, kind, "train")
+            te = pipeline.bank_feature_matrix(test_bank, kind, "test")
             preds = ek.knn_classify(ek.KnnIndex(tr, train_bank.labels, k=20), te)
             accs[kind] = ek.accuracy(preds, test_bank.labels)
         chance = 1.0 / 4
@@ -360,12 +364,12 @@ class TestCriterion11FungiEffect:
         })
         images, labels = synth.make_classification("blobs", 150, 3, 32, seed=12)
         train_bank, test_bank = pipeline.extract_splits(
-            cfg, images[:100], labels[:100], images[100:], labels[100:]
+            cfg, images[:100], labels[:100], images[100:], labels[100:], jobs=1
         )
         accs = {}
         for kind in ("embedding", "fused"):
-            tr = pipeline.bank_feature_matrix(train_bank, kind)
-            te = pipeline.bank_feature_matrix(test_bank, kind)
+            tr = pipeline.bank_feature_matrix(train_bank, kind, "train")
+            te = pipeline.bank_feature_matrix(test_bank, kind, "test")
             preds = ek.knn_classify(ek.KnnIndex(tr, train_bank.labels, k=20), te)
             accs[kind] = ek.accuracy(preds, test_bank.labels)
         assert accs["fused"] >= accs["embedding"] - 0.02

@@ -5,10 +5,17 @@ import pytest
 
 from fungi import autodiff as ad
 from fungi import backbone as bb
+from fungi.config import RunConfig
 
-from .oracles import collapse_output_paths, max_relative_error, replace_source_layer, richardson_gradient
+from .oracles import (
+    collapse_output_paths,
+    max_relative_error,
+    reference_encoder,
+    replace_source_layer,
+    richardson_gradient,
+)
 
-TINY = bb.EncoderConfig(image_size=32, patch_size=16, depth=2, dim=8, heads=2)
+TINY = reference_encoder(image_size=32, dim=8, heads=2)
 
 
 def rand_image(rng, size):
@@ -42,7 +49,7 @@ class TestInit:
 
     def test_parameters_are_read_only(self):
         params = bb.init_encoder(TINY, seed=5)
-        head = bb.attach_head(8, 4, seed=1)
+        head = bb.attach_head(8, 4, seed=1, normalize_input=True, dtype=np.float32)
         tensors = [t for _, t in params.named_tensors()] + [head.weight, head.bias]
         for t in tensors:
             with pytest.raises(ValueError):
@@ -51,7 +58,7 @@ class TestInit:
                 t.data += 1.0
 
     def test_parameter_count_matches_hand_count(self):
-        cfg = bb.EncoderConfig(image_size=224, patch_size=16, depth=2, dim=32, heads=4)
+        cfg = reference_encoder(image_size=224, patch_size=16, depth=2, dim=32, heads=4, mlp_ratio=4.0)
         params = bb.init_encoder(cfg, seed=0)
         actual = sum(t.size for _, t in params.named_tensors())
         # hand count: shapes enumerated independently of init_encoder()
@@ -67,20 +74,20 @@ class TestInit:
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
-            bb.EncoderConfig(image_size=225, patch_size=16)
+            reference_encoder(image_size=225, patch_size=16)
         with pytest.raises(ValueError):
-            bb.EncoderConfig(dim=30, heads=4)
+            reference_encoder(dim=30, heads=4)
 
 
 class TestEncode:
     def test_patch_token_counts(self):
-        cfg = bb.EncoderConfig(image_size=512, patch_size=16, depth=1, dim=8, heads=2)
+        cfg = reference_encoder(image_size=512, patch_size=16, depth=1, dim=8, heads=2)
         params = bb.init_encoder(cfg, seed=1)
         tokens = bb.encode(params, np.zeros((3, 512, 512), dtype=np.float32))
         assert tokens.shape == (1025, 8)  # CLS first, then 32 x 32 patches
 
     def test_224_gives_196_tokens(self):
-        params = bb.init_encoder(bb.EncoderConfig(image_size=224, patch_size=16, depth=1, dim=8, heads=2), seed=1)
+        params = bb.init_encoder(reference_encoder(image_size=224, patch_size=16, depth=1, dim=8, heads=2), seed=1)
         tokens = bb.encode(params, np.zeros((3, 224, 224), dtype=np.float32))
         assert tokens[1:].shape == (196, 8)  # the patch tokens, after the CLS row
         assert bb.embed(params, np.zeros((3, 224, 224), dtype=np.float32)).shape == (8,)
@@ -103,14 +110,14 @@ class TestEncode:
             bb.embed(params, np.zeros((3, 48, 48)))
 
     def test_mean_pooling(self):
-        cfg = bb.EncoderConfig(image_size=32, patch_size=16, depth=1, dim=8, heads=2, pooling="mean")
+        cfg = reference_encoder(image_size=32, depth=1, dim=8, heads=2, pooling="mean")
         params = bb.init_encoder(cfg, seed=3, dtype=np.float64)
         img = rand_image(np.random.default_rng(0), 32)
         np.testing.assert_allclose(bb.embed(params, img), bb.encode(params, img)[1:].mean(axis=0), rtol=1e-12)
 
     @pytest.mark.parametrize("pooling", ["cls", "mean"])
     def test_embed_matches_encode(self, pooling):
-        cfg = bb.EncoderConfig(image_size=64, patch_size=16, depth=2, dim=8, heads=2, pooling=pooling)
+        cfg = reference_encoder(image_size=64, dim=8, heads=2, pooling=pooling)
         params = bb.init_encoder(cfg, seed=4, dtype=np.float64)
         for seed in range(3):
             img = rand_image(np.random.default_rng(seed), 64)
@@ -136,10 +143,9 @@ class TestHead:
         np.testing.assert_array_equal(z.data, np.zeros(6))
 
     def test_seed_determinism(self):
-        a = bb.attach_head(8, 16, seed=4)
-        b = bb.attach_head(8, 16, seed=4)
+        a, b, c = (bb.attach_head(8, 16, seed, normalize_input=True, dtype=np.float32) for seed in (4, 4, 5))
         assert np.array_equal(a.weight.data, b.weight.data)
-        assert not np.array_equal(a.weight.data, bb.attach_head(8, 16, seed=5).weight.data)
+        assert not np.array_equal(a.weight.data, c.weight.data)
 
     def test_apply_array_matches_apply(self):
         rng = np.random.default_rng(6)
@@ -149,13 +155,13 @@ class TestHead:
 
     def test_bad_proj_dim(self):
         with pytest.raises(ValueError):
-            bb.attach_head(8, 0, seed=0)
+            bb.attach_head(8, 0, seed=0, normalize_input=True, dtype=np.float32)
 
 
-def kl_objective(head, tau=15.0):
+def kl_objective(head, tau):
     def loss_fn(z):
         ls = ad.log_softmax(head.apply(z), tau=tau)
-        return ad.add(ad.scale(ad.mean(ls), -1.0), ad.as_tensor(-np.log(head.proj_dim)))
+        return ad.add(ad.scale(ad.mean(ls), -1.0), ad.as_tensor(-np.log(head.weight.shape[0])))
 
     return loss_fn
 
@@ -170,7 +176,7 @@ class TestLossGradient:
         )
         img = rand_image(np.random.default_rng(3), 32)
         source = bb.GradientSource(block_index=TINY.depth - 1, layer_kind="attn_proj")
-        dw, db = bb.loss_gradient(params, source, [img], kl_objective(head))
+        dw, db = bb.loss_gradient(params, source, [img], kl_objective(head, RunConfig().kl.temperature))
         assert np.linalg.norm(dw) < 1e-8
         assert np.linalg.norm(db) < 1e-8
 
@@ -210,13 +216,13 @@ class TestLossGradient:
 
     def test_params_not_mutated(self):
         params = bb.init_encoder(TINY, seed=11, dtype=np.float64)
-        head = bb.attach_head(8, 4, seed=12, dtype=np.float64)
+        head = bb.attach_head(8, 4, seed=12, normalize_input=True, dtype=np.float64)
         before = snapshot(params)
         bb.loss_gradient(
             params,
             bb.GradientSource(0, "mlp_fc1"),
             [rand_image(np.random.default_rng(5), 32)],
-            kl_objective(head),
+            kl_objective(head, RunConfig().kl.temperature),
         )
         assert unchanged(params, before)
 
@@ -237,7 +243,7 @@ class TestCollapsedEmbedding:
         np.testing.assert_allclose(emb_a, emb_b, atol=1e-12)
         assert np.linalg.norm(emb_a) > 1e-6
 
-        head = bb.attach_head(8, 6, seed=15, dtype=np.float64)
+        head = bb.attach_head(8, 6, seed=15, normalize_input=True, dtype=np.float64)
         source = bb.GradientSource(1, "qkv")
         dw_a, _ = bb.loss_gradient(params, source, [img_a], kl_objective(head, tau=2.0))
         dw_b, _ = bb.loss_gradient(params, source, [img_b], kl_objective(head, tau=2.0))

@@ -227,7 +227,7 @@ class TestExitCodes:
         empty = tmp_path / "empty"
         empty.mkdir()
         (empty / "train.fngi").write_bytes((data / "train.fngi").read_bytes())
-        synth.save_dataset(empty / "test.fngi", np.zeros((0, 3, 32, 32)), labels=np.zeros(0))
+        synth.save_dataset(empty / "test.fngi", np.zeros((0, 3, 32, 32)), labels=np.zeros(0), masks=None, meta="")
         with caplog.at_level(logging.ERROR, logger="fungi"):
             assert cli.main(["extract", "--config", str(cfg_path), "--data", str(empty),
                              "--out", str(tmp_path / "x")]) == 3
@@ -429,11 +429,11 @@ class TestExitCodes:
         assert len(test["images"]) > 1
         masks = np.array(test["masks"])
         masks[-1] = 255
-        synth.save_dataset(data / "test.fngi", test["images"], masks=masks, meta=test["meta"])
+        synth.save_dataset(data / "test.fngi", test["images"], labels=None, masks=masks, meta=test["meta"])
         fewer = tmp_path / "fewer"
         fewer.mkdir()
         (fewer / "train.fngi").write_bytes((data / "train.fngi").read_bytes())
-        synth.save_dataset(fewer / "test.fngi", test["images"][:-1], masks=masks[:-1], meta=test["meta"])
+        synth.save_dataset(fewer / "test.fngi", test["images"][:-1], labels=None, masks=masks[:-1], meta=test["meta"])
         for d in (data, fewer):
             assert cli.main(["segment", "--config", str(cfg_path), "--data", str(d), "--exact",
                              "--out", str(tmp_path / f"{d.name}.csv")]) == 0
@@ -443,7 +443,7 @@ class TestExitCodes:
         _, cfg_path, _, _ = workspace
         data, splits = self._segdata(tmp_path, "seg")
         train = splits["train"]
-        synth.save_dataset(data / "train.fngi", train["images"], masks=np.full_like(train["masks"], 255),
+        synth.save_dataset(data / "train.fngi", train["images"], labels=None, masks=np.full_like(train["masks"], 255),
                            meta=train["meta"])
         with caplog.at_level(logging.ERROR, logger="fungi"):
             assert cli.main(["segment", "--config", str(cfg_path), "--data", str(data), "--exact",

@@ -68,7 +68,7 @@ class TestSerialization:
         path = tmp_path / "run.cfg"
         cfg = RunConfig()
         cfg.encoder.seed = 42
-        cfg.save(path)
+        path.write_text(cfg.to_text())
         assert RunConfig.load(path).encoder.seed == 42
 
     def test_comments_and_blank_lines_ignored(self):

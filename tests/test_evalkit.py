@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from fungi import evalkit as ek
+from fungi.config import RunConfig
 
 from .oracles import assignment_cost, finite_diff_gradient, inertia, max_relative_error, validation_accuracy
 
-GRID = np.linspace(5e-6, 5e-4, 5)  # [eval]'s default probe lambda grid
+GRID = RunConfig().probe_lambda_grid()  # the reference [eval] probe lambda grid
+MAX_EPOCHS = RunConfig().eval.probe_max_epochs
 
 
 def brute_force_knn(train_x, train_y, query, k):
@@ -92,7 +94,7 @@ def oracle_cluster_contingency(assignments, labels):
     return table
 
 
-def oracle_kmeans(x, n_clusters, seed=0, max_iter=300):
+def oracle_kmeans(x, n_clusters, seed, max_iter):
     """Reference k-means, bit for bit what `ek.kmeans` must return: a
     difference per k-means++ centre, the distance expression with its
     temporaries, one member mask per cluster, and an empty cluster reseeded
@@ -170,6 +172,16 @@ class TestTopK:
         elif case == "integer_ties":
             scores = rng.integers(-3, 4, size=(64, 3000))
         np.testing.assert_array_equal(ek.top_k(scores, 3000), lexsort_top_k(scores, 3000))
+
+    def test_rows_with_nans_rank_them_last_in_both_branches(self):
+        # argpartition takes NaN for the largest score; the full ranking puts it last
+        scores = np.random.default_rng(36).integers(-2, 3, size=(8, 12)).astype(np.float64)
+        scores[1, [3, 9]] = np.nan
+        scores[4] = np.nan
+        scores[6, :11] = np.nan
+        for k in range(1, 14):
+            np.testing.assert_array_equal(ek.top_k(scores, k), lexsort_top_k(scores, k))
+        np.testing.assert_array_equal(ek.top_k([[0.1, np.nan, 0.5, 0.3]], 2), [[2, 3]])
 
     def test_full_ranking_puts_nans_last_in_id_order(self):
         scores = np.random.default_rng(35).integers(-2, 3, size=(6, 50)).astype(np.float64)
@@ -404,14 +416,14 @@ class TestKmeansAndOverlap:
 
     def test_more_clusters_than_points(self):
         with pytest.raises(ValueError):
-            ek.kmeans(np.zeros((3, 2)), 4)
+            ek.kmeans(np.zeros((3, 2)), 4, seed=0)
 
     def test_emptied_cluster_is_reseeded_from_the_farthest_row(self, monkeypatch):
         # from the centres 0, 5 and 6, the first Lloyd step leaves the centre
         # at 5 without members; it is reseeded from the row at 10, the one
         # farthest from its centroid. Left at 5 it would stay empty: [0, 0, 2, 2]
         monkeypatch.setattr(ek, "_plusplus_init", lambda x, x_sq, k, rng: np.array([[0.0], [5.0], [6.0]]))
-        result = ek.kmeans(np.array([[0.0], [1.0], [9.0], [10.0]]), 3)
+        result = ek.kmeans(np.array([[0.0], [1.0], [9.0], [10.0]]), 3, seed=0)
         np.testing.assert_array_equal(result.assignments, [0, 0, 2, 1])
         np.testing.assert_array_equal(result.centroids, [[0.5], [10.0], [9.0]])
 
@@ -491,7 +503,7 @@ class TestProbe:
         rng = np.random.default_rng(14)
         x = np.concatenate([rng.normal(size=(40, 2)) + [4, 0], rng.normal(size=(40, 2)) - [4, 0]])
         y = np.repeat([0, 1], 40)
-        result = ek.logistic_probe(x, y, lambda_grid=[1e-6], seed=0)
+        result = ek.logistic_probe(x, y, lambda_grid=[1e-6], max_epochs=MAX_EPOCHS, seed=0)
         assert ek.accuracy(result.model.predict(x), y) == 1.0
 
     def test_huge_lambda_predicts_training_class_frequencies(self):
@@ -500,7 +512,7 @@ class TestProbe:
         rng = np.random.default_rng(15)
         x = rng.normal(size=(60, 4))
         y = rng.integers(0, 3, size=60)
-        result = ek.logistic_probe(x, y, lambda_grid=[1e6], seed=0)
+        result = ek.logistic_probe(x, y, lambda_grid=[1e6], max_epochs=MAX_EPOCHS, seed=0)
         scores = x @ result.model.weights.T + result.model.bias
         probs = np.exp(scores - scores.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
@@ -594,24 +606,24 @@ class TestProbe:
         x = np.concatenate([rng.normal(size=(60, 2)) + [4, 0], rng.normal(size=(20, 2)) - [4, 0]])
         y = np.repeat([0, 1], [60, 20])
         grid = [1e-5, 1e6, 1e-4]
-        result = ek.logistic_probe(x, y, lambda_grid=grid, seed=0)
+        result = ek.logistic_probe(x, y, lambda_grid=grid, max_epochs=MAX_EPOCHS, seed=0)
         assert result.best_lambda == 1e-5
-        assert validation_accuracy(x, y, 1e-5, seed=0) == 1.0
+        assert validation_accuracy(x, y, 1e-5, seed=0, max_epochs=MAX_EPOCHS) == 1.0
         assert [fit.lam for fit in result.fits] == grid + [1e-5]
         assert all(fit.stop == "grad_tol" for fit in result.fits)
-        assert validation_accuracy(x, y, 1e6, seed=0) == 0.75
+        assert validation_accuracy(x, y, 1e6, seed=0, max_epochs=MAX_EPOCHS) == 0.75
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
-            ek.logistic_probe(np.zeros((5, 2)), np.zeros(5), GRID)
+            ek.logistic_probe(np.zeros((5, 2)), np.zeros(5), GRID, max_epochs=MAX_EPOCHS, seed=0)
 
     def test_validation_split_selects_lambda(self):
         rng = np.random.default_rng(17)
         x = np.concatenate([rng.normal(size=(50, 3)) + 2, rng.normal(size=(50, 3)) - 2])
         y = np.repeat([0, 1], 50)
-        result = ek.logistic_probe(x, y, GRID, seed=1)
+        result = ek.logistic_probe(x, y, GRID, max_epochs=MAX_EPOCHS, seed=1)
         assert result.best_lambda in GRID
-        assert validation_accuracy(x, y, result.best_lambda, seed=1) > 0.9
+        assert validation_accuracy(x, y, result.best_lambda, seed=1, max_epochs=MAX_EPOCHS) > 0.9
 
 
 class TestRetrievalMap:

@@ -94,7 +94,7 @@ class TestFuse:
 
     def test_embedding_only(self):
         v = np.array([[3.0, 4.0], [0.0, -2.0]])
-        np.testing.assert_allclose(feat.fuse(v), [[0.6, 0.8], [0.0, -1.0]])
+        np.testing.assert_allclose(feat.fuse(v, []), [[0.6, 0.8], [0.0, -1.0]])
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(9)
@@ -163,15 +163,11 @@ class TestPca:
         model = feat.fit_pca(rng.normal(size=(40, 10)), 6)
         path = tmp_path / "pca.fngi"
         model.save(path)
-        back = feat.PcaModel.load(path)
-        np.testing.assert_array_equal(back.mean, model.mean)
-        np.testing.assert_array_equal(back.components, model.components)
-
-    def test_load_names_a_missing_section(self, tmp_path):
-        path = tmp_path / "pca.fngi"
-        store.write_sections(path, {"pca_mean": np.zeros(3), "pca_components": np.eye(3)})
-        with pytest.raises(store.StoreError, match="'pca_explained_variance'"):
-            feat.PcaModel.load(path)
+        back = store.read_sections(path)
+        assert list(back) == ["pca_mean", "pca_components", "pca_explained_variance"]
+        np.testing.assert_array_equal(back["pca_mean"], model.mean)
+        np.testing.assert_array_equal(back["pca_components"], model.components)
+        np.testing.assert_array_equal(back["pca_explained_variance"], model.explained_variance)
 
 
 class TestFeatureBank:
@@ -212,6 +208,13 @@ class TestFeatureBank:
                 ids=np.array([0, 0]),
                 labels=np.array([1, 2]),
                 fused=np.zeros((2, 4), dtype=np.float32),
+                embedding=None,
+                gradients={},
+                objective_names=(),
+                split="train",
+                config_echo="",
+                config_hash="",
+                provenance={},
             )
 
     @pytest.mark.parametrize("section", ["labels", "fused", "embedding", "grad::simclr"])

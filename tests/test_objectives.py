@@ -5,7 +5,7 @@ from fungi import autodiff as ad
 from fungi import backbone as bb
 from fungi import objectives as obj
 
-from .oracles import finite_diff_gradient, max_relative_error
+from .oracles import finite_diff_gradient, max_relative_error, reference_encoder
 
 
 def enumerate_kl_from_uniform(z, tau):
@@ -106,7 +106,7 @@ class TestDinoLoss:
     def test_requires_two_teacher_views(self):
         z = self._latents(5, 1)
         with pytest.raises(ValueError):
-            obj.dino_loss(ad.stack(z), np.stack([z[0].data]))
+            obj.dino_loss(ad.stack(z), np.stack([z[0].data]), tau_s=0.1, tau_t=0.07)
 
     def test_identical_view_pair_excluded(self):
         # 2 teacher + 2 student views -> 2 pairs, each teacher against the
@@ -155,7 +155,7 @@ class TestDinoLoss:
         zt = ad.linear(x, teacher_w).data  # outside the tape: a constant
         with ad.GradTape() as tape:
             zs = ad.linear(x, student_w)
-            loss = obj.dino_loss(ad.stack([zs, zs, zs]), np.stack([zt, zt * 0.5]))
+            loss = obj.dino_loss(ad.stack([zs, zs, zs]), np.stack([zt, zt * 0.5]), tau_s=0.1, tau_t=0.07)
         grads = tape.backward(loss)
         assert grads.get(teacher_w) is None
         assert grads.get(student_w) is not None
@@ -218,12 +218,22 @@ class TestSimclrLoss:
         rng = np.random.default_rng(10)
         z = unit_rows(rng, 4, 8) * 1.01
         with pytest.raises(ValueError):
-            obj.simclr_loss(ad.as_tensor(z), obj.NegativeBank(unit_rows(rng, 5, 8)))
+            obj.simclr_loss(ad.as_tensor(z), obj.NegativeBank(unit_rows(rng, 5, 8)), tau=0.07)
+
+    @pytest.mark.parametrize("where", ["positive latent", "negative bank"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_row_is_named(self, where, value):
+        # a NaN norm passes a `deviation > tol` test; the row must be refused
+        rng = np.random.default_rng(10)
+        z, bank = ad.as_tensor(unit_rows(rng, 4, 8)), obj.NegativeBank(unit_rows(rng, 5, 8))
+        (z.data if where == "positive latent" else bank.rows)[2, 3] = value
+        with pytest.raises(ValueError, match=f"^{where} row 2 is not unit-norm"):
+            obj.simclr_loss(z, bank, tau=0.07)
 
     def test_needs_two_positives(self):
         rng = np.random.default_rng(11)
         with pytest.raises(ValueError):
-            obj.simclr_loss(ad.as_tensor(unit_rows(rng, 1, 8)), obj.NegativeBank(unit_rows(rng, 3, 8)))
+            obj.simclr_loss(ad.as_tensor(unit_rows(rng, 1, 8)), obj.NegativeBank(unit_rows(rng, 3, 8)), tau=0.07)
 
     def test_gradient_matches_oracle(self):
         rng = np.random.default_rng(12)
@@ -267,7 +277,7 @@ def parent_info_nce(z_norm, bank_rows, tau):
     return ad.scale(ad.total(ad.mul(log_probs, ad.as_tensor(pair_mask))), -1.0 / n_pairs)
 
 
-def parent_simclr_patch_loss(patch_tokens, head, support, tau, seed, retrieved_per_patch=2, kept_per_patch=1):
+def parent_simclr_patch_loss(patch_tokens, head, support, tau, seed, retrieved_per_patch, kept_per_patch):
     """The earlier dense loss: a numpy head forward picks the negatives, a
     second, taped head forward feeds parent_info_nce."""
     tokens_data = np.asarray(patch_tokens)
@@ -313,15 +323,17 @@ class TestInfoNceAgainstParent:
 
     def test_simclr_patch_loss(self, dtype):
         dim = 16
-        params = bb.init_encoder(bb.EncoderConfig(image_size=64, patch_size=16, depth=1, dim=dim, heads=2),
+        params = bb.init_encoder(reference_encoder(image_size=64, depth=1, dim=dim, heads=2),
                                  seed=51, dtype=dtype)
         head = bb.attach_head(dim, 12, seed=52, normalize_input=False, dtype=dtype)
         rng = np.random.default_rng(53)
         support = obj.SupportIndex(head.apply_array(rng.normal(size=(40, dim)).astype(dtype)))
         for seed in (0, 7):
             tokens = bb.encode(params, rng.random((3, 64, 64)))
-            got, got_loss = obj.simclr_patch_loss(tokens, head, support, tau=0.07, seed=seed)
-            want, want_loss = parent_simclr_patch_loss(tokens, head, support, tau=0.07, seed=seed)
+            got, got_loss = obj.simclr_patch_loss(tokens, head, support, tau=0.07, seed=seed,
+                                                  retrieved_per_patch=2, kept_per_patch=1)
+            want, want_loss = parent_simclr_patch_loss(tokens, head, support, tau=0.07, seed=seed,
+                                                       retrieved_per_patch=2, kept_per_patch=1)
             assert got.dtype == dtype
             assert np.array_equal(got, want)
             assert_loss_close(got_loss, want_loss, dtype)
@@ -343,7 +355,8 @@ class TestDenseLossTape:
             return record(tape, inputs, output, backward_fn)
 
         monkeypatch.setattr(ad.GradTape, "_record", recording)
-        obj.simclr_patch_loss(rng.normal(size=(tokens, dim)), head, support, seed=1, kept_per_patch=1)
+        obj.simclr_patch_loss(rng.normal(size=(tokens, dim)), head, support, tau=0.07, seed=1,
+                              retrieved_per_patch=2, kept_per_patch=1)
         assert 0 < shapes.count((tokens, tokens + tokens)) <= 3
 
 
@@ -388,7 +401,7 @@ class TestSupportIndex:
 
 class TestSimclrPatchLoss:
     def _setup(self, image_size=64, dim=8):
-        cfg = bb.EncoderConfig(image_size=image_size, patch_size=16, depth=1, dim=dim, heads=2)
+        cfg = reference_encoder(image_size=image_size, depth=1, dim=dim, heads=2)
         params = bb.init_encoder(cfg, seed=20, dtype=np.float64)
         head = bb.attach_head(dim, 12, seed=21, normalize_input=False, dtype=np.float64)
         return cfg, params, head
@@ -399,7 +412,8 @@ class TestSimclrPatchLoss:
         img = rng.random((3, 64, 64))
         tokens = bb.encode(params, img)
         support = obj.SupportIndex(head.apply_array(np.random.default_rng(23).normal(size=(50, cfg.dim))))
-        grads, loss = obj.simclr_patch_loss(tokens, head, support, tau=0.07, seed=1)
+        grads, loss = obj.simclr_patch_loss(tokens, head, support, tau=0.07, seed=1,
+                                            retrieved_per_patch=2, kept_per_patch=1)
         assert grads.shape == (cfg.num_patches, cfg.dim)
         assert np.isfinite(loss)
 
@@ -415,13 +429,14 @@ class TestSimclrPatchLoss:
     def test_1024_gradient_rows_at_full_resolution(self):
         # 512x512 input with 16px patches: 1025 tokens in, 1024 gradient
         # rows out after the CLS row is dropped
-        cfg = bb.EncoderConfig(image_size=512, patch_size=16, depth=1, dim=8, heads=2)
+        cfg = reference_encoder(image_size=512, patch_size=16, depth=1, dim=8, heads=2)
         params = bb.init_encoder(cfg, seed=40)
-        head = bb.attach_head(8, 12, seed=41, normalize_input=False)
+        head = bb.attach_head(8, 12, seed=41, normalize_input=False, dtype=np.float32)
         tokens = bb.encode(params, np.random.default_rng(42).random((3, 512, 512), dtype=np.float64))
         assert tokens.shape == (1025, 8)
         support = obj.SupportIndex(np.random.default_rng(43).normal(size=(64, 12)))
-        grads, _ = obj.simclr_patch_loss(tokens, head, support, tau=0.07, seed=4)
+        grads, _ = obj.simclr_patch_loss(tokens, head, support, tau=0.07, seed=4,
+                                         retrieved_per_patch=2, kept_per_patch=1)
         assert grads.shape == (1024, 8)
 
     def test_small_support_rejected(self):
@@ -430,7 +445,7 @@ class TestSimclrPatchLoss:
         tokens = rng.normal(size=(17, 8))
         support = obj.SupportIndex(rng.normal(size=(1, 12)))
         with pytest.raises(ValueError):
-            obj.simclr_patch_loss(tokens, head, support, retrieved_per_patch=2)
+            obj.simclr_patch_loss(tokens, head, support, tau=0.07, seed=0, retrieved_per_patch=2, kept_per_patch=1)
 
     def test_gradient_matches_oracle(self):
         _, params, head = self._setup()
@@ -438,7 +453,7 @@ class TestSimclrPatchLoss:
         tokens = rng.normal(size=(9, 8))
         support = obj.SupportIndex(rng.normal(size=(30, 12)))
 
-        got, _ = obj.simclr_patch_loss(tokens, head, support, tau=0.2, seed=3)
+        got, _ = obj.simclr_patch_loss(tokens, head, support, tau=0.2, seed=3, retrieved_per_patch=2, kept_per_patch=1)
 
         # freeze the retrieved negatives, then finite-difference the same loss
         latents = head.apply_array(tokens)

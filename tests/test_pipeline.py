@@ -38,7 +38,7 @@ def small_banks():
     cfg = tiny_config()
     images, labels = synth.make_classification("blobs", 24, 3, 32, seed=3)
     train_bank, test_bank = pipeline.extract_splits(
-        cfg, images[:18], labels[:18], images[18:], labels[18:]
+        cfg, images[:18], labels[:18], images[18:], labels[18:], jobs=1
     )
     return cfg, train_bank, test_bank
 
@@ -63,13 +63,13 @@ class TestExtraction:
     def test_single_objective_segment_count(self):
         cfg = tiny_config(objectives=("kl",))
         images, labels = synth.make_classification("blobs", 8, 2, 32, seed=4)
-        train, _ = pipeline.extract_splits(cfg, images[:6], labels[:6], images[6:], labels[6:])
+        train, _ = pipeline.extract_splits(cfg, images[:6], labels[:6], images[6:], labels[6:], jobs=1)
         assert train.fused.shape[1] == 2 * 16  # embedding + 1 gradient
 
     def test_determinism_across_runs_and_jobs(self):
         cfg = tiny_config(objectives=("kl", "simclr"))
         images, labels = synth.make_classification("stripes", 10, 2, 32, seed=5)
-        a, _ = pipeline.extract_splits(cfg, images[:8], labels[:8], images[8:], labels[8:])
+        a, _ = pipeline.extract_splits(cfg, images[:8], labels[:8], images[8:], labels[8:], jobs=1)
         b, _ = pipeline.extract_splits(cfg, images[:8], labels[:8], images[8:], labels[8:], jobs=3)
         np.testing.assert_array_equal(a.fused, b.fused)
         np.testing.assert_array_equal(a.gradients["simclr"], b.gradients["simclr"])
@@ -81,7 +81,7 @@ class TestExtraction:
         projections = pipeline.build_projections(cfg)
         images, labels = synth.make_classification("blobs", 4, 2, 32, seed=6)
         with pytest.raises(ValueError):
-            pipeline.extract_bank(cfg, params, heads, projections, images, labels, "train")
+            pipeline.extract_bank(cfg, params, heads, projections, images, labels, "train", neg_bank=None, jobs=1)
 
 
 @pytest.fixture
@@ -123,7 +123,11 @@ class TestPrecision:
             assert dw.dtype == dtype and db.dtype == dtype, name
         tokens = bb.encode(params, images[1])
         support = obj.SupportIndex(heads["simclr"].apply_array(tokens[1:]))
-        grads, _ = obj.simclr_patch_loss(tokens, heads["simclr"], support)
+        seg = cfg.segmentation
+        grads, _ = obj.simclr_patch_loss(
+            tokens, heads["simclr"], support, tau=seg.simclr_temperature, seed=0,
+            retrieved_per_patch=seg.retrieved_negatives_per_patch, kept_per_patch=seg.loss_negatives_per_patch,
+        )
         assert grads.dtype == dtype
         assert primitive_dtypes == {np.dtype(dtype)}
 
@@ -168,9 +172,9 @@ class TestHeadsAndProjections:
     def test_head_dims_follow_config(self):
         cfg = tiny_config()
         heads = pipeline.build_heads(cfg)
-        assert heads["kl"].proj_dim == 32
+        assert heads["kl"].weight.shape[0] == 32
         student, teacher = heads["dino"]
-        assert student.proj_dim == teacher.proj_dim == 48
+        assert student.weight.shape[0] == teacher.weight.shape[0] == 48
         assert not np.array_equal(student.weight.data, teacher.weight.data)
         assert heads["simclr"].normalize_input is False
         assert heads["kl"].normalize_input is True
@@ -200,7 +204,7 @@ class TestPcaFusion:
         train2, test2, model = pipeline.fuse_pca_banks(train_bank, test_bank, 16)
         assert train2.fused.shape == (18, 16)
         assert test2.fused.shape == (6, 16)
-        assert model.out_dim == 16
+        assert model.components.shape[0] == 16
         assert train2.provenance["pca_out_dim"] == "16" or train2.provenance["pca_out_dim"] == 16
 
     def test_mismatched_banks_rejected(self, small_banks):
@@ -208,7 +212,7 @@ class TestPcaFusion:
         other_cfg = tiny_config(seed=99)
         images, labels = synth.make_classification("blobs", 8, 2, 32, seed=9)
         other_train, _ = pipeline.extract_splits(
-            other_cfg, images[:6], labels[:6], images[6:], labels[6:]
+            other_cfg, images[:6], labels[:6], images[6:], labels[6:], jobs=1
         )
         with pytest.raises(ValueError):
             pipeline.fuse_pca_banks(train_bank, other_train, 8)
@@ -217,13 +221,13 @@ class TestPcaFusion:
 class TestFeatureMatrix:
     def test_kinds(self, small_banks):
         _, train_bank, _ = small_banks
-        assert pipeline.bank_feature_matrix(train_bank, "fused").shape[1] == 64
-        emb = pipeline.bank_feature_matrix(train_bank, "embedding")
+        assert pipeline.bank_feature_matrix(train_bank, "fused", "train").shape[1] == 64
+        emb = pipeline.bank_feature_matrix(train_bank, "embedding", "train")
         np.testing.assert_allclose(np.linalg.norm(emb, axis=1), 1.0, atol=1e-6)
-        grad = pipeline.bank_feature_matrix(train_bank, "kl")
+        grad = pipeline.bank_feature_matrix(train_bank, "kl", "train")
         np.testing.assert_allclose(np.linalg.norm(grad, axis=1), 1.0, atol=1e-6)
         with pytest.raises(ValueError):
-            pipeline.bank_feature_matrix(train_bank, "nope")
+            pipeline.bank_feature_matrix(train_bank, "nope", "train")
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_fused_row_rejected(self, small_banks, value):
@@ -238,7 +242,7 @@ class TestFeatureMatrix:
         bank = copy.deepcopy(train_bank)
         bank.fused[1] = 0.0
         bank.fused[2] *= 3.0
-        np.testing.assert_array_equal(pipeline.bank_feature_matrix(bank, "fused"), bank.fused.astype(np.float64))
+        np.testing.assert_array_equal(pipeline.bank_feature_matrix(bank, "fused", "train"), bank.fused.astype(np.float64))
 
     @pytest.mark.parametrize("kind", ["embedding", "kl"])
     def test_zero_segment_row_rejected(self, small_banks, kind):
@@ -250,8 +254,8 @@ class TestFeatureMatrix:
 
     def test_embedding_knn_separates_easy_classes(self, small_banks):
         _, train_bank, test_bank = small_banks
-        tr = pipeline.bank_feature_matrix(train_bank, "embedding")
-        te = pipeline.bank_feature_matrix(test_bank, "embedding")
+        tr = pipeline.bank_feature_matrix(train_bank, "embedding", "index")
+        te = pipeline.bank_feature_matrix(test_bank, "embedding", "query")
         import fungi.evalkit as ek
         from .test_evalkit import brute_force_knn
 
@@ -283,10 +287,10 @@ class TestFeatureMatrix:
                 cfg.projection.seed = proj_seed
                 cfg.validate()
                 tr, te = pipeline.extract_splits(
-                    cfg, images[:120], labels[:120], images[120:], labels[120:]
+                    cfg, images[:120], labels[:120], images[120:], labels[120:], jobs=1
                 )
-                index = ek.KnnIndex(pipeline.bank_feature_matrix(tr, "fused"), tr.labels, k=20)
-                preds = ek.knn_classify(index, pipeline.bank_feature_matrix(te, "fused"))
+                index = ek.KnnIndex(pipeline.bank_feature_matrix(tr, "fused", "index"), tr.labels, k=20)
+                preds = ek.knn_classify(index, pipeline.bank_feature_matrix(te, "fused", "query"))
                 accs.append(ek.accuracy(preds, te.labels))
             means[kind] = np.mean(accs)
         spread = max(means.values()) - min(means.values())
@@ -301,7 +305,7 @@ class TestFeatureMatrix:
                 cfg.gradients.block_index = block
                 cfg.gradients.layer_kind = kind
                 cfg.validate()
-                tr, _ = pipeline.extract_splits(cfg, images[:8], labels[:8], images[8:], labels[8:])
+                tr, _ = pipeline.extract_splits(cfg, images[:8], labels[:8], images[8:], labels[8:], jobs=1)
                 grads = tr.gradients["kl"]
                 assert np.isfinite(grads).all()
                 assert np.abs(grads - grads[0]).max() > 1e-8

@@ -6,6 +6,8 @@ from fungi import evalkit as ek
 from fungi import objectives as obj
 from fungi import segmem as sm
 
+from .oracles import reference_encoder, reference_extractor, reference_ivf, reference_seg
+
 
 def unit_rows(rng, n, dim):
     x = rng.normal(size=(n, dim))
@@ -78,8 +80,17 @@ class TestMaskDownsampling:
 
 def query_dist(bank, query, k, tau, index=None):
     """Class distribution of one patch row, through the block search."""
-    _, dists = sm.predict_grid(bank, np.asarray(query)[None], sm.SegConfig(k=k, temperature=tau), index=index)
+    _, dists = sm.predict_grid(bank, np.asarray(query)[None], reference_seg(k=k, temperature=tau), index=index)
     return dists[0]
+
+
+class TestPatchMemoryBank:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0])
+    def test_row_that_is_not_unit_norm_is_named(self, value):
+        rows = unit_rows(np.random.default_rng(0), 4, 6)
+        rows[3] = value
+        with pytest.raises(ValueError, match="^bank row 3 is not unit-norm"):
+            sm.PatchMemoryBank(features=rows, labels=np.zeros(4), num_classes=1)
 
 
 class TestQueryLabel:
@@ -125,15 +136,15 @@ class TestQueryLabel:
 
 
 class TestIvf:
-    def setup_index(self, n=3000, dim=12, seed=4, **kw):
+    def setup_index(self, n=3000, dim=12, seed=4):
         rng = np.random.default_rng(seed)
         feats = unit_rows(rng, n, dim)
-        params = sm.IvfParams(num_leaves=32, leaves_to_search=8, rerank=40, **kw)
+        params = reference_ivf(num_leaves=32, leaves_to_search=8, rerank=40)
         return feats, sm.ivf_build(feats, params, seed=seed), rng
 
     def test_full_scan_equals_exact_bitwise(self):
         feats, index, rng = self.setup_index()
-        index.params = sm.IvfParams(num_leaves=32, leaves_to_search=32, rerank=40)
+        index.params = reference_ivf(num_leaves=32, leaves_to_search=32, rerank=40)
         for _ in range(20):
             q = unit_rows(rng, 1, 12)[0]
             ids_a, sims_a = sm.ivf_search(index, q, 10)
@@ -169,7 +180,7 @@ class TestIvf:
     def test_bank_smaller_than_leaves(self):
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError):
-            sm.ivf_build(unit_rows(rng, 10, 4), sm.IvfParams(num_leaves=32))
+            sm.ivf_build(unit_rows(rng, 10, 4), reference_ivf(num_leaves=32), seed=0)
 
 
 class TestMiou:
@@ -210,10 +221,10 @@ class TestMiou:
 
 
 def tiny_extractor(use_fungi=False, image_size=64, dim=8):
-    cfg = bb.EncoderConfig(image_size=image_size, patch_size=16, depth=1, dim=dim, heads=2)
+    cfg = reference_encoder(image_size=image_size, patch_size=16, depth=1, dim=dim, heads=2)
     params = bb.init_encoder(cfg, seed=30)
-    head = bb.attach_head(dim, 12, seed=31, normalize_input=False) if use_fungi else None
-    return sm.PatchFeatureExtractor(params=params, use_fungi=use_fungi, head=head)
+    head = bb.attach_head(dim, 12, seed=31, normalize_input=False, dtype=np.float32) if use_fungi else None
+    return reference_extractor(params, head)
 
 
 def synthetic_seg_images(rng, n, size=64, classes=3):
@@ -236,7 +247,7 @@ class TestBankBuilding:
         rng = np.random.default_rng(7)
         images, masks = synthetic_seg_images(rng, 4)
         extractor = tiny_extractor()
-        bank = sm.build_bank(images, masks, extractor, sm.SegConfig(k=1, temperature=0.02))
+        bank = sm.build_bank(images, masks, extractor, reference_seg(k=1), seed=0)
         assert len(bank) == 4 * 16  # 64/16 grid -> 16 patches per image
         assert bank.features.shape[1] == 8
 
@@ -244,15 +255,15 @@ class TestBankBuilding:
         rng = np.random.default_rng(8)
         images, masks = synthetic_seg_images(rng, 3)
         extractor = tiny_extractor(use_fungi=True)
-        bank = sm.build_bank(images, masks, extractor, sm.SegConfig(k=1, temperature=0.02))
+        bank = sm.build_bank(images, masks, extractor, reference_seg(k=1), seed=0)
         assert bank.features.shape[1] == 16
         assert extractor.support is not None
 
     def test_fungi_features_read_the_cls_token_under_mean_pooling(self):
-        cfg = bb.EncoderConfig(image_size=64, patch_size=16, depth=1, dim=8, heads=2, pooling="mean")
+        cfg = reference_encoder(image_size=64, patch_size=16, depth=1, dim=8, heads=2, pooling="mean")
         params = bb.init_encoder(cfg, seed=30, dtype=np.float64)
         head = bb.attach_head(8, 12, seed=31, normalize_input=False, dtype=np.float64)
-        extractor = sm.PatchFeatureExtractor(params=params, use_fungi=True, head=head)
+        extractor = reference_extractor(params, head)
         images = [np.random.default_rng(i).random((3, 64, 64)) for i in range(3)]
         extractor.build_support(images)
         tokens = bb._forward(params, images[0]).data  # final-norm rows, CLS first
@@ -269,7 +280,7 @@ class TestBankBuilding:
         extractor = tiny_extractor(use_fungi=True)
         encode, calls = bb.encode, []
         monkeypatch.setattr(bb, "encode", lambda params, image: calls.append(1) or encode(params, image))
-        bank = sm.build_bank(images, masks, extractor, sm.SegConfig(k=1, temperature=0.02), seed=4)
+        bank = sm.build_bank(images, masks, extractor, reference_seg(k=1), seed=4)
         assert len(calls) == len(images)
         # the same rows as a features() pass of their own over the same support
         want = [
@@ -281,7 +292,7 @@ class TestBankBuilding:
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         images, masks = synthetic_seg_images(rng, 3)
-        cfg = sm.SegConfig(k=1, temperature=0.02, augmentation_epochs=2, bank_cap=60)
+        cfg = reference_seg(k=1, augmentation_epochs=2, bank_cap=60)
         a = sm.build_bank(images, masks, tiny_extractor(), cfg, seed=5)
         b = sm.build_bank(images, masks, tiny_extractor(), cfg, seed=5)
         np.testing.assert_array_equal(a.features, b.features)
@@ -290,7 +301,7 @@ class TestBankBuilding:
     def test_augmentation_epochs_multiply_rows(self):
         rng = np.random.default_rng(10)
         images, masks = synthetic_seg_images(rng, 2)
-        cfg = sm.SegConfig(k=1, temperature=0.02, augmentation_epochs=3)
+        cfg = reference_seg(k=1, augmentation_epochs=3)
         bank = sm.build_bank(images, masks, tiny_extractor(), cfg, seed=1)
         assert len(bank) == 3 * 2 * 16
 
@@ -298,16 +309,16 @@ class TestBankBuilding:
         rng = np.random.default_rng(11)
         images, masks = synthetic_seg_images(rng, 2)
         masks[0][:16, :16] = sm.IGNORE_LABEL  # exactly one patch cell
-        bank = sm.build_bank(images, masks, tiny_extractor(), sm.SegConfig(k=1, temperature=0.02))
+        bank = sm.build_bank(images, masks, tiny_extractor(), reference_seg(k=1), seed=0)
         assert len(bank) == 2 * 16 - 1
 
     def test_self_retrieval_gives_perfect_miou(self):
         rng = np.random.default_rng(12)
         images, masks = synthetic_seg_images(rng, 3)
         extractor = tiny_extractor()
-        cfg = sm.SegConfig(k=1, temperature=0.02)
+        cfg = reference_seg(k=1)
         bank = sm.build_bank(images, masks, extractor, cfg, seed=0)
-        preds = [sm.segment_image(extractor, bank, img, cfg) for img in images]
+        preds = [sm.segment_image(extractor, bank, img, cfg, index=None, seed=0) for img in images]
         grid_gt = [
             augments_to_pixels(sm.downsample_mask(m, 16), 64) for m in masks
         ]
@@ -327,10 +338,10 @@ class TestQueryBlocks:
         rng = np.random.default_rng(6)
         bank = make_bank(rng, n=600)
         queries = unit_rows(rng, 2 * ek.QUERY_BLOCK + 5, 16)
-        config = sm.SegConfig(k=7, temperature=0.05)
+        config = reference_seg(k=7, temperature=0.05)
         index = None
         if ivf:
-            params = sm.IvfParams(num_leaves=16, leaves_to_search=4, rerank=20)
+            params = reference_ivf(num_leaves=16, leaves_to_search=4, rerank=20)
             index = sm.ivf_build(bank.features, params, seed=6)
         labels, dists = sm.predict_grid(bank, queries, config, index=index)
         alone = np.concatenate([sm.predict_grid(bank, q[None], config, index=index)[1] for q in queries])

@@ -65,7 +65,7 @@ class TestDatasetFiles:
     def test_save_load_round_trip(self, tmp_path):
         images, labels = synth.make_classification("blobs", 6, 2, 16, seed=4)
         path = tmp_path / "d.fngi"
-        synth.save_dataset(path, images, labels=labels, meta="kind=blobs")
+        synth.save_dataset(path, images, labels=labels, masks=None, meta="kind=blobs")
         back = synth.load_dataset(path)
         np.testing.assert_array_equal(back["images"], images)
         np.testing.assert_array_equal(back["labels"], labels)
