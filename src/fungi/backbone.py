@@ -33,10 +33,14 @@ class EncoderConfig:
     pooling: str
 
     def __post_init__(self):
+        if min(self.image_size, self.patch_size, self.dim, self.heads) < 1:
+            raise ValueError("image_size, patch_size, dim and heads must be at least 1")
         if self.image_size % self.patch_size != 0:
             raise ValueError("image_size must be divisible by patch_size")
         if self.dim % self.heads != 0:
             raise ValueError("dim must be divisible by heads")
+        if not np.isfinite(self.mlp_ratio) or self.mlp_dim < 1:
+            raise ValueError("mlp_ratio must be finite and give an mlp_dim (dim * mlp_ratio, rounded) of at least 1")
         if self.pooling not in ("cls", "mean"):
             raise ValueError(f"unknown pooling {self.pooling!r}")
 
@@ -51,6 +55,13 @@ class EncoderConfig:
     @property
     def mlp_dim(self):
         return int(round(self.dim * self.mlp_ratio))
+
+    @property
+    def layer_shapes(self):
+        """(out, in) of each block's linear layers by weight prefix, in
+        initialization order."""
+        d, mlp = self.dim, self.mlp_dim
+        return {"qkv": (3 * d, d), "proj": (d, d), "fc1": (mlp, d), "fc2": (d, mlp)}
 
 
 @dataclass
@@ -113,18 +124,6 @@ class GradientSource:
     # layer kind -> prefix of its weight and bias attributes in BlockParams
     PREFIXES = {"attn_proj": "proj", "mlp_fc1": "fc1", "mlp_fc2": "fc2", "qkv": "qkv"}
 
-    def validate(self, config):
-        if self.layer_kind not in self.PREFIXES:
-            raise ValueError(f"unknown layer kind {self.layer_kind!r}")
-        if not 0 <= self.block_index < config.depth:
-            raise ValueError(f"block index {self.block_index} out of range for depth {config.depth}")
-
-    def resolve(self, params):
-        self.validate(params.config)
-        block = params.blocks[self.block_index]
-        prefix = self.PREFIXES[self.layer_kind]
-        return getattr(block, prefix + "_w"), getattr(block, prefix + "_b")
-
 
 LAYER_KINDS = tuple(GradientSource.PREFIXES)
 
@@ -135,7 +134,7 @@ def _read_only(tensors):
         t.data.flags.writeable = False
 
 
-def init_encoder(config, seed, dtype=np.float32):
+def init_encoder(config, seed, dtype):
     """Deterministic random initialization of all encoder weights."""
     rng = np.random.default_rng(seed)
     d = config.dim
@@ -154,24 +153,16 @@ def init_encoder(config, seed, dtype=np.float32):
     pos = embed(tokens, d)
     blocks = []
     for _ in range(config.depth):
-        qkv_w, qkv_b = lin(3 * d, d)
-        proj_w, proj_b = lin(d, d)
-        fc1_w, fc1_b = lin(config.mlp_dim, d)
-        fc2_w, fc2_b = lin(d, config.mlp_dim)
+        linears = {}
+        for prefix, shape in config.layer_shapes.items():
+            linears[prefix + "_w"], linears[prefix + "_b"] = lin(*shape)
         blocks.append(
             BlockParams(
                 ln1_g=ad.Tensor(np.ones(d, dtype=dtype)),
                 ln1_b=ad.Tensor(np.zeros(d, dtype=dtype)),
-                qkv_w=qkv_w,
-                qkv_b=qkv_b,
-                proj_w=proj_w,
-                proj_b=proj_b,
                 ln2_g=ad.Tensor(np.ones(d, dtype=dtype)),
                 ln2_b=ad.Tensor(np.zeros(d, dtype=dtype)),
-                fc1_w=fc1_w,
-                fc1_b=fc1_b,
-                fc2_w=fc2_w,
-                fc2_b=fc2_b,
+                **linears,
             )
         )
     params = EncoderParams(
@@ -278,8 +269,6 @@ class Head:
 
 
 def attach_head(dim, proj_dim, seed, normalize_input, dtype):
-    if proj_dim < 1:
-        raise ValueError("proj_dim must be at least 1")
     rng = np.random.default_rng(seed)
     w = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(proj_dim, dim)).astype(dtype)
     head = Head(
@@ -300,7 +289,6 @@ def loss_gradient(params, source, views, loss_fn):
     all views, the gradient is dW = G^T X and db = G.sum(0). Returns numpy
     arrays.
     """
-    source.validate(params.config)
     pooling = params.config.pooling
     taps = []
     with ad.GradTape() as tape:

@@ -35,14 +35,11 @@ class DataError(ValueError):
 
 
 def _load_config(args):
-    if getattr(args, "config", None):
-        config = RunConfig.load(args.config)
-    else:
-        config = RunConfig().validate()
+    config = RunConfig.load(args.config) if getattr(args, "config", None) else RunConfig()
     if getattr(args, "seed", None) is not None:
         config.encoder.seed = args.seed
         config.projection.seed = args.seed
-    return config
+    return config.validate()
 
 
 def _load_split(data_dir, split, need_labels=False, need_masks=False):
@@ -462,7 +459,7 @@ def main(argv=None):
     except ConfigError as exc:
         log.error("configuration error: %s", exc)
         return 2
-    except (DataError, store.StoreError, FileNotFoundError) as exc:
+    except (DataError, store.StoreError, OSError) as exc:  # OSError: a path that cannot be read or written
         log.error("data error: %s", exc)
         return 3
     except ad.NumericError as exc:

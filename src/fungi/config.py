@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields
 from typing import get_type_hints
 
 from . import backbone as bb
+from .features import PROJECTION_KINDS
 
 OBJECTIVES = ("kl", "dino", "simclr")
 
@@ -125,45 +126,57 @@ class RunConfig:
     segmentation: SegmentationSection = field(default_factory=SegmentationSection)
 
     def validate(self):
-        for name in self.gradients.objectives:
-            if name not in OBJECTIVES:
-                raise ConfigError(f"unknown objective {name!r}")
-        if self.gradients.layer_kind not in bb.LAYER_KINDS:
-            raise ConfigError(f"unknown layer kind {self.gradients.layer_kind!r}")
-        if self.gradients.precision not in ("f32", "f64"):
-            raise ConfigError("precision must be f32 or f64")
-        simclr, seg = self.simclr, self.segmentation
-        uses_simclr = "simclr" in self.gradients.objectives
+        """Every key's admissible values; the first bad key raises ConfigError."""
+        enc, grads, dino, simclr, seg = self.encoder, self.gradients, self.dino, self.simclr, self.segmentation
+        used = set(grads.objectives)
         for bad, message in (
-            (uses_simclr and (simclr.positive_views < 4
-                              or math.isqrt(simclr.positive_views) ** 2 != simclr.positive_views),
+            (not used <= set(OBJECTIVES) or len(used) < len(grads.objectives),
+             f"gradients objectives {','.join(grads.objectives)} must be distinct names among {', '.join(OBJECTIVES)}"),
+            (grads.layer_kind not in bb.LAYER_KINDS, f"unknown layer kind {grads.layer_kind!r}"),
+            (not -enc.depth <= grads.block_index < enc.depth,
+             f"gradients block_index {grads.block_index} out of range for encoder depth {enc.depth}"),
+            (grads.precision not in ("f32", "f64"), "precision must be f32 or f64"),
+            (enc.seed < 0, "encoder seed must be at least 0"),
+            (self.projection.kind not in PROJECTION_KINDS,
+             f"projection kind must be one of {', '.join(PROJECTION_KINDS)}"),
+            (min(self.kl.proj_dim, dino.proj_dim, simclr.proj_dim, seg.simclr_proj_dim) < 1,
+             "kl, dino and simclr proj_dim and segmentation simclr_proj_dim must be at least 1"),
+            ("simclr" in used and (simclr.positive_views < 4
+                                   or math.isqrt(simclr.positive_views) ** 2 != simclr.positive_views),
              "simclr positive_views must be a perfect square of at least 4 (a patch grid of 2x2 or more)"),
-            (uses_simclr and simclr.view_patch > self.encoder.image_size,
-             "simclr view_patch larger than encoder input"),
-            (uses_simclr and simclr.negative_images < 1, "simclr negative_images must be at least 1"),
-            ("dino" in self.gradients.objectives and self.dino.global_crops < 2,
-             "dino global_crops must be at least 2"),
+            ("simclr" in used and not 1 <= simclr.view_patch <= enc.image_size,
+             "simclr view_patch must be in 1..encoder image_size"),
+            ("simclr" in used and simclr.negative_images < 1, "simclr negative_images must be at least 1"),
+            ("dino" in used and dino.global_crops < 2, "dino global_crops must be at least 2"),
+            ("dino" in used and dino.local_crops < 0, "dino local_crops must be at least 0"),
+            ("dino" in used and not all(len(s) == 2 and 0 < s[0] <= s[1] <= 1
+                                        for s in (dino.global_scale, dino.local_scale)),
+             "dino global_scale and local_scale must read lo,hi with 0 < lo <= hi <= 1"),
             (self.eval.knn_k < 1, "eval knn_k must be at least 1"),
             (self.eval.probe_lambda_count < 1, "eval probe_lambda_count must be at least 1"),
-            (not 0 < self.eval.probe_lambda_min <= self.eval.probe_lambda_max,
-             "eval probe_lambda_min must be positive and at most probe_lambda_max"),
+            (not 0 < self.eval.probe_lambda_min <= self.eval.probe_lambda_max < math.inf,
+             "eval probe_lambda_min must be positive and at most probe_lambda_max, which must be finite"),
             (self.eval.probe_max_epochs < 1, "eval probe_max_epochs must be at least 1"),
             (min(seg.k, seg.few_shot_k) < 1, "segmentation k and few_shot_k must be at least 1"),
+            (min(seg.augmentation_epochs, seg.few_shot_augmentation_epochs) < 1,
+             "segmentation augmentation_epochs and few_shot_augmentation_epochs must be at least 1"),
+            (min(seg.ivf_num_leaves, seg.ivf_leaves_to_search, seg.few_shot_ivf_leaves_to_search) < 1,
+             "segmentation ivf_num_leaves, ivf_leaves_to_search and few_shot_ivf_leaves_to_search must be at least 1"),
             (not 1 <= seg.loss_negatives_per_patch <= seg.retrieved_negatives_per_patch,
              "segmentation loss_negatives_per_patch must be in 1..retrieved_negatives_per_patch"),
             (seg.ivf_rerank < seg.k, "segmentation ivf_rerank must be at least k"),
             (seg.few_shot_ivf_rerank < seg.few_shot_k, "segmentation few_shot_ivf_rerank must be at least few_shot_k"),
-            (not all(t > 0 for t in (self.kl.temperature, self.dino.teacher_temperature,
-                                     self.dino.student_temperature, simclr.temperature)),
-             "kl temperature, dino teacher_temperature and student_temperature, and simclr temperature must be positive"),
-            (not all(t > 0 for t in (seg.temperature, seg.few_shot_temperature, seg.simclr_temperature)),
-             "segmentation temperature, few_shot_temperature and simclr_temperature must be positive"),
+            (not all(0 < t < math.inf for t in (self.kl.temperature, dino.teacher_temperature,
+                                                dino.student_temperature, simclr.temperature)),
+             "kl temperature, dino teacher_temperature and student_temperature, and simclr temperature "
+             "must be positive and finite"),
+            (not all(0 < t < math.inf for t in (seg.temperature, seg.few_shot_temperature, seg.simclr_temperature)),
+             "segmentation temperature, few_shot_temperature and simclr_temperature must be positive and finite"),
         ):
             if bad:
                 raise ConfigError(message)
         try:
             self.encoder_config()
-            self.gradient_source().validate(self.encoder_config())
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return self
@@ -246,7 +259,11 @@ class RunConfig:
     @classmethod
     def load(cls, path):
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+        return cls.from_text(text)
 
 
 def _format_value(value):

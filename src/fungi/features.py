@@ -40,12 +40,6 @@ class ProjectionMatrix:
     seed: int
     _matrix: np.ndarray = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if self.kind not in PROJECTION_KINDS:
-            raise ValueError(f"unknown projection kind {self.kind!r}")
-        if self.out_dim < 1 or self.in_dim < 1:
-            raise ValueError("projection dims must be positive")
-
     @property
     def matrix(self):
         if self._matrix is None:
@@ -132,11 +126,10 @@ class PcaModel:
 
 
 def fit_pca(data, out_dim):
-    """Centered PCA via SVD; no whitening."""
+    """Centered PCA via SVD; no whitening. `out_dim` is in 1..min(rows,
+    columns), as `fungi fuse-pca` checks."""
     data = np.asarray(data, dtype=np.float64)
-    n, dim = data.shape
-    if out_dim > min(dim, n):
-        raise ValueError(f"out_dim {out_dim} exceeds min(D={dim}, n={n})")
+    n = len(data)
     mean = data.mean(axis=0)
     centered = data - mean
     _, s, vt = np.linalg.svd(centered, full_matrices=False)

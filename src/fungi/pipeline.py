@@ -61,12 +61,11 @@ def build_heads(config):
 
 
 def build_projections(config):
-    """One projection per objective, sized to the source layer's gradient."""
-    params_cfg = config.encoder_config()
-    source = config.gradient_source()
-    probe = bb.init_encoder(params_cfg, config.encoder.seed)
-    w, b = source.resolve(probe)
-    in_dim = w.shape[0] * (w.shape[1] + 1)
+    """One projection per objective, sized to the source layer's flattened
+    gradient [dW | db]."""
+    prefix = bb.GradientSource.PREFIXES[config.gradients.layer_kind]
+    rows, cols = config.encoder_config().layer_shapes[prefix]
+    in_dim = rows * (cols + 1)
     return {
         name: feat.ProjectionMatrix(
             kind=config.projection.kind,

@@ -1,9 +1,10 @@
 """Retrieval-based in-context semantic segmentation.
 
 A memory bank stores one feature per image patch together with the patch's
-majority class label. Query patches retrieve their nearest neighbors (exact
-scan or IVF with exact re-ranking) and predict a class distribution by
-softmax-similarity-weighted voting over the neighbors' labels. Patch
+majority class label. Query patches retrieve their nearest neighbors (an
+exact scan of the bank, or of every row in an IVF index's nearest leaves)
+and predict a class distribution by softmax-similarity-weighted voting
+over the neighbors' labels. Patch
 features are either the backbone's patch embeddings or, with gradient
 fusion enabled, the concatenation of normalized per-patch contrastive
 gradients and the normalized embeddings.
@@ -30,7 +31,7 @@ class IvfParams:
     leaves_to_search: int
     rerank: int
     # recorded for config fidelity; the score-aware quantizer itself is
-    # replaced by exact candidate scoring + re-ranking
+    # replaced by exact scoring of every row in the searched leaves
     dims_per_block: int
     anisotropic_threshold: float
 
@@ -42,10 +43,6 @@ class SegConfig:
     augmentation_epochs: int
     ivf: IvfParams
     bank_cap: int = None
-
-    def __post_init__(self):
-        if self.k < 1 or self.temperature <= 0:
-            raise ValueError("k must be >= 1 and temperature positive")
 
 
 def downsample_mask(mask, patch_size):
@@ -265,7 +262,7 @@ def _ivf_block(index, queries, k):
 
 
 def ivf_search(index, query, k):
-    """Scan the nearest leaves, then exactly re-rank the best candidates.
+    """Top-k over an exact scan of every row in the nearest leaves.
 
     With leaves_to_search == num_leaves every bank row is a candidate and
     the result equals the exact scan.

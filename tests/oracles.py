@@ -105,10 +105,17 @@ def richardson_gradient(f, p, eps):
     return (4.0 * finite_diff_gradient(f, p, eps / 2) - finite_diff_gradient(f, p, eps)) / 3.0
 
 
+def source_layer(params, source):
+    """(weight, bias) tensors of the designated layer."""
+    prefix = source.PREFIXES[source.layer_kind]
+    block = params.blocks[source.block_index]
+    return getattr(block, prefix + "_w"), getattr(block, prefix + "_b")
+
+
 def replace_source_layer(params, source, weight, bias):
     """Copy of params with the designated layer's weight and bias (arrays)
     substituted: how finite-difference checks perturb that layer."""
-    w, b = source.resolve(params)
+    w, b = source_layer(params, source)
     weight, bias = ad.as_tensor(weight), ad.as_tensor(bias)
     if weight.shape != w.shape or bias.shape != b.shape:
         raise ValueError("replacement layer shapes do not match")

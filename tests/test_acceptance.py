@@ -34,6 +34,7 @@ from .oracles import (
     reference_ivf,
     reference_seg,
     replace_source_layer,
+    source_layer,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "default_config.txt"
@@ -75,7 +76,7 @@ class TestCriterion01GradientCorrectness:
         image = images[0].astype(np.float64)
         neg_bank = pipeline.build_negative_bank(params, heads["simclr"], images, cfg)
         source = cfg.gradient_source()
-        w0, b0 = source.resolve(params)
+        w0, b0 = source_layer(params, source)
         n_w = w0.size
         flat0 = np.concatenate([w0.data.ravel(), b0.data.ravel()])
 
@@ -307,7 +308,7 @@ class TestCriterion10SegmentationSelfConsistency:
             masks.append(np.kron(mask, np.ones((16, 16), dtype=np.uint8)))
             images.append(img)
         cfg_enc = reference_encoder(image_size=64, depth=1, dim=8, heads=2)
-        extractor = reference_extractor(bb.init_encoder(cfg_enc, seed=3), head=None)
+        extractor = reference_extractor(bb.init_encoder(cfg_enc, seed=3, dtype=np.float32), head=None)
         seg_cfg = reference_seg(k=1)
         bank = sm.build_bank(images, masks, extractor, seg_cfg, seed=0)
         preds = [sm.segment_image(extractor, bank, img, seg_cfg, index=None, seed=0) for img in images]

@@ -1,5 +1,6 @@
 import logging
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -158,6 +159,28 @@ class TestExitCodes:
         bad.write_text("[gradients]\nobjectives = banana\n")
         assert cli.main(["extract", "--config", str(bad), "--data", str(data),
                          "--out", str(tmp_path / "x")]) == 2
+
+    def test_config_that_is_not_utf8_is_2(self, tmp_path, workspace, caplog):
+        _, _, data, _ = workspace
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes("[eval]\n# r\xe9glage\nknn_k = 7\n".encode("latin-1"))
+        with caplog.at_level(logging.ERROR, logger="fungi"):
+            assert cli.main(["extract", "--config", str(bad), "--data", str(data),
+                             "--out", str(tmp_path / "x")]) == 2
+        assert "is not UTF-8 text" in caplog.text
+
+    @pytest.mark.parametrize("where", ["extract --config", "eval --train", "eval --test", "eval --out"])
+    def test_directory_given_for_a_file_is_3(self, tmp_path, workspace, where, caplog):
+        _, _, data, banks = workspace
+        if where == "extract --config":
+            argv = ["extract", "--config", str(tmp_path), "--data", str(data), "--out", str(tmp_path / "x")]
+        else:
+            paths = {"--train": str(banks / "bank_train.fngi"), "--test": str(banks / "bank_test.fngi"),
+                     "--out": str(tmp_path / "e.csv"), where.split()[1]: str(tmp_path)}
+            argv = ["eval", *(part for flag, path in paths.items() for part in (flag, path))]
+        with caplog.at_level(logging.ERROR, logger="fungi"):
+            assert cli.main(argv) == 3
+        assert "data error" in caplog.text and "Is a directory" in caplog.text
 
     @pytest.mark.parametrize("out_dim", ["0", "19"])
     def test_pca_out_dim_out_of_range_is_2(self, tmp_path, workspace, out_dim, caplog):
@@ -461,3 +484,63 @@ class TestExitCodes:
                              "--out", str(tmp_path / "x"), "--jobs", jobs]) == 2
         assert f"--jobs {jobs} must be at least 1" in caplog.text
         assert not (tmp_path / "x").exists()
+
+
+# a desk-scale config with all three objectives and an IVF index over the
+# segmentation bank, so that a run that passes validation takes milliseconds
+SWEEP_BASE = {
+    "encoder": {"image_size": "16", "patch_size": "8", "dim": "8", "heads": "2", "mlp_ratio": "2.0"},
+    "kl": {"proj_dim": "8"},
+    "dino": {"proj_dim": "8", "local_crops": "1"},
+    "simclr": {"proj_dim": "8", "positive_views": "4", "view_patch": "8", "negative_images": "1"},
+    "segmentation": {"few_shot_augmentation_epochs": "2", "ivf_num_leaves": "4", "ivf_leaves_to_search": "2",
+                     "few_shot_ivf_leaves_to_search": "4"},
+}
+SWEEP_VALUES = ("0", "-1", "nan", "inf", "banana", "0.5", "0.9,0.1", "-1,2")
+# keys that change nothing; every value that parses stays accepted until they are deleted
+NO_EFFECT_VALUES = {
+    "ivf_dims_per_block": ("0", "-1"),
+    "ivf_anisotropic_threshold": ("0", "-1", "nan", "inf", "0.5"),
+}
+CONFIG_KEYS = [(s.name, f.name) for s in fields(RunConfig()) for f in fields(getattr(RunConfig(), s.name))]
+
+
+def sweep_config(section, key, value):
+    sections = {name: dict(entries) for name, entries in SWEEP_BASE.items()}
+    sections.setdefault(section, {})[key] = value
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
+                   for name, entries in sections.items())
+
+
+@pytest.fixture(scope="module")
+def sweep_data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("sweep")
+    for kind, n in (("blobs", "4"), ("segmentation", "3")):
+        assert cli.main(["synth", "--kind", kind, "--n", n, "--classes", "2", "--image-size", "16",
+                         "--out", str(root / kind)]) == 0
+    return root
+
+
+class TestConfigSweep:
+    @pytest.mark.parametrize("section, key", CONFIG_KEYS, ids=[f"{s}.{k}" for s, k in CONFIG_KEYS])
+    def test_every_value_exits_0_or_2(self, sweep_data, tmp_path, section, key):
+        """Each key with each malformed or out-of-range value, run through
+        the commands that read it, ends in exit 0 or a configuration error
+        (exit 2) before any output is written, never in an exception."""
+        commands = [["segment", "--fungi"], ["segment", "--few-shot"]] if section == "segmentation" else [["extract"]]
+        # (value, extra flags, the only exit code allowed, or None for 0 or 2)
+        cases = [(value, [], 0 if value in NO_EFFECT_VALUES.get(key, ()) else None) for value in SWEEP_VALUES]
+        if (section, key) == ("encoder", "seed"):
+            commands.append(["segment", "--fungi"])
+            cases.append(("0", ["--seed", "-1"], 2))
+        if key == "objectives":
+            cases.append(("kl,kl", [], 2))
+        for i, (value, flags, required) in enumerate(cases):
+            cfg = tmp_path / f"{i}.cfg"
+            cfg.write_text(sweep_config(section, key, value))
+            for command in commands:
+                data, out = ("segmentation", f"{i}{command[-1]}.csv") if command[0] == "segment" else ("blobs", f"{i}banks")
+                code = cli.main([*command, "--config", str(cfg), "--data", str(sweep_data / data),
+                                 "--out", str(tmp_path / out), *flags])
+                assert code in ((0, 2) if required is None else (required,)), (value, flags, command, code)
+                assert (tmp_path / out).exists() == (code == 0), (value, flags, command)

@@ -130,10 +130,55 @@ class TestValidation:
         "[eval]\nprobe_lambda_min = 0.001\n",
         "[eval]\nprobe_lambda_max = nan\n",
         "[eval]\nprobe_max_epochs = 0\n",
+        "[eval]\nprobe_lambda_max = inf\n",
+        "[encoder]\nseed = -1\n",
+        "[encoder]\npatch_size = 0\n",
+        "[encoder]\nheads = 0\n",
+        "[encoder]\nmlp_ratio = nan\n",
+        "[dino]\nlocal_crops = -1\n",
+        "[dino]\nglobal_scale = 0.5\n",
+        "[dino]\nglobal_scale = 0.9,0.1\n",
+        "[dino]\nlocal_scale = -1,2\n",
+        "[dino]\nlocal_scale = 0,0.25\n",
+        "[simclr]\nview_patch = 0\n",
+        "[kl]\ntemperature = inf\n",
+        "[segmentation]\ntemperature = inf\n",
+        "[segmentation]\naugmentation_epochs = 0\n",
+        "[segmentation]\nfew_shot_augmentation_epochs = -1\n",
+        "[segmentation]\nivf_num_leaves = 0\n",
+        "[segmentation]\nivf_leaves_to_search = 0\n",
+        "[segmentation]\nfew_shot_ivf_leaves_to_search = -1\n",
     ])
     def test_out_of_range_values(self, text):
         with pytest.raises(ConfigError):
             RunConfig.from_text(text)
+
+    @pytest.mark.parametrize("key", ["kl.proj_dim", "dino.proj_dim", "simclr.proj_dim",
+                                     "segmentation.simclr_proj_dim"])
+    def test_proj_dim_below_one(self, key):
+        section, name = key.split(".")
+        for value in ("0", "-1"):
+            with pytest.raises(ConfigError, match="proj_dim must be at least 1"):
+                RunConfig.from_text(f"[{section}]\n{name} = {value}\n")
+
+    def test_gradient_source_out_of_range(self):
+        # depth 2: blocks 0, 1, or -1, -2 counted from the last
+        for block in ("-2", "1"):
+            text = f"[gradients]\nblock_index = {block}\n"
+            assert RunConfig.from_text(text).gradient_source().block_index in (0, 1)
+        for block in ("2", "-3"):
+            with pytest.raises(ConfigError, match="out of range for encoder depth 2"):
+                RunConfig.from_text(f"[gradients]\nblock_index = {block}\n")
+        with pytest.raises(ConfigError, match="unknown layer kind 'banana'"):
+            RunConfig.from_text("[gradients]\nlayer_kind = banana\n")
+
+    def test_unknown_projection_kind(self):
+        with pytest.raises(ConfigError, match="projection kind must be one of binary, gaussian, sparse"):
+            RunConfig.from_text("[projection]\nkind = dense\n")
+
+    def test_repeated_objective(self):
+        with pytest.raises(ConfigError, match="distinct"):
+            RunConfig.from_text("[gradients]\nobjectives = kl,kl\n")
 
     def test_ranges_of_unused_objectives_are_free(self):
         text = "[gradients]\nobjectives = kl\n[simclr]\npositive_views = 1\n[dino]\nglobal_crops = 1\n"

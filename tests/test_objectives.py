@@ -430,7 +430,7 @@ class TestSimclrPatchLoss:
         # 512x512 input with 16px patches: 1025 tokens in, 1024 gradient
         # rows out after the CLS row is dropped
         cfg = reference_encoder(image_size=512, patch_size=16, depth=1, dim=8, heads=2)
-        params = bb.init_encoder(cfg, seed=40)
+        params = bb.init_encoder(cfg, seed=40, dtype=np.float32)
         head = bb.attach_head(8, 12, seed=41, normalize_input=False, dtype=np.float32)
         tokens = bb.encode(params, np.random.default_rng(42).random((3, 512, 512), dtype=np.float64))
         assert tokens.shape == (1025, 8)

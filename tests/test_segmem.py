@@ -222,7 +222,7 @@ class TestMiou:
 
 def tiny_extractor(use_fungi=False, image_size=64, dim=8):
     cfg = reference_encoder(image_size=image_size, patch_size=16, depth=1, dim=dim, heads=2)
-    params = bb.init_encoder(cfg, seed=30)
+    params = bb.init_encoder(cfg, seed=30, dtype=np.float32)
     head = bb.attach_head(dim, 12, seed=31, normalize_input=False, dtype=np.float32) if use_fungi else None
     return reference_extractor(params, head)
 
