@@ -336,12 +336,12 @@ def cmd_segment(args):
         log.warning("clamping k=%d to bank size %d", seg_cfg.k, len(bank))
         seg_cfg = dataclasses.replace(seg_cfg, k=len(bank))
     index = None
-    if len(bank) >= seg_cfg.ivf.num_leaves and not args.exact:
+    if args.exact:
+        log.info("exact search over %d bank rows: --exact", len(bank))
+    else:
         index = segmem.ivf_build(bank.features, seg_cfg.ivf,
                                  seed=feat.derive_seed(config.encoder.seed, "seg-ivf"))
-        log.info("IVF index: %d leaves over %d rows", seg_cfg.ivf.num_leaves, len(bank))
-    else:
-        log.info("exact search over %d bank rows", len(bank))
+        log.info("%s", index.describe())
 
     preds = [
         segmem.segment_image(extractor, bank, image, seg_cfg, index=index,

@@ -235,6 +235,8 @@ class RunConfig:
                 continue
             if line.startswith("[") and line.endswith("]"):
                 current = line[1:-1]
+                if current in raw:
+                    raise ConfigError(f"line {lineno}: section [{current}] repeats; give each section once")
                 raw[current] = {}
                 continue
             if "=" not in line or current is None:

@@ -23,6 +23,13 @@ from . import objectives as obj
 
 IGNORE_LABEL = 255
 KMEANS_ITERS = 25  # Lloyd iterations of the IVF partition
+# bank rows per leaf below which ivf_build returns a flat index and runs no
+# k-means: FAISS's min_points_per_centroid (Johnson et al. 2017), below which
+# its k-means warns that leaves are undertrained. It is a floor, not the point
+# where IVF pays: at 4k-64k rows, 512 leaves and the query counts of `fungi
+# segment`, the exact scan beats the leaf search even before the k-means build
+# is counted (ROADMAP item 8)
+IVF_MIN_ROWS_PER_LEAF = 39
 
 
 @dataclass(frozen=True)
@@ -218,18 +225,37 @@ def exact_search(features, query, k):
 
 @dataclass
 class IvfIndex:
-    centroids: np.ndarray
-    row_leaf: np.ndarray  # bank row id -> leaf
+    """Bank rows in k-means leaves, or a flat index (no centroids, no leaves)
+    whose every search is the exact scan."""
+
+    centroids: np.ndarray  # (leaves, dim), None when flat
+    row_leaf: np.ndarray  # bank row id -> leaf, None when flat
     features: np.ndarray
     params: IvfParams
+
+    def scans_every_row(self):
+        return self.centroids is None or self.params.leaves_to_search >= len(self.centroids)
+
+    def describe(self):
+        """One line: which search runs over the bank, and why."""
+        n, leaves = len(self.features), self.params.num_leaves
+        if self.params.leaves_to_search >= leaves:
+            return f"exact search over {n} bank rows: all {leaves} leaves searched"
+        if self.centroids is None:
+            return (f"exact search over {n} bank rows: below {IVF_MIN_ROWS_PER_LEAF} rows per leaf"
+                    f" at {leaves} leaves")
+        return (f"IVF search over {n} bank rows: {leaves} leaves, {n / leaves:.1f} rows per leaf,"
+                f" {self.params.leaves_to_search} searched per query")
 
 
 def ivf_build(bank_features, params, seed):
     """Partition bank rows into k-means leaves: each row's leaf is its
-    k-means assignment."""
+    k-means assignment. A bank with fewer than IVF_MIN_ROWS_PER_LEAF rows per
+    leaf, or one whose every leaf is searched, gets a flat index and no k-means."""
     features = np.asarray(bank_features, dtype=np.float32)
-    if len(features) < params.num_leaves:
-        raise ValueError("bank smaller than the requested number of leaves")
+    if (len(features) < IVF_MIN_ROWS_PER_LEAF * params.num_leaves
+            or params.leaves_to_search >= params.num_leaves):
+        return IvfIndex(centroids=None, row_leaf=None, features=features, params=params)
     result = evalkit.kmeans(features.astype(np.float64), params.num_leaves, seed=seed, max_iter=KMEANS_ITERS)
     return IvfIndex(
         centroids=result.centroids.astype(np.float32),
@@ -248,6 +274,8 @@ def _ivf_block(index, queries, k):
     params = index.params
     if k > params.rerank:
         raise ValueError(f"k={k} exceeds rerank budget {params.rerank}")
+    if index.scans_every_row():
+        return _exact_block(index.features, queries, k)
     # leaves are Voronoi cells of a Euclidean k-means: rank them by the same
     # geometry (||c||^2 - 2 q.c), not by raw dot product
     leaf_d2 = np.sum(index.centroids**2, axis=1) - 2.0 * (queries @ index.centroids.T)
@@ -264,8 +292,8 @@ def _ivf_block(index, queries, k):
 def ivf_search(index, query, k):
     """Top-k over an exact scan of every row in the nearest leaves.
 
-    With leaves_to_search == num_leaves every bank row is a candidate and
-    the result equals the exact scan.
+    A flat index, or one searched with leaves_to_search >= its leaves, scans
+    every bank row, and the result equals the exact scan.
     """
     ids, sims = _ivf_block(index, np.asarray(query, dtype=index.features.dtype)[None], k)
     found = np.isfinite(sims[0])
@@ -335,8 +363,7 @@ def miou(pred_masks, gt_masks, num_classes):
     valid = gt_masks != IGNORE_LABEL
     pred = pred_masks[valid].astype(np.int64)
     gt = gt_masks[valid].astype(np.int64)
-    confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(confusion, (gt, pred), 1)
+    confusion = np.bincount(gt * num_classes + pred, minlength=num_classes**2).reshape(num_classes, num_classes)
     tp = np.diag(confusion).astype(np.float64)
     fp = confusion.sum(axis=0) - tp
     fn = confusion.sum(axis=1) - tp

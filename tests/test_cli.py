@@ -120,16 +120,37 @@ class TestPipelineCommands:
             assert cli.main(argv) == 0
             assert "miou" in (root / name).read_text()
 
-    def test_segment_with_ivf_index(self, workspace):
-        # enough bank rows (>= 512) to trigger the approximate-search path
-        root, cfg_path, _, _ = workspace
+    def test_segment_with_ivf_index(self, workspace, caplog):
+        # 8 leaves need 8 * 39 = 312 bank rows for the leaf search; the 64-px
+        # train split of 45 images holds more
+        root, _, _, _ = workspace
+        cfg_path = root / "ivf.cfg"
+        cfg_path.write_text(TINY_CFG + "\n[segmentation]\nivf_num_leaves = 8\nivf_leaves_to_search = 2\n")
         segdata = root / "segdata_big"
         assert cli.main(["synth", "--kind", "segmentation", "--n", "45", "--classes", "3",
                          "--image-size", "64", "--seed", "6", "--out", str(segdata)]) == 0
         out = root / "seg_ivf.csv"
-        assert cli.main(["segment", "--config", str(cfg_path), "--data", str(segdata),
-                         "--out", str(out)]) == 0
+        with caplog.at_level(logging.INFO, logger="fungi"):
+            assert cli.main(["segment", "--config", str(cfg_path), "--data", str(segdata),
+                             "--out", str(out)]) == 0
         assert "miou" in out.read_text()
+        assert "IVF search over" in caplog.text and "8 leaves" in caplog.text and "2 searched per query" in caplog.text
+
+    def test_segment_below_the_ivf_floor_searches_exactly(self, workspace, caplog):
+        root, cfg_path, _, _ = workspace
+        segdata = root / "segdata_small"
+        assert cli.main(["synth", "--kind", "segmentation", "--n", "6", "--classes", "3",
+                         "--image-size", "32", "--seed", "5", "--out", str(segdata)]) == 0
+        rows = {}
+        for flag in ("--exact", None):
+            out = root / f"seg_{flag}.csv"
+            with caplog.at_level(logging.INFO, logger="fungi"):
+                assert cli.main(["segment", "--config", str(cfg_path), "--data", str(segdata), "--out", str(out),
+                                 *([flag] if flag else [])]) == 0
+            rows[flag] = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        assert "bank rows: --exact" in caplog.text
+        assert "bank rows: below 39 rows per leaf at 512 leaves" in caplog.text
+        assert rows[None] == rows["--exact"]
 
     def test_segment_default_config_on_small_images(self, tmp_path):
         # the default SimCLR view patch (112 px) exceeds 32-px data; segmentation
@@ -159,6 +180,16 @@ class TestExitCodes:
         bad.write_text("[gradients]\nobjectives = banana\n")
         assert cli.main(["extract", "--config", str(bad), "--data", str(data),
                          "--out", str(tmp_path / "x")]) == 2
+
+    def test_repeated_config_section_is_2(self, tmp_path, workspace, caplog):
+        _, _, data, _ = workspace
+        bad = tmp_path / "twice.cfg"
+        bad.write_text(TINY_CFG + "\n[kl]\ntemperature = 10\n")
+        with caplog.at_level(logging.ERROR, logger="fungi"):
+            assert cli.main(["extract", "--config", str(bad), "--data", str(data),
+                             "--out", str(tmp_path / "x")]) == 2
+        assert "section [kl] repeats" in caplog.text
+        assert not (tmp_path / "x").exists()
 
     def test_config_that_is_not_utf8_is_2(self, tmp_path, workspace, caplog):
         _, _, data, _ = workspace

@@ -101,6 +101,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             RunConfig.from_text("[encoder]\nimage_size = 64\n[simclr]\nview_patch = 112\n")
 
+    def test_repeated_section(self):
+        # a repeat would silently drop every key of the section before it
+        with pytest.raises(ConfigError, match=r"line 3: section \[eval\] repeats"):
+            RunConfig.from_text("[eval]\nknn_k = 7\n[eval]\nprobe_max_epochs = 5\n")
+
     def test_line_without_section(self):
         with pytest.raises(ConfigError):
             RunConfig.from_text("knn_k = 7\n")

@@ -177,10 +177,36 @@ class TestIvf:
         with pytest.raises(ValueError):
             sm.ivf_search(index, unit_rows(rng, 1, 12)[0], 41)
 
-    def test_bank_smaller_than_leaves(self):
+    @pytest.fixture
+    def kmeans_calls(self, monkeypatch):
+        calls = []
+        kmeans = ek.kmeans
+        monkeypatch.setattr(ek, "kmeans", lambda *a, **kw: calls.append(1) or kmeans(*a, **kw))
+        return calls
+
+    @pytest.mark.parametrize("n, leaves", [(10, 32), (4 * sm.IVF_MIN_ROWS_PER_LEAF - 1, 4)])
+    def test_flat_index_below_the_floor_is_exact_search(self, kmeans_calls, n, leaves):
         rng = np.random.default_rng(5)
-        with pytest.raises(ValueError):
-            sm.ivf_build(unit_rows(rng, 10, 4), reference_ivf(num_leaves=32), seed=0)
+        feats = unit_rows(rng, n, 4)
+        index = sm.ivf_build(feats, reference_ivf(num_leaves=leaves, leaves_to_search=1, rerank=40), seed=0)
+        assert index.centroids is None and index.row_leaf is None and not kmeans_calls
+        for q in unit_rows(rng, 10, 4):
+            ids_a, sims_a = sm.ivf_search(index, q, 7)
+            ids_b, sims_b = sm.exact_search(feats, q, 7)
+            np.testing.assert_array_equal(ids_a, ids_b)
+            np.testing.assert_array_equal(sims_a, sims_b)
+
+    def test_every_leaf_searched_builds_no_partition(self, kmeans_calls):
+        feats = unit_rows(np.random.default_rng(5), 4 * sm.IVF_MIN_ROWS_PER_LEAF, 4)
+        index = sm.ivf_build(feats, reference_ivf(num_leaves=4, leaves_to_search=4, rerank=40), seed=0)
+        assert index.centroids is None and not kmeans_calls
+        assert index.describe() == f"exact search over {len(feats)} bank rows: all 4 leaves searched"
+
+    def test_floor_partitions(self, kmeans_calls):
+        feats = unit_rows(np.random.default_rng(5), 4 * sm.IVF_MIN_ROWS_PER_LEAF, 4)
+        index = sm.ivf_build(feats, reference_ivf(num_leaves=4, leaves_to_search=1, rerank=40), seed=0)
+        assert len(kmeans_calls) == 1 and index.centroids.shape == (4, 4)
+        assert index.row_leaf.shape == (len(feats),) and not index.scans_every_row()
 
 
 class TestMiou:
@@ -218,6 +244,20 @@ class TestMiou:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             sm.miou(np.zeros((2, 2)), np.zeros((3, 3)), 2)
+
+    def test_matches_per_pixel_confusion(self):
+        # class 4 is never predicted nor true: it stays out of the mean
+        rng = np.random.default_rng(8)
+        gt = rng.integers(0, 4, size=(2, 32, 32)).astype(np.int32)
+        gt[rng.random(gt.shape) < 0.1] = sm.IGNORE_LABEL
+        pred = np.where(rng.random(gt.shape) < 0.7, gt % sm.IGNORE_LABEL, rng.integers(0, 4, size=gt.shape))
+        confusion = np.zeros((5, 5), dtype=np.int64)
+        np.add.at(confusion, (gt[gt != sm.IGNORE_LABEL], pred[gt != sm.IGNORE_LABEL]), 1)
+        tp = np.diag(confusion)
+        want = {c: tp[c] / (confusion[c].sum() + confusion[:, c].sum() - tp[c]) for c in range(4)}
+        mean, per_class = sm.miou(pred, gt, num_classes=5)
+        assert per_class == want
+        assert mean == np.mean(list(want.values()))
 
 
 def tiny_extractor(use_fungi=False, image_size=64, dim=8):
@@ -341,8 +381,10 @@ class TestQueryBlocks:
         config = reference_seg(k=7, temperature=0.05)
         index = None
         if ivf:
-            params = reference_ivf(num_leaves=16, leaves_to_search=4, rerank=20)
+            # 75 rows per leaf: above the floor, so the leaves are searched
+            params = reference_ivf(num_leaves=8, leaves_to_search=2, rerank=20)
             index = sm.ivf_build(bank.features, params, seed=6)
+            assert not index.scans_every_row()
         labels, dists = sm.predict_grid(bank, queries, config, index=index)
         alone = np.concatenate([sm.predict_grid(bank, q[None], config, index=index)[1] for q in queries])
         np.testing.assert_array_equal(labels, np.argmax(alone, axis=1))

@@ -225,7 +225,7 @@ def test_unread_field_allowances_are_unread_fields():
 
 
 # a desk-scale run that reaches every branch the commands take: three
-# objectives, a negative bank, an IVF index over a bank larger than its leaves
+# objectives, a negative bank, an IVF index with at least 39 rows per leaf
 DESK_CONFIG = """\
 [encoder]
 image_size = 32
@@ -251,10 +251,11 @@ negative_images = 2
 out_dim = 4
 
 [segmentation]
+augmentation_epochs = 2
 few_shot_augmentation_epochs = 2
-ivf_num_leaves = 8
-ivf_leaves_to_search = 2
-few_shot_ivf_leaves_to_search = 4
+ivf_num_leaves = 2
+ivf_leaves_to_search = 1
+few_shot_ivf_leaves_to_search = 2
 """
 
 # callables that no command enters, each with its reason
