@@ -16,52 +16,14 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import autodiff as ad
 
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    image_size: int
-    patch_size: int
-    depth: int
-    dim: int
-    heads: int
-    mlp_ratio: float
-    pooling: str
-
-    def __post_init__(self):
-        if min(self.image_size, self.patch_size, self.dim, self.heads) < 1:
-            raise ValueError("image_size, patch_size, dim and heads must be at least 1")
-        if self.image_size % self.patch_size != 0:
-            raise ValueError("image_size must be divisible by patch_size")
-        if self.dim % self.heads != 0:
-            raise ValueError("dim must be divisible by heads")
-        if not np.isfinite(self.mlp_ratio) or self.mlp_dim < 1:
-            raise ValueError("mlp_ratio must be finite and give an mlp_dim (dim * mlp_ratio, rounded) of at least 1")
-        if self.pooling not in ("cls", "mean"):
-            raise ValueError(f"unknown pooling {self.pooling!r}")
-
-    @property
-    def grid(self):
-        return self.image_size // self.patch_size
-
-    @property
-    def num_patches(self):
-        return self.grid * self.grid
-
-    @property
-    def mlp_dim(self):
-        return int(round(self.dim * self.mlp_ratio))
-
-    @property
-    def layer_shapes(self):
-        """(out, in) of each block's linear layers by weight prefix, in
-        initialization order."""
-        d, mlp = self.dim, self.mlp_dim
-        return {"qkv": (3 * d, d), "proj": (d, d), "fc1": (mlp, d), "fc2": (d, mlp)}
+if TYPE_CHECKING:
+    from .config import EncoderSection
 
 
 @dataclass
@@ -82,7 +44,7 @@ class BlockParams:
 
 @dataclass
 class EncoderParams:
-    config: EncoderConfig
+    config: EncoderSection
     patch_w: ad.Tensor
     patch_b: ad.Tensor
     cls_token: ad.Tensor
@@ -114,18 +76,9 @@ class EncoderParams:
         return self.patch_w.dtype
 
 
-@dataclass(frozen=True)
-class GradientSource:
-    """Coordinate of the hidden linear layer whose gradient is harvested."""
-
-    block_index: int
-    layer_kind: str
-
-    # layer kind -> prefix of its weight and bias attributes in BlockParams
-    PREFIXES = {"attn_proj": "proj", "mlp_fc1": "fc1", "mlp_fc2": "fc2", "qkv": "qkv"}
-
-
-LAYER_KINDS = tuple(GradientSource.PREFIXES)
+# layer kind of the [gradients] section -> prefix of its weight and bias
+# attributes in BlockParams
+LAYER_PREFIXES = {"attn_proj": "proj", "mlp_fc1": "fc1", "mlp_fc2": "fc2", "qkv": "qkv"}
 
 
 def _read_only(tensors):
@@ -195,15 +148,17 @@ def _forward(params, image, pooled_only=False, source=None, taps=None):
 
     With `pooled_only` under CLS pooling, the last block carries on only the
     row that pooling reads: the CLS query attends to every key and value, and
-    proj, the MLP and the final norm see that one row. With `source`, the
-    source layer's output becomes a fresh leaf of the active tape, and
-    `(leaf, input rows)` is appended to `taps`; nothing upstream is tracked.
+    proj, the MLP and the final norm see that one row. With `source`, a
+    [gradients] section, the output of its layer (`block_index` counted from
+    the last block when negative) becomes a fresh leaf of the active tape,
+    and `(leaf, input rows)` is appended to `taps`; nothing upstream is
+    tracked.
     """
     cfg = params.config
     image = np.asarray(image)
     if image.shape != (3, cfg.image_size, cfg.image_size):
         raise ValueError(f"expected image of shape (3, {cfg.image_size}, {cfg.image_size}), got {image.shape}")
-    tap_at = None if source is None else (source.block_index, source.PREFIXES[source.layer_kind])
+    tap_at = None if source is None else (source.block_index % cfg.depth, LAYER_PREFIXES[source.layer_kind])
 
     def layer(x, i, prefix):
         blk = params.blocks[i]
@@ -281,7 +236,8 @@ def attach_head(dim, proj_dim, seed, normalize_input, dtype):
 
 
 def loss_gradient(params, source, views, loss_fn):
-    """Gradient of a scalar objective w.r.t. the designated layer only.
+    """Gradient of a scalar objective w.r.t. the [gradients] section's
+    source layer only.
 
     Runs one forward per view on a single tape whose leaves are the source
     layer's outputs, and hands `loss_fn` the stacked (V, dim) embeddings.

@@ -282,13 +282,10 @@ def cmd_segment(args):
     if config.encoder.image_size != data_size:
         # dense prediction runs the encoder at the dataset's resolution; of the
         # config only the encoder depends on it (segmentation builds no
-        # extraction views), so only the encoder is checked again
+        # extraction views), so only its geometry rules run again
         log.info("building segmentation encoder for %dx%d inputs", data_size, data_size)
         config.encoder.image_size = data_size
-        try:
-            config.encoder_config()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        config.encoder.check_geometry()
     if args.few_shot:
         k, temperature, epochs = seg.few_shot_k, seg.few_shot_temperature, seg.few_shot_augmentation_epochs
         leaves_to_search, rerank = seg.few_shot_ivf_leaves_to_search, seg.few_shot_ivf_rerank

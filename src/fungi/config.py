@@ -23,6 +23,14 @@ class ConfigError(ValueError):
     """Malformed configuration text or inconsistent values."""
 
 
+def _raise_first(rules):
+    """Raise ConfigError with the message of the first (bad, message) rule
+    that is bad."""
+    for bad, message in rules:
+        if bad:
+            raise ConfigError(message)
+
+
 @dataclass
 class EncoderSection:
     image_size: int = 224
@@ -33,6 +41,39 @@ class EncoderSection:
     mlp_ratio: float = 4.0
     pooling: str = "cls"
     seed: int = 0
+
+    @property
+    def grid(self):
+        return self.image_size // self.patch_size
+
+    @property
+    def num_patches(self):
+        return self.grid * self.grid
+
+    @property
+    def mlp_dim(self):
+        return int(round(self.dim * self.mlp_ratio))
+
+    @property
+    def layer_shapes(self):
+        """(out, in) of each block's linear layers by weight prefix, in
+        initialization order."""
+        d, mlp = self.dim, self.mlp_dim
+        return {"qkv": (3 * d, d), "proj": (d, d), "fc1": (mlp, d), "fc2": (d, mlp)}
+
+    def check_geometry(self):
+        """Raise ConfigError on the first broken rule of the encoder's shape.
+        Every rule is evaluated, so each one is safe at any value."""
+        _raise_first((
+            (min(self.image_size, self.patch_size, self.dim, self.heads) < 1,
+             "image_size, patch_size, dim and heads must be at least 1"),
+            (self.patch_size >= 1 and self.image_size % self.patch_size != 0,
+             "image_size must be divisible by patch_size"),
+            (self.heads >= 1 and self.dim % self.heads != 0, "dim must be divisible by heads"),
+            (not math.isfinite(self.dim * self.mlp_ratio) or self.mlp_dim < 1,
+             "mlp_ratio must be finite and give an mlp_dim (dim * mlp_ratio, rounded) of at least 1"),
+            (self.pooling not in ("cls", "mean"), f"unknown pooling {self.pooling!r}"),
+        ))
 
 
 @dataclass
@@ -129,10 +170,10 @@ class RunConfig:
         """Every key's admissible values; the first bad key raises ConfigError."""
         enc, grads, dino, simclr, seg = self.encoder, self.gradients, self.dino, self.simclr, self.segmentation
         used = set(grads.objectives)
-        for bad, message in (
+        _raise_first((
             (not used <= set(OBJECTIVES) or len(used) < len(grads.objectives),
              f"gradients objectives {','.join(grads.objectives)} must be distinct names among {', '.join(OBJECTIVES)}"),
-            (grads.layer_kind not in bb.LAYER_KINDS, f"unknown layer kind {grads.layer_kind!r}"),
+            (grads.layer_kind not in bb.LAYER_PREFIXES, f"unknown layer kind {grads.layer_kind!r}"),
             (not -enc.depth <= grads.block_index < enc.depth,
              f"gradients block_index {grads.block_index} out of range for encoder depth {enc.depth}"),
             (grads.precision not in ("f32", "f64"), "precision must be f32 or f64"),
@@ -172,33 +213,11 @@ class RunConfig:
              "must be positive and finite"),
             (not all(0 < t < math.inf for t in (seg.temperature, seg.few_shot_temperature, seg.simclr_temperature)),
              "segmentation temperature, few_shot_temperature and simclr_temperature must be positive and finite"),
-        ):
-            if bad:
-                raise ConfigError(message)
-        try:
-            self.encoder_config()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        ))
+        enc.check_geometry()
         return self
 
     # -- derived objects ----------------------------------------------------
-
-    def encoder_config(self):
-        return bb.EncoderConfig(
-            image_size=self.encoder.image_size,
-            patch_size=self.encoder.patch_size,
-            depth=self.encoder.depth,
-            dim=self.encoder.dim,
-            heads=self.encoder.heads,
-            mlp_ratio=self.encoder.mlp_ratio,
-            pooling=self.encoder.pooling,
-        )
-
-    def gradient_source(self):
-        block = self.gradients.block_index
-        if block < 0:
-            block = self.encoder.depth + block
-        return bb.GradientSource(block_index=block, layer_kind=self.gradients.layer_kind)
 
     def objective_section(self, name):
         return {"kl": self.kl, "dino": self.dino, "simclr": self.simclr}[name]

@@ -145,18 +145,18 @@ def apply_pca(model, data):
 
 @dataclass
 class FeatureBank:
-    """Per-sample fused features with provenance, in a fixed column layout."""
+    """Per-sample fused features, their embedding and gradient segments, and
+    the config echo that fixes how they were made."""
 
     ids: np.ndarray
     labels: np.ndarray
     fused: np.ndarray
-    embedding: np.ndarray  # or None
-    gradients: dict  # objective name -> (n, d)
+    embedding: np.ndarray
+    gradients: dict  # objective name -> (n, d), one per objective
     objective_names: tuple
     split: str
     config_echo: str
     config_hash: str
-    provenance: dict
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int32)
@@ -164,10 +164,10 @@ class FeatureBank:
         n = len(self.ids)
         if len(np.unique(self.ids)) != n:
             raise ValueError("feature bank ids must be unique")
-        rows = [self.fused, self.labels, *self.gradients.values()]
-        if self.embedding is not None:
-            rows.append(self.embedding)
-        if any(len(x) != n for x in rows):
+        if sorted(self.gradients) != sorted(self.objective_names):
+            raise ValueError(f"gradient sections {', '.join(sorted(self.gradients)) or 'none'} do not match "
+                             f"objectives {','.join(self.objective_names) or 'none'}")
+        if any(len(x) != n for x in (self.fused, self.labels, self.embedding, *self.gradients.values())):
             raise ValueError("feature bank arrays disagree on sample count")
 
     def __len__(self):
@@ -186,27 +186,19 @@ class FeatureBank:
             "objectives": store.encode_text(",".join(self.objective_names)),
             "config_echo": store.encode_text(self.config_echo),
             "config_hash": store.encode_text(self.config_hash),
+            "embedding": self.embedding.astype(np.float32),
         }
-        if self.embedding is not None:
-            sections["embedding"] = self.embedding.astype(np.float32)
         for name, grads in self.gradients.items():
             sections[f"grad::{name}"] = grads.astype(np.float32)
-        for key, value in self.provenance.items():
-            sections[f"prov::{key}"] = store.encode_text(str(value))
         store.write_sections(path, sections)
 
     @classmethod
     def load(cls, path):
         s = _read_required(
-            path, ("ids", "labels", "fused", "split", "objectives", "config_echo", "config_hash")
+            path, ("ids", "labels", "fused", "split", "objectives", "config_echo", "config_hash", "embedding")
         )
         gradients = {
             name[len("grad::") :]: arr for name, arr in s.items() if name.startswith("grad::")
-        }
-        provenance = {
-            name[len("prov::") :]: store.decode_text(arr)
-            for name, arr in s.items()
-            if name.startswith("prov::")
         }
         objectives = store.decode_text(s["objectives"])
         try:
@@ -214,13 +206,12 @@ class FeatureBank:
                 ids=s["ids"],
                 labels=s["labels"],
                 fused=s["fused"],
-                embedding=s.get("embedding"),
+                embedding=s["embedding"],
                 gradients=gradients,
                 objective_names=tuple(x for x in objectives.split(",") if x),
                 split=store.decode_text(s["split"]),
                 config_echo=store.decode_text(s["config_echo"]),
                 config_hash=store.decode_text(s["config_hash"]),
-                provenance=provenance,
             )
-        except ValueError as exc:  # repeated ids, or sections that disagree on row count
+        except ValueError as exc:  # repeated ids, or sections that disagree on objectives or row count
             raise store.StoreError(f"{path}: {exc}") from exc

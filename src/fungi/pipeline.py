@@ -33,7 +33,7 @@ def _dtype_of(config):
 
 
 def build_encoder(config):
-    return bb.init_encoder(config.encoder_config(), config.encoder.seed, dtype=_dtype_of(config))
+    return bb.init_encoder(config.encoder, config.encoder.seed, dtype=_dtype_of(config))
 
 
 def build_heads(config):
@@ -63,8 +63,8 @@ def build_heads(config):
 def build_projections(config):
     """One projection per objective, sized to the source layer's flattened
     gradient [dW | db]."""
-    prefix = bb.GradientSource.PREFIXES[config.gradients.layer_kind]
-    rows, cols = config.encoder_config().layer_shapes[prefix]
+    prefix = bb.LAYER_PREFIXES[config.gradients.layer_kind]
+    rows, cols = config.encoder.layer_shapes[prefix]
     in_dim = rows * (cols + 1)
     return {
         name: feat.ProjectionMatrix(
@@ -145,7 +145,6 @@ def make_objective(name, config, heads, image, neg_bank, sample_seed):
 
 def extract_bank(config, params, heads, projections, images, labels, split, neg_bank, jobs):
     """FeatureBank for one split; deterministic in (config, images, seeds)."""
-    source = config.gradient_source()
     objectives = tuple(config.gradients.objectives)
     if "simclr" in objectives and neg_bank is None:
         raise ValueError("simclr objective requires a negative bank")
@@ -157,7 +156,7 @@ def extract_bank(config, params, heads, projections, images, labels, split, neg_
         for name in objectives:
             seed = feat.derive_seed(config.encoder.seed, "views", split, name, i)
             views, loss_fn = make_objective(name, config, heads, image, neg_bank, seed)
-            dw, db = bb.loss_gradient(params, source, views, loss_fn)
+            dw, db = bb.loss_gradient(params, config.gradients, views, loss_fn)
             grads[name] = feat.project(projections[name], feat.flatten_gradient(dw, db))
         return embedding, grads
 
@@ -178,8 +177,6 @@ def extract_bank(config, params, heads, projections, images, labels, split, neg_
         name: np.stack([r[1][name] for r in results]).astype(np.float32) for name in objectives
     }
     fused = feat.fuse(embeddings, [grad_mats[name] for name in objectives]).astype(np.float32)
-    provenance = {f"projection_seed_{n}": projections[n].seed for n in objectives}
-    provenance["gradient_source"] = f"block{source.block_index}.{source.layer_kind}"
     return feat.FeatureBank(
         ids=np.arange(len(images), dtype=np.int32),
         labels=np.asarray(labels, dtype=np.int32),
@@ -190,7 +187,6 @@ def extract_bank(config, params, heads, projections, images, labels, split, neg_
         split=split,
         config_echo=config.to_text(),
         config_hash=config.config_hash(),
-        provenance=provenance,
     )
 
 
@@ -223,7 +219,6 @@ def fuse_pca_banks(train_bank, test_bank, out_dim):
         dataclasses.replace(
             bank,
             fused=feat.apply_pca(model, bank.fused.astype(np.float64)).astype(np.float32),
-            provenance={**bank.provenance, "pca_out_dim": out_dim},
         )
         for bank in (train_bank, test_bank)
     )
@@ -241,7 +236,5 @@ def bank_feature_matrix(bank, kind, name):
         if bad.size:
             raise ValueError(f"{name} row {bad[0]} is not finite")
         return rows
-    rows = bank.embedding if kind == "embedding" else bank.gradients.get(kind)
-    if rows is None:
-        raise ValueError(f"no {kind} section in the {name} bank")
+    rows = bank.embedding if kind == "embedding" else bank.gradients[kind]
     return evalkit.unit_rows(rows.astype(np.float64), name)

@@ -354,7 +354,9 @@ def miou(pred_masks, gt_masks, num_classes):
     """Mean IoU over classes present in ground truth or predictions.
 
     Pixels whose ground truth is the ignore label are excluded everywhere.
-    Returns (mean, per-class dict).
+    A scored prediction, or a ground-truth label other than the ignore
+    label, outside 0..num_classes-1 raises ValueError. Returns (mean,
+    per-class dict).
     """
     pred_masks = np.asarray(pred_masks)
     gt_masks = np.asarray(gt_masks)
@@ -363,6 +365,9 @@ def miou(pred_masks, gt_masks, num_classes):
     valid = gt_masks != IGNORE_LABEL
     pred = pred_masks[valid].astype(np.int64)
     gt = gt_masks[valid].astype(np.int64)
+    for role, labels in (("prediction", pred), ("ground-truth label", gt)):
+        if labels.size and not 0 <= labels.min() <= labels.max() < num_classes:
+            raise ValueError(f"a {role} lies outside 0..{num_classes - 1}")
     confusion = np.bincount(gt * num_classes + pred, minlength=num_classes**2).reshape(num_classes, num_classes)
     tp = np.diag(confusion).astype(np.float64)
     fp = confusion.sum(axis=0) - tp

@@ -8,9 +8,9 @@ Layout (all integers little-endian):
         dtype tag u8 | rank u8 | extents u64 * rank
         payload length u64 | payload bytes | crc32 u32
 
-The crc covers the payload only. Sections whose dtype tag is unknown are
-skipped on read, so newer writers stay compatible with older readers.
-Writes go through a temp file and an atomic rename.
+The crc covers the payload only. A reader accepts version FORMAT_VERSION
+and the four dtype tags of `_DTYPE_TAGS` alone: any other version or tag
+is a malformed file. Writes go through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def read_sections(path):
     if take(4) != MAGIC:
         raise StoreError(f"{path}: bad magic")
     version, count = unpack("<HI")
-    if version > FORMAT_VERSION:
+    if version != FORMAT_VERSION:
         raise StoreError(f"{path}: unsupported format version {version}")
     out = {}
     for _ in range(count):
@@ -120,7 +120,7 @@ def read_sections(path):
         if zlib.crc32(payload) != crc:
             raise StoreError(f"{path}: crc mismatch in section {name!r}")
         if tag not in _TAG_DTYPES:
-            continue  # unknown dtype: validated, then skipped
+            raise StoreError(f"{path}: unknown dtype tag {tag} in section {name!r}")
         dtype = _TAG_DTYPES[tag]
         if payload_len != math.prod(shape) * dtype.itemsize:
             raise StoreError(f"{path}: payload length mismatch in section {name!r}")

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from fungi import autodiff as ad
+from fungi import backbone as bb
 from fungi import evalkit as ek
 from fungi import pipeline
 from fungi import segmem
@@ -17,9 +18,9 @@ from fungi.config import RunConfig
 
 
 def reference_encoder(**changes):
-    """The encoder config of `RunConfig()`, the reference hyperparameters,
-    with `changes`."""
-    return replace(RunConfig().encoder_config(), **changes)
+    """The [encoder] section of `RunConfig()`, the reference
+    hyperparameters, with `changes`."""
+    return replace(RunConfig().encoder, **changes)
 
 
 def reference_ivf(**changes):
@@ -106,8 +107,8 @@ def richardson_gradient(f, p, eps):
 
 
 def source_layer(params, source):
-    """(weight, bias) tensors of the designated layer."""
-    prefix = source.PREFIXES[source.layer_kind]
+    """(weight, bias) tensors of the source layer of a [gradients] section."""
+    prefix = bb.LAYER_PREFIXES[source.layer_kind]
     block = params.blocks[source.block_index]
     return getattr(block, prefix + "_w"), getattr(block, prefix + "_b")
 
@@ -120,7 +121,7 @@ def replace_source_layer(params, source, weight, bias):
     if weight.shape != w.shape or bias.shape != b.shape:
         raise ValueError("replacement layer shapes do not match")
     blocks = list(params.blocks)
-    prefix = source.PREFIXES[source.layer_kind]
+    prefix = bb.LAYER_PREFIXES[source.layer_kind]
     blocks[source.block_index] = replace(
         blocks[source.block_index], **{prefix + "_w": weight, prefix + "_b": bias}
     )

@@ -75,7 +75,7 @@ class TestCriterion01GradientCorrectness:
         images, _ = synth.make_classification("blobs", 4, 2, 32, seed=1)
         image = images[0].astype(np.float64)
         neg_bank = pipeline.build_negative_bank(params, heads["simclr"], images, cfg)
-        source = cfg.gradient_source()
+        source = cfg.gradients
         w0, b0 = source_layer(params, source)
         n_w = w0.size
         flat0 = np.concatenate([w0.data.ravel(), b0.data.ravel()])
@@ -147,7 +147,7 @@ class TestCriterion02KlStationarity:
             return obj.kl_loss(head.apply(z), tau=cfg.kl.temperature)
 
         loss = fn(ad.as_tensor(bb.embed(params, image)[None])).item()
-        dw, db = bb.loss_gradient(params, cfg.gradient_source(), [image], fn)
+        dw, db = bb.loss_gradient(params, cfg.gradients, [image], fn)
         assert abs(loss) < 1e-12
         assert np.linalg.norm(dw) < 1e-8 and np.linalg.norm(db) < 1e-8
         report(2, f"uniform logits: loss={loss:.1e}, grad norm={np.linalg.norm(dw):.1e}")

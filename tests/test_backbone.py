@@ -5,7 +5,7 @@ import pytest
 
 from fungi import autodiff as ad
 from fungi import backbone as bb
-from fungi.config import RunConfig
+from fungi.config import ConfigError, GradientSection, RunConfig
 
 from .oracles import (
     collapse_output_paths,
@@ -88,8 +88,10 @@ class TestInit:
             dict(mlp_ratio=0.0),
             dict(dim=8, heads=2, mlp_ratio=0.05),  # mlp_dim rounds to 0
         ):
-            with pytest.raises(ValueError):
-                reference_encoder(**changes)
+            with pytest.raises(ConfigError):
+                RunConfig(encoder=reference_encoder(**changes)).validate()
+            with pytest.raises(ConfigError):
+                reference_encoder(**changes).check_geometry()
 
 
 class TestEncode:
@@ -184,7 +186,7 @@ class TestLossGradient:
             normalize_input=True,
         )
         img = rand_image(np.random.default_rng(3), 32)
-        source = bb.GradientSource(block_index=TINY.depth - 1, layer_kind="attn_proj")
+        source = GradientSection(block_index=TINY.depth - 1, layer_kind="attn_proj")
         dw, db = bb.loss_gradient(params, source, [img], kl_objective(head, RunConfig().kl.temperature))
         assert np.linalg.norm(dw) < 1e-8
         assert np.linalg.norm(db) < 1e-8
@@ -194,7 +196,7 @@ class TestLossGradient:
         head = bb.attach_head(8, 6, seed=10, normalize_input=True, dtype=np.float64)
         loss_fn = kl_objective(head, tau=2.0)
         params = bb.init_encoder(replace(TINY, pooling=pooling), seed=9, dtype=np.float64)
-        source = bb.GradientSource(block_index=block, layer_kind=kind)
+        source = GradientSection(block_index=block, layer_kind=kind)
         dw, db = bb.loss_gradient(params, source, views, loss_fn)
         w0, b0 = source_layer(params, source)
         assert dw.shape == w0.shape and db.shape == b0.shape
@@ -211,7 +213,7 @@ class TestLossGradient:
         error = max_relative_error(np.concatenate([dw.ravel(), db.ravel()]), want)
         assert error < 1e-5, f"{kind}, block {block}, {pooling} pooling: rel error {error:.2e}"
 
-    @pytest.mark.parametrize("kind", bb.LAYER_KINDS)
+    @pytest.mark.parametrize("kind", list(bb.LAYER_PREFIXES))
     def test_matches_finite_differences(self, kind):
         views = [rand_image(np.random.default_rng(4), 32)]
         for pooling in ("cls", "mean"):
@@ -229,7 +231,7 @@ class TestLossGradient:
         before = snapshot(params)
         bb.loss_gradient(
             params,
-            bb.GradientSource(0, "mlp_fc1"),
+            GradientSection(block_index=0, layer_kind="mlp_fc1"),
             [rand_image(np.random.default_rng(5), 32)],
             kl_objective(head, RunConfig().kl.temperature),
         )
@@ -247,7 +249,7 @@ class TestCollapsedEmbedding:
         assert np.linalg.norm(emb_a) > 1e-6
 
         head = bb.attach_head(8, 6, seed=15, normalize_input=True, dtype=np.float64)
-        source = bb.GradientSource(1, "qkv")
+        source = GradientSection(block_index=1, layer_kind="qkv")
         dw_a, _ = bb.loss_gradient(params, source, [img_a], kl_objective(head, tau=2.0))
         dw_b, _ = bb.loss_gradient(params, source, [img_b], kl_objective(head, tau=2.0))
         assert np.linalg.norm(dw_a) > 1e-10

@@ -13,6 +13,7 @@ from fungi.config import RunConfig
 from fungi.store import StoreError
 
 from .oracles import collapsed_banks
+from .test_unused_code import DESK_CONFIG
 
 TINY_CFG = """\
 [encoder]
@@ -384,6 +385,30 @@ class TestExitCodes:
                          "--test", str(banks / "bank_test.fngi"),
                          "--out", str(tmp_path / "e.csv")]) == 3
 
+    def test_every_flip_of_bit_0_or_7_in_a_bank_is_a_store_error(self, tmp_path):
+        # a flip in a payload breaks its CRC; one in a header breaks the
+        # version, a dtype tag, a shape, a required section's name or the
+        # match of the grad:: sections with the objectives
+        data, banks, cfg = tmp_path / "data", tmp_path / "banks", tmp_path / "run.cfg"
+        cfg.write_text(DESK_CONFIG)
+        assert cli.main(["synth", "--kind", "blobs", "--n", "12", "--classes", "2", "--image-size", "32",
+                         "--seed", "1", "--out", str(data)]) == 0
+        assert cli.main(["extract", "--config", str(cfg), "--data", str(data), "--out", str(banks)]) == 0
+        raw = (banks / "bank_test.fngi").read_bytes()
+        bad = tmp_path / "bad.fngi"
+        loaded = []
+        for at in range(len(raw)):
+            for bit in (0, 7):
+                flipped = bytearray(raw)
+                flipped[at] ^= 1 << bit
+                bad.write_bytes(bytes(flipped))
+                try:
+                    feat.FeatureBank.load(bad)
+                    loaded.append((at, bit))
+                except StoreError:
+                    pass
+        assert not loaded, f"{len(loaded)} of {2 * len(raw)} corrupted copies loaded, the first at {loaded[0]}"
+
     def test_renamed_required_section_is_3(self, tmp_path, workspace):
         _, _, _, banks = workspace
         bad = tmp_path / "renamed.fngi"
@@ -447,20 +472,24 @@ class TestExitCodes:
         _, _, _, banks = workspace
         paths = {s: banks / f"bank_{s}.fngi" for s in ("train", "test")}
         bank = feat.FeatureBank.load(paths[split])
+        out = tmp_path / f"bank_{split}.fngi"
         if case == "zero embedding row":
             bank.embedding[3] = 0.0
+            bank.save(out)
             expected = f"embedding features: {role} row 3 has a zero or non-finite norm and cannot be ranked"
         elif case == "NaN gradient row":
             # as extraction would write it: the kl section and the kl segment of the fused row
             bank.gradients["kl"][3] = np.nan
             bank.fused[3, :16] = np.nan
+            bank.save(out)
             expected = (f"kl features: {role} row 3 has a zero or non-finite norm and cannot be ranked"
                         if command in ("eval", "cka") else f"fused features: {role} row 3 is not finite")
-        else:
-            bank.embedding = None
-            expected = f"embedding features: no embedding section in the {role} bank"
-        paths[split] = tmp_path / f"bank_{split}.fngi"
-        bank.save(paths[split])
+        else:  # every bank that extract writes has one, so this file is malformed
+            sections = store.read_sections(paths[split])
+            del sections["embedding"]
+            store.write_sections(out, sections)
+            expected = f"{out}: missing required section(s) 'embedding'"
+        paths[split] = out
         with caplog.at_level(logging.ERROR, logger="fungi"):
             assert cli.main([command, "--train", str(paths["train"]), "--test", str(paths["test"]),
                              "--out", str(tmp_path / "r.csv")]) == 3

@@ -1,8 +1,11 @@
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fungi import autodiff as ad
+from fungi import backbone as bb
 from fungi.config import ConfigError, RunConfig
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "default_config.txt"
@@ -140,6 +143,7 @@ class TestValidation:
         "[encoder]\npatch_size = 0\n",
         "[encoder]\nheads = 0\n",
         "[encoder]\nmlp_ratio = nan\n",
+        "[encoder]\nmlp_ratio = 1e308\n",  # dim * mlp_ratio overflows to inf
         "[dino]\nlocal_crops = -1\n",
         "[dino]\nglobal_scale = 0.5\n",
         "[dino]\nglobal_scale = 0.9,0.1\n",
@@ -169,8 +173,7 @@ class TestValidation:
     def test_gradient_source_out_of_range(self):
         # depth 2: blocks 0, 1, or -1, -2 counted from the last
         for block in ("-2", "1"):
-            text = f"[gradients]\nblock_index = {block}\n"
-            assert RunConfig.from_text(text).gradient_source().block_index in (0, 1)
+            assert RunConfig.from_text(f"[gradients]\nblock_index = {block}\n").gradients.block_index == int(block)
         for block in ("2", "-3"):
             with pytest.raises(ConfigError, match="out of range for encoder depth 2"):
                 RunConfig.from_text(f"[gradients]\nblock_index = {block}\n")
@@ -192,11 +195,19 @@ class TestValidation:
 
 class TestDerived:
     def test_gradient_source_last_block(self):
+        # the default source, block -1, is the last block's attn_proj
         cfg = RunConfig()
-        source = cfg.gradient_source()
-        assert source.block_index == cfg.encoder.depth - 1
-        assert source.layer_kind == "attn_proj"
+        cfg.encoder.image_size, cfg.encoder.dim, cfg.encoder.heads = 32, 8, 2
+        assert (cfg.gradients.block_index, cfg.gradients.layer_kind) == (-1, "attn_proj")
+        params = bb.init_encoder(cfg.encoder, seed=0, dtype=np.float64)
+        image = np.random.default_rng(0).random((3, 32, 32))
+        last = replace(cfg.gradients, block_index=cfg.encoder.depth - 1)
+        grads = [bb.loss_gradient(params, source, [image], lambda z: ad.mean(ad.mul(z, z)))
+                 for source in (cfg.gradients, last)]
+        for got, want in zip(*grads):
+            np.testing.assert_array_equal(got, want)
 
     def test_encoder_config(self):
-        enc = RunConfig().encoder_config()
-        assert enc.num_patches == 196
+        enc = RunConfig().encoder
+        assert (enc.grid, enc.num_patches, enc.mlp_dim) == (14, 196, 256)
+        assert enc.layer_shapes == {"qkv": (192, 64), "proj": (64, 64), "fc1": (256, 64), "fc2": (64, 256)}

@@ -176,7 +176,6 @@ class TestFeatureBank:
             split="train",
             config_echo="[x]\ny=1\n",
             config_hash="abc123",
-            provenance={"projection_seed_kl": 99},
         )
 
     def test_round_trip(self, tmp_path):
@@ -187,11 +186,11 @@ class TestFeatureBank:
         np.testing.assert_array_equal(back.ids, bank.ids)
         np.testing.assert_array_equal(back.labels, bank.labels)
         np.testing.assert_array_equal(back.fused, bank.fused)
+        np.testing.assert_array_equal(back.embedding, bank.embedding)
         np.testing.assert_array_equal(back.gradients["kl"], bank.gradients["kl"])
         assert back.objective_names == ("kl", "simclr")
         assert back.split == "train"
         assert back.config_hash == "abc123"
-        assert back.provenance["projection_seed_kl"] == "99"
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
@@ -199,14 +198,38 @@ class TestFeatureBank:
                 ids=np.array([0, 0]),
                 labels=np.array([1, 2]),
                 fused=np.zeros((2, 4), dtype=np.float32),
-                embedding=None,
+                embedding=np.zeros((2, 4), dtype=np.float32),
                 gradients={},
                 objective_names=(),
                 split="train",
                 config_echo="",
                 config_hash="",
-                provenance={},
             )
+
+    @pytest.mark.parametrize("objectives, grads", [
+        ("kl", ("kl", "simclr")), ("kl,simclr,dino", ("kl", "simclr")), ("kl,kl,simclr", ("kl", "simclr")),
+        ("kl,simclr", ("kl",)), ("", ("kl",)),
+    ])
+    def test_gradient_sections_that_disagree_with_the_objectives_are_a_store_error(self, tmp_path, objectives, grads):
+        path = tmp_path / "bank.fngi"
+        self._bank().save(path)
+        sections = store.read_sections(path)
+        sections["objectives"] = store.encode_text(objectives)
+        for name in ("kl", "simclr"):
+            if name not in grads:
+                del sections[f"grad::{name}"]
+        store.write_sections(path, sections)
+        with pytest.raises(store.StoreError, match="bank.fngi: gradient sections .* do not match objectives"):
+            feat.FeatureBank.load(path)
+
+    def test_missing_embedding_is_a_store_error(self, tmp_path):
+        path = tmp_path / "bank.fngi"
+        self._bank().save(path)
+        sections = store.read_sections(path)
+        del sections["embedding"]
+        store.write_sections(path, sections)
+        with pytest.raises(store.StoreError, match="bank.fngi: missing required section\\(s\\) 'embedding'"):
+            feat.FeatureBank.load(path)
 
     @pytest.mark.parametrize("section", ["labels", "fused", "embedding", "grad::simclr"])
     def test_section_with_another_row_count_is_a_store_error(self, tmp_path, section):

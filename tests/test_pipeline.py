@@ -113,13 +113,12 @@ class TestPrecision:
         cfg.gradients.precision = precision
         params = pipeline.build_encoder(cfg)
         heads = pipeline.build_heads(cfg)
-        source = cfg.gradient_source()
         images, _ = synth.make_classification("blobs", 4, 2, 32, seed=6)
         neg_bank = pipeline.build_negative_bank(params, heads["simclr"], images, cfg)
         assert neg_bank.rows.dtype == dtype
         for name in ("kl", "dino", "simclr"):
             views, loss_fn = pipeline.make_objective(name, cfg, heads, images[0], neg_bank, 5)
-            dw, db = bb.loss_gradient(params, source, views, loss_fn)
+            dw, db = bb.loss_gradient(params, cfg.gradients, views, loss_fn)
             assert dw.dtype == dtype and db.dtype == dtype, name
         tokens = bb.encode(params, images[1])
         support = obj.SupportIndex(heads["simclr"].apply_array(tokens[1:]))
@@ -146,8 +145,7 @@ class TestHarvestTape:
         cfg = tiny_config()
         cfg.encoder.image_size = 64
         cfg.validate()
-        source = cfg.gradient_source()
-        assert (source.block_index, source.layer_kind) == (cfg.encoder.depth - 1, "attn_proj")
+        assert (cfg.gradients.block_index, cfg.gradients.layer_kind) == (-1, "attn_proj")
         assert cfg.encoder.pooling == "cls"
         params = pipeline.build_encoder(cfg)
         heads = pipeline.build_heads(cfg)
@@ -164,8 +162,8 @@ class TestHarvestTape:
         for name in ("kl", "dino", "simclr"):
             views, loss_fn = pipeline.make_objective(name, cfg, heads, images[0], neg_bank, 5)
             rows.clear()
-            bb.loss_gradient(params, source, views, loss_fn)
-            assert rows and max(rows) <= len(views) < cfg.encoder_config().num_patches, name
+            bb.loss_gradient(params, cfg.gradients, views, loss_fn)
+            assert rows and max(rows) <= len(views) < cfg.encoder.num_patches, name
 
 
 class TestHeadsAndProjections:
@@ -205,7 +203,7 @@ class TestPcaFusion:
         assert train2.fused.shape == (18, 16)
         assert test2.fused.shape == (6, 16)
         assert model.components.shape[0] == 16
-        assert train2.provenance["pca_out_dim"] == "16" or train2.provenance["pca_out_dim"] == 16
+        assert train2.dim == test2.dim == 16
 
     def test_mismatched_banks_rejected(self, small_banks):
         _, train_bank, _ = small_banks
@@ -226,7 +224,7 @@ class TestFeatureMatrix:
         np.testing.assert_allclose(np.linalg.norm(emb, axis=1), 1.0, atol=1e-6)
         grad = pipeline.bank_feature_matrix(train_bank, "kl", "train")
         np.testing.assert_allclose(np.linalg.norm(grad, axis=1), 1.0, atol=1e-6)
-        with pytest.raises(ValueError):
+        with pytest.raises(KeyError):  # a kind that is not an objective of the bank
             pipeline.bank_feature_matrix(train_bank, "nope", "train")
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])

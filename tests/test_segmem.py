@@ -245,6 +245,20 @@ class TestMiou:
         with pytest.raises(ValueError):
             sm.miou(np.zeros((2, 2)), np.zeros((3, 3)), 2)
 
+    @pytest.mark.parametrize("pred, gt, message", [
+        ([[0, 2, 1, 1]], [[0, 0, 1, 1]], "a prediction lies outside 0..1"),
+        ([[0, -1, 1, 1]], [[0, 0, 1, 1]], "a prediction lies outside 0..1"),
+        ([[0, 0, 1, 1]], [[0, 2, 1, 1]], "a ground-truth label lies outside 0..1"),
+    ])
+    def test_labels_outside_the_classes_rejected(self, pred, gt, message):
+        with pytest.raises(ValueError, match=message):
+            sm.miou(np.array(pred), np.array(gt), 2)
+
+    def test_predictions_at_ignored_pixels_are_not_counted(self):
+        pred = np.array([[0, -1, 1, 7]])
+        gt = np.array([[0, sm.IGNORE_LABEL, 1, sm.IGNORE_LABEL]])
+        assert sm.miou(pred, gt, 2) == (1.0, {0: 1.0, 1: 1.0})
+
     def test_matches_per_pixel_confusion(self):
         # class 4 is never predicted nor true: it stays out of the mean
         rng = np.random.default_rng(8)

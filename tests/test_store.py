@@ -57,7 +57,7 @@ class TestValidation:
         with pytest.raises(store.StoreError):
             store.read_sections(path)
 
-    def test_unknown_dtype_section_skipped(self, tmp_path):
+    def test_unknown_dtype_section_rejected(self, tmp_path):
         path = tmp_path / "u.fngi"
         store.write_sections(path, {"keep": np.ones(2, dtype=np.float32)})
         raw = bytearray(path.read_bytes())
@@ -73,17 +73,20 @@ class TestValidation:
         count = struct.unpack_from("<I", raw, 6)[0]
         struct.pack_into("<I", raw, 6, count + 1)
         path.write_bytes(bytes(raw))
-        back = store.read_sections(path)
-        assert list(back) == ["keep"]
+        with pytest.raises(store.StoreError, match="unknown dtype tag 250 in section 'future'"):
+            store.read_sections(path)
 
     def test_newer_version_rejected(self, tmp_path):
+        # a reader takes its own version only: newer and older ones alike are refused
         path = tmp_path / "v.fngi"
         store.write_sections(path, {"x": np.ones(1, dtype=np.float32)})
-        raw = bytearray(path.read_bytes())
-        struct.pack_into("<H", raw, 4, 99)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(store.StoreError):
-            store.read_sections(path)
+        for version in (99, store.FORMAT_VERSION - 1):
+            raw = bytearray(path.read_bytes())
+            struct.pack_into("<H", raw, 4, version)
+            bad = tmp_path / f"v{version}.fngi"
+            bad.write_bytes(bytes(raw))
+            with pytest.raises(store.StoreError, match=f"unsupported format version {version}"):
+                store.read_sections(bad)
 
 
 class TestMalformedFiles:
