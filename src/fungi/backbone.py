@@ -87,9 +87,10 @@ def _read_only(tensors):
         t.data.flags.writeable = False
 
 
-def init_encoder(config, seed, dtype):
-    """Deterministic random initialization of all encoder weights."""
-    rng = np.random.default_rng(seed)
+def init_encoder(config, dtype):
+    """Deterministic random initialization of all encoder weights from
+    `config.seed`."""
+    rng = np.random.default_rng(config.seed)
     d = config.dim
     patch_in = 3 * config.patch_size * config.patch_size
     tokens = config.num_patches + 1

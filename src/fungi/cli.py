@@ -35,28 +35,20 @@ class DataError(ValueError):
 
 
 def _load_config(args):
-    config = RunConfig.load(args.config) if getattr(args, "config", None) else RunConfig()
-    if getattr(args, "seed", None) is not None:
-        config.encoder.seed = args.seed
-        config.projection.seed = args.seed
-    return config.validate()
+    return (RunConfig.load(args.config) if args.config else RunConfig()).validate()
 
 
-def _load_split(data_dir, split, need_labels=False, need_masks=False):
+def _load_split(data_dir, split, target):
     path = os.path.join(data_dir, f"{split}.fngi")
     if not os.path.exists(path):
         raise DataError(f"missing dataset split {path}")
-    data = synth.load_dataset(path)
-    if need_labels and data["labels"] is None:
-        raise DataError(f"{path} has no labels section")
-    if need_masks and data["masks"] is None:
-        raise DataError(f"{path} has no masks section")
+    data = synth.load_dataset(path, target)
     if len(data["images"]) == 0:
         raise DataError(f"{path} holds no images")
     return data
 
 
-def _load_banks(train_path, test_path, config=None):
+def _load_banks(train_path, test_path):
     for p in (train_path, test_path):
         if not os.path.exists(p):
             raise DataError(f"missing feature bank {p}")
@@ -64,8 +56,6 @@ def _load_banks(train_path, test_path, config=None):
     test = feat.FeatureBank.load(test_path)
     if train.config_hash != test.config_hash:
         raise ConfigError("train/test banks carry different config hashes")
-    if config is not None and config.config_hash() != train.config_hash:
-        raise ConfigError("banks were not extracted with the given config")
     if train.dim != test.dim or train.objective_names != test.objective_names:  # e.g. fuse-pca beside raw
         raise DataError(f"train and test banks do not match: {train.dim} vs {test.dim} columns, "
                         f"objectives {','.join(train.objective_names)} vs {','.join(test.objective_names)}")
@@ -107,8 +97,8 @@ def cmd_extract(args):
     if args.jobs < 1:
         raise ConfigError(f"--jobs {args.jobs} must be at least 1")
     config = _load_config(args)
-    train = _load_split(args.data, "train", need_labels=True)
-    test = _load_split(args.data, "test", need_labels=True)
+    train = _load_split(args.data, "train", "labels")
+    test = _load_split(args.data, "test", "labels")
     size = config.encoder.image_size
     for split, data in (("train", train), ("test", test)):
         if data["images"].shape[1:] != (3, size, size):
@@ -155,8 +145,7 @@ def _knn_report(train_bank, test_bank, kind, k, rows=slice(None)):
 
 
 def cmd_eval(args):
-    config = _load_config(args) if args.config or args.seed is not None else None
-    train, test = _load_banks(args.train, args.test, config)
+    train, test = _load_banks(args.train, args.test)
     run_cfg = RunConfig.from_text(train.config_echo)
     k = run_cfg.eval.knn_k
     if k > len(train):
@@ -275,8 +264,8 @@ def cmd_segment(args):
     if args.bank_cap is not None and args.bank_cap < 1:
         raise ConfigError(f"--bank-cap {args.bank_cap} must be at least 1")
     config = _load_config(args)
-    train = _load_split(args.data, "train", need_masks=True)
-    test = _load_split(args.data, "test", need_masks=True)
+    train = _load_split(args.data, "train", "masks")
+    test = _load_split(args.data, "test", "masks")
     seg = config.segmentation
     data_size = int(train["images"].shape[-1])
     if config.encoder.image_size != data_size:
@@ -332,13 +321,8 @@ def cmd_segment(args):
     if seg_cfg.k > len(bank):
         log.warning("clamping k=%d to bank size %d", seg_cfg.k, len(bank))
         seg_cfg = dataclasses.replace(seg_cfg, k=len(bank))
-    index = None
-    if args.exact:
-        log.info("exact search over %d bank rows: --exact", len(bank))
-    else:
-        index = segmem.ivf_build(bank.features, seg_cfg.ivf,
-                                 seed=feat.derive_seed(config.encoder.seed, "seg-ivf"))
-        log.info("%s", index.describe())
+    index = segmem.ivf_build(bank.features, seg_cfg.ivf, seed=feat.derive_seed(config.encoder.seed, "seg-ivf"))
+    log.info("%s", index.describe())
 
     preds = [
         segmem.segment_image(extractor, bank, image, seg_cfg, index=index,
@@ -386,7 +370,6 @@ def build_parser():
     p.add_argument("--config")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_extract)
 
@@ -400,8 +383,6 @@ def build_parser():
     p = sub.add_parser("eval", help="kNN classification of bank features")
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
     p.add_argument("--shots", type=int, default=0, help="also run an N-shot protocol")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
@@ -434,10 +415,8 @@ def build_parser():
     p.add_argument("--config")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
     p.add_argument("--fungi", action="store_true", help="fuse per-patch gradients")
     p.add_argument("--few-shot", action="store_true")
-    p.add_argument("--exact", action="store_true", help="skip the IVF index")
     p.add_argument("--bank-cap", type=int)
     p.set_defaults(func=cmd_segment)
 

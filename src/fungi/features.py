@@ -91,16 +91,6 @@ def fuse(embeddings, gradient_rows):
     return np.concatenate(segments, axis=1)
 
 
-def _read_required(path, names):
-    """store.read_sections, raising StoreError that names any missing
-    required section (a bit flip in a section name still reads back)."""
-    sections = store.read_sections(path)
-    missing = [name for name in names if name not in sections]
-    if missing:
-        raise store.StoreError(f"{path}: missing required section(s) {', '.join(map(repr, missing))}")
-    return sections
-
-
 @dataclass
 class PcaModel:
     mean: np.ndarray
@@ -194,7 +184,7 @@ class FeatureBank:
 
     @classmethod
     def load(cls, path):
-        s = _read_required(
+        s = store.read_sections(
             path, ("ids", "labels", "fused", "split", "objectives", "config_echo", "config_hash", "embedding")
         )
         gradients = {

@@ -33,7 +33,7 @@ def _dtype_of(config):
 
 
 def build_encoder(config):
-    return bb.init_encoder(config.encoder, config.encoder.seed, dtype=_dtype_of(config))
+    return bb.init_encoder(config.encoder, dtype=_dtype_of(config))
 
 
 def build_heads(config):
@@ -212,8 +212,6 @@ def extract_splits(config, train_images, train_labels, test_images, test_labels,
 
 def fuse_pca_banks(train_bank, test_bank, out_dim):
     """Fit PCA on the training fused rows, transform both splits."""
-    if train_bank.config_hash != test_bank.config_hash:
-        raise ValueError("banks were extracted with different configurations")
     model = feat.fit_pca(train_bank.fused.astype(np.float64), out_dim)
     train, test = (
         dataclasses.replace(

@@ -306,7 +306,8 @@ def ivf_search(index, query, k):
 
 
 def _propagate(bank, queries, config, index):
-    """(queries, classes) distributions by attention over each row's neighbors."""
+    """(queries, classes) distributions by attention over each row's
+    neighbors, searched through `index`, the `ivf_build` of the bank's rows."""
     k, tau = config.k, config.temperature
     if len(bank) == 0:
         raise ValueError("empty bank")
@@ -316,10 +317,7 @@ def _propagate(bank, queries, config, index):
     dists = []
     for start in range(0, len(queries), evalkit.QUERY_BLOCK):
         block = queries[start : start + evalkit.QUERY_BLOCK]
-        if index is not None:
-            ids, sims = _ivf_block(index, block, k)
-        else:
-            ids, sims = _exact_block(bank.features, block, k)
+        ids, sims = _ivf_block(index, block, k)
         scaled = sims.astype(np.float64) / tau
         scaled -= scaled.max(axis=1, keepdims=True)
         weights = np.exp(scaled)

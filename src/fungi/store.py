@@ -79,11 +79,13 @@ def write_sections(path, sections):
     os.replace(tmp, path)
 
 
-def read_sections(path):
+def read_sections(path, required):
     """Read a tensor-store file into an ordered dict name -> ndarray.
 
     Every malformed file (truncated, corrupted, or with headers that
-    disagree with its payloads) raises StoreError.
+    disagree with its payloads) raises StoreError, and so does one that
+    lacks a section named in `required`: the CRC does not cover a section's
+    name, so a bit flip there still reads back, under another name.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -130,4 +132,7 @@ def read_sections(path):
             raise StoreError(f"{path}: bad shape {shape} in section {name!r}") from exc
     if offset != len(data):
         raise StoreError(f"{path}: trailing bytes after last section")
+    missing = [name for name in required if name not in out]
+    if missing:
+        raise StoreError(f"{path}: missing required section(s) {', '.join(map(repr, missing))}")
     return out

@@ -127,8 +127,10 @@ def save_dataset(path, images, labels, masks, meta):
     store.write_sections(path, sections)
 
 
-def load_dataset(path):
-    s = store.read_sections(path)
+def load_dataset(path, target):
+    """A dataset split whose `images` and `target` ("labels" or "masks")
+    sections must be present; StoreError names the file otherwise."""
+    s = store.read_sections(path, ("images", target))
     return {
         "images": s["images"],
         "labels": s.get("labels"),

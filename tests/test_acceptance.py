@@ -307,11 +307,12 @@ class TestCriterion10SegmentationSelfConsistency:
             mask = rng.integers(0, 3, size=(4, 4)).astype(np.uint8)
             masks.append(np.kron(mask, np.ones((16, 16), dtype=np.uint8)))
             images.append(img)
-        cfg_enc = reference_encoder(image_size=64, depth=1, dim=8, heads=2)
-        extractor = reference_extractor(bb.init_encoder(cfg_enc, seed=3, dtype=np.float32), head=None)
+        cfg_enc = reference_encoder(image_size=64, depth=1, dim=8, heads=2, seed=3)
+        extractor = reference_extractor(bb.init_encoder(cfg_enc, dtype=np.float32), head=None)
         seg_cfg = reference_seg(k=1)
         bank = sm.build_bank(images, masks, extractor, seg_cfg, seed=0)
-        preds = [sm.segment_image(extractor, bank, img, seg_cfg, index=None, seed=0) for img in images]
+        index = sm.ivf_build(bank.features, reference_ivf(), seed=0)  # flat: the exact scan
+        preds = [sm.segment_image(extractor, bank, img, seg_cfg, index=index, seed=0) for img in images]
         mean, _ = sm.miou(np.stack(preds), np.stack(masks).astype(np.int64), num_classes=3)
         assert mean == 1.0
 
@@ -319,7 +320,8 @@ class TestCriterion10SegmentationSelfConsistency:
         w = np.array([0.0, 1.0], dtype=np.float32)
         two = sm.PatchMemoryBank(features=np.stack([v, w]), labels=np.array([0, 1]), num_classes=2)
         query = np.array([[np.sqrt(0.5), np.sqrt(0.5)]], dtype=np.float32)
-        _, (dist,) = sm.predict_grid(two, query, reference_seg(k=2, temperature=0.1), index=None)
+        two_index = sm.ivf_build(two.features, reference_ivf(), seed=0)
+        _, (dist,) = sm.predict_grid(two, query, reference_seg(k=2, temperature=0.1), index=two_index)
         assert abs(dist[0] - 0.5) < 1e-8 and abs(dist[1] - 0.5) < 1e-8
         report(10, f"self-bank mIoU = {mean:.1f}; equal-similarity distribution = 0.5/0.5")
 

@@ -38,18 +38,18 @@ def unchanged(params, copies):
 
 class TestInit:
     def test_seed_determinism(self):
-        a = bb.init_encoder(TINY, seed=5, dtype=np.float32)
-        b = bb.init_encoder(TINY, seed=5, dtype=np.float32)
+        a = bb.init_encoder(replace(TINY, seed=5), dtype=np.float32)
+        b = bb.init_encoder(replace(TINY, seed=5), dtype=np.float32)
         for (_, ta), (_, tb) in zip(a.named_tensors(), b.named_tensors()):
             assert np.array_equal(ta.data, tb.data)
 
     def test_different_seeds_differ(self):
-        a = bb.init_encoder(TINY, seed=5, dtype=np.float32)
-        b = bb.init_encoder(TINY, seed=6, dtype=np.float32)
+        a = bb.init_encoder(replace(TINY, seed=5), dtype=np.float32)
+        b = bb.init_encoder(replace(TINY, seed=6), dtype=np.float32)
         assert not unchanged(b, snapshot(a))
 
     def test_parameters_are_read_only(self):
-        params = bb.init_encoder(TINY, seed=5, dtype=np.float32)
+        params = bb.init_encoder(replace(TINY, seed=5), dtype=np.float32)
         head = bb.attach_head(8, 4, seed=1, normalize_input=True, dtype=np.float32)
         tensors = [t for _, t in params.named_tensors()] + [head.weight, head.bias]
         for t in tensors:
@@ -59,8 +59,8 @@ class TestInit:
                 t.data += 1.0
 
     def test_parameter_count_matches_hand_count(self):
-        cfg = reference_encoder(image_size=224, patch_size=16, depth=2, dim=32, heads=4, mlp_ratio=4.0)
-        params = bb.init_encoder(cfg, seed=0, dtype=np.float32)
+        cfg = reference_encoder(image_size=224, patch_size=16, depth=2, dim=32, heads=4, mlp_ratio=4.0, seed=0)
+        params = bb.init_encoder(cfg, dtype=np.float32)
         actual = sum(t.size for _, t in params.named_tensors())
         # hand count: shapes enumerated independently of init_encoder()
         d, mlp, tokens, patch_in = 32, 128, 197, 768
@@ -96,20 +96,20 @@ class TestInit:
 
 class TestEncode:
     def test_patch_token_counts(self):
-        cfg = reference_encoder(image_size=512, patch_size=16, depth=1, dim=8, heads=2)
-        params = bb.init_encoder(cfg, seed=1, dtype=np.float32)
+        cfg = reference_encoder(image_size=512, patch_size=16, depth=1, dim=8, heads=2, seed=1)
+        params = bb.init_encoder(cfg, dtype=np.float32)
         tokens = bb.encode(params, np.zeros((3, 512, 512), dtype=np.float32))
         assert tokens.shape == (1025, 8)  # CLS first, then 32 x 32 patches
 
     def test_224_gives_196_tokens(self):
-        params = bb.init_encoder(reference_encoder(image_size=224, patch_size=16, depth=1, dim=8, heads=2), seed=1, dtype=np.float32)
+        params = bb.init_encoder(reference_encoder(image_size=224, patch_size=16, depth=1, dim=8, heads=2, seed=1), dtype=np.float32)
         tokens = bb.encode(params, np.zeros((3, 224, 224), dtype=np.float32))
         assert tokens[1:].shape == (196, 8)  # the patch tokens, after the CLS row
         assert bb.embed(params, np.zeros((3, 224, 224), dtype=np.float32)).shape == (8,)
 
     def test_pure_function(self):
         rng = np.random.default_rng(2)
-        params = bb.init_encoder(TINY, seed=2, dtype=np.float64)
+        params = bb.init_encoder(replace(TINY, seed=2), dtype=np.float64)
         img = rand_image(rng, 32)
         before = snapshot(params)
         a = bb.encode(params, img)
@@ -118,22 +118,22 @@ class TestEncode:
         assert unchanged(params, before)
 
     def test_wrong_size_rejected(self):
-        params = bb.init_encoder(TINY, seed=2, dtype=np.float32)
+        params = bb.init_encoder(replace(TINY, seed=2), dtype=np.float32)
         with pytest.raises(ValueError):
             bb.encode(params, np.zeros((3, 48, 48)))
         with pytest.raises(ValueError):
             bb.embed(params, np.zeros((3, 48, 48)))
 
     def test_mean_pooling(self):
-        cfg = reference_encoder(image_size=32, depth=1, dim=8, heads=2, pooling="mean")
-        params = bb.init_encoder(cfg, seed=3, dtype=np.float64)
+        cfg = reference_encoder(image_size=32, depth=1, dim=8, heads=2, pooling="mean", seed=3)
+        params = bb.init_encoder(cfg, dtype=np.float64)
         img = rand_image(np.random.default_rng(0), 32)
         np.testing.assert_allclose(bb.embed(params, img), bb.encode(params, img)[1:].mean(axis=0), rtol=1e-12)
 
     @pytest.mark.parametrize("pooling", ["cls", "mean"])
     def test_embed_matches_encode(self, pooling):
-        cfg = reference_encoder(image_size=64, dim=8, heads=2, pooling=pooling)
-        params = bb.init_encoder(cfg, seed=4, dtype=np.float64)
+        cfg = reference_encoder(image_size=64, dim=8, heads=2, pooling=pooling, seed=4)
+        params = bb.init_encoder(cfg, dtype=np.float64)
         for seed in range(3):
             img = rand_image(np.random.default_rng(seed), 64)
             np.testing.assert_allclose(bb.embed(params, img), pooled(bb.encode(params, img), pooling),
@@ -179,7 +179,7 @@ def kl_objective(head, tau):
 
 class TestLossGradient:
     def test_uniform_logits_are_stationary(self):
-        params = bb.init_encoder(TINY, seed=8, dtype=np.float64)
+        params = bb.init_encoder(replace(TINY, seed=8), dtype=np.float64)
         head = bb.Head(
             weight=ad.Tensor(np.zeros((12, 8))),
             bias=ad.Tensor(np.zeros(12)),
@@ -195,7 +195,7 @@ class TestLossGradient:
     def assert_matches_finite_differences(kind, pooling, block, views):
         head = bb.attach_head(8, 6, seed=10, normalize_input=True, dtype=np.float64)
         loss_fn = kl_objective(head, tau=2.0)
-        params = bb.init_encoder(replace(TINY, pooling=pooling), seed=9, dtype=np.float64)
+        params = bb.init_encoder(replace(TINY, pooling=pooling, seed=9), dtype=np.float64)
         source = GradientSection(block_index=block, layer_kind=kind)
         dw, db = bb.loss_gradient(params, source, views, loss_fn)
         w0, b0 = source_layer(params, source)
@@ -226,7 +226,7 @@ class TestLossGradient:
         self.assert_matches_finite_differences("mlp_fc1", "mean", 0, views)
 
     def test_params_not_mutated(self):
-        params = bb.init_encoder(TINY, seed=11, dtype=np.float64)
+        params = bb.init_encoder(replace(TINY, seed=11), dtype=np.float64)
         head = bb.attach_head(8, 4, seed=12, normalize_input=True, dtype=np.float64)
         before = snapshot(params)
         bb.loss_gradient(
@@ -241,7 +241,7 @@ class TestLossGradient:
 class TestCollapsedEmbedding:
     def test_embedding_constant_but_qkv_gradient_varies(self):
         rng = np.random.default_rng(13)
-        params = collapse_output_paths(bb.init_encoder(TINY, seed=14, dtype=np.float64))
+        params = collapse_output_paths(bb.init_encoder(replace(TINY, seed=14), dtype=np.float64))
         img_a, img_b = rand_image(rng, 32), rand_image(rng, 32)
         emb_a = bb.embed(params, img_a)
         emb_b = bb.embed(params, img_b)

@@ -1,11 +1,14 @@
+import argparse
 import logging
 import os
+import pathlib
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from fungi import cli
+from fungi import evalkit
 from fungi import features as feat
 from fungi import store
 from fungi import synth
@@ -38,6 +41,27 @@ negative_images = 6
 [pca]
 out_dim = 16
 """
+
+
+OPTIONS_GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli_options.txt"
+
+
+def command_options():
+    """`<command> <option>` lines, one per option of each command of
+    `cli.build_parser()`, in declaration order; `--help` left out."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    return "".join(
+        f"{name} {action.option_strings[-1]}\n"
+        for name, command in commands.items()
+        for action in command._actions
+        if action.option_strings and not isinstance(action, argparse._HelpAction)
+    )
+
+
+def test_options_match_golden_file():
+    # a flag that restates a config key, or one that comes back, shows up here
+    assert command_options() == OPTIONS_GOLDEN.read_text(), "command-line options drifted from golden file"
 
 
 @pytest.fixture(scope="module")
@@ -114,8 +138,7 @@ class TestPipelineCommands:
         assert cli.main(["synth", "--kind", "segmentation", "--n", "6", "--classes", "3",
                          "--image-size", "32", "--seed", "5", "--out", str(segdata)]) == 0
         for flag, name in ((None, "seg.csv"), ("--fungi", "segf.csv")):
-            argv = ["segment", "--config", str(cfg_path), "--data", str(segdata),
-                    "--out", str(root / name), "--exact"]
+            argv = ["segment", "--config", str(cfg_path), "--data", str(segdata), "--out", str(root / name)]
             if flag:
                 argv.append(flag)
             assert cli.main(argv) == 0
@@ -142,16 +165,28 @@ class TestPipelineCommands:
         segdata = root / "segdata_small"
         assert cli.main(["synth", "--kind", "segmentation", "--n", "6", "--classes", "3",
                          "--image-size", "32", "--seed", "5", "--out", str(segdata)]) == 0
-        rows = {}
-        for flag in ("--exact", None):
-            out = root / f"seg_{flag}.csv"
-            with caplog.at_level(logging.INFO, logger="fungi"):
-                assert cli.main(["segment", "--config", str(cfg_path), "--data", str(segdata), "--out", str(out),
-                                 *([flag] if flag else [])]) == 0
-            rows[flag] = [line for line in out.read_text().splitlines() if not line.startswith("#")]
-        assert "bank rows: --exact" in caplog.text
+        with caplog.at_level(logging.INFO, logger="fungi"):
+            assert cli.main(["segment", "--config", str(cfg_path), "--data", str(segdata),
+                             "--out", str(root / "seg_small.csv")]) == 0
         assert "bank rows: below 39 rows per leaf at 512 leaves" in caplog.text
-        assert rows[None] == rows["--exact"]
+
+    def test_segment_with_every_leaf_searched_runs_exactly(self, workspace, caplog, capsys, monkeypatch):
+        # the 64-px set of test_segment_with_ivf_index, above the floor at 8
+        # leaves: the config alone asks for the exact scan, and no k-means runs
+        root, _, _, _ = workspace
+        cfg_path = root / "all_leaves.cfg"
+        cfg_path.write_text(TINY_CFG + "\n[segmentation]\nivf_num_leaves = 8\nivf_leaves_to_search = 8\n")
+        segdata = root / "segdata_all_leaves"
+        assert cli.main(["synth", "--kind", "segmentation", "--n", "45", "--classes", "3",
+                         "--image-size", "64", "--seed", "6", "--out", str(segdata)]) == 0
+        calls, kmeans = [], evalkit.kmeans
+        monkeypatch.setattr(evalkit, "kmeans", lambda *a, **kw: calls.append(1) or kmeans(*a, **kw))
+        with caplog.at_level(logging.INFO, logger="fungi"):
+            assert cli.main(["segment", "--config", str(cfg_path), "--data", str(segdata),
+                             "--out", str(root / "seg_all_leaves.csv")]) == 0
+        rows = int(capsys.readouterr().out.split()[-1])  # the table's bank_rows
+        assert rows >= 8 * 39 and not calls
+        assert f"exact search over {rows} bank rows: all 8 leaves searched" in caplog.text
 
     def test_segment_default_config_on_small_images(self, tmp_path):
         # the default SimCLR view patch (112 px) exceeds 32-px data; segmentation
@@ -288,6 +323,31 @@ class TestExitCodes:
                              "--out", str(tmp_path / "x")]) == 3
         assert "test.fngi holds no images" in caplog.text
 
+    @pytest.mark.parametrize("command, section", [
+        ("extract", "images"), ("extract", "labels"), ("segment", "images"), ("segment", "masks"),
+    ])
+    def test_flipped_dataset_section_name_is_3(self, tmp_path, workspace, command, section, caplog, capsys):
+        # bit 0 of the name's first byte: every CRC still holds, and the
+        # section reads back under another name
+        _, cfg_path, data, _ = workspace
+        if command == "segment":
+            data = tmp_path / "segdata"
+            assert cli.main(["synth", "--kind", "segmentation", "--n", "6", "--classes", "3",
+                             "--image-size", "32", "--seed", "5", "--out", str(data)]) == 0
+        flipped = tmp_path / "flipped"
+        flipped.mkdir()
+        (flipped / "test.fngi").write_bytes((data / "test.fngi").read_bytes())
+        raw = bytearray((data / "train.fngi").read_bytes())
+        raw[raw.index(len(section).to_bytes(2, "little") + section.encode()) + 2] ^= 0x01
+        (flipped / "train.fngi").write_bytes(bytes(raw))
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR, logger="fungi"):
+            assert cli.main([command, "--config", str(cfg_path), "--data", str(flipped), "--out", str(out)]) == 3
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert errors == [f"data error: {flipped / 'train.fngi'}: missing required section(s) '{section}'"]
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mismatched_banks_are_3(self, tmp_path, workspace, caplog):
         # one config hash, different processing: a fuse-pca train bank
         # beside a raw test bank, or banks over different objectives
@@ -323,7 +383,7 @@ class TestExitCodes:
         # collapsed output paths make the embedding the same for every input,
         # and at the default source (the last attn_proj) the gradients too
         _, cfg_path, data, _ = workspace
-        splits = [synth.load_dataset(data / f"{split}.fngi") for split in ("train", "test")]
+        splits = [synth.load_dataset(data / f"{split}.fngi", "labels") for split in ("train", "test")]
         banks = collapsed_banks(RunConfig.load(cfg_path), splits[0]["images"], splits[0]["labels"],
                                 splits[1]["images"], splits[1]["labels"])
         paths = [tmp_path / f"bank_{split}.fngi" for split in ("train", "test")]
@@ -335,16 +395,20 @@ class TestExitCodes:
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
         assert len(errors) == 1 and errors[0].endswith("the same on every train row: embedding, kl, simclr, fused")
 
-    def test_hash_mismatch_is_2(self, tmp_path, workspace):
+    @pytest.mark.parametrize("command", ["eval", "fuse-pca"])
+    def test_hash_mismatch_is_2(self, tmp_path, workspace, command, caplog):
         root, cfg_path, data, banks = workspace
         other_cfg = tmp_path / "other.cfg"
         other_cfg.write_text(TINY_CFG.replace("seed = 7", "seed = 8"))
         other = tmp_path / "other_banks"
         assert cli.main(["extract", "--config", str(other_cfg), "--data", str(data),
                          "--out", str(other)]) == 0
-        assert cli.main(["eval", "--train", str(banks / "bank_train.fngi"),
-                         "--test", str(other / "bank_test.fngi"),
-                         "--out", str(tmp_path / "e.csv")]) == 2
+        with caplog.at_level(logging.ERROR, logger="fungi"):
+            assert cli.main([command, "--train", str(banks / "bank_train.fngi"),
+                             "--test", str(other / "bank_test.fngi"),
+                             "--out", str(tmp_path / "out")]) == 2
+        assert "train/test banks carry different config hashes" in caplog.text
+        assert not (tmp_path / "out").exists()
 
     def test_bank_echoing_removed_shots_key_is_2(self, tmp_path, workspace):
         _, _, _, banks = workspace
@@ -356,16 +420,6 @@ class TestExitCodes:
             bank.save(paths[-1])
         assert cli.main(["eval", "--train", str(paths[0]), "--test", str(paths[1]),
                          "--out", str(tmp_path / "e.csv")]) == 2
-
-    def test_seed_without_config_is_checked_against_the_banks(self, tmp_path, workspace, caplog):
-        # --seed alone means the default config at that seed, whose hash the
-        # tiny config's banks do not carry
-        _, _, _, banks = workspace
-        with caplog.at_level(logging.ERROR, logger="fungi"):
-            assert cli.main(["eval", "--train", str(banks / "bank_train.fngi"),
-                             "--test", str(banks / "bank_test.fngi"), "--seed", "99",
-                             "--out", str(tmp_path / "e.csv")]) == 2
-        assert "not extracted with the given config" in caplog.text
 
     def test_truncated_bank_is_3(self, tmp_path, workspace):
         _, _, _, banks = workspace
@@ -452,7 +506,7 @@ class TestExitCodes:
     def test_bank_with_repeated_ids_is_3(self, tmp_path, workspace, caplog, capsys):
         # every section's CRC holds, but the bank is malformed
         _, _, _, banks = workspace
-        sections = store.read_sections(banks / "bank_test.fngi")
+        sections = store.read_sections(banks / "bank_test.fngi", ())
         sections["ids"] = np.zeros_like(sections["ids"])
         store.write_sections(tmp_path / "bank_test.fngi", sections)
         with caplog.at_level(logging.ERROR, logger="fungi"):
@@ -485,7 +539,7 @@ class TestExitCodes:
             expected = (f"kl features: {role} row 3 has a zero or non-finite norm and cannot be ranked"
                         if command in ("eval", "cka") else f"fused features: {role} row 3 is not finite")
         else:  # every bank that extract writes has one, so this file is malformed
-            sections = store.read_sections(paths[split])
+            sections = store.read_sections(paths[split], ())
             del sections["embedding"]
             store.write_sections(out, sections)
             expected = f"{out}: missing required section(s) 'embedding'"
@@ -502,7 +556,7 @@ class TestExitCodes:
         data = tmp_path / name
         assert cli.main(["synth", "--kind", "segmentation", "--n", "8", "--classes", "3",
                          "--image-size", "32", "--seed", "5", "--out", str(data)]) == 0
-        return data, {s: synth.load_dataset(data / f"{s}.fngi") for s in ("train", "test")}
+        return data, {s: synth.load_dataset(data / f"{s}.fngi", "masks") for s in ("train", "test")}
 
     def test_segment_test_mask_without_labels_scores_no_pixels(self, tmp_path, workspace):
         # the report equals the one without that image
@@ -518,7 +572,7 @@ class TestExitCodes:
         (fewer / "train.fngi").write_bytes((data / "train.fngi").read_bytes())
         synth.save_dataset(fewer / "test.fngi", test["images"][:-1], labels=None, masks=masks[:-1], meta=test["meta"])
         for d in (data, fewer):
-            assert cli.main(["segment", "--config", str(cfg_path), "--data", str(d), "--exact",
+            assert cli.main(["segment", "--config", str(cfg_path), "--data", str(d),
                              "--out", str(tmp_path / f"{d.name}.csv")]) == 0
         assert (tmp_path / "seg.csv").read_bytes() == (tmp_path / "fewer.csv").read_bytes()
 
@@ -529,7 +583,7 @@ class TestExitCodes:
         synth.save_dataset(data / "train.fngi", train["images"], labels=None, masks=np.full_like(train["masks"], 255),
                            meta=train["meta"])
         with caplog.at_level(logging.ERROR, logger="fungi"):
-            assert cli.main(["segment", "--config", str(cfg_path), "--data", str(data), "--exact",
+            assert cli.main(["segment", "--config", str(cfg_path), "--data", str(data),
                              "--out", str(tmp_path / "s.csv")]) == 3
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
         assert len(errors) == 1 and errors[0].endswith("the segmentation bank is empty")
@@ -588,19 +642,18 @@ class TestConfigSweep:
         the commands that read it, ends in exit 0 or a configuration error
         (exit 2) before any output is written, never in an exception."""
         commands = [["segment", "--fungi"], ["segment", "--few-shot"]] if section == "segmentation" else [["extract"]]
-        # (value, extra flags, the only exit code allowed, or None for 0 or 2)
-        cases = [(value, [], 0 if value in NO_EFFECT_VALUES.get(key, ()) else None) for value in SWEEP_VALUES]
+        # (value, the only exit code allowed, or None for 0 or 2)
+        cases = [(value, 0 if value in NO_EFFECT_VALUES.get(key, ()) else None) for value in SWEEP_VALUES]
         if (section, key) == ("encoder", "seed"):
             commands.append(["segment", "--fungi"])
-            cases.append(("0", ["--seed", "-1"], 2))
         if key == "objectives":
-            cases.append(("kl,kl", [], 2))
-        for i, (value, flags, required) in enumerate(cases):
+            cases.append(("kl,kl", 2))
+        for i, (value, required) in enumerate(cases):
             cfg = tmp_path / f"{i}.cfg"
             cfg.write_text(sweep_config(section, key, value))
             for command in commands:
                 data, out = ("segmentation", f"{i}{command[-1]}.csv") if command[0] == "segment" else ("blobs", f"{i}banks")
                 code = cli.main([*command, "--config", str(cfg), "--data", str(sweep_data / data),
-                                 "--out", str(tmp_path / out), *flags])
-                assert code in ((0, 2) if required is None else (required,)), (value, flags, command, code)
-                assert (tmp_path / out).exists() == (code == 0), (value, flags, command)
+                                 "--out", str(tmp_path / out)])
+                assert code in ((0, 2) if required is None else (required,)), (value, command, code)
+                assert (tmp_path / out).exists() == (code == 0), (value, command)

@@ -199,7 +199,7 @@ class TestDerived:
         cfg = RunConfig()
         cfg.encoder.image_size, cfg.encoder.dim, cfg.encoder.heads = 32, 8, 2
         assert (cfg.gradients.block_index, cfg.gradients.layer_kind) == (-1, "attn_proj")
-        params = bb.init_encoder(cfg.encoder, seed=0, dtype=np.float64)
+        params = bb.init_encoder(cfg.encoder, dtype=np.float64)
         image = np.random.default_rng(0).random((3, 32, 32))
         last = replace(cfg.gradients, block_index=cfg.encoder.depth - 1)
         grads = [bb.loss_gradient(params, source, [image], lambda z: ad.mean(ad.mul(z, z)))

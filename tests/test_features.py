@@ -154,7 +154,7 @@ class TestPca:
         model = feat.fit_pca(rng.normal(size=(40, 10)), 6)
         path = tmp_path / "pca.fngi"
         model.save(path)
-        back = store.read_sections(path)
+        back = store.read_sections(path, ())
         assert list(back) == ["pca_mean", "pca_components", "pca_explained_variance"]
         np.testing.assert_array_equal(back["pca_mean"], model.mean)
         np.testing.assert_array_equal(back["pca_components"], model.components)
@@ -213,7 +213,7 @@ class TestFeatureBank:
     def test_gradient_sections_that_disagree_with_the_objectives_are_a_store_error(self, tmp_path, objectives, grads):
         path = tmp_path / "bank.fngi"
         self._bank().save(path)
-        sections = store.read_sections(path)
+        sections = store.read_sections(path, ())
         sections["objectives"] = store.encode_text(objectives)
         for name in ("kl", "simclr"):
             if name not in grads:
@@ -225,7 +225,7 @@ class TestFeatureBank:
     def test_missing_embedding_is_a_store_error(self, tmp_path):
         path = tmp_path / "bank.fngi"
         self._bank().save(path)
-        sections = store.read_sections(path)
+        sections = store.read_sections(path, ())
         del sections["embedding"]
         store.write_sections(path, sections)
         with pytest.raises(store.StoreError, match="bank.fngi: missing required section\\(s\\) 'embedding'"):
@@ -235,7 +235,7 @@ class TestFeatureBank:
     def test_section_with_another_row_count_is_a_store_error(self, tmp_path, section):
         path = tmp_path / "bank.fngi"
         self._bank().save(path)
-        sections = store.read_sections(path)
+        sections = store.read_sections(path, ())
         sections[section] = sections[section][:-1]
         store.write_sections(path, sections)
         with pytest.raises(store.StoreError, match="bank.fngi: feature bank arrays disagree on sample count"):

@@ -323,8 +323,7 @@ class TestInfoNceAgainstParent:
 
     def test_simclr_patch_loss(self, dtype):
         dim = 16
-        params = bb.init_encoder(reference_encoder(image_size=64, depth=1, dim=dim, heads=2),
-                                 seed=51, dtype=dtype)
+        params = bb.init_encoder(reference_encoder(image_size=64, depth=1, dim=dim, heads=2, seed=51), dtype=dtype)
         head = bb.attach_head(dim, 12, seed=52, normalize_input=False, dtype=dtype)
         rng = np.random.default_rng(53)
         support = obj.SupportIndex(head.apply_array(rng.normal(size=(40, dim)).astype(dtype)))
@@ -401,8 +400,8 @@ class TestSupportIndex:
 
 class TestSimclrPatchLoss:
     def _setup(self, image_size=64, dim=8):
-        cfg = reference_encoder(image_size=image_size, depth=1, dim=dim, heads=2)
-        params = bb.init_encoder(cfg, seed=20, dtype=np.float64)
+        cfg = reference_encoder(image_size=image_size, depth=1, dim=dim, heads=2, seed=20)
+        params = bb.init_encoder(cfg, dtype=np.float64)
         head = bb.attach_head(dim, 12, seed=21, normalize_input=False, dtype=np.float64)
         return cfg, params, head
 
@@ -429,8 +428,8 @@ class TestSimclrPatchLoss:
     def test_1024_gradient_rows_at_full_resolution(self):
         # 512x512 input with 16px patches: 1025 tokens in, 1024 gradient
         # rows out after the CLS row is dropped
-        cfg = reference_encoder(image_size=512, patch_size=16, depth=1, dim=8, heads=2)
-        params = bb.init_encoder(cfg, seed=40, dtype=np.float32)
+        cfg = reference_encoder(image_size=512, patch_size=16, depth=1, dim=8, heads=2, seed=40)
+        params = bb.init_encoder(cfg, dtype=np.float32)
         head = bb.attach_head(8, 12, seed=41, normalize_input=False, dtype=np.float32)
         tokens = bb.encode(params, np.random.default_rng(42).random((3, 512, 512), dtype=np.float64))
         assert tokens.shape == (1025, 8)

@@ -14,13 +14,13 @@ from fungi.config import RunConfig
 from .oracles import collapsed_banks
 
 
-def tiny_config(objectives=("kl", "dino", "simclr"), seed=7):
+def tiny_config(objectives=("kl", "dino", "simclr")):
     cfg = RunConfig()
     cfg.encoder.image_size = 32
     cfg.encoder.dim = 16
     cfg.encoder.heads = 2
     cfg.encoder.mlp_ratio = 2.0
-    cfg.encoder.seed = seed
+    cfg.encoder.seed = 7
     cfg.gradients.objectives = tuple(objectives)
     cfg.kl.proj_dim = 32
     cfg.dino.proj_dim = 48
@@ -204,16 +204,6 @@ class TestPcaFusion:
         assert test2.fused.shape == (6, 16)
         assert model.components.shape[0] == 16
         assert train2.dim == test2.dim == 16
-
-    def test_mismatched_banks_rejected(self, small_banks):
-        _, train_bank, _ = small_banks
-        other_cfg = tiny_config(seed=99)
-        images, labels = synth.make_classification("blobs", 8, 2, 32, seed=9)
-        other_train, _ = pipeline.extract_splits(
-            other_cfg, images[:6], labels[:6], images[6:], labels[6:], jobs=1
-        )
-        with pytest.raises(ValueError):
-            pipeline.fuse_pca_banks(train_bank, other_train, 8)
 
 
 class TestFeatureMatrix:

@@ -78,8 +78,10 @@ class TestMaskDownsampling:
             sm.downsample_mask(np.array([[0, -1], [1, 1]]), 2)
 
 
-def query_dist(bank, query, k, tau, index=None):
-    """Class distribution of one patch row, through the block search."""
+def query_dist(bank, query, k, tau):
+    """Class distribution of one patch row, through the block search of the
+    bank's index (flat at these sizes, so the exact scan)."""
+    index = sm.ivf_build(bank.features, reference_ivf(), seed=0)
     _, dists = sm.predict_grid(bank, np.asarray(query)[None], reference_seg(k=k, temperature=tau), index=index)
     return dists[0]
 
@@ -275,8 +277,8 @@ class TestMiou:
 
 
 def tiny_extractor(use_fungi=False, image_size=64, dim=8):
-    cfg = reference_encoder(image_size=image_size, patch_size=16, depth=1, dim=dim, heads=2)
-    params = bb.init_encoder(cfg, seed=30, dtype=np.float32)
+    cfg = reference_encoder(image_size=image_size, patch_size=16, depth=1, dim=dim, heads=2, seed=30)
+    params = bb.init_encoder(cfg, dtype=np.float32)
     head = bb.attach_head(dim, 12, seed=31, normalize_input=False, dtype=np.float32) if use_fungi else None
     return reference_extractor(params, head)
 
@@ -314,8 +316,8 @@ class TestBankBuilding:
         assert extractor.support is not None
 
     def test_fungi_features_read_the_cls_token_under_mean_pooling(self):
-        cfg = reference_encoder(image_size=64, patch_size=16, depth=1, dim=8, heads=2, pooling="mean")
-        params = bb.init_encoder(cfg, seed=30, dtype=np.float64)
+        cfg = reference_encoder(image_size=64, patch_size=16, depth=1, dim=8, heads=2, pooling="mean", seed=30)
+        params = bb.init_encoder(cfg, dtype=np.float64)
         head = bb.attach_head(8, 12, seed=31, normalize_input=False, dtype=np.float64)
         extractor = reference_extractor(params, head)
         images = [np.random.default_rng(i).random((3, 64, 64)) for i in range(3)]
@@ -372,7 +374,8 @@ class TestBankBuilding:
         extractor = tiny_extractor()
         cfg = reference_seg(k=1)
         bank = sm.build_bank(images, masks, extractor, cfg, seed=0)
-        preds = [sm.segment_image(extractor, bank, img, cfg, index=None, seed=0) for img in images]
+        index = sm.ivf_build(bank.features, reference_ivf(), seed=0)
+        preds = [sm.segment_image(extractor, bank, img, cfg, index=index, seed=0) for img in images]
         grid_gt = [
             augments_to_pixels(sm.downsample_mask(m, 16), 64) for m in masks
         ]
@@ -393,12 +396,11 @@ class TestQueryBlocks:
         bank = make_bank(rng, n=600)
         queries = unit_rows(rng, 2 * ek.QUERY_BLOCK + 5, 16)
         config = reference_seg(k=7, temperature=0.05)
-        index = None
-        if ivf:
-            # 75 rows per leaf: above the floor, so the leaves are searched
-            params = reference_ivf(num_leaves=8, leaves_to_search=2, rerank=20)
-            index = sm.ivf_build(bank.features, params, seed=6)
-            assert not index.scans_every_row()
+        # 75 rows per leaf at 8 leaves: above the floor, so the leaves are
+        # searched; at the reference 512 leaves the index is flat
+        params = reference_ivf(num_leaves=8, leaves_to_search=2, rerank=20) if ivf else reference_ivf()
+        index = sm.ivf_build(bank.features, params, seed=6)
+        assert index.scans_every_row() != ivf
         labels, dists = sm.predict_grid(bank, queries, config, index=index)
         alone = np.concatenate([sm.predict_grid(bank, q[None], config, index=index)[1] for q in queries])
         np.testing.assert_array_equal(labels, np.argmax(alone, axis=1))

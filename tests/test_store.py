@@ -22,7 +22,7 @@ class TestRoundTrip:
         path = tmp_path / "t.fngi"
         sections = sample_sections()
         store.write_sections(path, sections)
-        back = store.read_sections(path)
+        back = store.read_sections(path, ())
         assert list(back) == list(sections)
         for name in sections:
             np.testing.assert_array_equal(back[name], sections[name])
@@ -32,21 +32,28 @@ class TestRoundTrip:
     def test_write_read_write_is_byte_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.fngi", tmp_path / "b.fngi"
         store.write_sections(p1, sample_sections())
-        store.write_sections(p2, store.read_sections(p1))
+        store.write_sections(p2, store.read_sections(p1, ()))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_int64_coerced_to_i32(self, tmp_path):
         path = tmp_path / "c.fngi"
         store.write_sections(path, {"x": np.arange(4, dtype=np.int64)})
-        assert store.read_sections(path)["x"].dtype == np.int32
+        assert store.read_sections(path, ())["x"].dtype == np.int32
 
 
 class TestValidation:
+    def test_missing_required_sections_named(self, tmp_path):
+        path = tmp_path / "r.fngi"
+        store.write_sections(path, sample_sections())
+        assert list(store.read_sections(path, ("labels", "note"))) == list(sample_sections())
+        with pytest.raises(store.StoreError, match=r"r\.fngi: missing required section\(s\) 'images', 'masks'$"):
+            store.read_sections(path, ("images", "labels", "masks"))
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.fngi"
         path.write_bytes(b"NOPE" + bytes(16))
         with pytest.raises(store.StoreError):
-            store.read_sections(path)
+            store.read_sections(path, ())
 
     def test_crc_corruption_detected(self, tmp_path):
         path = tmp_path / "c.fngi"
@@ -55,7 +62,7 @@ class TestValidation:
         raw[-10] ^= 0xFF  # flip a payload byte
         path.write_bytes(bytes(raw))
         with pytest.raises(store.StoreError):
-            store.read_sections(path)
+            store.read_sections(path, ())
 
     def test_unknown_dtype_section_rejected(self, tmp_path):
         path = tmp_path / "u.fngi"
@@ -74,7 +81,7 @@ class TestValidation:
         struct.pack_into("<I", raw, 6, count + 1)
         path.write_bytes(bytes(raw))
         with pytest.raises(store.StoreError, match="unknown dtype tag 250 in section 'future'"):
-            store.read_sections(path)
+            store.read_sections(path, ())
 
     def test_newer_version_rejected(self, tmp_path):
         # a reader takes its own version only: newer and older ones alike are refused
@@ -86,7 +93,7 @@ class TestValidation:
             bad = tmp_path / f"v{version}.fngi"
             bad.write_bytes(bytes(raw))
             with pytest.raises(store.StoreError, match=f"unsupported format version {version}"):
-                store.read_sections(bad)
+                store.read_sections(bad, ())
 
 
 class TestMalformedFiles:
@@ -101,12 +108,12 @@ class TestMalformedFiles:
         for length in range(len(raw)):
             bad.write_bytes(raw[:length])
             with pytest.raises(store.StoreError):
-                store.read_sections(bad)
+                store.read_sections(bad, ())
         for bit in range(8 * len(raw)):
             flipped = bytearray(raw)
             flipped[bit // 8] ^= 1 << (bit % 8)
             bad.write_bytes(bytes(flipped))
             try:
-                store.read_sections(bad)
+                store.read_sections(bad, ())
             except store.StoreError:
                 pass

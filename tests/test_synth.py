@@ -66,20 +66,20 @@ class TestDatasetFiles:
         images, labels = synth.make_classification("blobs", 6, 2, 16, seed=4)
         path = tmp_path / "d.fngi"
         synth.save_dataset(path, images, labels=labels, masks=None, meta="kind=blobs")
-        back = synth.load_dataset(path)
+        back = synth.load_dataset(path, "labels")
         np.testing.assert_array_equal(back["images"], images)
         np.testing.assert_array_equal(back["labels"], labels)
         assert back["meta"] == "kind=blobs"
 
     def test_write_dataset_dir_splits(self, tmp_path):
         paths = synth.write_dataset_dir(tmp_path / "ds", "blobs", 20, 2, 16, seed=5)
-        train = synth.load_dataset(paths["train"])
-        test = synth.load_dataset(paths["test"])
+        train = synth.load_dataset(paths["train"], "labels")
+        test = synth.load_dataset(paths["test"], "labels")
         assert len(train["images"]) == 15
         assert len(test["images"]) == 5
 
     def test_segmentation_dir_has_masks(self, tmp_path):
         paths = synth.write_dataset_dir(tmp_path / "ds", "segmentation", 8, 3, 32, seed=6)
-        train = synth.load_dataset(paths["train"])
+        train = synth.load_dataset(paths["train"], "masks")
         assert train["masks"] is not None
         assert train["labels"] is None

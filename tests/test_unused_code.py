@@ -305,7 +305,7 @@ def command_runs(root):
     runs += [
         [*segment, "--out", str(root / "segment.csv")],
         [*segment, "--fungi", "--out", str(root / "segment_fungi.csv")],
-        [*segment, "--fungi", "--exact", "--few-shot", "--bank-cap", "20", "--out", str(root / "segment_few.csv")],
+        [*segment, "--fungi", "--few-shot", "--bank-cap", "20", "--out", str(root / "segment_few.csv")],
     ]
     return runs
 
