@@ -268,6 +268,8 @@ def cmd_segment(args):
     test = _load_split(args.data, "test", "masks")
     seg = config.segmentation
     data_size = int(train["images"].shape[-1])
+    if test["images"].shape[-1] != data_size:
+        raise DataError(f"{args.data}: test images are {test['images'].shape[-1]} px, train images {data_size} px")
     if config.encoder.image_size != data_size:
         # dense prediction runs the encoder at the dataset's resolution; of the
         # config only the encoder depends on it (segmentation builds no
@@ -275,21 +277,15 @@ def cmd_segment(args):
         log.info("building segmentation encoder for %dx%d inputs", data_size, data_size)
         config.encoder.image_size = data_size
         config.encoder.check_geometry()
-    if args.few_shot:
-        k, temperature, epochs = seg.few_shot_k, seg.few_shot_temperature, seg.few_shot_augmentation_epochs
-        leaves_to_search, rerank = seg.few_shot_ivf_leaves_to_search, seg.few_shot_ivf_rerank
-    else:
-        k, temperature, epochs = seg.k, seg.temperature, seg.augmentation_epochs
-        leaves_to_search, rerank = seg.ivf_leaves_to_search, seg.ivf_rerank
     seg_cfg = segmem.SegConfig(
-        k=k,
-        temperature=temperature,
-        augmentation_epochs=epochs,
+        k=seg.k,
+        temperature=seg.temperature,
+        augmentation_epochs=seg.augmentation_epochs,
         bank_cap=args.bank_cap,
         ivf=segmem.IvfParams(
             num_leaves=seg.ivf_num_leaves,
-            leaves_to_search=leaves_to_search,
-            rerank=rerank,
+            leaves_to_search=seg.ivf_leaves_to_search,
+            rerank=seg.ivf_rerank,
             dims_per_block=seg.ivf_dims_per_block,
             anisotropic_threshold=seg.ivf_anisotropic_threshold,
         ),
@@ -416,7 +412,6 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--fungi", action="store_true", help="fuse per-patch gradients")
-    p.add_argument("--few-shot", action="store_true")
     p.add_argument("--bank-cap", type=int)
     p.set_defaults(func=cmd_segment)
 

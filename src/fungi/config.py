@@ -138,14 +138,9 @@ class SegmentationSection:
     k: int = 30
     temperature: float = 0.02
     augmentation_epochs: int = 1
-    few_shot_k: int = 90
-    few_shot_temperature: float = 0.1
-    few_shot_augmentation_epochs: int = 8
     ivf_num_leaves: int = 512
     ivf_leaves_to_search: int = 32
     ivf_rerank: int = 120
-    few_shot_ivf_leaves_to_search: int = 256
-    few_shot_ivf_rerank: int = 1800
     ivf_dims_per_block: int = 4
     ivf_anisotropic_threshold: float = 0.2
     simclr_proj_dim: int = 96
@@ -198,21 +193,19 @@ class RunConfig:
             (not 0 < self.eval.probe_lambda_min <= self.eval.probe_lambda_max < math.inf,
              "eval probe_lambda_min must be positive and at most probe_lambda_max, which must be finite"),
             (self.eval.probe_max_epochs < 1, "eval probe_max_epochs must be at least 1"),
-            (min(seg.k, seg.few_shot_k) < 1, "segmentation k and few_shot_k must be at least 1"),
-            (min(seg.augmentation_epochs, seg.few_shot_augmentation_epochs) < 1,
-             "segmentation augmentation_epochs and few_shot_augmentation_epochs must be at least 1"),
-            (min(seg.ivf_num_leaves, seg.ivf_leaves_to_search, seg.few_shot_ivf_leaves_to_search) < 1,
-             "segmentation ivf_num_leaves, ivf_leaves_to_search and few_shot_ivf_leaves_to_search must be at least 1"),
+            (seg.k < 1, "segmentation k must be at least 1"),
+            (seg.augmentation_epochs < 1, "segmentation augmentation_epochs must be at least 1"),
+            (min(seg.ivf_num_leaves, seg.ivf_leaves_to_search) < 1,
+             "segmentation ivf_num_leaves and ivf_leaves_to_search must be at least 1"),
             (not 1 <= seg.loss_negatives_per_patch <= seg.retrieved_negatives_per_patch,
              "segmentation loss_negatives_per_patch must be in 1..retrieved_negatives_per_patch"),
             (seg.ivf_rerank < seg.k, "segmentation ivf_rerank must be at least k"),
-            (seg.few_shot_ivf_rerank < seg.few_shot_k, "segmentation few_shot_ivf_rerank must be at least few_shot_k"),
             (not all(0 < t < math.inf for t in (self.kl.temperature, dino.teacher_temperature,
                                                 dino.student_temperature, simclr.temperature)),
              "kl temperature, dino teacher_temperature and student_temperature, and simclr temperature "
              "must be positive and finite"),
-            (not all(0 < t < math.inf for t in (seg.temperature, seg.few_shot_temperature, seg.simclr_temperature)),
-             "segmentation temperature, few_shot_temperature and simclr_temperature must be positive and finite"),
+            (not all(0 < t < math.inf for t in (seg.temperature, seg.simclr_temperature)),
+             "segmentation temperature and simclr_temperature must be positive and finite"),
         ))
         enc.check_geometry()
         return self

@@ -94,15 +94,10 @@ class PatchFeatureExtractor:
         if self.use_fungi and self.head is None:
             raise ValueError("gradient fusion needs a projection head")
 
-    def build_support(self, images):
-        """Support index over the head latents of all bank patches.
-
-        Returns each image's encoder token rows, so a caller that also needs
-        the images' feature rows does not encode them again.
-        """
-        tokens = [bb.encode(self.params, image) for image in images]
+    def build_support(self, tokens):
+        """Support index over the head latents of all bank patches, from
+        each bank image's encoder token rows, CLS first."""
         self.support = obj.SupportIndex(np.concatenate([self.head.apply_array(t[1:]) for t in tokens]))
-        return tokens
 
     def features(self, image, seed):
         """(patches, dim) unit-norm feature rows for one image."""
@@ -170,30 +165,29 @@ def _augment_pair(image, mask, rng):
 def build_bank(images, masks, extractor, config, seed):
     """Patch memory bank over all images and augmentation epochs.
 
-    Epoch 0 uses the images untouched; later epochs add augmented copies.
+    Epoch 0 uses the images untouched, each encoded once up front (the
+    support index reads the same tokens); later epochs add augmented copies.
     Ignore-labeled patches are not stored. When config.bank_cap is set the
     bank is uniformly subsampled (after augmentation) with the given seed.
     """
     patch_size = extractor.params.config.patch_size
-    tokens = None
+    images = [np.asarray(image) for image in images]
+    masks = [np.asarray(mask) for mask in masks]
+    if len(images) != len(masks) or any(m.shape != i.shape[1:] for i, m in zip(images, masks)):
+        raise ValueError("masks and images disagree in count or size")
+    tokens = [bb.encode(extractor.params, image) for image in images]
     if extractor.use_fungi and extractor.support is None:
-        tokens = extractor.build_support(images)
+        extractor.build_support(tokens)
     rng = np.random.default_rng(seed)
     feats, labels = [], []
     for epoch in range(config.augmentation_epochs):
         for idx, (image, mask) in enumerate(zip(images, masks)):
-            image = np.asarray(image)
-            mask = np.asarray(mask)
-            if mask.shape != image.shape[1:]:
-                raise ValueError("mask and image sizes disagree")
-            if epoch > 0:
-                image, mask = _augment_pair(image, mask, rng)
-            grid = downsample_mask(mask, patch_size)
-            if epoch == 0 and tokens is not None:
+            if epoch == 0:
                 rows = extractor.token_features(tokens[idx], seed=seed + idx)
-                tokens[idx] = None  # later epochs encode augmented copies
-            else:
-                rows = extractor.features(image, seed=int(rng.integers(2**31)) if epoch else seed + idx)
+            else:  # later epochs encode augmented copies
+                image, mask = _augment_pair(image, mask, rng)
+                rows = extractor.features(image, seed=int(rng.integers(2**31)))
+            grid = downsample_mask(mask, patch_size)
             keep = grid.ravel() != IGNORE_LABEL
             feats.append(rows[keep])
             labels.append(grid.ravel()[keep])

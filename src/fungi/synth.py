@@ -129,8 +129,15 @@ def save_dataset(path, images, labels, masks, meta):
 
 def load_dataset(path, target):
     """A dataset split whose `images` and `target` ("labels" or "masks")
-    sections must be present; StoreError names the file otherwise."""
+    sections must be present: images (n, 3, S, S), and n labels or n (S, S)
+    masks. StoreError names the file otherwise."""
     s = store.read_sections(path, ("images", target))
+    shape = s["images"].shape
+    if len(shape) != 4 or shape[1] != 3 or shape[2] != shape[3]:
+        raise store.StoreError(f"{path}: images have shape {shape}, expected (n, 3, S, S)")
+    want = shape[:1] if target == "labels" else (shape[0], *shape[2:])
+    if s[target].shape != want:
+        raise store.StoreError(f"{path}: {target} have shape {s[target].shape}, expected {want} for these images")
     return {
         "images": s["images"],
         "labels": s.get("labels"),

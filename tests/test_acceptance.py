@@ -38,6 +38,7 @@ from .oracles import (
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "default_config.txt"
+FEW_SHOT_PRESET = pathlib.Path(__file__).parents[1] / "configs" / "segment_few_shot.cfg"
 
 
 def report(number, message):
@@ -456,9 +457,11 @@ class TestCriterion13ConfigurationFidelity:
         assert not hasattr(cfg.eval, "shots")  # few-shot runs are chosen by --shots only
         seg = cfg.segmentation
         assert (seg.k, seg.temperature) == (30, 0.02)
-        assert (seg.few_shot_k, seg.few_shot_temperature) == (90, 0.1)
-        assert (seg.augmentation_epochs, seg.few_shot_augmentation_epochs) == (1, 8)
+        assert seg.augmentation_epochs == 1
         assert seg.ivf_num_leaves == 512
         assert (seg.ivf_leaves_to_search, seg.ivf_rerank) == (32, 120)
-        assert (seg.few_shot_ivf_leaves_to_search, seg.few_shot_ivf_rerank) == (256, 1800)
-        report(13, "default configuration serializes the reference hyperparameters (golden file)")
+        few = RunConfig.load(FEW_SHOT_PRESET).segmentation
+        assert (few.k, few.temperature, few.augmentation_epochs) == (90, 0.1, 8)
+        assert (few.ivf_leaves_to_search, few.ivf_rerank) == (256, 1800)
+        report(13, "default configuration serializes the reference hyperparameters (golden file); "
+                   "the few-shot preset holds the few-shot segmentation values")

@@ -590,6 +590,45 @@ class TestExitCodes:
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("command, split, case", [
+        ("segment", "test", "48-px images"),
+        ("segment", "train", "non-square images"),
+        ("segment", "train", "masks of another size"),
+        ("segment", "test", "masks of another size"),
+        ("segment", "train", "fewer masks"),
+        ("extract", "train", "fewer labels"),
+    ])
+    def test_malformed_split_is_3(self, tmp_path, workspace, command, split, case, caplog, capsys):
+        _, cfg_path, blobs, _ = workspace
+        target = "masks" if command == "segment" else "labels"
+        if command == "segment":
+            data, splits = self._segdata(tmp_path, "data")
+        else:
+            data = tmp_path / "data"
+            data.mkdir()
+            for s in ("train", "test"):
+                (data / f"{s}.fngi").write_bytes((blobs / f"{s}.fngi").read_bytes())
+            splits = {s: synth.load_dataset(data / f"{s}.fngi", target) for s in ("train", "test")}
+        images, rows = splits[split]["images"], splits[split][target]
+        if case == "48-px images":
+            images, rows = synth.make_segmentation(len(images), 3, 48, seed=5)
+        elif case == "non-square images":
+            images, rows = images[..., :24], rows[..., :24]
+        elif case == "masks of another size":
+            rows = rows[:, :16, :16]
+        else:
+            rows = rows[: len(images) - 2]
+        path = data / f"{split}.fngi"
+        synth.save_dataset(path, images, **{"labels": None, "masks": None, target: rows}, meta="")
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR, logger="fungi"):
+            assert cli.main([command, "--config", str(cfg_path), "--data", str(data), "--out", str(out)]) == 3
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        expected = "test images are 48 px, train images 32 px" if case == "48-px images" else f"{path}: "
+        assert len(errors) == 1 and expected in errors[0], errors
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_2(self, tmp_path, workspace, jobs, caplog):
         _, cfg_path, data, _ = workspace
@@ -607,8 +646,7 @@ SWEEP_BASE = {
     "kl": {"proj_dim": "8"},
     "dino": {"proj_dim": "8", "local_crops": "1"},
     "simclr": {"proj_dim": "8", "positive_views": "4", "view_patch": "8", "negative_images": "1"},
-    "segmentation": {"few_shot_augmentation_epochs": "2", "ivf_num_leaves": "4", "ivf_leaves_to_search": "2",
-                     "few_shot_ivf_leaves_to_search": "4"},
+    "segmentation": {"augmentation_epochs": "2", "ivf_num_leaves": "4", "ivf_leaves_to_search": "2"},
 }
 SWEEP_VALUES = ("0", "-1", "nan", "inf", "banana", "0.5", "0.9,0.1", "-1,2")
 # keys that change nothing; every value that parses stays accepted until they are deleted
@@ -641,7 +679,7 @@ class TestConfigSweep:
         """Each key with each malformed or out-of-range value, run through
         the commands that read it, ends in exit 0 or a configuration error
         (exit 2) before any output is written, never in an exception."""
-        commands = [["segment", "--fungi"], ["segment", "--few-shot"]] if section == "segmentation" else [["extract"]]
+        commands = [["segment"], ["segment", "--fungi"]] if section == "segmentation" else [["extract"]]
         # (value, the only exit code allowed, or None for 0 or 2)
         cases = [(value, 0 if value in NO_EFFECT_VALUES.get(key, ()) else None) for value in SWEEP_VALUES]
         if (section, key) == ("encoder", "seed"):

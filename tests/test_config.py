@@ -36,10 +36,8 @@ class TestDefaults:
         assert not hasattr(cfg.eval, "shots")  # few-shot runs are chosen by --shots only
         seg = cfg.segmentation
         assert (seg.k, seg.temperature, seg.augmentation_epochs) == (30, 0.02, 1)
-        assert (seg.few_shot_k, seg.few_shot_temperature, seg.few_shot_augmentation_epochs) == (90, 0.1, 8)
         assert seg.ivf_num_leaves == 512
         assert (seg.ivf_leaves_to_search, seg.ivf_rerank) == (32, 120)
-        assert (seg.few_shot_ivf_leaves_to_search, seg.few_shot_ivf_rerank) == (256, 1800)
         assert seg.ivf_anisotropic_threshold == 0.2
         assert (seg.retrieved_negatives_per_patch, seg.loss_negatives_per_patch) == (2, 1)
 
@@ -121,17 +119,17 @@ class TestValidation:
         "[eval]\nknn_k = 0\n",
         "[eval]\nprobe_lambda_count = 0\n",
         "[segmentation]\nk = 0\n",
-        "[segmentation]\nfew_shot_k = 0\n",
+        "[segmentation]\nfew_shot_k = 0\n",  # a removed key: refused as unknown
         "[segmentation]\nloss_negatives_per_patch = 0\n",
         "[segmentation]\nloss_negatives_per_patch = 3\n",
         "[segmentation]\nivf_rerank = 29\n",
-        "[segmentation]\nfew_shot_ivf_rerank = 89\n",
+        "[segmentation]\nfew_shot_ivf_rerank = 89\n",  # a removed key: refused as unknown
         "[kl]\ntemperature = 0\n",
         "[dino]\nteacher_temperature = 0\n",
         "[dino]\nstudent_temperature = -0.1\n",
         "[simclr]\ntemperature = 0\n",
         "[segmentation]\ntemperature = 0\n",
-        "[segmentation]\nfew_shot_temperature = -1\n",
+        "[segmentation]\nfew_shot_temperature = -1\n",  # a removed key: refused as unknown
         "[segmentation]\nsimclr_temperature = nan\n",
         "[eval]\nprobe_lambda_min = -1\n",
         "[eval]\nprobe_lambda_min = 0\n",
@@ -153,10 +151,10 @@ class TestValidation:
         "[kl]\ntemperature = inf\n",
         "[segmentation]\ntemperature = inf\n",
         "[segmentation]\naugmentation_epochs = 0\n",
-        "[segmentation]\nfew_shot_augmentation_epochs = -1\n",
+        "[segmentation]\nfew_shot_augmentation_epochs = -1\n",  # a removed key: refused as unknown
         "[segmentation]\nivf_num_leaves = 0\n",
         "[segmentation]\nivf_leaves_to_search = 0\n",
-        "[segmentation]\nfew_shot_ivf_leaves_to_search = -1\n",
+        "[segmentation]\nfew_shot_ivf_leaves_to_search = -1\n",  # a removed key: refused as unknown
     ])
     def test_out_of_range_values(self, text):
         with pytest.raises(ConfigError):

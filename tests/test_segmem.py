@@ -321,7 +321,7 @@ class TestBankBuilding:
         head = bb.attach_head(8, 12, seed=31, normalize_input=False, dtype=np.float64)
         extractor = reference_extractor(params, head)
         images = [np.random.default_rng(i).random((3, 64, 64)) for i in range(3)]
-        extractor.build_support(images)
+        extractor.build_support([bb.encode(params, image) for image in images])
         tokens = bb._forward(params, images[0]).data  # final-norm rows, CLS first
         grads, _ = obj.simclr_patch_loss(tokens, head, extractor.support, tau=extractor.tau, seed=5,
                                          retrieved_per_patch=extractor.retrieved_per_patch,
@@ -344,6 +344,20 @@ class TestBankBuilding:
             for i, (image, mask) in enumerate(zip(images, masks))
         ]
         np.testing.assert_array_equal(bank.features, np.concatenate(want))
+
+    @pytest.mark.parametrize("use_fungi", [False, True])
+    def test_bank_encodes_each_image_once_per_epoch(self, monkeypatch, use_fungi):
+        images, masks = synthetic_seg_images(np.random.default_rng(8), 3)
+        encode, calls = bb.encode, []
+        monkeypatch.setattr(bb, "encode", lambda params, image: calls.append(1) or encode(params, image))
+        sm.build_bank(images, masks, tiny_extractor(use_fungi=use_fungi), reference_seg(k=1, augmentation_epochs=2), seed=4)
+        assert len(calls) == 2 * len(images)
+
+    def test_masks_that_disagree_with_the_images_are_refused(self):
+        images, masks = synthetic_seg_images(np.random.default_rng(8), 3)
+        for bad in (masks[:2], [m[:32, :32] for m in masks]):
+            with pytest.raises(ValueError, match="masks and images disagree"):
+                sm.build_bank(images, bad, tiny_extractor(), reference_seg(k=1), seed=0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)

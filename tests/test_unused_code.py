@@ -252,11 +252,13 @@ out_dim = 4
 
 [segmentation]
 augmentation_epochs = 2
-few_shot_augmentation_epochs = 2
 ivf_num_leaves = 2
 ivf_leaves_to_search = 1
-few_shot_ivf_leaves_to_search = 2
 """
+# the few-shot preset (configs/segment_few_shot.cfg) at desk scale: its k,
+# temperature and rerank, two augmentation epochs and every leaf searched
+FEW_SHOT_DESK_CONFIG = DESK_CONFIG.replace(
+    "ivf_leaves_to_search = 1\n", "ivf_leaves_to_search = 2\nk = 90\ntemperature = 0.1\nivf_rerank = 1800\n")
 
 # callables that no command enters, each with its reason
 NOT_RUN_BY_COMMANDS = {
@@ -287,8 +289,9 @@ def command_runs(root):
     """argv of every command at desk scale, in an order whose outputs feed
     the next ones."""
     data = {kind: str(root / kind) for kind in ("blobs", "stripes", "segmentation")}
-    config, block0 = root / "run.cfg", root / "block0.cfg"
+    config, block0, few_shot = root / "run.cfg", root / "block0.cfg", root / "few_shot.cfg"
     config.write_text(DESK_CONFIG)
+    few_shot.write_text(FEW_SHOT_DESK_CONFIG)
     block0.write_text(DESK_CONFIG + "\n[gradients]\nblock_index = 0\n")  # the attention backward
     runs = [
         ["synth", "--kind", kind, "--n", n, "--classes", classes, "--image-size", "32", "--seed", "1", "--out", data[kind]]
@@ -301,11 +304,11 @@ def command_runs(root):
     banks = ["--train", str(root / "banks" / "bank_train.fngi"), "--test", str(root / "banks" / "bank_test.fngi")]
     runs += [["fuse-pca", *banks, "--out", str(root / "pca")], ["eval", *banks, "--shots", "2", "--out", str(root / "eval.csv")]]
     runs += [[command, *banks, "--out", str(root / f"{command}.csv")] for command in ("cluster", "probe", "retrieve", "cka")]
-    segment = ["segment", "--config", str(config), "--data", data["segmentation"]]
+    segment = ["segment", "--data", data["segmentation"]]
     runs += [
-        [*segment, "--out", str(root / "segment.csv")],
-        [*segment, "--fungi", "--out", str(root / "segment_fungi.csv")],
-        [*segment, "--fungi", "--few-shot", "--bank-cap", "20", "--out", str(root / "segment_few.csv")],
+        [*segment, "--config", str(config), "--out", str(root / "segment.csv")],
+        [*segment, "--config", str(config), "--fungi", "--out", str(root / "segment_fungi.csv")],
+        [*segment, "--config", str(few_shot), "--fungi", "--bank-cap", "20", "--out", str(root / "segment_few.csv")],
     ]
     return runs
 
