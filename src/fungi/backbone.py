@@ -3,11 +3,15 @@
 The encoder follows the usual pre-norm layout: patch embedding + learned
 positional embeddings, `depth` blocks of multi-head attention and a GELU MLP,
 a final layer norm, and CLS or mean pooling. One forward, written in the
-`autodiff` primitives, serves three callers: `encode` keeps every token,
-`embed` trims the last block to the rows that pooling reads, and
-`loss_gradient` runs the trimmed forward with the designated layer's output
-as the tape's leaf, so an objective sees only embeddings and a sample's
-gradient of that layer is `G^T X` over its views. Every parameter array is
+`autodiff` primitives, runs a block's four linear layers in turn and can
+stop before, or resume from, any of them. `encode` runs it whole and keeps
+every token. A pooled forward is split at the [gradients] section's source
+layer: `tap_state` runs the layers before it once per image or view, and
+keeps only what the rest reads; `embed` resumes from that state untracked,
+and `loss_gradient` resumes from a list of states with the source layer's
+output as the tape's leaf, so an objective sees only embeddings and a
+sample's gradient of that layer is `G^T X` over its views. Both trim the
+last block to the rows that pooling reads. Every parameter array is
 read-only, so shared weights cannot be changed by a gradient pass or a
 worker thread.
 """
@@ -79,6 +83,8 @@ class EncoderParams:
 # layer kind of the [gradients] section -> prefix of its weight and bias
 # attributes in BlockParams
 LAYER_PREFIXES = {"attn_proj": "proj", "mlp_fc1": "fc1", "mlp_fc2": "fc2", "qkv": "qkv"}
+# a block's linear layers, in forward order
+_BLOCK_LAYERS = ("qkv", "proj", "fc1", "fc2")
 
 
 def _read_only(tensors):
@@ -144,45 +150,70 @@ def patchify(image, patch_size):
     return np.ascontiguousarray(out)
 
 
-def _forward(params, image, pooled_only=False, source=None, taps=None):
-    """Final-norm token rows of one image (3, S, S), CLS first.
-
-    With `pooled_only` under CLS pooling, the last block carries on only the
-    row that pooling reads: the CLS query attends to every key and value, and
-    proj, the MLP and the final norm see that one row. With `source`, a
-    [gradients] section, the output of its layer (`block_index` counted from
-    the last block when negative) becomes a fresh leaf of the active tape,
-    and `(leaf, input rows)` is appended to `taps`; nothing upstream is
-    tracked.
-    """
+def _stem(params, image, trim):
+    """State before block 0's qkv layer: the token rows of one image (3, S, S)
+    after patch and positional embedding, CLS first."""
     cfg = params.config
     image = np.asarray(image)
     if image.shape != (3, cfg.image_size, cfg.image_size):
         raise ValueError(f"expected image of shape (3, {cfg.image_size}, {cfg.image_size}), got {image.shape}")
-    tap_at = None if source is None else (source.block_index % cfg.depth, LAYER_PREFIXES[source.layer_kind])
-
-    def layer(x, i, prefix):
-        blk = params.blocks[i]
-        y = ad.linear(x, getattr(blk, prefix + "_w"), getattr(blk, prefix + "_b"))
-        if (i, prefix) != tap_at:
-            return y
-        leaf = ad.parameter(y.data)
-        taps.append((leaf, x.data))
-        return leaf
-
     patches = ad.Tensor(patchify(image, cfg.patch_size).astype(params.dtype))
     x = ad.linear(patches, params.patch_w, params.patch_b)
-    x = ad.add(ad.concat([params.cls_token, x], axis=0), params.pos)
+    return _enter_block(params, 0, ad.add(ad.concat([params.cls_token, x], axis=0), params.pos), trim)
+
+
+def _enter_block(params, i, x, trim):
+    """State before block i's qkv layer, from the residual rows x. Under
+    `trim` the last block keeps only the CLS row of its residual stream."""
+    blk = params.blocks[i]
+    inputs = ad.layer_norm(x, blk.ln1_g, blk.ln1_b)
+    if trim and i == params.config.depth - 1:
+        x = ad.narrow(x, 0, 0, 1)
+    return x, inputs
+
+
+def _forward(params, state, start, stop, trim, taps=None):
+    """Run the forward's linear layers `start` to `stop - 1` from `state`.
+
+    Layers are numbered over the blocks in `_BLOCK_LAYERS` order, and the
+    state before layer n is `(residual rows, layer n's input rows)`; past the
+    last layer the input is None. With `trim`, the last block carries on only
+    the row that CLS pooling reads: the CLS query attends to every key and
+    value, and proj and the MLP see that one row. With `taps`, the output of
+    layer `start` becomes a fresh leaf of the active tape and `(leaf, input
+    rows)` is appended to `taps`; nothing upstream is tracked.
+    """
+    cfg = params.config
     d = cfg.dim
-    for i, blk in enumerate(params.blocks):
-        qkv = layer(ad.layer_norm(x, blk.ln1_g, blk.ln1_b), i, "qkv")
-        q, k, v = (ad.narrow(qkv, 1, j * d, d) for j in range(3))
-        if pooled_only and cfg.pooling == "cls" and i == cfg.depth - 1:
-            q, x = ad.narrow(q, 0, 0, 1), ad.narrow(x, 0, 0, 1)
-        x = ad.add(x, layer(ad.scaled_dot_product_attention(q, k, v, cfg.heads), i, "proj"))
-        h = ad.gelu(layer(ad.layer_norm(x, blk.ln2_g, blk.ln2_b), i, "fc1"))
-        x = ad.add(x, layer(h, i, "fc2"))
-    return ad.layer_norm(x, params.norm_g, params.norm_b)
+    x, inputs = state
+    for n in range(start, stop):
+        i, prefix = n // len(_BLOCK_LAYERS), _BLOCK_LAYERS[n % len(_BLOCK_LAYERS)]
+        blk = params.blocks[i]
+        y = ad.linear(inputs, getattr(blk, prefix + "_w"), getattr(blk, prefix + "_b"))
+        if taps is not None and n == start:
+            y = ad.parameter(y.data)
+            taps.append((y, inputs.data))
+        if prefix == "qkv":
+            q, k, v = (ad.narrow(y, 1, j * d, d) for j in range(3))
+            if trim and i == cfg.depth - 1:
+                q = ad.narrow(q, 0, 0, 1)
+            inputs = ad.scaled_dot_product_attention(q, k, v, cfg.heads)
+        elif prefix == "proj":
+            x = ad.add(x, y)
+            inputs = ad.layer_norm(x, blk.ln2_g, blk.ln2_b)
+        elif prefix == "fc1":
+            inputs = ad.gelu(y)
+        else:
+            x = ad.add(x, y)
+            x, inputs = _enter_block(params, i + 1, x, trim) if i + 1 < cfg.depth else (x, None)
+    return x, inputs
+
+
+def _source_layer(params, source):
+    """Number of a [gradients] section's layer in `_forward`'s order; a
+    negative `block_index` counts from the last block."""
+    block = source.block_index % params.config.depth
+    return block * len(_BLOCK_LAYERS) + _BLOCK_LAYERS.index(LAYER_PREFIXES[source.layer_kind])
 
 
 def _pool(x, pooling):
@@ -194,13 +225,38 @@ def _pool(x, pooling):
 def encode(params, image):
     """Forward pass: image (3, S, S) -> (patches + 1, dim) array of final-norm
     token rows, CLS first."""
-    return _forward(params, image).data
+    x, _ = _forward(params, _stem(params, image, False), 0, params.config.depth * len(_BLOCK_LAYERS), False)
+    return ad.layer_norm(x, params.norm_g, params.norm_b).data
 
 
-def embed(params, image):
-    """Pooled (dim,) embedding of an image: the CLS row or the patch mean of
-    `encode`'s rows, without the rows that pooling does not read."""
-    return _pool(_forward(params, image, pooled_only=True), params.config.pooling).data
+def tap_state(params, source, image):
+    """The prefix of an image's pooled forward: every layer before the
+    [gradients] section's source layer, untracked.
+
+    Returns what the rest of the forward reads, `(residual rows, the source
+    layer's input rows)`, as arrays of their own. In the last block under CLS
+    pooling the residual is the CLS row alone, and so are the inputs of proj,
+    fc1 and fc2.
+    """
+    trim = params.config.pooling == "cls"
+    x, inputs = _forward(params, _stem(params, image, trim), 0, _source_layer(params, source), trim)
+    return x.data.copy(), inputs.data.copy()
+
+
+def _pooled(params, source, state, taps=None):
+    """Pooled embedding tensor of an image from its `tap_state`: the rest of
+    the forward, from the source layer on."""
+    cfg = params.config
+    x, _ = _forward(params, tuple(ad.Tensor(a) for a in state), _source_layer(params, source),
+                    cfg.depth * len(_BLOCK_LAYERS), cfg.pooling == "cls", taps)
+    return _pool(ad.layer_norm(x, params.norm_g, params.norm_b), cfg.pooling)
+
+
+def embed(params, source, state):
+    """Pooled (dim,) embedding of an image from its `tap_state`: the CLS row
+    or the patch mean of `encode`'s rows, without the rows that pooling does
+    not read."""
+    return _pooled(params, source, state).data
 
 
 @dataclass
@@ -236,21 +292,19 @@ def attach_head(dim, proj_dim, seed, normalize_input, dtype):
     return head
 
 
-def loss_gradient(params, source, views, loss_fn):
+def loss_gradient(params, source, states, loss_fn):
     """Gradient of a scalar objective w.r.t. the [gradients] section's
     source layer only.
 
-    Runs one forward per view on a single tape whose leaves are the source
-    layer's outputs, and hands `loss_fn` the stacked (V, dim) embeddings.
-    With G the cotangents at those outputs and X the layer's input rows, over
-    all views, the gradient is dW = G^T X and db = G.sum(0). Returns numpy
-    arrays.
+    Resumes each view's `tap_state` on a single tape whose leaves are the
+    source layer's outputs, and hands `loss_fn` the stacked (V, dim)
+    embeddings. With G the cotangents at those outputs and X the layer's input
+    rows, over all views, the gradient is dW = G^T X and db = G.sum(0).
+    Returns numpy arrays.
     """
-    pooling = params.config.pooling
     taps = []
     with ad.GradTape() as tape:
-        rows = [_forward(params, v, pooled_only=True, source=source, taps=taps) for v in views]
-        loss = loss_fn(ad.stack([_pool(x, pooling) for x in rows]))
+        loss = loss_fn(ad.stack([_pooled(params, source, state, taps) for state in states]))
     grads = tape.backward(loss)
     g = np.concatenate([grads[leaf] for leaf, _ in taps])
     x = np.concatenate([inputs for _, inputs in taps])

@@ -1,10 +1,13 @@
 """Extraction pipeline: encoder + heads + objectives -> feature banks.
 
-Per sample: embed once for the embedding, then for each configured
-objective build its views and a loss over their stacked embeddings,
-harvest the designated layer's gradient from one forward per view, flatten
-it, and project it down to the embedding width. Objectives never call the
-encoder. Fused rows are the unit-norm gradient segments followed by the
+Per sample: run the encoder up to the designated layer once; the embedding
+and the kl objective resume from that state. For dino and simclr, build the
+views and run each up to that layer. Then for each objective, harvest the
+layer's gradient of a loss over the views' stacked embeddings, flatten it,
+and project it down to the embedding width. A train image drawn into the
+SimCLR negative bank has its views encoded once: the bank keeps their states,
+and the sample's SimCLR objective resumes from them. Objectives never call
+the encoder. Fused rows are the unit-norm gradient segments followed by the
 unit-norm embedding.
 """
 
@@ -84,24 +87,66 @@ def _simclr_views(image, config):
     return [augment.resize_bilinear(v, size, size) for v in patches]
 
 
-def build_negative_bank(params, head, train_images, config):
-    """Encode and project patch views of seeded training images once."""
-    scfg = config.simclr
+def _map(fn, items, jobs):
+    """[fn(item) for item in items], over a pool of `jobs` threads when
+    jobs > 1."""
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
+def build_negative_bank(params, head, train_images, config, jobs):
+    """Encode and project the patch views of seeded draws of training images.
+
+    Each distinct image's views run up to the [gradients] source layer once.
+    Returns the bank, whose rows follow the draws, and the map from a drawn
+    train index to its views' `tap_state`s, from which that sample's SimCLR
+    objective resumes.
+    """
+    scfg, source = config.simclr, config.gradients
     rng = np.random.default_rng(feat.derive_seed(config.encoder.seed, "negative-bank"))
     n = len(train_images)
     picked = rng.choice(n, size=scfg.negative_images, replace=n < scfg.negative_images)
-    rows = []
-    for idx in picked:
-        for view in _simclr_views(np.asarray(train_images[idx]), config):
-            rows.append(head.apply_array(bb.embed(params, view)))
-    bank = obj.NegativeBank(np.stack(rows))
-    log.info("negative bank: %d rows from %d images", len(bank), scfg.negative_images)
-    return bank
+    distinct, inverse = np.unique(picked, return_inverse=True)
+
+    def worker(idx):
+        states = [bb.tap_state(params, source, v) for v in _simclr_views(np.asarray(train_images[idx]), config)]
+        return states, np.stack([head.apply_array(bb.embed(params, source, s)) for s in states])
+
+    results = _map(worker, distinct, jobs)
+    bank = obj.NegativeBank(np.concatenate([results[j][1] for j in inverse]))
+    view_states = {int(idx): states for idx, (states, _) in zip(distinct, results)}
+    nbytes = sum(a.nbytes for states in view_states.values() for state in states for a in state)
+    log.info(
+        "negative bank: %d rows from %d draws of %d distinct images, %.3g MiB of view states",
+        len(bank), len(picked), len(distinct), nbytes / 2**20,
+    )
+    return bank, view_states
 
 
-def make_objective(name, config, heads, image, neg_bank, sample_seed):
-    """(views, loss_fn) of one sample: `loss_fn` maps the (V, dim) tensor of
-    the views' embeddings to a scalar loss.
+def sample_views(name, config, image, sample_seed):
+    """Views of one sample under the simclr objective, its overlapping patch
+    views, or under dino, its global then its local crops. The kl
+    objective's one view is the image itself."""
+    if name == "simclr":
+        return _simclr_views(image, config)
+    dcfg = config.dino
+    globals_, locals_ = augment.dino_crops(
+        image,
+        seed=sample_seed,
+        n_global=dcfg.global_crops,
+        n_local=dcfg.local_crops,
+        global_scale=tuple(dcfg.global_scale),
+        local_scale=tuple(dcfg.local_scale),
+        out_size=config.encoder.image_size,
+    )
+    return globals_ + locals_
+
+
+def make_objective(name, config, heads, neg_bank):
+    """loss_fn of an objective: it maps the (V, dim) tensor of a sample's
+    views' embeddings to a scalar loss.
 
     The distillation teacher reads the global views' embedding values as
     constants, so the loss's derivative is exactly the stop-gradient
@@ -109,63 +154,58 @@ def make_objective(name, config, heads, image, neg_bank, sample_seed):
     """
     if name == "kl":
         head, tau = heads["kl"], config.kl.temperature
-        return [image], lambda z: obj.kl_loss(head.apply(z), tau=tau)
+        return lambda z: obj.kl_loss(head.apply(z), tau=tau)
 
     if name == "dino":
         student_head, teacher_head = heads["dino"]
         dcfg = config.dino
-        globals_, locals_ = augment.dino_crops(
-            image,
-            seed=sample_seed,
-            n_global=dcfg.global_crops,
-            n_local=dcfg.local_crops,
-            global_scale=tuple(dcfg.global_scale),
-            local_scale=tuple(dcfg.local_scale),
-            out_size=config.encoder.image_size,
-        )
 
         def dino_fn(z):
-            teacher = teacher_head.apply_array(z.data[: len(globals_)])
+            teacher = teacher_head.apply_array(z.data[: dcfg.global_crops])
             return obj.dino_loss(
                 student_head.apply(z), teacher, tau_s=dcfg.student_temperature, tau_t=dcfg.teacher_temperature
             )
 
-        return globals_ + locals_, dino_fn
+        return dino_fn
 
     if name == "simclr":
         head, tau = heads["simclr"], config.simclr.temperature
-
-        def simclr_fn(z):
-            return obj.simclr_loss(ad.l2_normalize(head.apply(z)), neg_bank, tau=tau)
-
-        return _simclr_views(image, config), simclr_fn
+        return lambda z: obj.simclr_loss(ad.l2_normalize(head.apply(z)), neg_bank, tau=tau)
 
     raise ValueError(f"unknown objective {name!r}")
 
 
-def extract_bank(config, params, heads, projections, images, labels, split, neg_bank, jobs):
-    """FeatureBank for one split; deterministic in (config, images, seeds)."""
+def extract_bank(config, params, heads, projections, images, labels, split, neg_bank, view_states, jobs):
+    """FeatureBank for one split; deterministic in (config, images, seeds).
+
+    A sample runs the layers before the [gradients] source once for its
+    embedding and its kl objective. A sample in `view_states` resumes its
+    SimCLR objective from there; the others build and run their views.
+    """
     objectives = tuple(config.gradients.objectives)
     if "simclr" in objectives and neg_bank is None:
         raise ValueError("simclr objective requires a negative bank")
+    source = config.gradients
+    loss_fns = {name: make_objective(name, config, heads, neg_bank) for name in objectives}
 
     def worker(i):
         image = np.asarray(images[i])
-        embedding = bb.embed(params, image)
+        state = bb.tap_state(params, source, image)
         grads = {}
         for name in objectives:
-            seed = feat.derive_seed(config.encoder.seed, "views", split, name, i)
-            views, loss_fn = make_objective(name, config, heads, image, neg_bank, seed)
-            dw, db = bb.loss_gradient(params, config.gradients, views, loss_fn)
+            if name == "kl":
+                states = [state]
+            elif name == "simclr" and i in view_states:
+                states = view_states[i]
+            else:
+                seed = feat.derive_seed(config.encoder.seed, "views", split, name, i)
+                states = [bb.tap_state(params, source, v) for v in sample_views(name, config, image, seed)]
+            dw, db = bb.loss_gradient(params, source, states, loss_fns[name])
             grads[name] = feat.project(projections[name], feat.flatten_gradient(dw, db))
-        return embedding, grads
+        return bb.embed(params, source, state), grads
 
     start = time.monotonic()
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, range(len(images))))
-    else:
-        results = [worker(i) for i in range(len(images))]
+    results = _map(worker, range(len(images)), jobs)
     elapsed = max(time.monotonic() - start, 1e-9)
     log.info(
         "extracted %s: %d samples, %d objectives, %.2f samples/s",
@@ -195,17 +235,16 @@ def extract_splits(config, train_images, train_labels, test_images, test_labels,
     params = build_encoder(config)
     heads = build_heads(config)
     projections = build_projections(config)
-    neg_bank = None
+    neg_bank, view_states = None, {}
     if "simclr" in config.gradients.objectives:
-        simclr_head = heads["simclr"]
-        neg_bank = build_negative_bank(params, simclr_head, train_images, config)
+        neg_bank, view_states = build_negative_bank(params, heads["simclr"], train_images, config, jobs)
     train_bank = extract_bank(
         config, params, heads, projections, train_images, train_labels, "train",
-        neg_bank=neg_bank, jobs=jobs,
+        neg_bank=neg_bank, view_states=view_states, jobs=jobs,
     )
     test_bank = extract_bank(
         config, params, heads, projections, test_images, test_labels, "test",
-        neg_bank=neg_bank, jobs=jobs,
+        neg_bank=neg_bank, view_states={}, jobs=jobs,
     )
     return train_bank, test_bank
 

@@ -62,6 +62,19 @@ def reference_extractor(params, head):
     )
 
 
+def view_states(params, source, views):
+    """`backbone.tap_state` of each view: the states `loss_gradient` resumes
+    from."""
+    return [bb.tap_state(params, source, v) for v in views]
+
+
+def image_embedding(params, image):
+    """Pooled embedding of one image, its forward split at the reference
+    [gradients] source."""
+    source = RunConfig().gradients
+    return bb.embed(params, source, bb.tap_state(params, source, image))
+
+
 def max_relative_error(got, want):
     """Worst-case elementwise relative error between two gradients.
 
@@ -164,12 +177,15 @@ def collapsed_banks(config, train_images, train_labels, test_images, test_labels
     params = collapse_output_paths(pipeline.build_encoder(config))
     heads = pipeline.build_heads(config)
     projections = pipeline.build_projections(config)
-    neg_bank = None
+    neg_bank, states = None, {}
     if "simclr" in config.gradients.objectives:
-        neg_bank = pipeline.build_negative_bank(params, heads["simclr"], train_images, config)
+        neg_bank, states = pipeline.build_negative_bank(params, heads["simclr"], train_images, config, jobs=1)
     return tuple(
-        pipeline.extract_bank(config, params, heads, projections, images, labels, split, neg_bank=neg_bank, jobs=1)
-        for images, labels, split in ((train_images, train_labels, "train"), (test_images, test_labels, "test"))
+        pipeline.extract_bank(config, params, heads, projections, images, labels, split, neg_bank=neg_bank,
+                              view_states=split_states, jobs=1)
+        for images, labels, split, split_states in (
+            (train_images, train_labels, "train", states), (test_images, test_labels, "test", {})
+        )
     )
 
 

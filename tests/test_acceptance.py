@@ -28,6 +28,7 @@ from .oracles import (
     collapsed_banks,
     entry_variance,
     finite_diff_gradient,
+    image_embedding,
     max_relative_error,
     reference_encoder,
     reference_extractor,
@@ -35,6 +36,7 @@ from .oracles import (
     reference_seg,
     replace_source_layer,
     source_layer,
+    view_states,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "default_config.txt"
@@ -75,7 +77,7 @@ class TestCriterion01GradientCorrectness:
         heads = pipeline.build_heads(cfg)
         images, _ = synth.make_classification("blobs", 4, 2, 32, seed=1)
         image = images[0].astype(np.float64)
-        neg_bank = pipeline.build_negative_bank(params, heads["simclr"], images, cfg)
+        neg_bank, _ = pipeline.build_negative_bank(params, heads["simclr"], images, cfg, jobs=1)
         source = cfg.gradients
         w0, b0 = source_layer(params, source)
         n_w = w0.size
@@ -92,8 +94,10 @@ class TestCriterion01GradientCorrectness:
         )
         objectives = {
             "kl": ([image], lambda z: obj.kl_loss(kl_head.apply(z), tau=cfg.kl.temperature)),
-            "dino": pipeline.make_objective("dino", cfg, heads, image, neg_bank, 3),
-            "simclr": pipeline.make_objective("simclr", cfg, heads, image, neg_bank, 3),
+            "dino": (pipeline.sample_views("dino", cfg, image, 3),
+                     pipeline.make_objective("dino", cfg, heads, neg_bank)),
+            "simclr": (pipeline.sample_views("simclr", cfg, image, 3),
+                       pipeline.make_objective("simclr", cfg, heads, neg_bank)),
         }
 
         # the oracle evaluates the loss from the CLS row of encode() (the
@@ -102,7 +106,7 @@ class TestCriterion01GradientCorrectness:
         # which the production loss reads from the forward's values
         student, teacher = heads["dino"]
         globals_ = objectives["dino"][0][: cfg.dino.global_crops]
-        teacher_z = teacher.apply_array(np.stack([bb.embed(params, v) for v in globals_]))
+        teacher_z = teacher.apply_array(np.stack([image_embedding(params, v) for v in globals_]))
 
         def oracle_loss(name, loss_fn, z):
             if name == "dino":
@@ -112,7 +116,7 @@ class TestCriterion01GradientCorrectness:
 
         worst = {}
         for name, (views, loss_fn) in objectives.items():
-            dw, db = bb.loss_gradient(params, source, views, loss_fn)
+            dw, db = bb.loss_gradient(params, source, view_states(params, source, views), loss_fn)
             got = np.concatenate([dw.ravel(), db.ravel()])
 
             def f(flat, name=name, views=views, loss_fn=loss_fn):
@@ -147,8 +151,8 @@ class TestCriterion02KlStationarity:
         def fn(z):
             return obj.kl_loss(head.apply(z), tau=cfg.kl.temperature)
 
-        loss = fn(ad.as_tensor(bb.embed(params, image)[None])).item()
-        dw, db = bb.loss_gradient(params, cfg.gradients, [image], fn)
+        loss = fn(ad.as_tensor(image_embedding(params, image)[None])).item()
+        dw, db = bb.loss_gradient(params, cfg.gradients, view_states(params, cfg.gradients, [image]), fn)
         assert abs(loss) < 1e-12
         assert np.linalg.norm(dw) < 1e-8 and np.linalg.norm(db) < 1e-8
         report(2, f"uniform logits: loss={loss:.1e}, grad norm={np.linalg.norm(dw):.1e}")

@@ -9,11 +9,13 @@ from fungi.config import ConfigError, GradientSection, RunConfig
 
 from .oracles import (
     collapse_output_paths,
+    image_embedding,
     max_relative_error,
     reference_encoder,
     replace_source_layer,
     richardson_gradient,
     source_layer,
+    view_states,
 )
 
 TINY = reference_encoder(image_size=32, dim=8, heads=2)
@@ -105,7 +107,7 @@ class TestEncode:
         params = bb.init_encoder(reference_encoder(image_size=224, patch_size=16, depth=1, dim=8, heads=2, seed=1), dtype=np.float32)
         tokens = bb.encode(params, np.zeros((3, 224, 224), dtype=np.float32))
         assert tokens[1:].shape == (196, 8)  # the patch tokens, after the CLS row
-        assert bb.embed(params, np.zeros((3, 224, 224), dtype=np.float32)).shape == (8,)
+        assert image_embedding(params, np.zeros((3, 224, 224), dtype=np.float32)).shape == (8,)
 
     def test_pure_function(self):
         rng = np.random.default_rng(2)
@@ -122,13 +124,13 @@ class TestEncode:
         with pytest.raises(ValueError):
             bb.encode(params, np.zeros((3, 48, 48)))
         with pytest.raises(ValueError):
-            bb.embed(params, np.zeros((3, 48, 48)))
+            image_embedding(params, np.zeros((3, 48, 48)))
 
     def test_mean_pooling(self):
         cfg = reference_encoder(image_size=32, depth=1, dim=8, heads=2, pooling="mean", seed=3)
         params = bb.init_encoder(cfg, dtype=np.float64)
         img = rand_image(np.random.default_rng(0), 32)
-        np.testing.assert_allclose(bb.embed(params, img), bb.encode(params, img)[1:].mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(image_embedding(params, img), bb.encode(params, img)[1:].mean(axis=0), rtol=1e-12)
 
     @pytest.mark.parametrize("pooling", ["cls", "mean"])
     def test_embed_matches_encode(self, pooling):
@@ -136,7 +138,7 @@ class TestEncode:
         params = bb.init_encoder(cfg, dtype=np.float64)
         for seed in range(3):
             img = rand_image(np.random.default_rng(seed), 64)
-            np.testing.assert_allclose(bb.embed(params, img), pooled(bb.encode(params, img), pooling),
+            np.testing.assert_allclose(image_embedding(params, img), pooled(bb.encode(params, img), pooling),
                                        rtol=0, atol=1e-12)
 
     def test_patchify_layout(self):
@@ -187,7 +189,8 @@ class TestLossGradient:
         )
         img = rand_image(np.random.default_rng(3), 32)
         source = GradientSection(block_index=TINY.depth - 1, layer_kind="attn_proj")
-        dw, db = bb.loss_gradient(params, source, [img], kl_objective(head, RunConfig().kl.temperature))
+        dw, db = bb.loss_gradient(params, source, view_states(params, source, [img]),
+                                  kl_objective(head, RunConfig().kl.temperature))
         assert np.linalg.norm(dw) < 1e-8
         assert np.linalg.norm(db) < 1e-8
 
@@ -197,7 +200,7 @@ class TestLossGradient:
         loss_fn = kl_objective(head, tau=2.0)
         params = bb.init_encoder(replace(TINY, pooling=pooling, seed=9), dtype=np.float64)
         source = GradientSection(block_index=block, layer_kind=kind)
-        dw, db = bb.loss_gradient(params, source, views, loss_fn)
+        dw, db = bb.loss_gradient(params, source, view_states(params, source, views), loss_fn)
         w0, b0 = source_layer(params, source)
         assert dw.shape == w0.shape and db.shape == b0.shape
 
@@ -229,10 +232,11 @@ class TestLossGradient:
         params = bb.init_encoder(replace(TINY, seed=11), dtype=np.float64)
         head = bb.attach_head(8, 4, seed=12, normalize_input=True, dtype=np.float64)
         before = snapshot(params)
+        source = GradientSection(block_index=0, layer_kind="mlp_fc1")
         bb.loss_gradient(
             params,
-            GradientSection(block_index=0, layer_kind="mlp_fc1"),
-            [rand_image(np.random.default_rng(5), 32)],
+            source,
+            view_states(params, source, [rand_image(np.random.default_rng(5), 32)]),
             kl_objective(head, RunConfig().kl.temperature),
         )
         assert unchanged(params, before)
@@ -243,14 +247,64 @@ class TestCollapsedEmbedding:
         rng = np.random.default_rng(13)
         params = collapse_output_paths(bb.init_encoder(replace(TINY, seed=14), dtype=np.float64))
         img_a, img_b = rand_image(rng, 32), rand_image(rng, 32)
-        emb_a = bb.embed(params, img_a)
-        emb_b = bb.embed(params, img_b)
+        emb_a = image_embedding(params, img_a)
+        emb_b = image_embedding(params, img_b)
         np.testing.assert_allclose(emb_a, emb_b, atol=1e-12)
         assert np.linalg.norm(emb_a) > 1e-6
 
         head = bb.attach_head(8, 6, seed=15, normalize_input=True, dtype=np.float64)
         source = GradientSection(block_index=1, layer_kind="qkv")
-        dw_a, _ = bb.loss_gradient(params, source, [img_a], kl_objective(head, tau=2.0))
-        dw_b, _ = bb.loss_gradient(params, source, [img_b], kl_objective(head, tau=2.0))
+        dw_a, _ = bb.loss_gradient(params, source, view_states(params, source, [img_a]), kl_objective(head, tau=2.0))
+        dw_b, _ = bb.loss_gradient(params, source, view_states(params, source, [img_b]), kl_objective(head, tau=2.0))
         assert np.linalg.norm(dw_a) > 1e-10
         assert np.linalg.norm(dw_a - dw_b) > 1e-10 * np.linalg.norm(dw_a)
+
+
+class TestSplitForward:
+    """The pooled forward split at the [gradients] source layer: `tap_state`
+    runs the layers before it, `embed` and `loss_gradient` resume there."""
+
+    @staticmethod
+    def build(kind, block, pooling, dtype):
+        params = bb.init_encoder(replace(TINY, pooling=pooling, seed=16), dtype=dtype)
+        source = GradientSection(block_index=block, layer_kind=kind)
+        rng = np.random.default_rng(17)
+        return params, source, [rand_image(rng, 32).astype(dtype) for _ in range(3)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pooling", ["cls", "mean"])
+    @pytest.mark.parametrize("block", [0, -1])
+    @pytest.mark.parametrize("kind", list(bb.LAYER_PREFIXES))
+    def test_resume_equals_whole_forward(self, kind, block, pooling, dtype):
+        params, source, views = self.build(kind, block, pooling, dtype)
+        # split before the first layer, the resume runs every block
+        first = GradientSection(block_index=0, layer_kind="qkv")
+        for view in views:
+            whole = bb.embed(params, first, bb.tap_state(params, first, view))
+            state = bb.tap_state(params, source, view)
+            np.testing.assert_array_equal(bb.embed(params, source, state), whole)
+            assert whole.dtype == dtype and all(a.dtype == dtype for a in state)
+            # the state holds only what the rest reads: the last block under
+            # CLS pooling keeps the CLS row of the residual, and of every
+            # layer input past the attention
+            last = block % TINY.depth == TINY.depth - 1 and pooling == "cls"
+            tokens = TINY.num_patches + 1
+            assert state[0].shape[0] == (1 if last else tokens)
+            assert state[1].shape[0] == (1 if last and kind != "qkv" else tokens)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pooling", ["cls", "mean"])
+    @pytest.mark.parametrize("block", [0, -1])
+    @pytest.mark.parametrize("kind", list(bb.LAYER_PREFIXES))
+    def test_gradient_from_kept_states_equals_fresh(self, kind, block, pooling, dtype):
+        params, source, views = self.build(kind, block, pooling, dtype)
+        head = bb.attach_head(8, 6, seed=18, normalize_input=True, dtype=dtype)
+        kept = view_states(params, source, views)
+        # other forwards run between building the states and resuming them
+        for view in views:
+            bb.encode(params, view)
+        got = bb.loss_gradient(params, source, kept, kl_objective(head, tau=2.0))
+        want = bb.loss_gradient(params, source, view_states(params, source, views), kl_objective(head, tau=2.0))
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == dtype
+            np.testing.assert_array_equal(g, w)

@@ -200,7 +200,7 @@ class TestDerived:
         params = bb.init_encoder(cfg.encoder, dtype=np.float64)
         image = np.random.default_rng(0).random((3, 32, 32))
         last = replace(cfg.gradients, block_index=cfg.encoder.depth - 1)
-        grads = [bb.loss_gradient(params, source, [image], lambda z: ad.mean(ad.mul(z, z)))
+        grads = [bb.loss_gradient(params, source, [bb.tap_state(params, source, image)], lambda z: ad.mean(ad.mul(z, z)))
                  for source in (cfg.gradients, last)]
         for got, want in zip(*grads):
             np.testing.assert_array_equal(got, want)

@@ -1,17 +1,20 @@
 import copy
+import hashlib
 
 import numpy as np
 import pytest
 
 from fungi import autodiff as ad
 from fungi import backbone as bb
+from fungi import cli
 from fungi import features as feat
 from fungi import objectives as obj
 from fungi import pipeline
 from fungi import synth
 from fungi.config import RunConfig
 
-from .oracles import collapsed_banks
+from .oracles import collapsed_banks, image_embedding, view_states
+from .test_unused_code import DESK_CONFIG
 
 
 def tiny_config(objectives=("kl", "dino", "simclr")):
@@ -31,6 +34,11 @@ def tiny_config(objectives=("kl", "dino", "simclr")):
     cfg.simclr.negative_images = 6
     cfg.pca.out_dim = 16
     return cfg.validate()
+
+
+def views_of(name, cfg, image, seed):
+    """A sample's views under an objective, as extraction builds them."""
+    return [image] if name == "kl" else pipeline.sample_views(name, cfg, image, seed)
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +89,8 @@ class TestExtraction:
         projections = pipeline.build_projections(cfg)
         images, labels = synth.make_classification("blobs", 4, 2, 32, seed=6)
         with pytest.raises(ValueError):
-            pipeline.extract_bank(cfg, params, heads, projections, images, labels, "train", neg_bank=None, jobs=1)
+            pipeline.extract_bank(cfg, params, heads, projections, images, labels, "train", neg_bank=None,
+                                  view_states={}, jobs=1)
 
 
 @pytest.fixture
@@ -114,11 +123,11 @@ class TestPrecision:
         params = pipeline.build_encoder(cfg)
         heads = pipeline.build_heads(cfg)
         images, _ = synth.make_classification("blobs", 4, 2, 32, seed=6)
-        neg_bank = pipeline.build_negative_bank(params, heads["simclr"], images, cfg)
+        neg_bank, _ = pipeline.build_negative_bank(params, heads["simclr"], images, cfg, jobs=1)
         assert neg_bank.rows.dtype == dtype
         for name in ("kl", "dino", "simclr"):
-            views, loss_fn = pipeline.make_objective(name, cfg, heads, images[0], neg_bank, 5)
-            dw, db = bb.loss_gradient(params, cfg.gradients, views, loss_fn)
+            states = view_states(params, cfg.gradients, views_of(name, cfg, images[0], 5))
+            dw, db = bb.loss_gradient(params, cfg.gradients, states, pipeline.make_objective(name, cfg, heads, neg_bank))
             assert dw.dtype == dtype and db.dtype == dtype, name
         tokens = bb.encode(params, images[1])
         support = obj.SupportIndex(heads["simclr"].apply_array(tokens[1:]))
@@ -135,7 +144,7 @@ class TestPrecision:
         image = np.random.default_rng(0).random((3, cfg.encoder.image_size, cfg.encoder.image_size))
         params = pipeline.build_encoder(cfg)
         assert bb.encode(params, image).dtype == np.float32
-        assert bb.embed(params, image).dtype == np.float32
+        assert image_embedding(params, image).dtype == np.float32
 
 
 class TestHarvestTape:
@@ -150,7 +159,7 @@ class TestHarvestTape:
         params = pipeline.build_encoder(cfg)
         heads = pipeline.build_heads(cfg)
         images, _ = synth.make_classification("blobs", 2, 2, 64, seed=6)
-        neg_bank = pipeline.build_negative_bank(params, heads["simclr"], images, cfg)
+        neg_bank, _ = pipeline.build_negative_bank(params, heads["simclr"], images, cfg, jobs=1)
         rows = []
         record = ad.GradTape._record
 
@@ -160,10 +169,10 @@ class TestHarvestTape:
 
         monkeypatch.setattr(ad.GradTape, "_record", recording)
         for name in ("kl", "dino", "simclr"):
-            views, loss_fn = pipeline.make_objective(name, cfg, heads, images[0], neg_bank, 5)
+            states = view_states(params, cfg.gradients, views_of(name, cfg, images[0], 5))
             rows.clear()
-            bb.loss_gradient(params, cfg.gradients, views, loss_fn)
-            assert rows and max(rows) <= len(views) < cfg.encoder.num_patches, name
+            bb.loss_gradient(params, cfg.gradients, states, pipeline.make_objective(name, cfg, heads, neg_bank))
+            assert rows and max(rows) <= len(states) < cfg.encoder.num_patches, name
 
 
 class TestHeadsAndProjections:
@@ -191,9 +200,91 @@ class TestHeadsAndProjections:
         params = pipeline.build_encoder(cfg)
         heads = pipeline.build_heads(cfg)
         images, _ = synth.make_classification("blobs", 8, 2, 32, seed=8)
-        bank = pipeline.build_negative_bank(params, heads["simclr"], images, cfg)
+        bank, _ = pipeline.build_negative_bank(params, heads["simclr"], images, cfg, jobs=1)
         assert len(bank) == cfg.simclr.negative_images * cfg.simclr.positive_views
         np.testing.assert_allclose(np.linalg.norm(bank.rows, axis=1), 1.0, atol=1e-6)
+
+
+class TestSharedViewStates:
+    """The negative bank runs each distinct drawn image's views up to the
+    source layer once, and the drawn train samples' SimCLR objectives resume
+    from those states."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_duplicate_draws(self, jobs):
+        cfg = tiny_config(objectives=("simclr",))
+        cfg.simclr.negative_images = 8
+        params, heads = pipeline.build_encoder(cfg), pipeline.build_heads(cfg)
+        images, _ = synth.make_classification("blobs", 3, 3, 32, seed=19)
+        bank, states = pipeline.build_negative_bank(params, heads["simclr"], images, cfg, jobs=jobs)
+        rng = np.random.default_rng(feat.derive_seed(cfg.encoder.seed, "negative-bank"))
+        picked = rng.choice(len(images), size=8, replace=True).tolist()
+        assert len(set(picked)) < len(picked)
+        # every draw's views, embedded one at a time
+        rows = [heads["simclr"].apply_array(image_embedding(params, v))
+                for idx in picked for v in pipeline.sample_views("simclr", cfg, images[idx], 0)]
+        np.testing.assert_array_equal(bank.rows, obj.NegativeBank(np.stack(rows)).rows)
+        assert sorted(states) == sorted(set(picked))
+        # a drawn sample's gradient from the kept states equals the one from
+        # states built afresh
+        source, loss_fn = cfg.gradients, pipeline.make_objective("simclr", cfg, heads, bank)
+        for idx, kept in states.items():
+            fresh = view_states(params, source, pipeline.sample_views("simclr", cfg, images[idx], 0))
+            assert len(kept) == len(fresh) == cfg.simclr.positive_views
+            got, want = bb.loss_gradient(params, source, kept, loss_fn), bb.loss_gradient(params, source, fresh, loss_fn)
+            for g, w in zip(got, want, strict=True):
+                np.testing.assert_array_equal(g, w)
+
+    def test_prefix_count(self, monkeypatch):
+        cfg = tiny_config()
+        cfg.simclr.negative_images = 4  # 4 of the 6 train images, drawn without replacement
+        images, labels = synth.make_classification("blobs", 9, 3, 32, seed=20)
+        params, heads, projections = (pipeline.build_encoder(cfg), pipeline.build_heads(cfg),
+                                      pipeline.build_projections(cfg))
+        calls = []
+        tap_state = bb.tap_state
+
+        def counting(params, source, image):
+            calls.append(image)
+            return tap_state(params, source, image)
+
+        monkeypatch.setattr(bb, "tap_state", counting)
+        views, crops = cfg.simclr.positive_views, cfg.dino.global_crops + cfg.dino.local_crops
+        neg_bank, states = pipeline.build_negative_bank(params, heads["simclr"], images[:6], cfg, jobs=1)
+        assert len(states) == 4 and len(calls) == 4 * views
+        calls.clear()
+        pipeline.extract_bank(cfg, params, heads, projections, images[:6], labels[:6], "train",
+                              neg_bank=neg_bank, view_states=states, jobs=1)
+        # every sample runs its image and its dino crops; only the 2 undrawn
+        # samples run their SimCLR views
+        assert len(calls) == 6 * (1 + crops) + 2 * views
+        calls.clear()
+        pipeline.extract_bank(cfg, params, heads, projections, images[6:], labels[6:], "test",
+                              neg_bank=neg_bank, view_states={}, jobs=1)
+        assert len(calls) == 3 * (1 + crops + views)
+
+    # SHA-256 of the banks that `extract` wrote on the desk config before the
+    # negative bank and train extraction shared view states: 2 draws of 2
+    # distinct images, and 20 draws of the 9 train images. A numpy or BLAS
+    # build that rounds differently writes other bytes.
+    RECORDED = {
+        2: ("0d088befb2fb2ac393f1d50616340006aac38824d16368c8317562fb6d29830a",
+            "4beacc869cf0bb25c3b01ef23816317ea38c9292435ab54cc3870af3a978a4d8"),
+        20: ("0b21e6ff014262a5091c3596a6e4120b332514bbf114f3058ce38daabecfd884",
+             "b6865876fa82156033f6c2b850d09f508a20131500d947766184e4f47483f4a3"),
+    }
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("negative_images", sorted(RECORDED))
+    def test_desk_banks_match_recorded_bytes(self, tmp_path, negative_images, jobs):
+        data, config, out = tmp_path / "blobs", tmp_path / "run.cfg", tmp_path / "banks"
+        config.write_text(DESK_CONFIG.replace("negative_images = 2", f"negative_images = {negative_images}"))
+        assert cli.main(["synth", "--kind", "blobs", "--n", "12", "--classes", "2", "--image-size", "32",
+                         "--seed", "1", "--out", str(data)]) == 0
+        assert cli.main(["extract", "--config", str(config), "--data", str(data), "--out", str(out),
+                         "--jobs", jobs]) == 0
+        digests = tuple(hashlib.sha256((out / f"bank_{s}.fngi").read_bytes()).hexdigest() for s in ("train", "test"))
+        assert digests == self.RECORDED[negative_images]
 
 
 class TestPcaFusion:

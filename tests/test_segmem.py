@@ -322,7 +322,7 @@ class TestBankBuilding:
         extractor = reference_extractor(params, head)
         images = [np.random.default_rng(i).random((3, 64, 64)) for i in range(3)]
         extractor.build_support([bb.encode(params, image) for image in images])
-        tokens = bb._forward(params, images[0]).data  # final-norm rows, CLS first
+        tokens = bb.encode(params, images[0])  # final-norm rows, CLS first
         grads, _ = obj.simclr_patch_loss(tokens, head, extractor.support, tau=extractor.tau, seed=5,
                                          retrieved_per_patch=extractor.retrieved_per_patch,
                                          kept_per_patch=extractor.kept_per_patch)
