@@ -27,10 +27,16 @@ def resize_bilinear(image, out_h, out_w):
 
     y0, y1, fy = axis_coords(h, out_h)
     x0, x1, fx = axis_coords(w, out_w)
-    # separable: interpolate along x over every source row, then along y
-    rows = image[:, :, x0] * (1 - fx) + image[:, :, x1] * fx
-    out = rows[:, y0] * (1 - fy[None, :, None]) + rows[:, y1] * fy[None, :, None]
-    return out.astype(image.dtype)
+    # separable: interpolate along x over every source row, then along y;
+    # each sum accumulates in place in its first term's buffer
+    rows = image[:, :, x0] * (1 - fx)
+    rows += image[:, :, x1] * fx
+    out = rows[:, y0]
+    out *= (1 - fy)[:, None]
+    lower = rows[:, y1]
+    lower *= fy[:, None]
+    out += lower
+    return out.astype(image.dtype, copy=False)
 
 
 def resize_nearest(grid, out_h, out_w):
@@ -85,19 +91,27 @@ def dino_crops(image, seed, n_global, n_local, global_scale, local_scale, out_si
 
 
 def _rgb_to_hsv(img):
+    # resized views are channel-last in memory, where every step below runs
+    # several times slower; max and min are exact in any layout
+    img = np.ascontiguousarray(img)
     r, g, b = img[0], img[1], img[2]
     maxc = np.max(img, axis=0)
     minc = np.min(img, axis=0)
-    v = maxc
     delta = maxc - minc
     s = np.where(maxc > 0, delta / np.maximum(maxc, 1e-12), 0.0)
     dz = np.maximum(delta, 1e-12)
+    # each hue expression runs only on the pixels it decides: the maximum
+    # channel, b over g over r where two are equal; grey pixels keep hue 0
     h = np.zeros_like(maxc)
-    h = np.where(maxc == r, ((g - b) / dz) % 6.0, h)
-    h = np.where(maxc == g, (b - r) / dz + 2.0, h)
-    h = np.where(maxc == b, (r - g) / dz + 4.0, h)
-    h = np.where(delta == 0, 0.0, h) / 6.0
-    return np.stack([h, s, v])
+    left = delta != 0
+    for c, u, w, offset in ((b, r, g, 4.0), (g, b, r, 2.0), (r, g, b, None)):
+        sel = left & (maxc == c)
+        left &= ~sel
+        at = np.flatnonzero(sel)
+        hue = (np.take(u, at) - np.take(w, at)) / np.take(dz, at)
+        np.put(h, at, hue % 6.0 if offset is None else hue + offset)
+    h /= 6.0
+    return np.stack([h, s, maxc])
 
 
 def _hsv_to_rgb(img):

@@ -263,14 +263,17 @@ def log_softmax(x, tau):
     """log(softmax(x / tau)) over the last axis."""
     x = as_tensor(x)
     inv_tau = 1.0 / float(tau)
-    z = x.data * inv_tau
-    z = z - z.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    value = z - lse
+    value = x.data * inv_tau
+    value -= value.max(axis=-1, keepdims=True)
     soft = np.exp(value)
+    value -= np.log(soft.sum(axis=-1, keepdims=True))
+    np.exp(value, out=soft)
 
     def backward(g):
-        return ((g - soft * g.sum(axis=-1, keepdims=True)) * inv_tau,)
+        gx = soft * g.sum(axis=-1, keepdims=True)
+        np.subtract(g, gx, out=gx)
+        gx *= inv_tau
+        return (gx,)
 
     return _apply("log_softmax", (x,), value, backward)
 
@@ -391,19 +394,26 @@ def scaled_dot_product_attention(q, k, v, num_heads):
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     inv_sqrt = 1.0 / math.sqrt(head_dim)  # python float: keeps float32 data float32
-    scores = (qh @ kh.transpose(0, 2, 1)) * inv_sqrt
-    scores = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores)
-    attn = e / e.sum(axis=-1, keepdims=True)
+    # the softmax runs in place on the score buffer: one (heads, queries,
+    # tokens) array, not a fresh one per step
+    attn = qh @ kh.transpose(0, 2, 1)
+    attn *= inv_sqrt
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
     value = merge(attn @ vh)
 
     def backward(g):
         gh = split(g)
-        g_attn = gh @ vh.transpose(0, 2, 1)
         g_vh = attn.transpose(0, 2, 1) @ gh
-        g_scores = attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True))
-        g_qh = (g_scores @ kh) * inv_sqrt
-        g_kh = (g_scores.transpose(0, 2, 1) @ qh) * inv_sqrt
+        # g_scores = attn * (g_attn - rowsum(g_attn * attn)), in g_attn's buffer
+        g_scores = gh @ vh.transpose(0, 2, 1)
+        g_scores -= (g_scores * attn).sum(axis=-1, keepdims=True)
+        g_scores *= attn
+        g_qh = g_scores @ kh
+        g_qh *= inv_sqrt
+        g_kh = g_scores.transpose(0, 2, 1) @ qh
+        g_kh *= inv_sqrt
         return merge(g_qh), merge(g_kh), merge(g_vh)
 
     return _apply("attention", (q, k, v), value, backward)

@@ -229,6 +229,18 @@ def encode(params, image):
     return ad.layer_norm(x, params.norm_g, params.norm_b).data
 
 
+@dataclass(frozen=True)
+class _NormedResidual:
+    """Stands in a `tap_state` for input rows that are the layer norm of the
+    state's whole residual, which resuming normalises again. `shape` and
+    `dtype` are those of the rows, so a state describes its rows either way."""
+
+    gamma: ad.Tensor
+    beta: ad.Tensor
+    shape: tuple
+    dtype: np.dtype
+
+
 def tap_state(params, source, image):
     """The prefix of an image's pooled forward: every layer before the
     [gradients] section's source layer, untracked.
@@ -236,18 +248,31 @@ def tap_state(params, source, image):
     Returns what the rest of the forward reads, `(residual rows, the source
     layer's input rows)`, as arrays of their own. In the last block under CLS
     pooling the residual is the CLS row alone, and so are the inputs of proj,
-    fc1 and fc2.
+    fc1 and fc2. Where the inputs are the layer norm of that whole residual,
+    at qkv and fc1 but not at the trimmed last block's qkv, a
+    `_NormedResidual` stands for them, so the state holds the rows once.
     """
     trim = params.config.pooling == "cls"
-    x, inputs = _forward(params, _stem(params, image, trim), 0, _source_layer(params, source), trim)
-    return x.data.copy(), inputs.data.copy()
+    layer = _source_layer(params, source)
+    x, inputs = _forward(params, _stem(params, image, trim), 0, layer, trim)
+    i, j = divmod(layer, len(_BLOCK_LAYERS))
+    norm = {"qkv": "ln1", "fc1": "ln2"}.get(_BLOCK_LAYERS[j])
+    if norm is None or inputs.shape[0] != x.shape[0]:
+        return x.data.copy(), inputs.data.copy()
+    blk = params.blocks[i]
+    return x.data.copy(), _NormedResidual(getattr(blk, norm + "_g"), getattr(blk, norm + "_b"), inputs.shape,
+                                          inputs.dtype)
 
 
 def _pooled(params, source, state, taps=None):
     """Pooled embedding tensor of an image from its `tap_state`: the rest of
     the forward, from the source layer on."""
     cfg = params.config
-    x, _ = _forward(params, tuple(ad.Tensor(a) for a in state), _source_layer(params, source),
+    x, inputs = state
+    x = ad.Tensor(x)
+    if isinstance(inputs, _NormedResidual):
+        inputs = ad.layer_norm(x, inputs.gamma, inputs.beta)
+    x, _ = _forward(params, (x, ad.as_tensor(inputs)), _source_layer(params, source),
                     cfg.depth * len(_BLOCK_LAYERS), cfg.pooling == "cls", taps)
     return _pool(ad.layer_norm(x, params.norm_g, params.norm_b), cfg.pooling)
 

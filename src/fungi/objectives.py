@@ -87,7 +87,8 @@ def _info_nce(z_norm, bank_rows, tau):
     self_mask[np.arange(p), np.arange(p)] = _NEG_INF
     log_probs = ad.log_softmax(ad.add(logits, ad.as_tensor(self_mask)), tau)
 
-    pair_mask = (1.0 - np.eye(p)).astype(logits.dtype)
+    pair_mask = np.ones((p, p), dtype=logits.dtype)
+    np.fill_diagonal(pair_mask, 0.0)
     pairs = ad.mul(ad.narrow(log_probs, 1, 0, p), ad.as_tensor(pair_mask))
     return ad.scale(ad.total(pairs), -1.0 / (p * (p - 1)))
 

@@ -1,10 +1,12 @@
 """Independent oracles and test-only helpers.
 
 The program never calls these: they rebuild a result by another route
-(finite differences, an exhaustive sum, a perturbed or collapsed encoder),
-or compute a value that only the tests read.
+(finite differences, an exhaustive sum, a perturbed or collapsed encoder,
+an expression that allocates a fresh array per step where the program
+computes in place), or compute a value that only the tests read.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -217,3 +219,79 @@ def validation_accuracy(x, y, lam, seed, max_epochs):
     fit_rows, val_rows = ek._stratified_split(np.asarray(y), 0.2, seed)
     w, b, _, _ = ek._train_logreg(x[fit_rows], y_index[fit_rows], len(classes), lam, max_epochs)
     return float(np.mean(np.argmax(x[val_rows] @ w.T + b, axis=1) == y_index[val_rows]))
+
+
+def attention_reference(q, k, v, num_heads, g):
+    """Value of multi-head attention of q over k and v, and the (q, k, v)
+    gradients under the cotangent g, one fresh array per step: the
+    arithmetic that `autodiff.scaled_dot_product_attention` runs in place."""
+    dim = q.shape[1]
+    head_dim = dim // num_heads
+
+    def split(t):
+        return t.reshape(len(t), num_heads, head_dim).transpose(1, 0, 2)
+
+    def merge(t):
+        return t.transpose(1, 0, 2).reshape(t.shape[1], dim)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    inv_sqrt = 1.0 / math.sqrt(head_dim)
+    scores = (qh @ kh.transpose(0, 2, 1)) * inv_sqrt
+    scores = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores)
+    attn = e / e.sum(axis=-1, keepdims=True)
+    gh = split(g)
+    g_attn = gh @ vh.transpose(0, 2, 1)
+    g_vh = attn.transpose(0, 2, 1) @ gh
+    g_scores = attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True))
+    g_qh = (g_scores @ kh) * inv_sqrt
+    g_kh = (g_scores.transpose(0, 2, 1) @ qh) * inv_sqrt
+    return merge(attn @ vh), (merge(g_qh), merge(g_kh), merge(g_vh))
+
+
+def log_softmax_reference(x, tau, g):
+    """log(softmax(x / tau)) over the last axis and its gradient under the
+    cotangent g, one fresh array per step: the arithmetic that
+    `autodiff.log_softmax` runs in place."""
+    inv_tau = 1.0 / float(tau)
+    z = x * inv_tau
+    z = z - z.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    value = z - lse
+    soft = np.exp(value)
+    return value, (g - soft * g.sum(axis=-1, keepdims=True)) * inv_tau
+
+
+def resize_bilinear_reference(image, out_h, out_w):
+    """`augment.resize_bilinear` with a fresh array per step."""
+    c, h, w = image.shape
+    if (h, w) == (out_h, out_w):
+        return image.copy()
+
+    def axis_coords(n_in, n_out):
+        coords = np.clip((np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
+        lo = np.floor(coords).astype(np.int64)
+        return lo, np.minimum(lo + 1, n_in - 1), coords - lo
+
+    y0, y1, fy = axis_coords(h, out_h)
+    x0, x1, fx = axis_coords(w, out_w)
+    rows = image[:, :, x0] * (1 - fx) + image[:, :, x1] * fx
+    out = rows[:, y0] * (1 - fy[None, :, None]) + rows[:, y1] * fy[None, :, None]
+    return out.astype(image.dtype)
+
+
+def rgb_to_hsv_reference(img):
+    """`augment._rgb_to_hsv` evaluating every hue expression at every pixel,
+    later maximum-channel tests overriding earlier ones."""
+    r, g, b = img[0], img[1], img[2]
+    maxc = np.max(img, axis=0)
+    minc = np.min(img, axis=0)
+    delta = maxc - minc
+    s = np.where(maxc > 0, delta / np.maximum(maxc, 1e-12), 0.0)
+    dz = np.maximum(delta, 1e-12)
+    h = np.zeros_like(maxc)
+    h = np.where(maxc == r, ((g - b) / dz) % 6.0, h)
+    h = np.where(maxc == g, (b - r) / dz + 2.0, h)
+    h = np.where(maxc == b, (r - g) / dz + 4.0, h)
+    h = np.where(delta == 0, 0.0, h) / 6.0
+    return np.stack([h, s, maxc])

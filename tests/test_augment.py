@@ -4,6 +4,8 @@ import pytest
 from fungi import augment as aug
 from fungi.config import RunConfig
 
+from .oracles import resize_bilinear_reference, rgb_to_hsv_reference
+
 
 def rand_image(seed, size=224):
     return np.random.default_rng(seed).random((3, size, size))
@@ -99,6 +101,22 @@ class TestColorJitter:
         b = aug.color_jitter(img, seed=11)
         np.testing.assert_array_equal(a, b)
 
+    def test_hsv_matches_every_branch_reference(self):
+        img = rand_image(12, 64)
+        img[:, :8] = img[0, :8]  # grey pixels
+        img[1, 8:16] = img[0, 8:16]  # r and g tie for the maximum
+        img[2, 16:24] = img[1, 16:24]  # g and b tie
+        img[:, 24:32] = np.round(img[:, 24:32] * 3) / 3  # three-way ties, black and white
+        # near-grey ties, where the hue's divisor is clamped and the branch
+        # that decides gives another value
+        img[:, 32:40] = img[0, 32:40]
+        img[2, 32:36] = np.nextafter(img[0, 32:36], 0.0)  # r = g just above b
+        img[0, 36:40] = np.nextafter(img[1, 36:40], 0.0)  # g = b just above r
+        channel_last = np.ascontiguousarray(img.transpose(1, 2, 0)).transpose(2, 0, 1)  # as resized views are
+        for layout in (img, channel_last):
+            got, want = aug._rgb_to_hsv(layout), rgb_to_hsv_reference(layout)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_hsv_roundtrip(self):
         img = rand_image(9, 16)
         back = aug._hsv_to_rgb(aug._rgb_to_hsv(img))
@@ -106,6 +124,15 @@ class TestColorJitter:
 
 
 class TestResize:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("in_hw, out_hw", [((7, 12), (19, 23)), ((23, 31), (6, 9)), ((11, 11), (11, 11))])
+    def test_matches_fresh_array_reference_bytes(self, in_hw, out_hw, dtype):
+        img = np.random.default_rng(in_hw[0]).random((3,) + in_hw).astype(dtype)
+        got, want = aug.resize_bilinear(img, *out_hw), resize_bilinear_reference(img, *out_hw)
+        assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
+        # the memory layout too: the order of later reductions over the view follows it
+        assert got.strides == want.strides
+
     def test_identity_when_same_size(self):
         img = rand_image(10, 32)
         np.testing.assert_array_equal(aug.resize_bilinear(img, 32, 32), img)

@@ -6,7 +6,7 @@ import pytest
 
 from fungi import autodiff as ad
 
-from .oracles import finite_diff_gradient, richardson_gradient
+from .oracles import attention_reference, finite_diff_gradient, log_softmax_reference, richardson_gradient
 
 
 def numeric_grad(build_loss, x0, eps=1e-6):
@@ -31,6 +31,51 @@ def check_op(build_loss, x0, eps=1e-6, tol=1e-6):
     got = tape_grad(build_loss, x0)
     want = numeric_grad(build_loss, x0, eps)
     np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def value_and_grads(build, arrays, g):
+    """Output of `build` over leaves holding `arrays`, and each leaf's
+    gradient when the output's cotangent is exactly g."""
+    leaves = [ad.parameter(a) for a in arrays]
+    with ad.GradTape() as tape:
+        out = build(*leaves)
+        loss = ad.total(ad.mul(out, ad.as_tensor(g)))
+    grads = tape.backward(loss)
+    return out.data, [grads[leaf] for leaf in leaves]
+
+
+def freeze(obj):
+    """Mark the arrays in obj (an array, tensor, or tuple or list of them)
+    read-only."""
+    if isinstance(obj, np.ndarray):
+        obj.flags.writeable = False
+    elif isinstance(obj, ad.Tensor):
+        obj.data.flags.writeable = False
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            freeze(item)
+
+
+def guard(tape):
+    """Mark every array a backward pass may not write read-only: each node's
+    inputs, output and the arrays its backward closure saved, and each
+    cotangent as its node receives it."""
+    for node in tape._nodes:
+        freeze(node.inputs)
+        freeze(node.output)
+        for cell in node.backward_fn.__closure__ or ():
+            freeze(cell.cell_contents)
+
+        def guarded(g, fn=node.backward_fn):
+            freeze(g)
+            return fn(g)
+
+        node.backward_fn = guarded
 
 
 class TestPrimitiveValues:
@@ -324,3 +369,72 @@ class TestFiniteDiffOracle:
         np.testing.assert_allclose(central - want, [1e-4, 1e-4], rtol=1e-6)
         np.testing.assert_allclose(richardson_gradient(lambda q: float(np.sum(q**3)), p, eps=1e-2), want,
                                    rtol=0, atol=1e-10)
+
+
+class TestInPlaceMatchesReference:
+    """The primitives that compute in place equal, byte for byte, the same
+    arithmetic with a fresh array per step."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("queries", [13, 1])  # all tokens, and the trimmed last block's CLS row
+    def test_attention(self, queries, dtype):
+        # head width 5: 1/sqrt(5), unlike 1/sqrt(16), rounds, so the test
+        # sees where the scaling sits in the chain
+        rng = np.random.default_rng(40 + queries)
+        q, k, v = (3.0 * rng.standard_normal((n, 15)).astype(dtype) for n in (queries, 13, 13))
+        g = rng.standard_normal((queries, 15)).astype(dtype)
+        value, grads = value_and_grads(lambda *t: ad.scaled_dot_product_attention(*t, 3), (q, k, v), g)
+        want_value, want_grads = attention_reference(q, k, v, 3, g)
+        assert_same_bytes(value, want_value)
+        for got, want in zip(grads, want_grads, strict=True):
+            assert_same_bytes(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_log_softmax(self, dtype):
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal((9, 14)).astype(dtype)
+        x[np.arange(9), np.arange(9)] = -1e30  # the self mask of the contrastive loss
+        g = rng.standard_normal((9, 14)).astype(dtype)
+        value, (grad,) = value_and_grads(lambda t: ad.log_softmax(t, 0.07), (x,), g)
+        want_value, want_grad = log_softmax_reference(x, 0.07, g)
+        assert_same_bytes(value, want_value)
+        assert_same_bytes(grad, want_grad)
+
+
+class TestInPlaceRule:
+    """A backward closure writes only into arrays it allocated: never into
+    its cotangent, which `add` hands to both inputs, nor into a saved forward
+    array or a parameter."""
+
+    @pytest.mark.parametrize("queries", [6, 1])
+    def test_fanned_out_cotangent_and_saved_arrays_stay_unwritten(self, queries):
+        rng = np.random.default_rng(43)
+        x0 = rng.standard_normal((6, 8))
+        c = rng.standard_normal((queries, 8))
+
+        def run(guarded):
+            x = ad.parameter(x0)
+            with ad.GradTape() as tape:
+                q = ad.narrow(x, 0, 0, queries)
+                # add hands one cotangent array to attention and log_softmax
+                y = ad.add(ad.scaled_dot_product_attention(q, x, x, 2), ad.log_softmax(q, 0.5))
+                loss = ad.total(ad.mul(y, ad.as_tensor(c)))
+            if guarded:
+                guard(tape)
+            return tape.backward(loss)[x]
+
+        np.testing.assert_array_equal(run(True), run(False))
+
+    def test_guard_catches_a_write_into_the_cotangent(self):
+        x = ad.parameter(np.ones(3))
+        with ad.GradTape() as tape:
+            loss = ad.total(ad.scale(x, 2.0))
+
+        def scale_in_place(g):
+            g *= 2.0
+            return (g,)
+
+        tape._nodes[0].backward_fn = scale_in_place
+        guard(tape)
+        with pytest.raises(ValueError, match="read-only"):
+            tape.backward(loss)

@@ -308,3 +308,17 @@ class TestSplitForward:
         for g, w in zip(got, want, strict=True):
             assert g.dtype == dtype
             np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("pooling", ["cls", "mean"])
+@pytest.mark.parametrize("block", [0, -1])
+@pytest.mark.parametrize("kind", list(bb.LAYER_PREFIXES))
+def test_state_holds_no_rows_the_resume_recomputes(kind, block, pooling):
+    """At qkv and fc1 the layer's input rows are the layer norm of the whole
+    kept residual, and the state keeps the residual alone; the trimmed last
+    block's qkv reads every token row of a residual that keeps only CLS."""
+    params, source, views = TestSplitForward.build(kind, block, pooling, np.float64)
+    residual, inputs = bb.tap_state(params, source, views[0])
+    trimmed = block % TINY.depth == TINY.depth - 1 and pooling == "cls"
+    recomputed = kind == "mlp_fc1" or (kind == "qkv" and not trimmed)
+    assert isinstance(residual, np.ndarray) and isinstance(inputs, np.ndarray) != recomputed
