@@ -150,8 +150,8 @@ def patchify(image, patch_size):
     return np.ascontiguousarray(out)
 
 
-def _stem(params, image, trim):
-    """State before block 0's qkv layer: the token rows of one image (3, S, S)
+def _stem(params, image):
+    """Residual rows before block 0: the token rows of one image (3, S, S)
     after patch and positional embedding, CLS first."""
     cfg = params.config
     image = np.asarray(image)
@@ -159,54 +159,50 @@ def _stem(params, image, trim):
         raise ValueError(f"expected image of shape (3, {cfg.image_size}, {cfg.image_size}), got {image.shape}")
     patches = ad.Tensor(patchify(image, cfg.patch_size).astype(params.dtype))
     x = ad.linear(patches, params.patch_w, params.patch_b)
-    return _enter_block(params, 0, ad.add(ad.concat([params.cls_token, x], axis=0), params.pos), trim)
+    return ad.add(ad.concat([params.cls_token, x], axis=0), params.pos)
 
 
-def _enter_block(params, i, x, trim):
-    """State before block i's qkv layer, from the residual rows x. Under
-    `trim` the last block keeps only the CLS row of its residual stream."""
-    blk = params.blocks[i]
-    inputs = ad.layer_norm(x, blk.ln1_g, blk.ln1_b)
-    if trim and i == params.config.depth - 1:
-        x = ad.narrow(x, 0, 0, 1)
-    return x, inputs
+def _forward(params, x, hidden, start, stop, trim, taps=None):
+    """Run the forward's linear layers `start` to `stop - 1` from the state
+    `(x, hidden)`.
 
-
-def _forward(params, state, start, stop, trim, taps=None):
-    """Run the forward's linear layers `start` to `stop - 1` from `state`.
-
-    Layers are numbered over the blocks in `_BLOCK_LAYERS` order, and the
-    state before layer n is `(residual rows, layer n's input rows)`; past the
-    last layer the input is None. With `trim`, the last block carries on only
-    the row that CLS pooling reads: the CLS query attends to every key and
-    value, and proj and the MLP see that one row. With `taps`, the output of
-    layer `start` becomes a fresh leaf of the active tape and `(leaf, input
-    rows)` is appended to `taps`; nothing upstream is tracked.
+    Layers are numbered over the blocks in `_BLOCK_LAYERS` order. The state
+    before layer n is the residual rows x and, before proj and fc2, `hidden`,
+    the attention or GELU rows that the layer reads; qkv and fc1 read the
+    layer norm of x, taken here, so `hidden` is None before them. With
+    `trim`, the last block carries on only the row that CLS pooling reads:
+    right after its ln1 the residual and the query narrow to the CLS row,
+    which attends to every key and value, and proj and the MLP see that one
+    row. With `taps`, the output of layer `start` becomes a fresh leaf of the
+    active tape and `(leaf, input rows)` is appended to `taps`; nothing
+    upstream is tracked.
     """
     cfg = params.config
     d = cfg.dim
-    x, inputs = state
     for n in range(start, stop):
         i, prefix = n // len(_BLOCK_LAYERS), _BLOCK_LAYERS[n % len(_BLOCK_LAYERS)]
         blk = params.blocks[i]
-        y = ad.linear(inputs, getattr(blk, prefix + "_w"), getattr(blk, prefix + "_b"))
+        trimmed = trim and i == cfg.depth - 1
+        if prefix == "qkv":
+            hidden = ad.layer_norm(x, blk.ln1_g, blk.ln1_b)
+            if trimmed:
+                x = ad.narrow(x, 0, 0, 1)
+        elif prefix == "fc1":
+            hidden = ad.layer_norm(x, blk.ln2_g, blk.ln2_b)
+        y = ad.linear(hidden, getattr(blk, prefix + "_w"), getattr(blk, prefix + "_b"))
         if taps is not None and n == start:
             y = ad.parameter(y.data)
-            taps.append((y, inputs.data))
+            taps.append((y, hidden.data))
         if prefix == "qkv":
             q, k, v = (ad.narrow(y, 1, j * d, d) for j in range(3))
-            if trim and i == cfg.depth - 1:
+            if trimmed:
                 q = ad.narrow(q, 0, 0, 1)
-            inputs = ad.scaled_dot_product_attention(q, k, v, cfg.heads)
-        elif prefix == "proj":
-            x = ad.add(x, y)
-            inputs = ad.layer_norm(x, blk.ln2_g, blk.ln2_b)
+            hidden = ad.scaled_dot_product_attention(q, k, v, cfg.heads)
         elif prefix == "fc1":
-            inputs = ad.gelu(y)
+            hidden = ad.gelu(y)
         else:
-            x = ad.add(x, y)
-            x, inputs = _enter_block(params, i + 1, x, trim) if i + 1 < cfg.depth else (x, None)
-    return x, inputs
+            x, hidden = ad.add(x, y), None
+    return x, hidden
 
 
 def _source_layer(params, source):
@@ -225,54 +221,32 @@ def _pool(x, pooling):
 def encode(params, image):
     """Forward pass: image (3, S, S) -> (patches + 1, dim) array of final-norm
     token rows, CLS first."""
-    x, _ = _forward(params, _stem(params, image, False), 0, params.config.depth * len(_BLOCK_LAYERS), False)
+    x, _ = _forward(params, _stem(params, image), None, 0, params.config.depth * len(_BLOCK_LAYERS), False)
     return ad.layer_norm(x, params.norm_g, params.norm_b).data
-
-
-@dataclass(frozen=True)
-class _NormedResidual:
-    """Stands in a `tap_state` for input rows that are the layer norm of the
-    state's whole residual, which resuming normalises again. `shape` and
-    `dtype` are those of the rows, so a state describes its rows either way."""
-
-    gamma: ad.Tensor
-    beta: ad.Tensor
-    shape: tuple
-    dtype: np.dtype
 
 
 def tap_state(params, source, image):
     """The prefix of an image's pooled forward: every layer before the
     [gradients] section's source layer, untracked.
 
-    Returns what the rest of the forward reads, `(residual rows, the source
-    layer's input rows)`, as arrays of their own. In the last block under CLS
-    pooling the residual is the CLS row alone, and so are the inputs of proj,
-    fc1 and fc2. Where the inputs are the layer norm of that whole residual,
-    at qkv and fc1 but not at the trimmed last block's qkv, a
-    `_NormedResidual` stands for them, so the state holds the rows once.
+    Returns what the rest of the forward reads, `(residual rows, hidden)`, as
+    arrays of their own: `hidden` is the attention rows before proj, the GELU
+    rows before fc2, and None before qkv and fc1, whose layer norm the resume
+    takes. In the last block under CLS pooling the residual is the CLS row
+    alone past ln1, and so is `hidden`; before that block's qkv the state
+    holds every token row of the residual.
     """
     trim = params.config.pooling == "cls"
-    layer = _source_layer(params, source)
-    x, inputs = _forward(params, _stem(params, image, trim), 0, layer, trim)
-    i, j = divmod(layer, len(_BLOCK_LAYERS))
-    norm = {"qkv": "ln1", "fc1": "ln2"}.get(_BLOCK_LAYERS[j])
-    if norm is None or inputs.shape[0] != x.shape[0]:
-        return x.data.copy(), inputs.data.copy()
-    blk = params.blocks[i]
-    return x.data.copy(), _NormedResidual(getattr(blk, norm + "_g"), getattr(blk, norm + "_b"), inputs.shape,
-                                          inputs.dtype)
+    x, hidden = _forward(params, _stem(params, image), None, 0, _source_layer(params, source), trim)
+    return x.data.copy(), None if hidden is None else hidden.data.copy()
 
 
 def _pooled(params, source, state, taps=None):
     """Pooled embedding tensor of an image from its `tap_state`: the rest of
     the forward, from the source layer on."""
     cfg = params.config
-    x, inputs = state
-    x = ad.Tensor(x)
-    if isinstance(inputs, _NormedResidual):
-        inputs = ad.layer_norm(x, inputs.gamma, inputs.beta)
-    x, _ = _forward(params, (x, ad.as_tensor(inputs)), _source_layer(params, source),
+    x, hidden = state
+    x, _ = _forward(params, ad.Tensor(x), None if hidden is None else ad.Tensor(hidden), _source_layer(params, source),
                     cfg.depth * len(_BLOCK_LAYERS), cfg.pooling == "cls", taps)
     return _pool(ad.layer_norm(x, params.norm_g, params.norm_b), cfg.pooling)
 

@@ -166,8 +166,9 @@ class RunConfig:
         enc, grads, dino, simclr, seg = self.encoder, self.gradients, self.dino, self.simclr, self.segmentation
         used = set(grads.objectives)
         _raise_first((
-            (not used <= set(OBJECTIVES) or len(used) < len(grads.objectives),
-             f"gradients objectives {','.join(grads.objectives)} must be distinct names among {', '.join(OBJECTIVES)}"),
+            (not used or not used <= set(OBJECTIVES) or len(used) < len(grads.objectives),
+             f"gradients objectives {','.join(grads.objectives)!r} must be one or more distinct names among "
+             f"{', '.join(OBJECTIVES)}"),
             (grads.layer_kind not in bb.LAYER_PREFIXES, f"unknown layer kind {grads.layer_kind!r}"),
             (not -enc.depth <= grads.block_index < enc.depth,
              f"gradients block_index {grads.block_index} out of range for encoder depth {enc.depth}"),

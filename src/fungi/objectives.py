@@ -80,12 +80,11 @@ def _info_nce(z_norm, bank_rows, tau):
     p = z_norm.shape[0]
     if p < 2:
         raise ValueError("contrastive loss needs at least 2 positive views")
-    blocks = [ad.linear(z_norm, z_norm), ad.linear(z_norm, np.asarray(bank_rows, dtype=z_norm.dtype))]
-    logits = ad.concat(blocks, axis=1)
-
-    self_mask = np.zeros(logits.shape, dtype=logits.dtype)
-    self_mask[np.arange(p), np.arange(p)] = _NEG_INF
-    log_probs = ad.log_softmax(ad.add(logits, ad.as_tensor(self_mask)), tau)
+    self_mask = np.zeros((p, p), dtype=z_norm.dtype)
+    np.fill_diagonal(self_mask, _NEG_INF)
+    positives = ad.add(ad.linear(z_norm, z_norm), ad.as_tensor(self_mask))
+    logits = ad.concat([positives, ad.linear(z_norm, np.asarray(bank_rows, dtype=z_norm.dtype))], axis=1)
+    log_probs = ad.log_softmax(logits, tau)
 
     pair_mask = np.ones((p, p), dtype=logits.dtype)
     np.fill_diagonal(pair_mask, 0.0)

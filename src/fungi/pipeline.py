@@ -117,8 +117,7 @@ def build_negative_bank(params, head, train_images, config, jobs):
     results = _map(worker, distinct, jobs)
     bank = obj.NegativeBank(np.concatenate([results[j][1] for j in inverse]))
     view_states = {int(idx): states for idx, (states, _) in zip(distinct, results)}
-    nbytes = sum(a.nbytes for states in view_states.values() for state in states for a in state
-                 if isinstance(a, np.ndarray))
+    nbytes = sum(a.nbytes for states in view_states.values() for state in states for a in state if a is not None)
     log.info(
         "negative bank: %d rows from %d draws of %d distinct images, %.3g MiB of view states",
         len(bank), len(picked), len(distinct), nbytes / 2**20,

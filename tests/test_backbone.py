@@ -283,14 +283,19 @@ class TestSplitForward:
             whole = bb.embed(params, first, bb.tap_state(params, first, view))
             state = bb.tap_state(params, source, view)
             np.testing.assert_array_equal(bb.embed(params, source, state), whole)
-            assert whole.dtype == dtype and all(a.dtype == dtype for a in state)
+            residual, hidden = state
+            assert whole.dtype == residual.dtype == dtype
             # the state holds only what the rest reads: the last block under
-            # CLS pooling keeps the CLS row of the residual, and of every
-            # layer input past the attention
+            # CLS pooling keeps the CLS row of the residual past its ln1, and
+            # of the attention and GELU rows; before its qkv it keeps every
+            # token row of the residual, whose layer norm the qkv reads
             last = block % TINY.depth == TINY.depth - 1 and pooling == "cls"
             tokens = TINY.num_patches + 1
-            assert state[0].shape[0] == (1 if last else tokens)
-            assert state[1].shape[0] == (1 if last and kind != "qkv" else tokens)
+            assert residual.shape == (1 if last and kind != "qkv" else tokens, TINY.dim)
+            if kind in ("qkv", "mlp_fc1"):
+                assert hidden is None
+            else:
+                assert hidden.dtype == dtype and hidden.shape[0] == (1 if last else tokens)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("pooling", ["cls", "mean"])
@@ -314,11 +319,22 @@ class TestSplitForward:
 @pytest.mark.parametrize("block", [0, -1])
 @pytest.mark.parametrize("kind", list(bb.LAYER_PREFIXES))
 def test_state_holds_no_rows_the_resume_recomputes(kind, block, pooling):
-    """At qkv and fc1 the layer's input rows are the layer norm of the whole
-    kept residual, and the state keeps the residual alone; the trimmed last
-    block's qkv reads every token row of a residual that keeps only CLS."""
+    """qkv and fc1 read the layer norm of the residual, which the resume
+    takes, so their states keep the residual alone; the trimmed last block's
+    qkv keeps its token rows and nothing else."""
     params, source, views = TestSplitForward.build(kind, block, pooling, np.float64)
-    residual, inputs = bb.tap_state(params, source, views[0])
-    trimmed = block % TINY.depth == TINY.depth - 1 and pooling == "cls"
-    recomputed = kind == "mlp_fc1" or (kind == "qkv" and not trimmed)
-    assert isinstance(residual, np.ndarray) and isinstance(inputs, np.ndarray) != recomputed
+    residual, hidden = bb.tap_state(params, source, views[0])
+    assert isinstance(residual, np.ndarray)
+    assert (hidden is None) == (kind in ("qkv", "mlp_fc1"))
+    if kind == "qkv":
+        assert residual.shape == (TINY.num_patches + 1, TINY.dim)
+
+
+@pytest.mark.parametrize("pooling", ["cls", "mean"])
+@pytest.mark.parametrize("block", [0, -1])
+@pytest.mark.parametrize("kind", list(bb.LAYER_PREFIXES))
+def test_state_arrays_own_their_memory(kind, block, pooling):
+    """A kept state must not be a view: a narrowed CLS row would pin its
+    whole token buffer for as long as the state is kept."""
+    params, source, views = TestSplitForward.build(kind, block, pooling, np.float32)
+    assert all(a.base is None for a in bb.tap_state(params, source, views[0]) if a is not None)

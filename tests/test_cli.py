@@ -685,7 +685,7 @@ class TestConfigSweep:
         if (section, key) == ("encoder", "seed"):
             commands.append(["segment", "--fungi"])
         if key == "objectives":
-            cases.append(("kl,kl", 2))
+            cases += [("kl,kl", 2), ("", 2)]
         for i, (value, required) in enumerate(cases):
             cfg = tmp_path / f"{i}.cfg"
             cfg.write_text(sweep_config(section, key, value))

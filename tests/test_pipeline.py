@@ -263,28 +263,42 @@ class TestSharedViewStates:
                               neg_bank=neg_bank, view_states={}, jobs=1)
         assert len(calls) == 3 * (1 + crops + views)
 
-    # SHA-256 of the banks that `extract` wrote on the desk config before the
-    # negative bank and train extraction shared view states: 2 draws of 2
-    # distinct images, and 20 draws of the 9 train images. A numpy or BLAS
-    # build that rounds differently writes other bytes.
+    # SHA-256 of the banks that `extract` wrote on the desk config, keyed by
+    # (negative_images, [gradients] layer_kind, block_index). The default
+    # source's digests were recorded before the negative bank and train
+    # extraction shared view states: 2 draws of 2 distinct images, and 20
+    # draws of the 9 train images. The qkv and mlp_fc1 digests were recorded
+    # before each layer norm ran where its layer reads it, since these are the
+    # states whose layout that changed. A numpy or BLAS build that rounds
+    # differently writes other bytes.
     RECORDED = {
-        2: ("0d088befb2fb2ac393f1d50616340006aac38824d16368c8317562fb6d29830a",
-            "4beacc869cf0bb25c3b01ef23816317ea38c9292435ab54cc3870af3a978a4d8"),
-        20: ("0b21e6ff014262a5091c3596a6e4120b332514bbf114f3058ce38daabecfd884",
-             "b6865876fa82156033f6c2b850d09f508a20131500d947766184e4f47483f4a3"),
+        (2, "attn_proj", -1): ("0d088befb2fb2ac393f1d50616340006aac38824d16368c8317562fb6d29830a",
+                               "4beacc869cf0bb25c3b01ef23816317ea38c9292435ab54cc3870af3a978a4d8"),
+        (20, "attn_proj", -1): ("0b21e6ff014262a5091c3596a6e4120b332514bbf114f3058ce38daabecfd884",
+                                "b6865876fa82156033f6c2b850d09f508a20131500d947766184e4f47483f4a3"),
+        (20, "qkv", 0): ("e4c00381d6a6ec5256d6c30cb1c8c7eda43a44cc03eaeb7850e07dd831c52736",
+                         "9aae9dbe3df95ab80d84d86e93cea7d966a23326d465ae4783a553aac1fca93d"),
+        (20, "qkv", -1): ("706002b31c1a3778467e10432c1905f7091da8c7e608c86214f2949ec7e92f36",
+                          "b6cc122c1b881f40d339f84fea9b9126ce8683be2f0fed1c102bf893ffcee5ee"),
+        (20, "mlp_fc1", 0): ("650a76d5bd95e7c95eec57d955457cea3917dd0139af1049d067e08840044f20",
+                             "7bc42f721f85e55898da15487744aca16061c787f20eb796c4216071f6c0ef9e"),
+        (20, "mlp_fc1", -1): ("4c2cfa9ce31f7b6dbc3128c9db98d3ae900512c75a7990e104206d2e6d7275f2",
+                              "5d78f3ad77965f0013feae87c4f001e44e16181dc5a3d552c83d237f967eac8b"),
     }
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    @pytest.mark.parametrize("negative_images", sorted(RECORDED))
-    def test_desk_banks_match_recorded_bytes(self, tmp_path, negative_images, jobs):
+    @pytest.mark.parametrize("negative_images, kind, block", sorted(RECORDED),
+                             ids=[f"{n}" if k == "attn_proj" else f"{n}-{k}@{b}" for n, k, b in sorted(RECORDED)])
+    def test_desk_banks_match_recorded_bytes(self, tmp_path, negative_images, kind, block, jobs):
         data, config, out = tmp_path / "blobs", tmp_path / "run.cfg", tmp_path / "banks"
-        config.write_text(DESK_CONFIG.replace("negative_images = 2", f"negative_images = {negative_images}"))
+        config.write_text(DESK_CONFIG.replace("negative_images = 2", f"negative_images = {negative_images}")
+                          + f"\n[gradients]\nlayer_kind = {kind}\nblock_index = {block}\n")
         assert cli.main(["synth", "--kind", "blobs", "--n", "12", "--classes", "2", "--image-size", "32",
                          "--seed", "1", "--out", str(data)]) == 0
         assert cli.main(["extract", "--config", str(config), "--data", str(data), "--out", str(out),
                          "--jobs", jobs]) == 0
         digests = tuple(hashlib.sha256((out / f"bank_{s}.fngi").read_bytes()).hexdigest() for s in ("train", "test"))
-        assert digests == self.RECORDED[negative_images]
+        assert digests == self.RECORDED[negative_images, kind, block]
 
 
 class TestPcaFusion:
