@@ -54,11 +54,10 @@ def _load_banks(train_path, test_path):
             raise DataError(f"missing feature bank {p}")
     train = feat.FeatureBank.load(train_path)
     test = feat.FeatureBank.load(test_path)
-    if train.config_hash != test.config_hash:
+    if train.config.config_hash() != test.config.config_hash():
         raise ConfigError("train/test banks carry different config hashes")
-    if train.dim != test.dim or train.objective_names != test.objective_names:  # e.g. fuse-pca beside raw
-        raise DataError(f"train and test banks do not match: {train.dim} vs {test.dim} columns, "
-                        f"objectives {','.join(train.objective_names)} vs {','.join(test.objective_names)}")
+    if train.dim != test.dim:  # e.g. fuse-pca beside raw
+        raise DataError(f"train and test banks do not match: {train.dim} vs {test.dim} columns")
     return train, test
 
 
@@ -71,10 +70,8 @@ def _bank_rows(bank, kind, role):
         raise DataError(f"{kind} features: {exc}") from exc
 
 
-def _echo_lines(config_echo, config_hash):
-    lines = [f"config_hash={config_hash}"]
-    lines.extend(line for line in config_echo.splitlines() if line)
-    return lines
+def _echo_lines(config):
+    return [f"config_hash={config.config_hash()}", *(line for line in config.to_text().splitlines() if line)]
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +115,9 @@ def cmd_extract(args):
 
 def cmd_fuse_pca(args):
     train, test = _load_banks(args.train, args.test)
-    out_dim = args.out_dim
-    if out_dim is None:
-        config = RunConfig.from_text(train.config_echo)
-        out_dim = config.pca.out_dim
+    out_dim = train.config.pca.out_dim
     limit = min(train.dim, len(train))
-    if not 1 <= out_dim <= limit:
+    if out_dim > limit:
         raise ConfigError(f"PCA out_dim {out_dim} outside 1..{limit} (bank width {train.dim}, {len(train)} train rows)")
     train2, test2, model = pipeline.fuse_pca_banks(train, test, out_dim)
     os.makedirs(args.out, exist_ok=True)
@@ -137,21 +131,18 @@ def cmd_fuse_pca(args):
 def _knn_report(train_bank, test_bank, kind, k, rows=slice(None)):
     index = evalkit.KnnIndex(_bank_rows(train_bank, kind, "index")[rows], train_bank.labels[rows], k=k)
     preds = evalkit.knn_classify(index, _bank_rows(test_bank, kind, "query"))
-    return (
-        evalkit.accuracy(preds, test_bank.labels, "top1"),
-        evalkit.accuracy(preds, test_bank.labels, "mean_per_class"),
-        evalkit.per_class_accuracy(preds, test_bank.labels),
-    )
+    per_class = evalkit.per_class_accuracy(preds, test_bank.labels)
+    return evalkit.accuracy(preds, test_bank.labels), float(np.mean(list(per_class.values()))), per_class
 
 
 def cmd_eval(args):
     train, test = _load_banks(args.train, args.test)
-    run_cfg = RunConfig.from_text(train.config_echo)
+    run_cfg = train.config
     k = run_cfg.eval.knn_k
     if k > len(train):
         log.warning("clamping k=%d to train size %d", k, len(train))
         k = len(train)
-    kinds = ["embedding"] + [f for f in train.objective_names] + ["fused"]
+    kinds = ["embedding", *run_cfg.gradients.objectives, "fused"]
     reports = []
     table_rows = []
     baseline = None
@@ -172,7 +163,7 @@ def cmd_eval(args):
             top1, mpc, _ = _knn_report(train, test, kind, k=min(k, len(rows)), rows=rows)
             reports.append(evalkit.EvalReport(f"knn_top1_{kind}_{args.shots}shot", top1))
             table_rows.append([f"{kind} ({args.shots}-shot)", f"{top1:.4f}", f"{mpc:.4f}", ""])
-    evalkit.write_csv(args.out, reports, _echo_lines(train.config_echo, train.config_hash))
+    evalkit.write_csv(args.out, reports, _echo_lines(train.config))
     print(evalkit.render_table(table_rows, header=["features", "top1", "mean_per_class", "delta_vs_emb"]))
     log.info("wrote %s", args.out)
     return 0
@@ -180,24 +171,23 @@ def cmd_eval(args):
 
 def cmd_cluster(args):
     train, test = _load_banks(args.train, args.test)
-    run_cfg = RunConfig.from_text(train.config_echo)
     labels = test.labels
     n_classes = len(np.unique(labels))
     reports, table_rows = [], []
     for kind in ("embedding", "fused"):
         x = _bank_rows(test, kind, "test")
-        result = evalkit.kmeans(x, n_classes, seed=feat.derive_seed(run_cfg.encoder.seed, "kmeans"))
+        result = evalkit.kmeans(x, n_classes, seed=feat.derive_seed(train.config.encoder.seed, "kmeans"))
         overlap = evalkit.cluster_overlap(result.assignments, labels)
         reports.append(evalkit.EvalReport(f"cluster_overlap_{kind}", overlap))
         table_rows.append([kind, f"{overlap:.4f}"])
-    evalkit.write_csv(args.out, reports, _echo_lines(train.config_echo, train.config_hash))
+    evalkit.write_csv(args.out, reports, _echo_lines(train.config))
     print(evalkit.render_table(table_rows, header=["features", "cluster_overlap"]))
     return 0
 
 
 def cmd_probe(args):
     train, test = _load_banks(args.train, args.test)
-    run_cfg = RunConfig.from_text(train.config_echo)
+    run_cfg = train.config
     if len(np.unique(train.labels)) < 2:
         raise DataError(f"{args.train}: the probe needs at least two classes in the train bank")
     reports, table_rows = [], []
@@ -219,7 +209,7 @@ def cmd_probe(args):
         acc = evalkit.accuracy(preds, test.labels)
         reports.append(evalkit.EvalReport(f"probe_top1_{kind}", acc))
         table_rows.append([kind, f"{acc:.4f}", repr(result.best_lambda)])
-    evalkit.write_csv(args.out, reports, _echo_lines(train.config_echo, train.config_hash))
+    evalkit.write_csv(args.out, reports, _echo_lines(train.config))
     print(evalkit.render_table(table_rows, header=["features", "probe_top1", "lambda"]))
     return 0
 
@@ -236,21 +226,21 @@ def cmd_retrieve(args):
             raise DataError(f"retrieve: {exc}") from exc
         reports.append(evalkit.EvalReport(f"retrieval_map_{kind}", mean_ap))
         table_rows.append([kind, f"{mean_ap:.4f}"])
-    evalkit.write_csv(args.out, reports, _echo_lines(train.config_echo, train.config_hash))
+    evalkit.write_csv(args.out, reports, _echo_lines(train.config))
     print(evalkit.render_table(table_rows, header=["features", "mAP"]))
     return 0
 
 
 def cmd_cka(args):
     train, _ = _load_banks(args.train, args.test)
-    kinds = ["embedding"] + list(train.objective_names) + ["fused"]
+    kinds = ["embedding", *train.config.gradients.objectives, "fused"]
     mats = {kind: _bank_rows(train, kind, "train") for kind in kinds}
     constant = [kind for kind in kinds if np.all(mats[kind] == mats[kind][0])]
     if constant:
         raise DataError("CKA is undefined for a feature family that is the same on every train row: "
                         + ", ".join(constant))
     with open(args.out, "w", encoding="utf-8") as fh:
-        for line in _echo_lines(train.config_echo, train.config_hash):
+        for line in _echo_lines(train.config):
             fh.write(f"# {line}\n")
         fh.write("features," + ",".join(kinds) + "\n")
         for a in kinds:
@@ -332,7 +322,7 @@ def cmd_segment(args):
     report = evalkit.EvalReport(
         "miou_fungi" if args.fungi else "miou_embeddings", mean, per_class=per_class
     )
-    evalkit.write_csv(args.out, [report], _echo_lines(config.to_text(), config.config_hash()))
+    evalkit.write_csv(args.out, [report], _echo_lines(config))
     print(evalkit.render_table(
         [[report.metric, f"{mean:.4f}", str(len(bank))]],
         header=["metric", "miou", "bank_rows"],
@@ -372,7 +362,6 @@ def build_parser():
     p = sub.add_parser("fuse-pca", help="fit PCA on the train bank, transform both banks")
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
-    p.add_argument("--out-dim", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fuse_pca)
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field, fields
 from typing import get_type_hints
 
 from . import backbone as bb
-from .features import PROJECTION_KINDS
 
 OBJECTIVES = ("kl", "dino", "simclr")
+PROJECTION_KINDS = ("binary", "gaussian", "sparse")
 
 
 class ConfigError(ValueError):
@@ -189,6 +189,7 @@ class RunConfig:
             ("dino" in used and not all(len(s) == 2 and 0 < s[0] <= s[1] <= 1
                                         for s in (dino.global_scale, dino.local_scale)),
              "dino global_scale and local_scale must read lo,hi with 0 < lo <= hi <= 1"),
+            (self.pca.out_dim < 1, "pca out_dim must be at least 1"),
             (self.eval.knn_k < 1, "eval knn_k must be at least 1"),
             (self.eval.probe_lambda_count < 1, "eval probe_lambda_count must be at least 1"),
             (not 0 < self.eval.probe_lambda_min <= self.eval.probe_lambda_max < math.inf,

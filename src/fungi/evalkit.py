@@ -151,18 +151,15 @@ def per_class_accuracy(preds, labels):
     }
 
 
-def accuracy(preds, labels, mode="top1"):
+def accuracy(preds, labels):
+    """Top-1 accuracy."""
     preds = np.asarray(preds)
     labels = np.asarray(labels)
     if len(preds) != len(labels):
         raise ValueError("prediction/label length mismatch")
     if len(preds) == 0:
         raise ValueError("empty input")
-    if mode == "top1":
-        return float(np.mean(preds == labels))
-    if mode == "mean_per_class":
-        return float(np.mean(list(per_class_accuracy(preds, labels).values())))
-    raise ValueError(f"unknown accuracy mode {mode!r}")
+    return float(np.mean(preds == labels))
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +608,7 @@ class EvalReport:
     per_class: dict = None
 
     def csv_rows(self):
-        rows = [("metric", "class", "value")]
-        rows.append((self.metric, "", f"{self.value:.6f}"))
+        rows = [(self.metric, "", f"{self.value:.6f}")]
         if self.per_class:
             for cls in sorted(self.per_class):
                 rows.append((self.metric, str(cls), f"{self.per_class[cls]:.6f}"))
@@ -625,7 +621,7 @@ def write_csv(path, reports, config_lines):
             fh.write(f"# {line}\n")
         fh.write("metric,class,value\n")
         for report in reports:
-            for metric, cls, value in report.csv_rows()[1:]:
+            for metric, cls, value in report.csv_rows():
                 fh.write(f"{metric},{cls},{value}\n")
 
 

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import evalkit
 from . import store
-
-PROJECTION_KINDS = ("binary", "gaussian", "sparse")
+from .config import ConfigError, RunConfig
 
 
 def derive_seed(base_seed, *labels):
@@ -117,7 +116,7 @@ class PcaModel:
 
 def fit_pca(data, out_dim):
     """Centered PCA via SVD; no whitening. `out_dim` is in 1..min(rows,
-    columns), as `fungi fuse-pca` checks."""
+    columns), as `RunConfig.validate` and `fungi fuse-pca` check."""
     data = np.asarray(data, dtype=np.float64)
     n = len(data)
     mean = data.mean(axis=0)
@@ -136,32 +135,21 @@ def apply_pca(model, data):
 @dataclass
 class FeatureBank:
     """Per-sample fused features, their embedding and gradient segments, and
-    the config echo that fixes how they were made."""
+    the run configuration that fixes how every column was made."""
 
-    ids: np.ndarray
     labels: np.ndarray
     fused: np.ndarray
     embedding: np.ndarray
-    gradients: dict  # objective name -> (n, d), one per objective
-    objective_names: tuple
-    split: str
-    config_echo: str
-    config_hash: str
+    gradients: dict  # objective name -> (n, d), in config.gradients.objectives order
+    config: RunConfig
 
     def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.int32)
         self.labels = np.asarray(self.labels, dtype=np.int32)
-        n = len(self.ids)
-        if len(np.unique(self.ids)) != n:
-            raise ValueError("feature bank ids must be unique")
-        if sorted(self.gradients) != sorted(self.objective_names):
-            raise ValueError(f"gradient sections {', '.join(sorted(self.gradients)) or 'none'} do not match "
-                             f"objectives {','.join(self.objective_names) or 'none'}")
-        if any(len(x) != n for x in (self.fused, self.labels, self.embedding, *self.gradients.values())):
+        if any(len(x) != len(self.labels) for x in (self.fused, self.embedding, *self.gradients.values())):
             raise ValueError("feature bank arrays disagree on sample count")
 
     def __len__(self):
-        return len(self.ids)
+        return len(self.labels)
 
     @property
     def dim(self):
@@ -169,14 +157,10 @@ class FeatureBank:
 
     def save(self, path):
         sections = {
-            "ids": self.ids,
             "labels": self.labels,
             "fused": self.fused.astype(np.float32),
-            "split": store.encode_text(self.split),
-            "objectives": store.encode_text(",".join(self.objective_names)),
-            "config_echo": store.encode_text(self.config_echo),
-            "config_hash": store.encode_text(self.config_hash),
             "embedding": self.embedding.astype(np.float32),
+            "config_echo": store.encode_text(self.config.to_text()),
         }
         for name, grads in self.gradients.items():
             sections[f"grad::{name}"] = grads.astype(np.float32)
@@ -184,24 +168,24 @@ class FeatureBank:
 
     @classmethod
     def load(cls, path):
-        s = store.read_sections(
-            path, ("ids", "labels", "fused", "split", "objectives", "config_echo", "config_hash", "embedding")
-        )
-        gradients = {
-            name[len("grad::") :]: arr for name, arr in s.items() if name.startswith("grad::")
-        }
-        objectives = store.decode_text(s["objectives"])
+        """Read a bank; sections other than its own are ignored. A bad echo
+        raises ConfigError, and any other malformed bank StoreError."""
+        s = store.read_sections(path, ("labels", "fused", "embedding", "config_echo"))
+        try:
+            config = RunConfig.from_text(store.decode_text(s["config_echo"]))
+        except ValueError as exc:  # a ConfigError, or an echo that is not UTF-8
+            raise ConfigError(f"{path}: config echo: {exc}") from exc
+        names = config.gradients.objectives
+        missing = [f"grad::{name}" for name in names if f"grad::{name}" not in s]
+        if missing:
+            raise store.StoreError(f"{path}: missing required section(s) {', '.join(map(repr, missing))}")
         try:
             return cls(
-                ids=s["ids"],
                 labels=s["labels"],
                 fused=s["fused"],
                 embedding=s["embedding"],
-                gradients=gradients,
-                objective_names=tuple(x for x in objectives.split(",") if x),
-                split=store.decode_text(s["split"]),
-                config_echo=store.decode_text(s["config_echo"]),
-                config_hash=store.decode_text(s["config_hash"]),
+                gradients={name: s[f"grad::{name}"] for name in names},
+                config=config,
             )
-        except ValueError as exc:  # repeated ids, or sections that disagree on objectives or row count
+        except ValueError as exc:  # sections that disagree on row count
             raise store.StoreError(f"{path}: {exc}") from exc

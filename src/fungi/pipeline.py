@@ -217,17 +217,7 @@ def extract_bank(config, params, heads, projections, images, labels, split, neg_
         name: np.stack([r[1][name] for r in results]).astype(np.float32) for name in objectives
     }
     fused = feat.fuse(embeddings, [grad_mats[name] for name in objectives]).astype(np.float32)
-    return feat.FeatureBank(
-        ids=np.arange(len(images), dtype=np.int32),
-        labels=np.asarray(labels, dtype=np.int32),
-        fused=fused,
-        embedding=embeddings,
-        gradients=grad_mats,
-        objective_names=objectives,
-        split=split,
-        config_echo=config.to_text(),
-        config_hash=config.config_hash(),
-    )
+    return feat.FeatureBank(labels, fused, embeddings, grad_mats, config)
 
 
 def extract_splits(config, train_images, train_labels, test_images, test_labels, jobs):

@@ -21,7 +21,7 @@ from fungi import objectives as obj
 from fungi import pipeline
 from fungi import segmem as sm
 from fungi import synth
-from fungi.config import RunConfig
+from fungi.config import PROJECTION_KINDS, RunConfig
 
 from .oracles import (
     assignment_cost,
@@ -179,7 +179,7 @@ class TestCriterion04JohnsonLindenstrauss:
         iu = np.triu_indices(n, k=1)
         exact = np.sqrt(((data[iu[0]] - data[iu[1]]) ** 2).sum(axis=1))
         fractions = {}
-        for kind in feat.PROJECTION_KINDS:
+        for kind in PROJECTION_KINDS:
             proj = feat.ProjectionMatrix(kind, out_dim, in_dim, seed=44)
             scale = np.sqrt(out_dim * entry_variance(kind, in_dim))
             projected = data @ proj.matrix.T / scale

@@ -64,6 +64,20 @@ def test_options_match_golden_file():
     assert command_options() == OPTIONS_GOLDEN.read_text(), "command-line options drifted from golden file"
 
 
+def banks_with_echo(banks, out_dir, old, new):
+    """Copies of the train and test banks under `out_dir` whose config echo
+    has `old` replaced by `new`; the paths of the copies."""
+    paths = []
+    for split in ("train", "test"):
+        sections = store.read_sections(banks / f"bank_{split}.fngi", ())
+        echo = store.decode_text(sections["config_echo"])
+        assert old in echo
+        sections["config_echo"] = store.encode_text(echo.replace(old, new))
+        paths.append(out_dir / f"bank_{split}.fngi")
+        store.write_sections(paths[-1], sections)
+    return paths
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -249,15 +263,18 @@ class TestExitCodes:
             assert cli.main(argv) == 3
         assert "data error" in caplog.text and "Is a directory" in caplog.text
 
-    @pytest.mark.parametrize("out_dim", ["0", "19"])
-    def test_pca_out_dim_out_of_range_is_2(self, tmp_path, workspace, out_dim, caplog):
-        # 18 train rows of 48 fused columns: 1..18 is the range
+    @pytest.mark.parametrize("out_dim, message", [
+        ("0", "pca out_dim must be at least 1"),  # refused by RunConfig.validate as the bank loads
+        ("19", "PCA out_dim 19 outside 1..18"),  # 18 train rows of 48 fused columns
+    ], ids=["0", "19"])
+    def test_pca_out_dim_out_of_range_is_2(self, tmp_path, workspace, out_dim, message, caplog):
         _, _, _, banks = workspace
+        train, test = banks_with_echo(banks, tmp_path, "out_dim = 16", f"out_dim = {out_dim}")
         with caplog.at_level(logging.ERROR, logger="fungi"):
-            assert cli.main(["fuse-pca", "--train", str(banks / "bank_train.fngi"),
-                             "--test", str(banks / "bank_test.fngi"), "--out-dim", out_dim,
+            assert cli.main(["fuse-pca", "--train", str(train), "--test", str(test),
                              "--out", str(tmp_path / "pca")]) == 2
-        assert f"out_dim {out_dim} outside 1..18" in caplog.text
+        assert message in caplog.text
+        assert not (tmp_path / "pca").exists()
 
     def test_shots_above_smallest_class_is_2(self, tmp_path, workspace, caplog):
         # 18 train rows over 2 classes: 9 per class
@@ -350,21 +367,17 @@ class TestExitCodes:
 
     def test_mismatched_banks_are_3(self, tmp_path, workspace, caplog):
         # one config hash, different processing: a fuse-pca train bank
-        # beside a raw test bank, or banks over different objectives
+        # beside a raw test bank
         _, _, _, banks = workspace
         assert cli.main(["fuse-pca", "--train", str(banks / "bank_train.fngi"),
                          "--test", str(banks / "bank_test.fngi"), "--out", str(tmp_path / "pca")]) == 0
-        bank = feat.FeatureBank.load(banks / "bank_test.fngi")
-        bank.objective_names = ("kl", "dino")
-        bank.save(tmp_path / "renamed.fngi")
-        for train, test in ((tmp_path / "pca" / "bank_train_pca.fngi", banks / "bank_test.fngi"),
-                            (banks / "bank_train.fngi", tmp_path / "renamed.fngi")):
-            for cmd in ("eval", "probe", "retrieve"):
-                with caplog.at_level(logging.ERROR, logger="fungi"):
-                    assert cli.main([cmd, "--train", str(train), "--test", str(test),
-                                     "--out", str(tmp_path / "r.csv")]) == 3, (cmd, train.name)
-                assert "do not match" in caplog.text
-                caplog.clear()
+        train, test = tmp_path / "pca" / "bank_train_pca.fngi", banks / "bank_test.fngi"
+        for cmd in ("eval", "probe", "retrieve"):
+            with caplog.at_level(logging.ERROR, logger="fungi"):
+                assert cli.main([cmd, "--train", str(train), "--test", str(test),
+                                 "--out", str(tmp_path / "r.csv")]) == 3, cmd
+            assert "do not match" in caplog.text
+            caplog.clear()
 
     def test_one_class_probe_is_3(self, tmp_path, workspace, caplog):
         _, _, _, banks = workspace
@@ -410,16 +423,46 @@ class TestExitCodes:
         assert "train/test banks carry different config hashes" in caplog.text
         assert not (tmp_path / "out").exists()
 
-    def test_bank_echoing_removed_shots_key_is_2(self, tmp_path, workspace):
+    @pytest.mark.parametrize("command", ["fuse-pca", "eval", "cluster", "probe", "retrieve", "cka"])
+    def test_bank_echoing_removed_shots_key_is_2(self, tmp_path, workspace, command, caplog):
+        # every command that reads a bank parses its config echo
         _, _, _, banks = workspace
-        paths = []
+        train, test = banks_with_echo(banks, tmp_path, "knn_k = 20", "knn_k = 20\nshots = 5")
+        with caplog.at_level(logging.ERROR, logger="fungi"):
+            assert cli.main([command, "--train", str(train), "--test", str(test),
+                             "--out", str(tmp_path / "out")]) == 2
+        assert f"{train}: config echo: unknown key 'shots' in [eval]" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    def test_bank_with_the_earlier_sections_gives_the_same_reports(self, tmp_path, workspace):
+        # banks once also held ids, split, objectives and config_hash, in this
+        # order; the benchmark harness still writes them so
+        _, _, _, banks = workspace
+        earlier = tmp_path / "earlier"
+        earlier.mkdir()
         for split in ("train", "test"):
-            bank = feat.FeatureBank.load(banks / f"bank_{split}.fngi")
-            bank.config_echo = bank.config_echo.replace("knn_k = 20", "knn_k = 20\nshots = 5")
-            paths.append(tmp_path / f"bank_{split}.fngi")
-            bank.save(paths[-1])
-        assert cli.main(["eval", "--train", str(paths[0]), "--test", str(paths[1]),
-                         "--out", str(tmp_path / "e.csv")]) == 2
+            s = store.read_sections(banks / f"bank_{split}.fngi", ())
+            config = RunConfig.from_text(store.decode_text(s["config_echo"]))
+            store.write_sections(earlier / f"bank_{split}.fngi", {
+                "ids": np.arange(len(s["labels"]), dtype=np.int32),
+                "labels": s["labels"],
+                "fused": s["fused"],
+                "split": store.encode_text(split),
+                "objectives": store.encode_text(",".join(config.gradients.objectives)),
+                "config_echo": s["config_echo"],
+                "config_hash": store.encode_text(config.config_hash()),
+                "embedding": s["embedding"],
+                **{name: s[name] for name in s if name.startswith("grad::")},
+            })
+        for command in ("eval", "cluster", "probe", "retrieve", "cka", "fuse-pca"):
+            outputs = []
+            for source in (banks, earlier):
+                out = tmp_path / f"{command}_{source.name}"
+                assert cli.main([command, "--train", str(source / "bank_train.fngi"),
+                                 "--test", str(source / "bank_test.fngi"), "--out", str(out)]) == 0
+                names = ("bank_train_pca.fngi", "bank_test_pca.fngi", "pca.fngi")
+                outputs.append([(out / n).read_bytes() for n in names] if out.is_dir() else out.read_bytes())
+            assert outputs[0] == outputs[1], command
 
     def test_truncated_bank_is_3(self, tmp_path, workspace):
         _, _, _, banks = workspace
@@ -502,21 +545,6 @@ class TestExitCodes:
         assert len(errors) == 1 and errors[0].endswith("query row 2 has a zero or non-finite norm and cannot be ranked")
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
-
-    def test_bank_with_repeated_ids_is_3(self, tmp_path, workspace, caplog, capsys):
-        # every section's CRC holds, but the bank is malformed
-        _, _, _, banks = workspace
-        sections = store.read_sections(banks / "bank_test.fngi", ())
-        sections["ids"] = np.zeros_like(sections["ids"])
-        store.write_sections(tmp_path / "bank_test.fngi", sections)
-        with caplog.at_level(logging.ERROR, logger="fungi"):
-            assert cli.main(["eval", "--train", str(banks / "bank_train.fngi"),
-                             "--test", str(tmp_path / "bank_test.fngi"),
-                             "--out", str(tmp_path / "e.csv")]) == 3
-        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
-        assert len(errors) == 1 and errors[0].endswith("bank_test.fngi: feature bank ids must be unique")
-        assert "Traceback" not in capsys.readouterr().err
-        assert not (tmp_path / "e.csv").exists()
 
     @pytest.mark.parametrize("command, split, role", [
         ("eval", "train", "index"), ("cluster", "test", "test"), ("probe", "train", "train"), ("cka", "train", "train"),

@@ -151,6 +151,7 @@ class TestValidation:
         "[kl]\ntemperature = inf\n",
         "[segmentation]\ntemperature = inf\n",
         "[segmentation]\naugmentation_epochs = 0\n",
+        "[pca]\nout_dim = 0\n",
         "[segmentation]\nfew_shot_augmentation_epochs = -1\n",  # a removed key: refused as unknown
         "[segmentation]\nivf_num_leaves = 0\n",
         "[segmentation]\nivf_leaves_to_search = 0\n",

@@ -294,7 +294,8 @@ class TestAccuracy:
     def test_mean_per_class_ignores_sizes(self):
         labels = np.array([0] * 90 + [1] * 10)
         preds = np.array([0] * 90 + [0] * 10)  # class 1 fully wrong
-        assert ek.accuracy(preds, labels, mode="mean_per_class") == 0.5
+        assert ek.per_class_accuracy(preds, labels) == {0: 1.0, 1: 0.0}
+        assert ek.accuracy(preds, labels) == 0.9
 
     def test_matches_confusion_matrix_tally(self):
         rng = np.random.default_rng(4)
@@ -306,7 +307,7 @@ class TestAccuracy:
         want_top1 = confusion.trace() / confusion.sum()
         want_mpc = np.mean(np.diag(confusion) / confusion.sum(axis=1))
         assert abs(ek.accuracy(preds, labels) - want_top1) < 1e-12
-        assert abs(ek.accuracy(preds, labels, "mean_per_class") - want_mpc) < 1e-12
+        assert abs(np.mean(list(ek.per_class_accuracy(preds, labels).values())) - want_mpc) < 1e-12
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -699,8 +700,7 @@ class TestReports:
     def test_csv_rows(self):
         report = ek.EvalReport("knn_top1", 0.75, per_class={1: 0.5, 0: 1.0})
         rows = report.csv_rows()
-        assert rows[1] == ("knn_top1", "", "0.750000")
-        assert rows[2][1] == "0"
+        assert rows == [("knn_top1", "", "0.750000"), ("knn_top1", "0", "1.000000"), ("knn_top1", "1", "0.500000")]
 
     def test_write_csv(self, tmp_path):
         path = tmp_path / "report.csv"

@@ -3,6 +3,7 @@ import pytest
 
 from fungi import features as feat
 from fungi import store
+from fungi.config import PROJECTION_KINDS, ConfigError, RunConfig
 
 from .oracles import entry_variance
 
@@ -55,7 +56,7 @@ class TestProjection:
         density = np.count_nonzero(m) / m.size
         assert abs(density - 1.0 / np.sqrt(in_dim)) < 0.005
 
-    @pytest.mark.parametrize("kind", feat.PROJECTION_KINDS)
+    @pytest.mark.parametrize("kind", PROJECTION_KINDS)
     def test_distance_preservation(self, kind):
         # moderate-size instance of the distance-preservation check; the
         # full-size version runs in the acceptance suite
@@ -165,17 +166,15 @@ class TestFeatureBank:
     def _bank(self):
         rng = np.random.default_rng(17)
         n, d = 10, 6
+        config = RunConfig()
+        config.gradients.objectives = ("kl", "simclr")
         return feat.FeatureBank(
-            ids=np.arange(n),
             labels=rng.integers(0, 3, size=n),
             fused=rng.normal(size=(n, 3 * d)).astype(np.float32),
             embedding=rng.normal(size=(n, d)).astype(np.float32),
             gradients={"kl": rng.normal(size=(n, d)).astype(np.float32),
                        "simclr": rng.normal(size=(n, d)).astype(np.float32)},
-            objective_names=("kl", "simclr"),
-            split="train",
-            config_echo="[x]\ny=1\n",
-            config_hash="abc123",
+            config=config.validate(),
         )
 
     def test_round_trip(self, tmp_path):
@@ -183,43 +182,51 @@ class TestFeatureBank:
         path = tmp_path / "bank.fngi"
         bank.save(path)
         back = feat.FeatureBank.load(path)
-        np.testing.assert_array_equal(back.ids, bank.ids)
         np.testing.assert_array_equal(back.labels, bank.labels)
         np.testing.assert_array_equal(back.fused, bank.fused)
         np.testing.assert_array_equal(back.embedding, bank.embedding)
-        np.testing.assert_array_equal(back.gradients["kl"], bank.gradients["kl"])
-        assert back.objective_names == ("kl", "simclr")
-        assert back.split == "train"
-        assert back.config_hash == "abc123"
+        assert list(back.gradients) == ["kl", "simclr"]
+        for name in ("kl", "simclr"):
+            np.testing.assert_array_equal(back.gradients[name], bank.gradients[name])
+        assert back.config == bank.config
 
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError):
-            feat.FeatureBank(
-                ids=np.array([0, 0]),
-                labels=np.array([1, 2]),
-                fused=np.zeros((2, 4), dtype=np.float32),
-                embedding=np.zeros((2, 4), dtype=np.float32),
-                gradients={},
-                objective_names=(),
-                split="train",
-                config_echo="",
-                config_hash="",
-            )
+    def test_saved_bank_holds_rows_and_config_echo_alone(self, tmp_path):
+        bank = self._bank()
+        path = tmp_path / "bank.fngi"
+        bank.save(path)
+        sections = store.read_sections(path, ())
+        assert list(sections) == ["labels", "fused", "embedding", "config_echo", "grad::kl", "grad::simclr"]
+        assert store.decode_text(sections["config_echo"]) == bank.config.to_text()
 
-    @pytest.mark.parametrize("objectives, grads", [
-        ("kl", ("kl", "simclr")), ("kl,simclr,dino", ("kl", "simclr")), ("kl,kl,simclr", ("kl", "simclr")),
-        ("kl,simclr", ("kl",)), ("", ("kl",)),
-    ])
-    def test_gradient_sections_that_disagree_with_the_objectives_are_a_store_error(self, tmp_path, objectives, grads):
+    @pytest.mark.parametrize("missing", [("kl",), ("simclr",), ("kl", "simclr")])
+    def test_missing_gradient_section_of_an_objective_is_a_store_error(self, tmp_path, missing):
         path = tmp_path / "bank.fngi"
         self._bank().save(path)
         sections = store.read_sections(path, ())
-        sections["objectives"] = store.encode_text(objectives)
-        for name in ("kl", "simclr"):
-            if name not in grads:
-                del sections[f"grad::{name}"]
+        for name in missing:
+            del sections[f"grad::{name}"]
         store.write_sections(path, sections)
-        with pytest.raises(store.StoreError, match="bank.fngi: gradient sections .* do not match objectives"):
+        names = ", ".join(f"'grad::{name}'" for name in missing)
+        with pytest.raises(store.StoreError, match=f"bank.fngi: missing required section\\(s\\) {names}$"):
+            feat.FeatureBank.load(path)
+
+    def test_gradient_section_of_no_objective_is_ignored(self, tmp_path):
+        path = tmp_path / "bank.fngi"
+        self._bank().save(path)
+        sections = store.read_sections(path, ())
+        sections["grad::dino"] = sections["grad::kl"]
+        store.write_sections(path, sections)
+        assert list(feat.FeatureBank.load(path).gradients) == ["kl", "simclr"]
+
+    @pytest.mark.parametrize("echo", [b"[eval]\nshots = 5\n", b"[gradients]\nobjectives = kl,kl\n", b"[eval]\xff\n"],
+                             ids=["unknown key", "bad value", "not utf-8"])
+    def test_bad_config_echo_is_a_config_error(self, tmp_path, echo):
+        path = tmp_path / "bank.fngi"
+        self._bank().save(path)
+        sections = store.read_sections(path, ())
+        sections["config_echo"] = np.frombuffer(echo, dtype=np.uint8)
+        store.write_sections(path, sections)
+        with pytest.raises(ConfigError, match="bank.fngi: config echo: "):
             feat.FeatureBank.load(path)
 
     def test_missing_embedding_is_a_store_error(self, tmp_path):

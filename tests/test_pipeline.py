@@ -10,6 +10,7 @@ from fungi import cli
 from fungi import features as feat
 from fungi import objectives as obj
 from fungi import pipeline
+from fungi import store
 from fungi import synth
 from fungi.config import RunConfig
 
@@ -56,10 +57,10 @@ class TestExtraction:
         cfg, train_bank, test_bank = small_banks
         assert len(train_bank) == 18 and len(test_bank) == 6
         assert train_bank.embedding.shape == (18, 16)
-        assert set(train_bank.gradients) == {"kl", "dino", "simclr"}
+        assert list(train_bank.gradients) == ["kl", "dino", "simclr"]  # the config's order
         # fused pre-PCA length = (1 + #objectives) * d
         assert train_bank.fused.shape[1] == 4 * 16
-        assert train_bank.config_hash == cfg.config_hash()
+        assert train_bank.config.config_hash() == cfg.config_hash()
 
     def test_fused_segments_are_unit_norm(self, small_banks):
         _, train_bank, _ = small_banks
@@ -263,28 +264,39 @@ class TestSharedViewStates:
                               neg_bank=neg_bank, view_states={}, jobs=1)
         assert len(calls) == 3 * (1 + crops + views)
 
-    # SHA-256 of the banks that `extract` wrote on the desk config, keyed by
-    # (negative_images, [gradients] layer_kind, block_index). The default
-    # source's digests were recorded before the negative bank and train
-    # extraction shared view states: 2 draws of 2 distinct images, and 20
-    # draws of the 9 train images. The qkv and mlp_fc1 digests were recorded
-    # before each layer norm ran where its layer reads it, since these are the
-    # states whose layout that changed. A numpy or BLAS build that rounds
+    # SHA-256 of the arrays of the banks that `extract` wrote on the desk
+    # config, over the bytes of labels, fused, embedding and each grad::
+    # section in name order; keyed by (negative_images, [gradients]
+    # layer_kind, block_index). The default source's arrays were recorded
+    # before the negative bank and train extraction shared view states: 2
+    # draws of 2 distinct images, and 20 draws of the 9 train images. The qkv
+    # and mlp_fc1 arrays were recorded before each layer norm ran where its
+    # layer reads it, since these are the states whose layout that changed.
+    # All of them were recorded when banks also held ids, split, objectives
+    # and config_hash sections. A numpy or BLAS build that rounds
     # differently writes other bytes.
     RECORDED = {
-        (2, "attn_proj", -1): ("0d088befb2fb2ac393f1d50616340006aac38824d16368c8317562fb6d29830a",
-                               "4beacc869cf0bb25c3b01ef23816317ea38c9292435ab54cc3870af3a978a4d8"),
-        (20, "attn_proj", -1): ("0b21e6ff014262a5091c3596a6e4120b332514bbf114f3058ce38daabecfd884",
-                                "b6865876fa82156033f6c2b850d09f508a20131500d947766184e4f47483f4a3"),
-        (20, "qkv", 0): ("e4c00381d6a6ec5256d6c30cb1c8c7eda43a44cc03eaeb7850e07dd831c52736",
-                         "9aae9dbe3df95ab80d84d86e93cea7d966a23326d465ae4783a553aac1fca93d"),
-        (20, "qkv", -1): ("706002b31c1a3778467e10432c1905f7091da8c7e608c86214f2949ec7e92f36",
-                          "b6cc122c1b881f40d339f84fea9b9126ce8683be2f0fed1c102bf893ffcee5ee"),
-        (20, "mlp_fc1", 0): ("650a76d5bd95e7c95eec57d955457cea3917dd0139af1049d067e08840044f20",
-                             "7bc42f721f85e55898da15487744aca16061c787f20eb796c4216071f6c0ef9e"),
-        (20, "mlp_fc1", -1): ("4c2cfa9ce31f7b6dbc3128c9db98d3ae900512c75a7990e104206d2e6d7275f2",
-                              "5d78f3ad77965f0013feae87c4f001e44e16181dc5a3d552c83d237f967eac8b"),
+        (2, "attn_proj", -1): ("33b62bb302b88bd2645ca595eeeaeca9e518786f93075c1120f743e8035c25f2",
+                               "57b4b4e2c13be6e01f29ff929ffc12624bec962420de13b0bb67346411e363c5"),
+        (20, "attn_proj", -1): ("4d621b7dafe7d525d11ed65def8a3c86604659b7d51927bb6e42b6d9b463d8f5",
+                                "c1a116f79763666faa02c25fb0723c775ced35e78ae33406cb637f2517994c4a"),
+        (20, "qkv", 0): ("a94ade05f4aa64de2bb6f59529dcb99bdff97d96dc14ddeab32ba0268c6ffc8d",
+                         "b2bb3c346df87ab5ede8c5ac898d7b2f4308c34f8e2f277a88db14dd202a21e5"),
+        (20, "qkv", -1): ("db79e061fb1e82a36537cf3d64ce85a628e38a3007a9a4bf35aa349dbfc361b8",
+                          "31e8ab513cc69f68ecd81f97c98436d94d136e0113ce5b3ff89499dabb93c2cd"),
+        (20, "mlp_fc1", 0): ("41c75a032f59a044883c0459eb2164b4c737ebc509b03dd468f9b5f7ae307d7d",
+                             "d2fcd14247beb65328e824e36021603b68ab68d9f1b614770fc552daf8ea504a"),
+        (20, "mlp_fc1", -1): ("a21344de53601eabb3d9edc85c2cc22fe374fdc9be3c487c9bf34da21a8666df",
+                              "c1ec5b1a442873237577eac69bbfdd2dc2da76aaea6aae579b72f0f0e73b1d19"),
     }
+
+    @staticmethod
+    def array_digest(path):
+        sections = store.read_sections(path, ())
+        digest = hashlib.sha256()
+        for name in ["labels", "fused", "embedding", *sorted(n for n in sections if n.startswith("grad::"))]:
+            digest.update(sections[name].tobytes())
+        return digest.hexdigest()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("negative_images, kind, block", sorted(RECORDED),
@@ -297,7 +309,7 @@ class TestSharedViewStates:
                          "--seed", "1", "--out", str(data)]) == 0
         assert cli.main(["extract", "--config", str(config), "--data", str(data), "--out", str(out),
                          "--jobs", jobs]) == 0
-        digests = tuple(hashlib.sha256((out / f"bank_{s}.fngi").read_bytes()).hexdigest() for s in ("train", "test"))
+        digests = tuple(self.array_digest(out / f"bank_{s}.fngi") for s in ("train", "test"))
         assert digests == self.RECORDED[negative_images, kind, block]
 
 
