@@ -267,16 +267,12 @@ class Head:
     normalize_input: bool
 
     def apply(self, x):
+        """Projected rows of `x` over its last axis. Taped when `x` is
+        tracked; an array or untracked tensor records nothing, so
+        `apply(x).data` is the numpy forward."""
         if self.normalize_input:
             x = ad.l2_normalize(x)
         return ad.linear(x, self.weight, self.bias)
-
-    def apply_array(self, x):
-        """Numpy-only forward for untracked inputs."""
-        x = np.asarray(x)
-        if self.normalize_input:
-            x = x / np.linalg.norm(x, axis=-1, keepdims=True)
-        return x @ self.weight.data.T + self.bias.data
 
 
 def attach_head(dim, proj_dim, seed, normalize_input, dtype):

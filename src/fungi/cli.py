@@ -118,7 +118,8 @@ def cmd_fuse_pca(args):
     out_dim = train.config.pca.out_dim
     limit = min(train.dim, len(train))
     if out_dim > limit:
-        raise ConfigError(f"PCA out_dim {out_dim} outside 1..{limit} (bank width {train.dim}, {len(train)} train rows)")
+        log.warning("clamping PCA out_dim=%d to %d (bank width %d, %d train rows)", out_dim, limit, train.dim, len(train))
+        out_dim = limit
     train2, test2, model = pipeline.fuse_pca_banks(train, test, out_dim)
     os.makedirs(args.out, exist_ok=True)
     train2.save(os.path.join(args.out, "bank_train_pca.fngi"))
@@ -340,7 +341,6 @@ def build_parser():
         prog="fungi",
         description="Gradient-feature extraction, fusion, and retrieval-based evaluation",
     )
-    parser.add_argument("--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset directory")
@@ -410,7 +410,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
+        level=logging.INFO,
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
         stream=sys.stderr,
     )

@@ -214,9 +214,6 @@ class RunConfig:
 
     # -- derived objects ----------------------------------------------------
 
-    def objective_section(self, name):
-        return {"kl": self.kl, "dino": self.dino, "simclr": self.simclr}[name]
-
     def probe_lambda_grid(self):
         import numpy as np
 

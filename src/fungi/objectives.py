@@ -53,22 +53,6 @@ def dino_loss(student_z, teacher_z, tau_s, tau_t):
     return ad.scale(ad.total(ad.mul(log_probs, ad.as_tensor(weights))), -1.0)
 
 
-@dataclass
-class NegativeBank:
-    """Fixed set of unit-norm latents contrasted against every sample."""
-
-    rows: np.ndarray
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows)
-        if rows.ndim != 2:
-            raise ValueError("negative bank must be a 2-D matrix")
-        self.rows = evalkit.unit_rows(rows, "negative bank")
-
-    def __len__(self):
-        return self.rows.shape[0]
-
-
 def _info_nce(z_norm, bank_rows, tau):
     """Mean of -log softmax terms over ordered positive pairs.
 
@@ -95,18 +79,17 @@ def _info_nce(z_norm, bank_rows, tau):
 def simclr_loss(z_views, bank, tau):
     """InfoNCE over ordered pairs of positive views against a fixed bank.
 
-    z_views is a (P, D) tensor of already normalized latents; bank is a
-    NegativeBank. Each denominator ranges over the other P - 1 positives plus
-    every bank row.
+    z_views is a (P, D) tensor of latents, normalized here; bank is a
+    SupportIndex of negative latents. Each denominator ranges over the other
+    P - 1 positives plus every bank row.
     """
-    evalkit.check_unit_rows(z_views.data, "positive latent", 1e-4)
-    evalkit.check_unit_rows(bank.rows, "negative bank", 1e-6)
-    return _info_nce(z_views, bank.rows, tau)
+    return _info_nce(ad.l2_normalize(z_views), bank.rows, tau)
 
 
 @dataclass
 class SupportIndex:
-    """Exact cosine-similarity index over unit-norm latents."""
+    """Read-only unit-norm latent rows, searched by exact cosine: the SimCLR
+    negative bank and the dense loss's support set."""
 
     rows: np.ndarray
 
@@ -115,6 +98,7 @@ class SupportIndex:
         if rows.ndim != 2 or rows.shape[0] == 0:
             raise ValueError("support index needs a non-empty 2-D latent matrix")
         self.rows = evalkit.unit_rows(rows, "support")
+        self.rows.flags.writeable = False
 
     def __len__(self):
         return self.rows.shape[0]

@@ -21,7 +21,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import autodiff as ad
 from . import augment
 from . import backbone as bb
 from . import evalkit
@@ -47,7 +46,7 @@ def build_heads(config):
     seed = config.encoder.seed
     heads = {}
     for name in config.gradients.objectives:
-        section = config.objective_section(name)
+        section = getattr(config, name)  # each objective's config section bears its name
         if name == "dino":
             heads[name] = (
                 bb.attach_head(dim, section.proj_dim, feat.derive_seed(seed, "head", "dino", "student"),
@@ -112,10 +111,10 @@ def build_negative_bank(params, head, train_images, config, jobs):
 
     def worker(idx):
         states = [bb.tap_state(params, source, v) for v in _simclr_views(np.asarray(train_images[idx]), config)]
-        return states, np.stack([head.apply_array(bb.embed(params, source, s)) for s in states])
+        return states, np.stack([head.apply(bb.embed(params, source, s)).data for s in states])
 
     results = _map(worker, distinct, jobs)
-    bank = obj.NegativeBank(np.concatenate([results[j][1] for j in inverse]))
+    bank = obj.SupportIndex(np.concatenate([results[j][1] for j in inverse]))
     view_states = {int(idx): states for idx, (states, _) in zip(distinct, results)}
     nbytes = sum(a.nbytes for states in view_states.values() for state in states for a in state if a is not None)
     log.info(
@@ -161,7 +160,7 @@ def make_objective(name, config, heads, neg_bank):
         dcfg = config.dino
 
         def dino_fn(z):
-            teacher = teacher_head.apply_array(z.data[: dcfg.global_crops])
+            teacher = teacher_head.apply(z.data[: dcfg.global_crops]).data
             return obj.dino_loss(
                 student_head.apply(z), teacher, tau_s=dcfg.student_temperature, tau_t=dcfg.teacher_temperature
             )
@@ -170,7 +169,7 @@ def make_objective(name, config, heads, neg_bank):
 
     if name == "simclr":
         head, tau = heads["simclr"], config.simclr.temperature
-        return lambda z: obj.simclr_loss(ad.l2_normalize(head.apply(z)), neg_bank, tau=tau)
+        return lambda z: obj.simclr_loss(head.apply(z), neg_bank, tau=tau)
 
     raise ValueError(f"unknown objective {name!r}")
 

@@ -97,7 +97,7 @@ class PatchFeatureExtractor:
     def build_support(self, tokens):
         """Support index over the head latents of all bank patches, from
         each bank image's encoder token rows, CLS first."""
-        self.support = obj.SupportIndex(np.concatenate([self.head.apply_array(t[1:]) for t in tokens]))
+        self.support = obj.SupportIndex(np.concatenate([self.head.apply(t[1:]).data for t in tokens]))
 
     def features(self, image, seed):
         """(patches, dim) unit-norm feature rows for one image."""

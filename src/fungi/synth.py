@@ -117,13 +117,12 @@ def make_segmentation(n, classes, image_size, seed):
     return images, masks
 
 
-def save_dataset(path, images, labels, masks, meta):
+def save_dataset(path, images, labels, masks):
     sections = {"images": np.asarray(images, dtype=np.float32)}
     if labels is not None:
         sections["labels"] = np.asarray(labels, dtype=np.int32)
     if masks is not None:
         sections["masks"] = np.asarray(masks, dtype=np.uint8)
-    sections["meta"] = store.encode_text(meta)
     store.write_sections(path, sections)
 
 
@@ -142,7 +141,6 @@ def load_dataset(path, target):
         "images": s["images"],
         "labels": s.get("labels"),
         "masks": s.get("masks"),
-        "meta": store.decode_text(s["meta"]) if "meta" in s else "",
     }
 
 
@@ -161,10 +159,9 @@ def write_dataset_dir(out_dir, kind, n, classes, image_size, seed):
     if n_train >= n:
         raise ValueError(f"n={n} leaves no test sample: the train split takes {n_train}")
     os.makedirs(out_dir, exist_ok=True)
-    meta = f"kind={kind} n={n} classes={classes} image_size={image_size} seed={seed}"
     paths = {}
     for split, sl in (("train", slice(0, n_train)), ("test", slice(n_train, n))):
         paths[split] = os.path.join(out_dir, f"{split}.fngi")
         save_dataset(paths[split], images[sl], labels=None if labels is None else labels[sl],
-                     masks=None if masks is None else masks[sl], meta=f"{meta} split={split}")
+                     masks=None if masks is None else masks[sl])
     return paths

@@ -77,6 +77,16 @@ def image_embedding(params, image):
     return bb.embed(params, source, bb.tap_state(params, source, image))
 
 
+def head_rows(head, x):
+    """`Head.apply(x).data` by the plain numpy expression: the last axis
+    divided by its L2 norm when the head normalizes its input, then
+    x W^T + b."""
+    x = np.asarray(x)
+    if head.normalize_input:
+        x = x / np.linalg.norm(x, axis=-1, keepdims=True)
+    return x @ head.weight.data.T + head.bias.data
+
+
 def max_relative_error(got, want):
     """Worst-case elementwise relative error between two gradients.
 

@@ -28,6 +28,7 @@ from .oracles import (
     collapsed_banks,
     entry_variance,
     finite_diff_gradient,
+    head_rows,
     image_embedding,
     max_relative_error,
     reference_encoder,
@@ -106,7 +107,7 @@ class TestCriterion01GradientCorrectness:
         # which the production loss reads from the forward's values
         student, teacher = heads["dino"]
         globals_ = objectives["dino"][0][: cfg.dino.global_crops]
-        teacher_z = teacher.apply_array(np.stack([image_embedding(params, v) for v in globals_]))
+        teacher_z = head_rows(teacher, np.stack([image_embedding(params, v) for v in globals_]))
 
         def oracle_loss(name, loss_fn, z):
             if name == "dino":
@@ -164,7 +165,7 @@ class TestCriterion03SimclrUniformSimilarity:
         v = np.zeros(dim)
         v[0] = 1.0
         z = ad.as_tensor(np.tile(v, (49, 1)))
-        bank = obj.NegativeBank(np.tile(v, (49 * 256, 1)))
+        bank = obj.SupportIndex(np.tile(v, (49 * 256, 1)))
         loss = obj.simclr_loss(z, bank, tau=0.07).item()
         want = np.log(49 * 257 - 1)
         assert abs(loss - want) < 1e-6

@@ -9,6 +9,7 @@ from fungi.config import ConfigError, GradientSection, RunConfig
 
 from .oracles import (
     collapse_output_paths,
+    head_rows,
     image_embedding,
     max_relative_error,
     reference_encoder,
@@ -164,11 +165,21 @@ class TestHead:
         assert np.array_equal(a.weight.data, b.weight.data)
         assert not np.array_equal(a.weight.data, c.weight.data)
 
-    def test_apply_array_matches_apply(self):
-        rng = np.random.default_rng(6)
-        head = bb.attach_head(8, 5, seed=7, normalize_input=True, dtype=np.float64)
-        x = rng.normal(size=8)
-        np.testing.assert_allclose(head.apply_array(x), head.apply(ad.as_tensor(x)).data, rtol=1e-12)
+    @pytest.mark.parametrize("normalize_input", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(64,), (2, 64), (12, 64), (196, 64)])
+    def test_untracked_apply_is_the_numpy_expression(self, shape, dtype, normalize_input):
+        # every untaped caller (negative bank, DINO teacher, segmentation
+        # support) reads `apply(x).data`: it must equal the plain expression
+        # bit for bit, and record nothing on a live tape
+        head = bb.attach_head(64, 48, seed=7, normalize_input=normalize_input, dtype=dtype)
+        for seed in range(20):
+            x = np.random.default_rng(seed).normal(size=shape).astype(dtype)
+            with ad.GradTape() as tape:
+                got = head.apply(x).data
+            assert len(tape) == 0
+            assert got.dtype == dtype and got.shape == shape[:-1] + (48,)
+            assert np.array_equal(got, head_rows(head, x))
 
 
 def kl_objective(head, tau):

@@ -263,18 +263,27 @@ class TestExitCodes:
             assert cli.main(argv) == 3
         assert "data error" in caplog.text and "Is a directory" in caplog.text
 
-    @pytest.mark.parametrize("out_dim, message", [
-        ("0", "pca out_dim must be at least 1"),  # refused by RunConfig.validate as the bank loads
-        ("19", "PCA out_dim 19 outside 1..18"),  # 18 train rows of 48 fused columns
-    ], ids=["0", "19"])
-    def test_pca_out_dim_out_of_range_is_2(self, tmp_path, workspace, out_dim, message, caplog):
+    def test_pca_out_dim_0_is_2(self, tmp_path, workspace, caplog):
+        # refused by RunConfig.validate as the bank loads
         _, _, _, banks = workspace
-        train, test = banks_with_echo(banks, tmp_path, "out_dim = 16", f"out_dim = {out_dim}")
+        train, test = banks_with_echo(banks, tmp_path, "out_dim = 16", "out_dim = 0")
         with caplog.at_level(logging.ERROR, logger="fungi"):
             assert cli.main(["fuse-pca", "--train", str(train), "--test", str(test),
                              "--out", str(tmp_path / "pca")]) == 2
-        assert message in caplog.text
+        assert "pca out_dim must be at least 1" in caplog.text
         assert not (tmp_path / "pca").exists()
+
+    def test_pca_out_dim_above_train_rows_is_clamped(self, tmp_path, workspace, caplog):
+        # 18 train rows of 48 fused columns: the default out_dim of 64 meets
+        # a default-size dataset the same way
+        _, _, _, banks = workspace
+        train, test = banks_with_echo(banks, tmp_path, "out_dim = 16", "out_dim = 19")
+        out = tmp_path / "pca"
+        with caplog.at_level(logging.WARNING, logger="fungi"):
+            assert cli.main(["fuse-pca", "--train", str(train), "--test", str(test), "--out", str(out)]) == 0
+        assert "clamping PCA out_dim=19 to 18 (bank width 48, 18 train rows)" in caplog.text
+        for name in ("bank_train_pca.fngi", "bank_test_pca.fngi"):
+            assert feat.FeatureBank.load(out / name).fused.shape[1] == 18
 
     def test_shots_above_smallest_class_is_2(self, tmp_path, workspace, caplog):
         # 18 train rows over 2 classes: 9 per class
@@ -334,7 +343,7 @@ class TestExitCodes:
         empty = tmp_path / "empty"
         empty.mkdir()
         (empty / "train.fngi").write_bytes((data / "train.fngi").read_bytes())
-        synth.save_dataset(empty / "test.fngi", np.zeros((0, 3, 32, 32)), labels=np.zeros(0), masks=None, meta="")
+        synth.save_dataset(empty / "test.fngi", np.zeros((0, 3, 32, 32)), labels=np.zeros(0), masks=None)
         with caplog.at_level(logging.ERROR, logger="fungi"):
             assert cli.main(["extract", "--config", str(cfg_path), "--data", str(empty),
                              "--out", str(tmp_path / "x")]) == 3
@@ -594,11 +603,11 @@ class TestExitCodes:
         assert len(test["images"]) > 1
         masks = np.array(test["masks"])
         masks[-1] = 255
-        synth.save_dataset(data / "test.fngi", test["images"], labels=None, masks=masks, meta=test["meta"])
+        synth.save_dataset(data / "test.fngi", test["images"], labels=None, masks=masks)
         fewer = tmp_path / "fewer"
         fewer.mkdir()
         (fewer / "train.fngi").write_bytes((data / "train.fngi").read_bytes())
-        synth.save_dataset(fewer / "test.fngi", test["images"][:-1], labels=None, masks=masks[:-1], meta=test["meta"])
+        synth.save_dataset(fewer / "test.fngi", test["images"][:-1], labels=None, masks=masks[:-1])
         for d in (data, fewer):
             assert cli.main(["segment", "--config", str(cfg_path), "--data", str(d),
                              "--out", str(tmp_path / f"{d.name}.csv")]) == 0
@@ -608,8 +617,7 @@ class TestExitCodes:
         _, cfg_path, _, _ = workspace
         data, splits = self._segdata(tmp_path, "seg")
         train = splits["train"]
-        synth.save_dataset(data / "train.fngi", train["images"], labels=None, masks=np.full_like(train["masks"], 255),
-                           meta=train["meta"])
+        synth.save_dataset(data / "train.fngi", train["images"], labels=None, masks=np.full_like(train["masks"], 255))
         with caplog.at_level(logging.ERROR, logger="fungi"):
             assert cli.main(["segment", "--config", str(cfg_path), "--data", str(data),
                              "--out", str(tmp_path / "s.csv")]) == 3
@@ -647,7 +655,7 @@ class TestExitCodes:
         else:
             rows = rows[: len(images) - 2]
         path = data / f"{split}.fngi"
-        synth.save_dataset(path, images, **{"labels": None, "masks": None, target: rows}, meta="")
+        synth.save_dataset(path, images, **{"labels": None, "masks": None, target: rows})
         out = tmp_path / "out"
         with caplog.at_level(logging.ERROR, logger="fungi"):
             assert cli.main([command, "--config", str(cfg_path), "--data", str(data), "--out", str(out)]) == 3

@@ -5,7 +5,7 @@ from fungi import autodiff as ad
 from fungi import backbone as bb
 from fungi import objectives as obj
 
-from .oracles import finite_diff_gradient, max_relative_error, reference_encoder
+from .oracles import finite_diff_gradient, head_rows, max_relative_error, reference_encoder
 
 
 def enumerate_kl_from_uniform(z, tau):
@@ -174,7 +174,7 @@ class TestSimclrLoss:
         v = np.zeros(dim)
         v[0] = 1.0
         z = ad.as_tensor(np.tile(v, (49, 1)))
-        bank = obj.NegativeBank(np.tile(v, (49 * 256, 1)))
+        bank = obj.SupportIndex(np.tile(v, (49 * 256, 1)))
         loss = obj.simclr_loss(z, bank, tau=0.07).item()
         assert abs(loss - np.log(49 * 257 - 1)) < 1e-6
 
@@ -184,7 +184,7 @@ class TestSimclrLoss:
         z2 = np.array([0.0, 1.0])
         neg = np.array([[np.sqrt(0.5), np.sqrt(0.5)]])
         loss = obj.simclr_loss(
-            ad.as_tensor(np.stack([z1, z2])), obj.NegativeBank(neg), tau=tau
+            ad.as_tensor(np.stack([z1, z2])), obj.SupportIndex(neg), tau=tau
         ).item()
 
         def term(a, b, others):
@@ -198,13 +198,13 @@ class TestSimclrLoss:
     def test_each_pair_term_nonnegative(self):
         rng = np.random.default_rng(8)
         z = unit_rows(rng, 6, 8)
-        bank = obj.NegativeBank(unit_rows(rng, 20, 8))
+        bank = obj.SupportIndex(unit_rows(rng, 20, 8))
         loss = obj.simclr_loss(ad.as_tensor(z), bank, tau=0.07).item()
         assert loss >= 0.0
 
     def test_increasing_pair_similarity_decreases_loss(self):
         rng = np.random.default_rng(9)
-        bank = obj.NegativeBank(unit_rows(rng, 10, 4))
+        bank = obj.SupportIndex(unit_rows(rng, 10, 4))
 
         def loss_with_angle(angle):
             z1 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -214,34 +214,36 @@ class TestSimclrLoss:
         losses = [loss_with_angle(a) for a in (1.5, 1.0, 0.5, 0.1)]
         assert all(a > b for a, b in zip(losses, losses[1:]))
 
-    def test_rejects_unnormalized(self):
+    def test_unnormalized_positives_give_the_loss_of_their_normalization(self):
         rng = np.random.default_rng(10)
-        z = unit_rows(rng, 4, 8) * 1.01
-        with pytest.raises(ValueError):
-            obj.simclr_loss(ad.as_tensor(z), obj.NegativeBank(unit_rows(rng, 5, 8)), tau=0.07)
+        raw = rng.normal(size=(4, 8)) * np.array([[0.5], [1.01], [3.0], [20.0]])
+        bank = obj.SupportIndex(unit_rows(rng, 5, 8))
+        got = obj.simclr_loss(ad.as_tensor(raw), bank, tau=0.07).item()
+        want = obj.simclr_loss(ad.as_tensor(raw / np.linalg.norm(raw, axis=1, keepdims=True)), bank, tau=0.07).item()
+        assert abs(got - want) < 1e-12
 
-    @pytest.mark.parametrize("where", ["positive latent", "negative bank"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_row_is_named(self, where, value):
-        # a NaN norm passes a `deviation > tol` test; the row must be refused
+    def test_non_finite_positive_raises_numeric_error(self, value):
+        # a tensor is finite when made; a later write to its data is caught
+        # where the loss normalizes it
         rng = np.random.default_rng(10)
-        z, bank = ad.as_tensor(unit_rows(rng, 4, 8)), obj.NegativeBank(unit_rows(rng, 5, 8))
-        (z.data if where == "positive latent" else bank.rows)[2, 3] = value
-        with pytest.raises(ValueError, match=f"^{where} row 2 is not unit-norm"):
+        z, bank = ad.as_tensor(unit_rows(rng, 4, 8)), obj.SupportIndex(unit_rows(rng, 5, 8))
+        z.data[2, 3] = value
+        with pytest.raises(ad.NumericError, match="l2_normalize"):
             obj.simclr_loss(z, bank, tau=0.07)
 
     def test_needs_two_positives(self):
         rng = np.random.default_rng(11)
         with pytest.raises(ValueError):
-            obj.simclr_loss(ad.as_tensor(unit_rows(rng, 1, 8)), obj.NegativeBank(unit_rows(rng, 3, 8)), tau=0.07)
+            obj.simclr_loss(ad.as_tensor(unit_rows(rng, 1, 8)), obj.SupportIndex(unit_rows(rng, 3, 8)), tau=0.07)
 
     def test_gradient_matches_oracle(self):
         rng = np.random.default_rng(12)
         raw = rng.normal(size=(5, 6))
-        bank = obj.NegativeBank(unit_rows(rng, 12, 6))
+        bank = obj.SupportIndex(unit_rows(rng, 12, 6))
 
         def build(leaf):
-            return obj.simclr_loss(ad.l2_normalize(leaf), bank, tau=0.2)
+            return obj.simclr_loss(leaf, bank, tau=0.2)
 
         leaf = ad.parameter(raw)
         with ad.GradTape() as tape:
@@ -281,7 +283,7 @@ def parent_simclr_patch_loss(patch_tokens, head, support, tau, seed, retrieved_p
     """The earlier dense loss: a numpy head forward picks the negatives, a
     second, taped head forward feeds parent_info_nce."""
     tokens_data = np.asarray(patch_tokens)
-    latents = head.apply_array(tokens_data)
+    latents = head_rows(head, tokens_data)
     latents = latents / np.linalg.norm(latents, axis=1, keepdims=True)
     neighbor_ids = support.search(latents, retrieved_per_patch)
     rng = np.random.default_rng(seed)
@@ -307,16 +309,16 @@ class TestInfoNceAgainstParent:
     def test_simclr_loss(self, dtype):
         rng = np.random.default_rng(50)
         raw = rng.normal(size=(9, 24)).astype(dtype)
-        bank = obj.NegativeBank(unit_rows(rng, 40, 24).astype(dtype))
+        bank = obj.SupportIndex(unit_rows(rng, 40, 24).astype(dtype))
 
         def run(loss_fn):
             leaf = ad.parameter(raw)
             with ad.GradTape() as tape:
-                loss = loss_fn(ad.l2_normalize(leaf))
+                loss = loss_fn(leaf)
             return loss.item(), tape.backward(loss)[leaf]
 
         got, got_grad = run(lambda z: obj.simclr_loss(z, bank, tau=0.07))
-        want, want_grad = run(lambda z: parent_info_nce(z, bank.rows, 0.07))
+        want, want_grad = run(lambda z: parent_info_nce(ad.l2_normalize(z), bank.rows, 0.07))
         assert got_grad.dtype == dtype
         assert np.array_equal(got_grad, want_grad)
         assert_loss_close(got, want, dtype)
@@ -326,7 +328,7 @@ class TestInfoNceAgainstParent:
         params = bb.init_encoder(reference_encoder(image_size=64, depth=1, dim=dim, heads=2, seed=51), dtype=dtype)
         head = bb.attach_head(dim, 12, seed=52, normalize_input=False, dtype=dtype)
         rng = np.random.default_rng(53)
-        support = obj.SupportIndex(head.apply_array(rng.normal(size=(40, dim)).astype(dtype)))
+        support = obj.SupportIndex(head.apply(rng.normal(size=(40, dim)).astype(dtype)).data)
         for seed in (0, 7):
             tokens = bb.encode(params, rng.random((3, 64, 64)))
             got, got_loss = obj.simclr_patch_loss(tokens, head, support, tau=0.07, seed=seed,
@@ -359,20 +361,26 @@ class TestDenseLossTape:
         assert 0 < shapes.count((tokens, tokens + tokens)) <= 3
 
 
-class TestNegativeBank:
+class TestSupportIndex:
     def test_rows_normalized_and_persisted(self):
         rng = np.random.default_rng(30)
-        bank = obj.NegativeBank(rng.normal(size=(20, 8)) * 3.0)
-        np.testing.assert_allclose(np.linalg.norm(bank.rows, axis=1), 1.0, atol=1e-12)
+        index = obj.SupportIndex(rng.normal(size=(20, 8)) * 3.0)
+        np.testing.assert_allclose(np.linalg.norm(index.rows, axis=1), 1.0, atol=1e-12)
 
-    def test_zero_row_rejected(self):
-        rows = np.ones((3, 4))
-        rows[1] = 0.0
-        with pytest.raises(ValueError):
-            obj.NegativeBank(rows)
+    def test_rows_are_read_only(self):
+        # the unit-norm rows are checked once, as the index is made
+        rng = np.random.default_rng(10)
+        rows = unit_rows(rng, 5, 8)
+        index = obj.SupportIndex(rows)
+        with pytest.raises(ValueError, match="read-only"):
+            index.rows[2, 3] = np.nan
+        rows[2, 3] = np.nan  # the caller's array is not the index's
+        assert np.isfinite(index.rows).all()
 
+    def test_rejects_non_matrix(self):
+        with pytest.raises(ValueError, match="2-D"):
+            obj.SupportIndex(np.ones(8))
 
-class TestSupportIndex:
     def test_exact_self_retrieval(self):
         rng = np.random.default_rng(13)
         rows = unit_rows(rng, 30, 8)
@@ -410,7 +418,7 @@ class TestSimclrPatchLoss:
         rng = np.random.default_rng(22)
         img = rng.random((3, 64, 64))
         tokens = bb.encode(params, img)
-        support = obj.SupportIndex(head.apply_array(np.random.default_rng(23).normal(size=(50, cfg.dim))))
+        support = obj.SupportIndex(head.apply(np.random.default_rng(23).normal(size=(50, cfg.dim))).data)
         grads, loss = obj.simclr_patch_loss(tokens, head, support, tau=0.07, seed=1,
                                             retrieved_per_patch=2, kept_per_patch=1)
         assert grads.shape == (cfg.num_patches, cfg.dim)
@@ -455,7 +463,7 @@ class TestSimclrPatchLoss:
         got, _ = obj.simclr_patch_loss(tokens, head, support, tau=0.2, seed=3, retrieved_per_patch=2, kept_per_patch=1)
 
         # freeze the retrieved negatives, then finite-difference the same loss
-        latents = head.apply_array(tokens)
+        latents = head_rows(head, tokens)
         latents /= np.linalg.norm(latents, axis=1, keepdims=True)
         ids = support.search(latents, 2)
         rng2 = np.random.default_rng(3)
@@ -464,7 +472,7 @@ class TestSimclrPatchLoss:
 
         def f(flat):
             t = flat.reshape(9, 8)
-            z = head.apply_array(t)
+            z = head_rows(head, t)
             z /= np.linalg.norm(z, axis=1, keepdims=True)
             sims = np.concatenate([z @ z.T, z @ negatives.T], axis=1) / 0.2
             np.fill_diagonal(sims[:, :9], -np.inf)

@@ -131,7 +131,7 @@ class TestPrecision:
             dw, db = bb.loss_gradient(params, cfg.gradients, states, pipeline.make_objective(name, cfg, heads, neg_bank))
             assert dw.dtype == dtype and db.dtype == dtype, name
         tokens = bb.encode(params, images[1])
-        support = obj.SupportIndex(heads["simclr"].apply_array(tokens[1:]))
+        support = obj.SupportIndex(heads["simclr"].apply(tokens[1:]).data)
         seg = cfg.segmentation
         grads, _ = obj.simclr_patch_loss(
             tokens, heads["simclr"], support, tau=seg.simclr_temperature, seed=0,
@@ -222,9 +222,9 @@ class TestSharedViewStates:
         picked = rng.choice(len(images), size=8, replace=True).tolist()
         assert len(set(picked)) < len(picked)
         # every draw's views, embedded one at a time
-        rows = [heads["simclr"].apply_array(image_embedding(params, v))
+        rows = [heads["simclr"].apply(image_embedding(params, v)).data
                 for idx in picked for v in pipeline.sample_views("simclr", cfg, images[idx], 0)]
-        np.testing.assert_array_equal(bank.rows, obj.NegativeBank(np.stack(rows)).rows)
+        np.testing.assert_array_equal(bank.rows, obj.SupportIndex(np.stack(rows)).rows)
         assert sorted(states) == sorted(set(picked))
         # a drawn sample's gradient from the kept states equals the one from
         # states built afresh

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fungi import store
 from fungi import synth
 
 
@@ -65,11 +66,21 @@ class TestDatasetFiles:
     def test_save_load_round_trip(self, tmp_path):
         images, labels = synth.make_classification("blobs", 6, 2, 16, seed=4)
         path = tmp_path / "d.fngi"
-        synth.save_dataset(path, images, labels=labels, masks=None, meta="kind=blobs")
+        synth.save_dataset(path, images, labels=labels, masks=None)
+        assert sorted(store.read_sections(path, ())) == ["images", "labels"]
         back = synth.load_dataset(path, "labels")
         np.testing.assert_array_equal(back["images"], images)
         np.testing.assert_array_equal(back["labels"], labels)
-        assert back["meta"] == "kind=blobs"
+
+    def test_file_with_meta_section_loads(self, tmp_path):
+        # files written before the meta section was dropped still load
+        images, labels = synth.make_classification("blobs", 6, 2, 16, seed=4)
+        path = tmp_path / "d.fngi"
+        store.write_sections(path, {"images": images.astype(np.float32), "labels": labels.astype(np.int32),
+                                    "meta": store.encode_text("kind=blobs")})
+        back = synth.load_dataset(path, "labels")
+        np.testing.assert_array_equal(back["images"], images.astype(np.float32))
+        np.testing.assert_array_equal(back["labels"], labels)
 
     def test_write_dataset_dir_splits(self, tmp_path):
         paths = synth.write_dataset_dir(tmp_path / "ds", "blobs", 20, 2, 16, seed=5)
