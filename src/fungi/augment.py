@@ -10,23 +10,25 @@ import math
 import numpy as np
 
 
+def _axis_coords(n_in, n_out):
+    """Bilinear source coordinates along one axis, half-pixel centers clamped
+    at the border: the lower and upper source index and the upper's weight."""
+    coords = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+    coords = np.clip(coords, 0.0, n_in - 1.0)
+    lo = np.floor(coords).astype(np.int64)
+    hi = np.minimum(lo + 1, n_in - 1)
+    frac = coords - lo
+    return lo, hi, frac
+
+
 def resize_bilinear(image, out_h, out_w):
     """Resize (C, H, W) with bilinear interpolation, half-pixel centers."""
     image = np.asarray(image)
     c, h, w = image.shape
     if (h, w) == (out_h, out_w):
         return image.copy()
-
-    def axis_coords(n_in, n_out):
-        coords = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
-        coords = np.clip(coords, 0.0, n_in - 1.0)
-        lo = np.floor(coords).astype(np.int64)
-        hi = np.minimum(lo + 1, n_in - 1)
-        frac = coords - lo
-        return lo, hi, frac
-
-    y0, y1, fy = axis_coords(h, out_h)
-    x0, x1, fx = axis_coords(w, out_w)
+    y0, y1, fy = _axis_coords(h, out_h)
+    x0, x1, fx = _axis_coords(w, out_w)
     # separable: interpolate along x over every source row, then along y;
     # each sum accumulates in place in its first term's buffer
     rows = image[:, :, x0] * (1 - fx)
@@ -48,19 +50,49 @@ def resize_nearest(grid, out_h, out_w):
     return grid[ys][:, xs]
 
 
-def patchify_overlap(image, patch, grid):
-    """Overlapping square patches on a regular grid with rounded offsets."""
+def simclr_views(image, patch, grid, size):
+    """The SimCLR views of one image: the patch-px windows at grid x grid
+    evenly spaced, rounded offsets, each resized to size px, as one
+    (grid², C, size, size) array, row offset outer and column offset inner.
+
+    Each view is bit for bit `resize_bilinear` of its window, whose
+    coordinates all views share, shifted by their offsets. So each column
+    offset runs one x pass over every image row, and each distinct (top row,
+    bottom row, weight) blend of the y pass is computed once and cast once,
+    then gathered into every view that reads it.
+    """
     image = np.asarray(image)
-    _, h, w = image.shape
+    c, h, w = image.shape
     if patch > h or patch > w:
         raise ValueError(f"patch {patch} larger than image {h}x{w}")
-    offsets = [round(i * (h - patch) / (grid - 1)) for i in range(grid)]
-    views = [
-        image[:, oy : oy + patch, ox : ox + patch].copy()
-        for oy in offsets
-        for ox in offsets
-    ]
-    return views
+    offsets = np.array([round(i * (h - patch) / (grid - 1)) for i in range(grid)])
+    if patch == size:  # as `resize_bilinear` does at its input size, copy each window
+        return np.stack([image[:, oy : oy + patch, ox : ox + patch] for oy in offsets for ox in offsets])
+    lo, hi, frac = _axis_coords(patch, size)
+    # the y pass's (top, bottom, weight) triples at every row offset, keyed
+    # exactly by the weight's bits; view row i at row offset gy reads blend
+    # row blend_of[gy, i]
+    triples = np.stack([np.add.outer(offsets, lo).ravel(), np.add.outer(offsets, hi).ravel(),
+                        np.tile(frac, grid).view(np.int64)], axis=1)
+    keys, blend_of = np.unique(triples, axis=0, return_inverse=True)
+    top, bottom, fy = keys[:, 0], keys[:, 1], keys[:, 2].view(np.float64)[:, None]
+    blend_of = blend_of.reshape(grid, size)
+    out = np.empty((grid * grid, c, size, size), dtype=image.dtype)
+    # one channel at a time, so the float64 temporaries stay a channel's size;
+    # the gather indices are in range, and mode="clip" writes straight into out
+    for gx, ox in enumerate(offsets):
+        for ch, plane in enumerate(image):
+            cols = np.take(plane, ox + lo, axis=1) * (1 - frac)
+            cols += np.take(plane, ox + hi, axis=1) * frac
+            blend = np.take(cols, top, axis=0)
+            blend *= 1 - fy
+            lower = np.take(cols, bottom, axis=0)
+            lower *= fy
+            blend += lower
+            blend = blend.astype(image.dtype, copy=False)
+            for gy in range(grid):
+                np.take(blend, blend_of[gy], axis=0, out=out[gy * grid + gx, ch], mode="clip")
+    return out
 
 
 def _random_square_crop(image, rng, scale_range, out_size):

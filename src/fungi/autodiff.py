@@ -22,7 +22,7 @@ class NumericError(ArithmeticError):
 
 
 def _check_finite(value, op):
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise NumericError(f"non-finite output of {op}")
 
 

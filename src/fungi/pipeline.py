@@ -2,9 +2,11 @@
 
 Per sample: run the encoder up to the designated layer once; the embedding
 and the kl objective resume from that state. For dino and simclr, build the
-views and run each up to that layer. Then for each objective, harvest the
-layer's gradient of a loss over the views' stacked embeddings, flatten it,
-and project it down to the embedding width. A train image drawn into the
+views and run each up to that layer: dino's crops one by one, and an image's
+SimCLR views as one array from `augment.simclr_views`, bit for bit each
+window's `resize_bilinear`. Then for each objective, harvest the layer's
+gradient of a loss over the views' stacked embeddings, flatten it, and
+project it down to the embedding width. A train image drawn into the
 SimCLR negative bank has its views encoded once: the bank keeps their states,
 and the sample's SimCLR objective resumes from them. Objectives never call
 the encoder. Fused rows are the unit-norm gradient segments followed by the
@@ -80,10 +82,8 @@ def build_projections(config):
 
 
 def _simclr_views(image, config):
-    grid = int(math.isqrt(config.simclr.positive_views))
-    size = config.encoder.image_size
-    patches = augment.patchify_overlap(image, patch=config.simclr.view_patch, grid=grid)
-    return [augment.resize_bilinear(v, size, size) for v in patches]
+    return augment.simclr_views(image, config.simclr.view_patch, math.isqrt(config.simclr.positive_views),
+                                config.encoder.image_size)
 
 
 def _map(fn, items, jobs):
@@ -125,9 +125,9 @@ def build_negative_bank(params, head, train_images, config, jobs):
 
 
 def sample_views(name, config, image, sample_seed):
-    """Views of one sample under the simclr objective, its overlapping patch
-    views, or under dino, its global then its local crops. The kl
-    objective's one view is the image itself."""
+    """Views of one sample under the simclr objective, its resized patch
+    windows in row-major grid order, or under dino, its global then its local
+    crops. The kl objective's one view is the image itself."""
     if name == "simclr":
         return _simclr_views(image, config)
     dcfg = config.dino

@@ -19,11 +19,31 @@ def reference_crops(image, seed):
                           cfg.encoder.image_size)
 
 
-class TestPatchifyOverlap:
-    def test_49_views_of_112(self):
-        vs = aug.patchify_overlap(rand_image(0), patch=112, grid=7)
-        assert len(vs) == 49
-        assert all(v.shape == (3, 112, 112) for v in vs)
+def hand_cut_views(image, patch, grid, size):
+    """Per-view `resize_bilinear_reference` of each window, cut by hand, row
+    offset outer."""
+    offsets = [round(i * (image.shape[1] - patch) / (grid - 1)) for i in range(grid)]
+    return [resize_bilinear_reference(image[:, oy : oy + patch, ox : ox + patch], size, size)
+            for oy in offsets for ox in offsets]
+
+
+class TestSimclrViews:
+    def test_49_views_at_224(self):
+        vs = aug.simclr_views(rand_image(0).astype(np.float32), patch=112, grid=7, size=224)
+        assert vs.shape == (49, 3, 224, 224) and vs.dtype == np.float32
+        # C-ordered: each view's later reductions sum in its own row order
+        assert vs.flags.c_contiguous and all(v.flags.c_contiguous for v in vs)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("side, patch, grid, size",
+                             [(224, 112, 7, 224), (40, 16, 3, 32), (224, 100, 4, 224), (64, 32, 3, 32), (50, 24, 5, 10)])
+    def test_matches_per_view_resize_bytes(self, side, patch, grid, size, dtype):
+        img = np.random.default_rng(side + patch).random((3, side, side)).astype(dtype)
+        got = aug.simclr_views(img, patch, grid, size)
+        want = hand_cut_views(img, patch, grid, size)
+        assert got.shape == (grid * grid, 3, size, size)
+        for k, view in enumerate(want):
+            assert got[k].dtype == view.dtype == dtype and got[k].tobytes() == view.tobytes(), k
 
     def test_offsets(self):
         # offsets must be round(i * (224 - 112) / 6)
@@ -31,21 +51,20 @@ class TestPatchifyOverlap:
         assert [round(i * 112 / 6) for i in range(7)] == expected
         img = np.zeros((3, 224, 224))
         img[0, 93, 112] = 1.0
-        vs = aug.patchify_overlap(img, 112, 7)
-        # view at grid position (5, 6) starts at (93, 112): marked pixel lands at (0, 0)
+        vs = aug.simclr_views(img, 112, 7, 112)
+        # the view at grid position (5, 6), row offset outer, starts at (93, 112):
+        # the marked pixel lands at its (0, 0); the transposed position (6, 5) misses it
         assert vs[5 * 7 + 6][0, 0, 0] == 1.0
+        assert vs[6 * 7 + 5].max() == 0.0
 
     def test_views_tile_image(self):
-        cover = np.zeros((224, 224), dtype=bool)
-        offsets = [round(i * 112 / 6) for i in range(7)]
-        for oy in offsets:
-            for ox in offsets:
-                cover[oy : oy + 112, ox : ox + 112] = True
-        assert cover.all()
+        img = np.arange(224 * 224, dtype=np.float64).reshape(1, 224, 224)
+        vs = aug.simclr_views(img, 112, 7, 112)
+        np.testing.assert_array_equal(np.unique(vs), img.ravel())
 
     def test_patch_too_large(self):
         with pytest.raises(ValueError):
-            aug.patchify_overlap(rand_image(2, 64), patch=112, grid=7)
+            aug.simclr_views(rand_image(2, 64), patch=112, grid=7, size=224)
 
 
 class TestDinoCrops:

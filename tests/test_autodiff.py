@@ -131,6 +131,23 @@ class TestPrimitiveValues:
     def test_nonfinite_output_raises(self):
         with pytest.raises(ad.NumericError):
             ad.l2_normalize(ad.as_tensor([0.0, 0.0]))
+        with pytest.raises(ad.NumericError), np.errstate(over="ignore"):  # overflow of finite inputs
+            ad.scale(ad.as_tensor([1e308, -1e308]), 10.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_every_nonfinite_value_raises(self, bad):
+        with pytest.raises(ad.NumericError, match="tensor creation"):
+            ad.as_tensor([1.0, bad])
+        # a tensor's data mutated after creation reaches the primitives'
+        # output guard: in an array output, and in the 0-d output of a reduction
+        for shape in ((197, 64), (1, 64)):
+            x = ad.as_tensor(np.ones(shape))
+            x.data[0, -1] = bad
+            with pytest.raises(ad.NumericError, match="scale"):
+                ad.scale(x, 2.0)
+            for op in (ad.total, ad.mean):
+                with pytest.raises(ad.NumericError, match=op.__name__):
+                    op(x)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
