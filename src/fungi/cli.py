@@ -62,10 +62,10 @@ def _load_banks(train_path, test_path):
 
 
 def _bank_rows(bank, kind, role):
-    """`pipeline.bank_feature_matrix` with the rows named by their role in
-    the command; rows that it refuses are a data error."""
+    """`FeatureBank.rows` with the rows named by their role in the command;
+    rows that it refuses are a data error."""
     try:
-        return pipeline.bank_feature_matrix(bank, kind, role)
+        return bank.rows(kind, role)
     except ValueError as exc:
         raise DataError(f"{kind} features: {exc}") from exc
 
@@ -120,10 +120,11 @@ def cmd_fuse_pca(args):
     if out_dim > limit:
         log.warning("clamping PCA out_dim=%d to %d (bank width %d, %d train rows)", out_dim, limit, train.dim, len(train))
         out_dim = limit
-    train2, test2, model = pipeline.fuse_pca_banks(train, test, out_dim)
+    model = feat.fit_pca(train.fused, out_dim)  # fitted on the training rows alone
     os.makedirs(args.out, exist_ok=True)
-    train2.save(os.path.join(args.out, "bank_train_pca.fngi"))
-    test2.save(os.path.join(args.out, "bank_test_pca.fngi"))
+    for bank, name in ((train, "bank_train_pca.fngi"), (test, "bank_test_pca.fngi")):
+        fused = feat.apply_pca(model, bank.fused).astype(np.float32)
+        dataclasses.replace(bank, fused=fused).save(os.path.join(args.out, name))
     model.save(os.path.join(args.out, "pca.fngi"))
     log.info("PCA %d -> %d fitted on %d rows", train.dim, out_dim, len(train))
     return 0
@@ -359,42 +360,20 @@ def build_parser():
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("fuse-pca", help="fit PCA on the train bank, transform both banks")
-    p.add_argument("--train", required=True)
-    p.add_argument("--test", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fuse_pca)
-
-    p = sub.add_parser("eval", help="kNN classification of bank features")
-    p.add_argument("--train", required=True)
-    p.add_argument("--test", required=True)
-    p.add_argument("--shots", type=int, default=0, help="also run an N-shot protocol")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("cluster", help="k-means cluster/class overlap")
-    p.add_argument("--train", required=True)
-    p.add_argument("--test", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser("probe", help="logistic-regression probe")
-    p.add_argument("--train", required=True)
-    p.add_argument("--test", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_probe)
-
-    p = sub.add_parser("retrieve", help="same-label retrieval mAP")
-    p.add_argument("--train", required=True)
-    p.add_argument("--test", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_retrieve)
-
-    p = sub.add_parser("cka", help="pairwise similarity matrix of feature families")
-    p.add_argument("--train", required=True)
-    p.add_argument("--test", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_cka)
+    for name, func, help_text in (
+        ("fuse-pca", cmd_fuse_pca, "fit PCA on the train bank, transform both banks"),
+        ("eval", cmd_eval, "kNN classification of bank features"),
+        ("cluster", cmd_cluster, "k-means cluster/class overlap"),
+        ("probe", cmd_probe, "logistic-regression probe"),
+        ("retrieve", cmd_retrieve, "same-label retrieval mAP"),
+        ("cka", cmd_cka, "pairwise similarity matrix of feature families"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        for option in ("--train", "--test", "--out"):
+            p.add_argument(option, required=True)
+        if name == "eval":
+            p.add_argument("--shots", type=int, default=0, help="also run an N-shot protocol")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("segment", help="retrieval-based semantic segmentation")
     p.add_argument("--config")

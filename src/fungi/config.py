@@ -11,7 +11,9 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, fields
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
+
+import numpy as np
 
 from . import backbone as bb
 
@@ -78,7 +80,7 @@ class EncoderSection:
 
 @dataclass
 class GradientSection:
-    objectives: tuple = OBJECTIVES
+    objectives: tuple[str, ...] = OBJECTIVES
     block_index: int = -1  # -1 = last block
     layer_kind: str = "attn_proj"
     precision: str = "f32"
@@ -97,8 +99,8 @@ class DinoSection:
     normalize_input: bool = True
     global_crops: int = 2
     local_crops: int = 10
-    global_scale: tuple = (0.25, 1.0)
-    local_scale: tuple = (0.05, 0.25)
+    global_scale: tuple[float, ...] = (0.25, 1.0)
+    local_scale: tuple[float, ...] = (0.05, 0.25)
     teacher_temperature: float = 0.07
     student_temperature: float = 0.1
 
@@ -215,8 +217,6 @@ class RunConfig:
     # -- derived objects ----------------------------------------------------
 
     def probe_lambda_grid(self):
-        import numpy as np
-
         return np.linspace(
             self.eval.probe_lambda_min, self.eval.probe_lambda_max, self.eval.probe_lambda_count
         )
@@ -299,11 +299,9 @@ def _parse_value(text, hint, key):
             return int(text)
         if hint is float:
             return float(text)
-        if hint is tuple:
-            parts = [p for p in text.split(",") if p]
-            if key == "objectives":
-                return tuple(parts)
-            return tuple(float(p) for p in parts)
+        if get_origin(hint) is tuple:
+            element = get_args(hint)[0]
+            return tuple(element(p) for p in text.split(",") if p)
         return text
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {text!r} ({exc})") from exc

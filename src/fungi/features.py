@@ -4,19 +4,22 @@ The chain is: flatten the layer gradient (weights with the bias appended as
 a final column), multiply by a seeded random projection down to the
 embedding width, L2-normalize every segment and concatenate with the
 normalized embedding, then optionally compress the fused vector with a PCA
-fitted on the training split only.
+fitted on the training split only. A projection is a read-only array that
+its seed fixes. A `FeatureBank` holds a split's rows and hands out the ones
+that evaluation reads.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import evalkit
 from . import store
-from .config import ConfigError, RunConfig
+from .config import OBJECTIVES, ConfigError, RunConfig
 
 
 def derive_seed(base_seed, *labels):
@@ -29,35 +32,27 @@ def derive_seed(base_seed, *labels):
     return int.from_bytes(h.digest()[:4], "little")
 
 
-@dataclass
-class ProjectionMatrix:
-    """Seeded random projection, regenerated from its seed on demand."""
-
-    kind: str
-    out_dim: int
-    in_dim: int
-    seed: int
-    _matrix: np.ndarray = field(default=None, repr=False)
-
-    @property
-    def matrix(self):
-        if self._matrix is None:
-            self._matrix = self._generate()
-        return self._matrix
-
-    def _generate(self):
-        rng = np.random.default_rng(self.seed)
-        shape = (self.out_dim, self.in_dim)
-        if self.kind == "binary":
-            return (rng.integers(0, 2, size=shape) * 2 - 1).astype(np.float64)
-        if self.kind == "gaussian":
-            return rng.standard_normal(shape)
-        density = 1.0 / np.sqrt(self.in_dim)
+@functools.lru_cache(maxsize=len(OBJECTIVES))
+def projection_matrix(kind, out_dim, in_dim, seed):
+    """Seeded (out_dim, in_dim) random projection, read-only float64: +-1
+    entries (binary), standard normal ones (gaussian), or +-1 with density
+    1/sqrt(in_dim) and zeros elsewhere (sparse). Being read-only, the
+    matrices of the last configuration are kept and shared: a process that
+    builds a configuration's projections again gets the same arrays."""
+    rng = np.random.default_rng(seed)
+    shape = (out_dim, in_dim)
+    if kind == "binary":
+        mat = (rng.integers(0, 2, size=shape) * 2 - 1).astype(np.float64)
+    elif kind == "gaussian":
+        mat = rng.standard_normal(shape)
+    else:
+        density = 1.0 / np.sqrt(in_dim)
         u = rng.random(shape)
         mat = np.zeros(shape)
         mat[u < density / 2] = -1.0
         mat[u > 1.0 - density / 2] = 1.0
-        return mat
+    mat.flags.writeable = False
+    return mat
 
 
 def flatten_gradient(dw, db):
@@ -69,14 +64,14 @@ def flatten_gradient(dw, db):
     return np.concatenate([dw, db[:, None]], axis=1).ravel()
 
 
-def project(projection, gradient):
+def project(matrix, gradient):
     """Down-project a flattened gradient; no scale factor is applied."""
     gradient = np.asarray(gradient)
-    if gradient.shape != (projection.in_dim,):
+    if gradient.shape != matrix.shape[1:]:
         raise ValueError(
-            f"gradient length {gradient.shape} does not match projection input {projection.in_dim}"
+            f"gradient length {gradient.shape} does not match projection input {matrix.shape[1]}"
         )
-    return projection.matrix @ gradient.astype(np.float64)
+    return matrix @ gradient.astype(np.float64)
 
 
 def fuse(embeddings, gradient_rows):
@@ -154,6 +149,20 @@ class FeatureBank:
     @property
     def dim(self):
         return self.fused.shape[1]
+
+    def rows(self, kind, role):
+        """Rows used for evaluation: the fused matrix as stored, or the
+        unit-norm embedding or gradient segment of one objective. A fused row
+        that is not finite, or a segment row that `evalkit.unit_rows` refuses,
+        raises ValueError naming it among the `role` rows."""
+        if kind == "fused":
+            rows = self.fused.astype(np.float64)
+            bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+            if bad.size:
+                raise ValueError(f"{role} row {bad[0]} is not finite")
+            return rows
+        rows = self.embedding if kind == "embedding" else self.gradients[kind]
+        return evalkit.unit_rows(rows.astype(np.float64), role)
 
     def save(self, path):
         sections = {

@@ -6,16 +6,17 @@ views and run each up to that layer: dino's crops one by one, and an image's
 SimCLR views as one array from `augment.simclr_views`, bit for bit each
 window's `resize_bilinear`. Then for each objective, harvest the layer's
 gradient of a loss over the views' stacked embeddings, flatten it, and
-project it down to the embedding width. A train image drawn into the
-SimCLR negative bank has its views encoded once: the bank keeps their states,
-and the sample's SimCLR objective resumes from them. Objectives never call
-the encoder. Fused rows are the unit-norm gradient segments followed by the
-unit-norm embedding.
+project it down to the embedding width with the objective's
+`features.projection_matrix`. A train image drawn into the SimCLR negative
+bank has its views encoded once: the bank keeps their states, and the
+sample's SimCLR objective resumes from them. Objectives never call the
+encoder. Fused rows are the unit-norm gradient segments followed by the
+unit-norm embedding. This module only extracts: the rows that evaluation
+reads come from `FeatureBank.rows`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 import time
@@ -25,7 +26,6 @@ import numpy as np
 
 from . import augment
 from . import backbone as bb
-from . import evalkit
 from . import features as feat
 from . import objectives as obj
 
@@ -43,40 +43,28 @@ def build_encoder(config):
 def build_heads(config):
     """One frozen head per objective; the distillation objective gets an
     independent student/teacher pair."""
-    dtype = _dtype_of(config)
-    dim = config.encoder.dim
-    seed = config.encoder.seed
     heads = {}
     for name in config.gradients.objectives:
         section = getattr(config, name)  # each objective's config section bears its name
-        if name == "dino":
-            heads[name] = (
-                bb.attach_head(dim, section.proj_dim, feat.derive_seed(seed, "head", "dino", "student"),
-                               normalize_input=section.normalize_input, dtype=dtype),
-                bb.attach_head(dim, section.proj_dim, feat.derive_seed(seed, "head", "dino", "teacher"),
-                               normalize_input=section.normalize_input, dtype=dtype),
-            )
-        else:
-            heads[name] = bb.attach_head(
-                dim, section.proj_dim, feat.derive_seed(seed, "head", name),
-                normalize_input=section.normalize_input, dtype=dtype,
-            )
+
+        def head(*role):
+            return bb.attach_head(config.encoder.dim, section.proj_dim,
+                                  feat.derive_seed(config.encoder.seed, "head", name, *role),
+                                  normalize_input=section.normalize_input, dtype=_dtype_of(config))
+
+        heads[name] = (head("student"), head("teacher")) if name == "dino" else head()
     return heads
 
 
 def build_projections(config):
-    """One projection per objective, sized to the source layer's flattened
-    gradient [dW | db]."""
+    """One read-only projection matrix per objective, sized to the source
+    layer's flattened gradient [dW | db]."""
     prefix = bb.LAYER_PREFIXES[config.gradients.layer_kind]
     rows, cols = config.encoder.layer_shapes[prefix]
     in_dim = rows * (cols + 1)
     return {
-        name: feat.ProjectionMatrix(
-            kind=config.projection.kind,
-            out_dim=config.encoder.dim,
-            in_dim=in_dim,
-            seed=feat.derive_seed(config.projection.seed, "projection", name),
-        )
+        name: feat.projection_matrix(config.projection.kind, config.encoder.dim, in_dim,
+                                     feat.derive_seed(config.projection.seed, "projection", name))
         for name in config.gradients.objectives
     }
 
@@ -237,30 +225,3 @@ def extract_splits(config, train_images, train_labels, test_images, test_labels,
     )
     return train_bank, test_bank
 
-
-def fuse_pca_banks(train_bank, test_bank, out_dim):
-    """Fit PCA on the training fused rows, transform both splits."""
-    model = feat.fit_pca(train_bank.fused.astype(np.float64), out_dim)
-    train, test = (
-        dataclasses.replace(
-            bank,
-            fused=feat.apply_pca(model, bank.fused.astype(np.float64)).astype(np.float32),
-        )
-        for bank in (train_bank, test_bank)
-    )
-    return train, test, model
-
-
-def bank_feature_matrix(bank, kind, name):
-    """Rows used for evaluation: the fused matrix as stored, or the
-    unit-norm embedding or gradient segment of one objective. A fused row
-    that is not finite, or a segment row that `evalkit.unit_rows` refuses,
-    raises ValueError naming it among the `name` rows."""
-    if kind == "fused":
-        rows = bank.fused.astype(np.float64)
-        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-        if bad.size:
-            raise ValueError(f"{name} row {bad[0]} is not finite")
-        return rows
-    rows = bank.embedding if kind == "embedding" else bank.gradients[kind]
-    return evalkit.unit_rows(rows.astype(np.float64), name)

@@ -38,17 +38,6 @@ class StoreError(ValueError):
     """Malformed or corrupted tensor-store file."""
 
 
-def _coerce(array):
-    array = np.ascontiguousarray(array)
-    if array.dtype in _DTYPE_TAGS:
-        return array
-    if np.issubdtype(array.dtype, np.integer):
-        return array.astype(np.int32)
-    if np.issubdtype(array.dtype, np.floating):
-        return array.astype(np.float64)
-    raise StoreError(f"unsupported dtype {array.dtype}")
-
-
 def encode_text(text):
     """Text payloads are stored as u8 sections."""
     return np.frombuffer(text.encode("utf-8"), dtype=np.uint8).copy()
@@ -59,12 +48,16 @@ def decode_text(array):
 
 
 def write_sections(path, sections):
-    """Write an ordered mapping name -> ndarray; atomic replace on success."""
+    """Write an ordered mapping name -> ndarray; atomic replace on success.
+    Arrays are written as they are: a dtype outside `_DTYPE_TAGS` raises
+    StoreError naming its section, and nothing is cast."""
     blob = bytearray()
     blob += MAGIC
     blob += struct.pack("<HI", FORMAT_VERSION, len(sections))
     for name, array in sections.items():
-        array = _coerce(array)
+        array = np.ascontiguousarray(array)
+        if array.dtype not in _DTYPE_TAGS:
+            raise StoreError(f"section {name!r} has unsupported dtype {array.dtype}")
         name_b = name.encode("utf-8")
         payload = array.tobytes()
         blob += struct.pack("<H", len(name_b)) + name_b

@@ -181,9 +181,9 @@ class TestCriterion04JohnsonLindenstrauss:
         exact = np.sqrt(((data[iu[0]] - data[iu[1]]) ** 2).sum(axis=1))
         fractions = {}
         for kind in PROJECTION_KINDS:
-            proj = feat.ProjectionMatrix(kind, out_dim, in_dim, seed=44)
+            proj = feat.projection_matrix(kind, out_dim, in_dim, seed=44)
             scale = np.sqrt(out_dim * entry_variance(kind, in_dim))
-            projected = data @ proj.matrix.T / scale
+            projected = data @ proj.T / scale
             approx = np.sqrt(((projected[iu[0]] - projected[iu[1]]) ** 2).sum(axis=1))
             ok = np.abs(approx - exact) <= 0.35 * exact
             fractions[kind] = ok.mean()
@@ -349,8 +349,8 @@ class TestCriterion11FungiEffect:
         train_bank, test_bank = collapsed_banks(cfg, images[:120], labels[:120], images[120:], labels[120:])
         accs = {}
         for kind in ("embedding", "fused"):
-            tr = pipeline.bank_feature_matrix(train_bank, kind, "train")
-            te = pipeline.bank_feature_matrix(test_bank, kind, "test")
+            tr = train_bank.rows(kind, "train")
+            te = test_bank.rows(kind, "test")
             preds = ek.knn_classify(ek.KnnIndex(tr, train_bank.labels, k=20), te)
             accs[kind] = ek.accuracy(preds, test_bank.labels)
         chance = 1.0 / 4
@@ -377,8 +377,8 @@ class TestCriterion11FungiEffect:
         )
         accs = {}
         for kind in ("embedding", "fused"):
-            tr = pipeline.bank_feature_matrix(train_bank, kind, "train")
-            te = pipeline.bank_feature_matrix(test_bank, kind, "test")
+            tr = train_bank.rows(kind, "train")
+            te = test_bank.rows(kind, "test")
             preds = ek.knn_classify(ek.KnnIndex(tr, train_bank.labels, k=20), te)
             accs[kind] = ek.accuracy(preds, test_bank.labels)
         assert accs["fused"] >= accs["embedding"] - 0.02

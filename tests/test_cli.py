@@ -1,6 +1,5 @@
 import argparse
 import logging
-import os
 import pathlib
 from dataclasses import fields
 
@@ -104,9 +103,12 @@ class TestPipelineCommands:
         out = root / "pca"
         assert cli.main(["fuse-pca", "--train", str(banks / "bank_train.fngi"),
                          "--test", str(banks / "bank_test.fngi"), "--out", str(out)]) == 0
-        bank = feat.FeatureBank.load(out / "bank_train_pca.fngi")
-        assert bank.fused.shape[1] == 16  # [pca] out_dim from the config echo
-        assert os.path.exists(out / "pca.fngi")
+        train = feat.FeatureBank.load(out / "bank_train_pca.fngi")
+        test = feat.FeatureBank.load(out / "bank_test_pca.fngi")
+        assert train.fused.shape == (18, 16)  # [pca] out_dim from the config echo
+        assert test.fused.shape == (6, 16)
+        assert train.dim == test.dim == 16
+        assert store.read_sections(out / "pca.fngi", ())["pca_components"].shape == (16, 48)
 
     def test_eval_writes_report(self, workspace, capsys):
         root, _, _, banks = workspace

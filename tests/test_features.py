@@ -1,11 +1,17 @@
+import copy
+import hashlib
+
 import numpy as np
 import pytest
 
+from fungi import evalkit
 from fungi import features as feat
 from fungi import store
 from fungi.config import PROJECTION_KINDS, ConfigError, RunConfig
 
 from .oracles import entry_variance
+from .test_evalkit import brute_force_knn
+from .test_pipeline import small_banks  # noqa: F401  (module fixture: desk-scale extracted banks)
 
 
 class TestFlatten:
@@ -32,26 +38,24 @@ class TestFlatten:
 
 class TestProjection:
     def test_zero_maps_to_zero(self):
-        proj = feat.ProjectionMatrix("binary", 16, 100, seed=1)
+        proj = feat.projection_matrix("binary", 16, 100, seed=1)
         np.testing.assert_array_equal(feat.project(proj, np.zeros(100)), np.zeros(16))
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(1)
         g = rng.normal(size=50)
-        a = feat.project(feat.ProjectionMatrix("sparse", 8, 50, seed=3), g)
-        b = feat.project(feat.ProjectionMatrix("sparse", 8, 50, seed=3), g)
+        a = feat.project(feat.projection_matrix("sparse", 8, 50, seed=3), g)
+        b = feat.project(feat.projection_matrix("sparse", 8, 50, seed=3), g)
         np.testing.assert_array_equal(a, b)
 
     def test_binary_entries_and_mean(self):
-        proj = feat.ProjectionMatrix("binary", 64, 512, seed=4)
-        m = proj.matrix
+        m = feat.projection_matrix("binary", 64, 512, seed=4)
         assert set(np.unique(m)) == {-1.0, 1.0}
         assert abs(m.mean()) < 0.02
 
     def test_sparse_density(self):
         in_dim = 2500
-        proj = feat.ProjectionMatrix("sparse", 40, in_dim, seed=5)
-        m = proj.matrix
+        m = feat.projection_matrix("sparse", 40, in_dim, seed=5)
         assert set(np.unique(m)) <= {-1.0, 0.0, 1.0}
         density = np.count_nonzero(m) / m.size
         assert abs(density - 1.0 / np.sqrt(in_dim)) < 0.005
@@ -63,9 +67,9 @@ class TestProjection:
         rng = np.random.default_rng(6)
         n, in_dim, out_dim = 60, 2000, 256
         data = rng.normal(size=(n, in_dim))
-        proj = feat.ProjectionMatrix(kind, out_dim, in_dim, seed=7)
+        proj = feat.projection_matrix(kind, out_dim, in_dim, seed=7)
         scale = np.sqrt(out_dim * entry_variance(kind, in_dim))
-        projected = data @ proj.matrix.T / scale
+        projected = data @ proj.T / scale
 
         ok = total = 0
         for i in range(n):
@@ -77,9 +81,39 @@ class TestProjection:
         assert ok / total >= 0.99
 
     def test_dim_mismatch(self):
-        proj = feat.ProjectionMatrix("binary", 8, 10, seed=0)
+        proj = feat.projection_matrix("binary", 8, 10, seed=0)
         with pytest.raises(ValueError):
             feat.project(proj, np.zeros(11))
+
+    # SHA-256 of the matrix bytes, which fix every projected bank column: at
+    # the default source (attn_proj of a dim-64 block, 64 x 65 inputs) under
+    # the kl objective's seed, and at a dim-16 block under seed 3
+    RECORDED = {
+        ("binary", 64, 4160, 1648752077): "49912bf480ca83b122cdd81b8dca86299d23d01d6a7d97df68c986cce7e89eb3",
+        ("binary", 16, 272, 3): "a38d403145602f60a53cd3f38f08148a91e130e8c827f8f1366c5b0bc8e54d47",
+        ("gaussian", 64, 4160, 1648752077): "38714ef4b5491b7fb9cefed0a4e08f132e4312d5422936f103a4e1fe1c3502be",
+        ("gaussian", 16, 272, 3): "114794b89fbed434ea9fbbe9cd9f53323e660d3a9bdc9281cbf1dda2063ff051",
+        ("sparse", 64, 4160, 1648752077): "6f7bb51112f19a26216afeccf3e7f16e35cdf679905e7aaff7d83f90a97020d0",
+        ("sparse", 16, 272, 3): "8a6b5c6d37fa8fae03f08a0e9817df47510ac20a0bcef8691ce2cce2c8b05d65",
+    }
+
+    @pytest.mark.parametrize("kind, out_dim, in_dim, seed", sorted(RECORDED))
+    def test_matrix_matches_recorded_bytes(self, kind, out_dim, in_dim, seed):
+        m = feat.projection_matrix(kind, out_dim, in_dim, seed)
+        assert m.dtype == np.float64 and m.shape == (out_dim, in_dim)
+        assert hashlib.sha256(m.tobytes()).hexdigest() == self.RECORDED[kind, out_dim, in_dim, seed]
+
+    def test_rebuilt_projection_is_the_same_array(self):
+        # a configuration's projections are built once per process
+        assert feat.projection_matrix("gaussian", 4, 9, 2) is feat.projection_matrix("gaussian", 4, 9, 2)
+
+    @pytest.mark.parametrize("kind", PROJECTION_KINDS)
+    def test_matrix_is_read_only(self, kind):
+        m = feat.projection_matrix(kind, 4, 9, seed=2)
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            m += 1.0
 
 
 class TestFuse:
@@ -247,6 +281,51 @@ class TestFeatureBank:
         store.write_sections(path, sections)
         with pytest.raises(store.StoreError, match="bank.fngi: feature bank arrays disagree on sample count"):
             feat.FeatureBank.load(path)
+
+
+class TestBankRows:
+    def test_kinds(self, small_banks):
+        _, train_bank, _ = small_banks
+        assert train_bank.rows("fused", "train").shape[1] == 64
+        emb = train_bank.rows("embedding", "train")
+        np.testing.assert_allclose(np.linalg.norm(emb, axis=1), 1.0, atol=1e-6)
+        grad = train_bank.rows("kl", "train")
+        np.testing.assert_allclose(np.linalg.norm(grad, axis=1), 1.0, atol=1e-6)
+        with pytest.raises(KeyError):  # a kind that is not an objective of the bank
+            train_bank.rows("nope", "train")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_fused_row_rejected(self, small_banks, value):
+        _, train_bank, _ = small_banks
+        bank = copy.deepcopy(train_bank)
+        bank.fused[4, 3] = value
+        with pytest.raises(ValueError, match="^train row 4 is not finite$"):
+            bank.rows("fused", "train")
+
+    def test_fused_rows_are_not_rescaled(self, small_banks):
+        _, train_bank, _ = small_banks
+        bank = copy.deepcopy(train_bank)
+        bank.fused[1] = 0.0
+        bank.fused[2] *= 3.0
+        np.testing.assert_array_equal(bank.rows("fused", "train"), bank.fused.astype(np.float64))
+
+    @pytest.mark.parametrize("kind", ["embedding", "kl"])
+    def test_zero_segment_row_rejected(self, small_banks, kind):
+        _, train_bank, _ = small_banks
+        bank = copy.deepcopy(train_bank)
+        (bank.embedding if kind == "embedding" else bank.gradients[kind])[5] = 0.0
+        with pytest.raises(ValueError, match="^index row 5 has a zero or non-finite norm"):
+            bank.rows(kind, "index")
+
+    def test_embedding_knn_separates_easy_classes(self, small_banks):
+        _, train_bank, test_bank = small_banks
+        tr = train_bank.rows("embedding", "index")
+        te = test_bank.rows("embedding", "query")
+        index = evalkit.KnnIndex(tr, train_bank.labels, k=5)
+        preds = evalkit.knn_classify(index, te)
+        oracle = [brute_force_knn(tr, train_bank.labels, q, 5) for q in te]
+        assert np.array_equal(preds, oracle)
+        assert evalkit.accuracy(preds, test_bank.labels) > 0.9
 
 
 class TestSeedDerivation:

@@ -35,10 +35,13 @@ class TestRoundTrip:
         store.write_sections(p2, store.read_sections(p1, ()))
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_int64_coerced_to_i32(self, tmp_path):
+    @pytest.mark.parametrize("dtype", [np.int64, np.float16, np.bool_])
+    def test_untagged_dtype_refused(self, tmp_path, dtype):
         path = tmp_path / "c.fngi"
-        store.write_sections(path, {"x": np.arange(4, dtype=np.int64)})
-        assert store.read_sections(path, ())["x"].dtype == np.int32
+        sections = {"ok": np.ones(2, dtype=np.float32), "x": np.arange(4).astype(dtype)}
+        with pytest.raises(store.StoreError, match=rf"^section 'x' has unsupported dtype {np.dtype(dtype)}$"):
+            store.write_sections(path, sections)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestValidation:
