@@ -11,7 +11,6 @@ that evaluation reads.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import evalkit
 from . import store
-from .config import OBJECTIVES, ConfigError, RunConfig
+from .config import ConfigError, RunConfig
 
 
 def derive_seed(base_seed, *labels):
@@ -32,13 +31,10 @@ def derive_seed(base_seed, *labels):
     return int.from_bytes(h.digest()[:4], "little")
 
 
-@functools.lru_cache(maxsize=len(OBJECTIVES))
 def projection_matrix(kind, out_dim, in_dim, seed):
     """Seeded (out_dim, in_dim) random projection, read-only float64: +-1
     entries (binary), standard normal ones (gaussian), or +-1 with density
-    1/sqrt(in_dim) and zeros elsewhere (sparse). Being read-only, the
-    matrices of the last configuration are kept and shared: a process that
-    builds a configuration's projections again gets the same arrays."""
+    1/sqrt(in_dim) and zeros elsewhere (sparse)."""
     rng = np.random.default_rng(seed)
     shape = (out_dim, in_dim)
     if kind == "binary":

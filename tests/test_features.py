@@ -1,17 +1,13 @@
-import copy
 import hashlib
 
 import numpy as np
 import pytest
 
-from fungi import evalkit
 from fungi import features as feat
 from fungi import store
 from fungi.config import PROJECTION_KINDS, ConfigError, RunConfig
 
 from .oracles import entry_variance
-from .test_evalkit import brute_force_knn
-from .test_pipeline import small_banks  # noqa: F401  (module fixture: desk-scale extracted banks)
 
 
 class TestFlatten:
@@ -103,10 +99,6 @@ class TestProjection:
         assert m.dtype == np.float64 and m.shape == (out_dim, in_dim)
         assert hashlib.sha256(m.tobytes()).hexdigest() == self.RECORDED[kind, out_dim, in_dim, seed]
 
-    def test_rebuilt_projection_is_the_same_array(self):
-        # a configuration's projections are built once per process
-        assert feat.projection_matrix("gaussian", 4, 9, 2) is feat.projection_matrix("gaussian", 4, 9, 2)
-
     @pytest.mark.parametrize("kind", PROJECTION_KINDS)
     def test_matrix_is_read_only(self, kind):
         m = feat.projection_matrix(kind, 4, 9, seed=2)
@@ -196,23 +188,25 @@ class TestPca:
         np.testing.assert_array_equal(back["pca_explained_variance"], model.explained_variance)
 
 
-class TestFeatureBank:
-    def _bank(self):
-        rng = np.random.default_rng(17)
-        n, d = 10, 6
-        config = RunConfig()
-        config.gradients.objectives = ("kl", "simclr")
-        return feat.FeatureBank(
-            labels=rng.integers(0, 3, size=n),
-            fused=rng.normal(size=(n, 3 * d)).astype(np.float32),
-            embedding=rng.normal(size=(n, d)).astype(np.float32),
-            gradients={"kl": rng.normal(size=(n, d)).astype(np.float32),
-                       "simclr": rng.normal(size=(n, d)).astype(np.float32)},
-            config=config.validate(),
-        )
+def random_bank():
+    """A 10-row bank of seeded normal rows: kl and simclr segments of width 6."""
+    rng = np.random.default_rng(17)
+    n, d = 10, 6
+    config = RunConfig()
+    config.gradients.objectives = ("kl", "simclr")
+    return feat.FeatureBank(
+        labels=rng.integers(0, 3, size=n),
+        fused=rng.normal(size=(n, 3 * d)).astype(np.float32),
+        embedding=rng.normal(size=(n, d)).astype(np.float32),
+        gradients={"kl": rng.normal(size=(n, d)).astype(np.float32),
+                   "simclr": rng.normal(size=(n, d)).astype(np.float32)},
+        config=config.validate(),
+    )
 
+
+class TestFeatureBank:
     def test_round_trip(self, tmp_path):
-        bank = self._bank()
+        bank = random_bank()
         path = tmp_path / "bank.fngi"
         bank.save(path)
         back = feat.FeatureBank.load(path)
@@ -225,7 +219,7 @@ class TestFeatureBank:
         assert back.config == bank.config
 
     def test_saved_bank_holds_rows_and_config_echo_alone(self, tmp_path):
-        bank = self._bank()
+        bank = random_bank()
         path = tmp_path / "bank.fngi"
         bank.save(path)
         sections = store.read_sections(path, ())
@@ -235,7 +229,7 @@ class TestFeatureBank:
     @pytest.mark.parametrize("missing", [("kl",), ("simclr",), ("kl", "simclr")])
     def test_missing_gradient_section_of_an_objective_is_a_store_error(self, tmp_path, missing):
         path = tmp_path / "bank.fngi"
-        self._bank().save(path)
+        random_bank().save(path)
         sections = store.read_sections(path, ())
         for name in missing:
             del sections[f"grad::{name}"]
@@ -246,7 +240,7 @@ class TestFeatureBank:
 
     def test_gradient_section_of_no_objective_is_ignored(self, tmp_path):
         path = tmp_path / "bank.fngi"
-        self._bank().save(path)
+        random_bank().save(path)
         sections = store.read_sections(path, ())
         sections["grad::dino"] = sections["grad::kl"]
         store.write_sections(path, sections)
@@ -256,7 +250,7 @@ class TestFeatureBank:
                              ids=["unknown key", "bad value", "not utf-8"])
     def test_bad_config_echo_is_a_config_error(self, tmp_path, echo):
         path = tmp_path / "bank.fngi"
-        self._bank().save(path)
+        random_bank().save(path)
         sections = store.read_sections(path, ())
         sections["config_echo"] = np.frombuffer(echo, dtype=np.uint8)
         store.write_sections(path, sections)
@@ -265,7 +259,7 @@ class TestFeatureBank:
 
     def test_missing_embedding_is_a_store_error(self, tmp_path):
         path = tmp_path / "bank.fngi"
-        self._bank().save(path)
+        random_bank().save(path)
         sections = store.read_sections(path, ())
         del sections["embedding"]
         store.write_sections(path, sections)
@@ -275,7 +269,7 @@ class TestFeatureBank:
     @pytest.mark.parametrize("section", ["labels", "fused", "embedding", "grad::simclr"])
     def test_section_with_another_row_count_is_a_store_error(self, tmp_path, section):
         path = tmp_path / "bank.fngi"
-        self._bank().save(path)
+        random_bank().save(path)
         sections = store.read_sections(path, ())
         sections[section] = sections[section][:-1]
         store.write_sections(path, sections)
@@ -284,48 +278,35 @@ class TestFeatureBank:
 
 
 class TestBankRows:
-    def test_kinds(self, small_banks):
-        _, train_bank, _ = small_banks
-        assert train_bank.rows("fused", "train").shape[1] == 64
-        emb = train_bank.rows("embedding", "train")
-        np.testing.assert_allclose(np.linalg.norm(emb, axis=1), 1.0, atol=1e-6)
-        grad = train_bank.rows("kl", "train")
-        np.testing.assert_allclose(np.linalg.norm(grad, axis=1), 1.0, atol=1e-6)
+    def test_kinds(self):
+        bank = random_bank()
+        np.testing.assert_array_equal(bank.rows("fused", "train"), bank.fused.astype(np.float64))
+        for kind, rows in (("embedding", bank.embedding), ("kl", bank.gradients["kl"])):
+            got = bank.rows(kind, "train")
+            np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0, atol=1e-12)
+            np.testing.assert_allclose(got * np.linalg.norm(rows, axis=1, keepdims=True), rows, rtol=1e-6)
         with pytest.raises(KeyError):  # a kind that is not an objective of the bank
-            train_bank.rows("nope", "train")
+            bank.rows("nope", "train")
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_fused_row_rejected(self, small_banks, value):
-        _, train_bank, _ = small_banks
-        bank = copy.deepcopy(train_bank)
+    def test_non_finite_fused_row_rejected(self, value):
+        bank = random_bank()
         bank.fused[4, 3] = value
         with pytest.raises(ValueError, match="^train row 4 is not finite$"):
             bank.rows("fused", "train")
 
-    def test_fused_rows_are_not_rescaled(self, small_banks):
-        _, train_bank, _ = small_banks
-        bank = copy.deepcopy(train_bank)
+    def test_fused_rows_are_not_rescaled(self):
+        bank = random_bank()
         bank.fused[1] = 0.0
         bank.fused[2] *= 3.0
         np.testing.assert_array_equal(bank.rows("fused", "train"), bank.fused.astype(np.float64))
 
     @pytest.mark.parametrize("kind", ["embedding", "kl"])
-    def test_zero_segment_row_rejected(self, small_banks, kind):
-        _, train_bank, _ = small_banks
-        bank = copy.deepcopy(train_bank)
+    def test_zero_segment_row_rejected(self, kind):
+        bank = random_bank()
         (bank.embedding if kind == "embedding" else bank.gradients[kind])[5] = 0.0
         with pytest.raises(ValueError, match="^index row 5 has a zero or non-finite norm"):
             bank.rows(kind, "index")
-
-    def test_embedding_knn_separates_easy_classes(self, small_banks):
-        _, train_bank, test_bank = small_banks
-        tr = train_bank.rows("embedding", "index")
-        te = test_bank.rows("embedding", "query")
-        index = evalkit.KnnIndex(tr, train_bank.labels, k=5)
-        preds = evalkit.knn_classify(index, te)
-        oracle = [brute_force_knn(tr, train_bank.labels, q, 5) for q in te]
-        assert np.array_equal(preds, oracle)
-        assert evalkit.accuracy(preds, test_bank.labels) > 0.9
 
 
 class TestSeedDerivation:

@@ -312,6 +312,19 @@ class TestSharedViewStates:
 
 
 class TestExtractedFeatures:
+    def test_embedding_knn_separates_easy_classes(self, small_banks):
+        _, train_bank, test_bank = small_banks
+        tr = train_bank.rows("embedding", "index")
+        te = test_bank.rows("embedding", "query")
+        import fungi.evalkit as ek
+        from .test_evalkit import brute_force_knn
+
+        index = ek.KnnIndex(tr, train_bank.labels, k=5)
+        preds = ek.knn_classify(index, te)
+        oracle = [brute_force_knn(tr, train_bank.labels, q, 5) for q in te]
+        assert np.array_equal(preds, oracle)
+        assert ek.accuracy(preds, test_bank.labels) > 0.9
+
     def test_projection_kinds_agree_on_accuracy(self):
         # compare per-kind MEANS over projection seeds: a single draw at
         # desk-scale output widths is dominated by seed variance
