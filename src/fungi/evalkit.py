@@ -35,12 +35,23 @@ class KnnIndex:
             raise ValueError(f"k={self.k} outside 1..{len(self.features)} (index size)")
 
 
+# the largest k that `top_k` answers by argmax passes instead of a partition.
+# Measured on 2 vCPUs, one BLAS thread, numpy 2.4.6: at 1,025 x 4,096 float32
+# scores the passes took 2.3-3.6 ms against 17-30 ms at k = 2, and 5-6 ms
+# against 20-31 ms at k = 8; at 197 x 11,760 float32 and 64 x 3,000 float64
+# they drew level with the partition at k = 16-20
+ARGMAX_MAX_K = 8
+
+
 def top_k(scores, k):
     """Column ids of the k largest scores in each row of a 2-D array, best first.
 
     Ties go to the lower column id and NaN ranks last; with k >= the number
     of columns every column is ranked. Every neighbor ranking in the package goes through
-    this rule.
+    this rule. Float scores at k <= ARGMAX_MAX_K take k argmax passes over a
+    copy of each block of rows, each winner masked to -inf for the next:
+    argmax returns the lowest id among equal maxima, which is the same rule.
+    The caller's array is never written.
     """
     scores = np.asarray(scores)
     n = scores.shape[1]
@@ -48,6 +59,33 @@ def top_k(scores, k):
         raise ValueError("k must be at least 1")
     if k >= n:
         return _full_ranking(scores)
+    if k > ARGMAX_MAX_K or scores.dtype.kind != "f":
+        return _partition_top_k(scores, k)
+    ids = np.empty((len(scores), k), dtype=np.intp)
+    valid = np.ones(len(scores), dtype=bool)
+    # copying QUERY_BLOCK rows at a time keeps the copy small and in cache: at
+    # 1,025 x 4,096 the passes took 5.1 against 6.6 ms over one whole copy
+    # (float32, k = 8) and 4.8 against 7.3 ms (float64, k = 2)
+    for start in range(0, len(scores), QUERY_BLOCK):
+        block = slice(start, start + QUERY_BLOCK)
+        work = scores[block].copy()
+        rows = np.arange(len(work))
+        for j in range(k):
+            best = work.argmax(axis=1)
+            valid[block] &= work[rows, best] > -np.inf
+            work[rows, best] = -np.inf
+            ids[block, j] = best
+    # argmax takes NaN for the largest score, and once a row's best left is
+    # -inf it may pick a masked column: such rows are ranked by the partition
+    redo = np.flatnonzero(~valid)
+    if redo.size:
+        ids[redo] = _partition_top_k(scores[redo], k)
+    return ids
+
+
+def _partition_top_k(scores, k):
+    """`top_k` for k below the column count, by argpartition and lexsort."""
+    n = scores.shape[1]
     ids = np.argpartition(scores, n - k, axis=1)[:, n - k :]
     cut = np.take_along_axis(scores, ids, axis=1).min(axis=1, keepdims=True)
     # argpartition takes NaN for the largest score, so a row with a NaN has

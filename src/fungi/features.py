@@ -135,7 +135,14 @@ class FeatureBank:
     config: RunConfig
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int32)
+        labels = np.asarray(self.labels)
+        if labels.size and labels.dtype.kind not in "iu":
+            raise ValueError(f"bank labels must be integers, got {labels.dtype} {labels.ravel()[:3].tolist()}")
+        info = np.iinfo(np.int32)
+        outside = np.flatnonzero((labels < info.min) | (labels > info.max))
+        if outside.size:
+            raise ValueError(f"bank label {labels[outside[0]]} at row {outside[0]} is outside the int32 range")
+        self.labels = labels.astype(np.int32, copy=False)
         if any(len(x) != len(self.labels) for x in (self.fused, self.embedding, *self.gradients.values())):
             raise ValueError("feature bank arrays disagree on sample count")
 
@@ -192,5 +199,5 @@ class FeatureBank:
                 gradients={name: s[f"grad::{name}"] for name in names},
                 config=config,
             )
-        except ValueError as exc:  # sections that disagree on row count
+        except ValueError as exc:  # labels that are not int32 integers, or sections that disagree on row count
             raise store.StoreError(f"{path}: {exc}") from exc

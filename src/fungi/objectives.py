@@ -110,6 +110,20 @@ class SupportIndex:
         return evalkit.top_k(np.asarray(queries) @ self.rows.T, k)
 
 
+def _draw_without_replacement(rng, rows, population, size):
+    """Sorted (rows, size) ids, each row a uniform draw of `size` distinct
+    ids from 0..population - 1: Floyd's algorithm, one rng.integers call per
+    kept column over every row. At size 1 the stream is that of
+    rng.choice(population, size=1, replace=False) called once per row."""
+    picks = np.empty((rows, size), dtype=np.int64)
+    for col, top in enumerate(range(population - size, population)):
+        draw = rng.integers(0, top + 1, size=rows)
+        # a draw already kept in its row takes `top`, which no earlier column can hold
+        picks[:, col] = np.where((picks[:, :col] == draw[:, None]).any(axis=1), top, draw)
+    picks.sort(axis=1)
+    return picks
+
+
 def simclr_patch_loss(patch_tokens, head, support, tau, seed, retrieved_per_patch, kept_per_patch):
     """Per-patch gradients of a dense contrastive loss.
 
@@ -131,11 +145,9 @@ def simclr_patch_loss(patch_tokens, head, support, tau, seed, retrieved_per_patc
     with ad.GradTape() as tape:
         z_norm = ad.l2_normalize(head.apply(leaf))
         neighbor_ids = support.search(z_norm.data, retrieved_per_patch)
-        rng = np.random.default_rng(seed)
-        kept = np.empty((tokens_data.shape[0], kept_per_patch), dtype=np.int64)
-        for i in range(tokens_data.shape[0]):
-            choice = rng.choice(retrieved_per_patch, size=kept_per_patch, replace=False)
-            kept[i] = neighbor_ids[i, np.sort(choice)]
+        picks = _draw_without_replacement(np.random.default_rng(seed), len(neighbor_ids),
+                                          retrieved_per_patch, kept_per_patch)
+        kept = np.take_along_axis(neighbor_ids, picks, axis=1)
         loss = _info_nce(z_norm, support.rows[kept.reshape(-1)], tau)
     grads = tape.backward(loss)[leaf]
     return grads[1:], loss.item()

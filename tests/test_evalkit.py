@@ -190,6 +190,59 @@ class TestTopK:
         np.testing.assert_array_equal(ek.top_k(scores, 50), np.argsort(-scores, axis=1, kind="stable"))
 
 
+SMALL_KS = range(1, ek.ARGMAX_MAX_K + 2)  # every argmax-pass k, and the first partition k
+
+
+def small_k_scores(case, dtype):
+    """150 x 60 scores, three row blocks of `top_k`'s argmax passes, with the
+    ties and non-finite entries of one case."""
+    rng = np.random.default_rng(37)
+    scores = rng.normal(size=(150, 60))
+    if case == "heavy_ties":
+        scores = rng.integers(-3, 4, size=(150, 60)).astype(np.float64)
+    elif case == "duplicated_columns":
+        scores[:, 50:] = scores[:, 3:13]  # ten ties in every row
+    elif case == "all_equal_rows":
+        scores[[4, 70, 149]] = 0.25
+    elif case == "non_finite":
+        scores = rng.integers(-2, 3, size=(150, 60)).astype(np.float64)
+        scores[1, [3, 9]] = np.nan
+        scores[66] = np.nan
+        scores[5, [0, 30, 59]] = np.inf
+        scores[6] = -np.inf
+        scores[130, 4:] = -np.inf  # -inf among the top k from k = 5
+        scores[8, ::2] = np.inf
+        scores[8, 1::2] = -np.inf
+        scores[140, :55] = np.nan
+        scores[10, [2, 40]] = -np.inf
+    return scores.astype(dtype)
+
+
+class TestTopKByArgmax:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["no_ties", "heavy_ties", "duplicated_columns", "all_equal_rows", "non_finite"])
+    def test_matches_lexsort_at_small_k(self, case, dtype):
+        scores = small_k_scores(case, dtype)
+        for k in SMALL_KS:
+            got = ek.top_k(scores, k)
+            np.testing.assert_array_equal(got, lexsort_top_k(scores, k))
+            np.testing.assert_array_equal(got, ek._full_ranking(scores)[:, :k])
+
+    def test_integer_scores_at_small_k(self):
+        scores = small_k_scores("heavy_ties", np.int64)
+        for k in SMALL_KS:
+            np.testing.assert_array_equal(ek.top_k(scores, k), lexsort_top_k(scores, k))
+
+    @pytest.mark.parametrize("case", ["heavy_ties", "non_finite"])
+    def test_read_only_scores_are_left_unchanged(self, case):
+        scores = small_k_scores(case, np.float32)
+        before = scores.copy()
+        scores.flags.writeable = False
+        for k in SMALL_KS:
+            np.testing.assert_array_equal(ek.top_k(scores, k), lexsort_top_k(scores, k))
+        np.testing.assert_array_equal(scores, before)
+
+
 class TestQueryBlocks:
     """A query ranked alone gets the result it gets inside a multi-block batch."""
 

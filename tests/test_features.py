@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -275,6 +276,35 @@ class TestFeatureBank:
         store.write_sections(path, sections)
         with pytest.raises(store.StoreError, match="bank.fngi: feature bank arrays disagree on sample count"):
             feat.FeatureBank.load(path)
+
+    def test_float_labels_are_refused(self):
+        bank = random_bank()
+        with pytest.raises(ValueError, match=r"^bank labels must be integers, got float64 \[1.7, 2.2, 0.0\]$"):
+            dataclasses.replace(bank, labels=[1.7, 2.2] + [0] * (len(bank) - 2))
+
+    def test_labels_outside_int32_are_refused(self):
+        bank = random_bank()
+        labels = np.zeros(len(bank), dtype=np.int64)
+        labels[3] = 2**31 + 5
+        with pytest.raises(ValueError, match="^bank label 2147483653 at row 3 is outside the int32 range$"):
+            dataclasses.replace(bank, labels=labels)
+
+    def test_float_labels_section_is_a_store_error(self, tmp_path):
+        path = tmp_path / "bank.fngi"
+        random_bank().save(path)
+        sections = store.read_sections(path, ())
+        sections["labels"] = sections["labels"].astype(np.float32)
+        store.write_sections(path, sections)
+        with pytest.raises(store.StoreError, match="bank.fngi: bank labels must be integers, got float32"):
+            feat.FeatureBank.load(path)
+
+    def test_integer_labels_of_any_width_become_int32(self):
+        bank = random_bank()
+        for dtype in (np.int64, np.uint8, np.int16):
+            labels = np.arange(len(bank), dtype=dtype)
+            got = dataclasses.replace(bank, labels=labels).labels
+            assert got.dtype == np.int32
+            np.testing.assert_array_equal(got, labels)
 
 
 class TestBankRows:

@@ -279,19 +279,24 @@ def parent_info_nce(z_norm, bank_rows, tau):
     return ad.scale(ad.total(ad.mul(log_probs, ad.as_tensor(pair_mask))), -1.0 / n_pairs)
 
 
-def parent_simclr_patch_loss(patch_tokens, head, support, tau, seed, retrieved_per_patch, kept_per_patch):
+def choice_loop_draw(rng, rows, population, size):
+    """The earlier negative draw: one rng.choice per token, sorted."""
+    picks = np.empty((rows, size), dtype=np.int64)
+    for i in range(rows):
+        picks[i] = np.sort(rng.choice(population, size=size, replace=False))
+    return picks
+
+
+def parent_simclr_patch_loss(patch_tokens, head, support, tau, seed, retrieved_per_patch, kept_per_patch,
+                             draw=choice_loop_draw):
     """The earlier dense loss: a numpy head forward picks the negatives, a
     second, taped head forward feeds parent_info_nce."""
     tokens_data = np.asarray(patch_tokens)
     latents = head_rows(head, tokens_data)
     latents = latents / np.linalg.norm(latents, axis=1, keepdims=True)
     neighbor_ids = support.search(latents, retrieved_per_patch)
-    rng = np.random.default_rng(seed)
-    kept = np.empty((tokens_data.shape[0], kept_per_patch), dtype=np.int64)
-    for i in range(tokens_data.shape[0]):
-        choice = rng.choice(retrieved_per_patch, size=kept_per_patch, replace=False)
-        kept[i] = neighbor_ids[i, np.sort(choice)]
-    negatives = support.rows[kept.reshape(-1)]
+    picks = draw(np.random.default_rng(seed), len(neighbor_ids), retrieved_per_patch, kept_per_patch)
+    negatives = support.rows[np.take_along_axis(neighbor_ids, picks, axis=1).reshape(-1)]
     leaf = ad.parameter(tokens_data)
     with ad.GradTape() as tape:
         loss = parent_info_nce(ad.l2_normalize(head.apply(leaf)), negatives, tau)
@@ -338,6 +343,45 @@ class TestInfoNceAgainstParent:
             assert got.dtype == dtype
             assert np.array_equal(got, want)
             assert_loss_close(got_loss, want_loss, dtype)
+
+
+class TestNegativeDraw:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_one_kept_is_the_choice_loop_stream(self, seed):
+        for population in range(1, 9):
+            got = obj._draw_without_replacement(np.random.default_rng(seed), 257, population, 1)
+            want = choice_loop_draw(np.random.default_rng(seed), 257, population, 1)
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("population, size", [(2, 2), (3, 2), (5, 3), (8, 4), (8, 7), (8, 8)])
+    def test_rows_are_sorted_distinct_ids_in_range(self, population, size):
+        for seed in (0, 3, 11):
+            picks = obj._draw_without_replacement(np.random.default_rng(seed), 500, population, size)
+            assert picks.shape == (500, size)
+            assert picks.min() >= 0 and picks.max() <= population - 1
+            assert (np.diff(picks, axis=1) > 0).all()
+
+    def test_every_subset_is_equally_likely(self):
+        # 6 subsets of 2 of 4 ids over 6,000 rows: each count is 1,000 with a
+        # standard deviation of about 29
+        picks = obj._draw_without_replacement(np.random.default_rng(5), 6000, 4, 2)
+        _, counts = np.unique(picks[:, 0] * 4 + picks[:, 1], return_counts=True)
+        assert len(counts) == 6
+        assert (np.abs(counts - 1000) < 150).all()
+
+    def test_dense_loss_keeps_the_drawn_neighbors(self):
+        # at 3 kept of 4 the draw is no longer the choice loop's stream; the
+        # loss must still score exactly the neighbors it draws
+        head = bb.attach_head(8, 12, seed=21, normalize_input=False, dtype=np.float64)
+        rng = np.random.default_rng(54)
+        support = obj.SupportIndex(rng.normal(size=(40, 12)))
+        tokens = rng.normal(size=(17, 8))
+        got, got_loss = obj.simclr_patch_loss(tokens, head, support, tau=0.07, seed=3,
+                                              retrieved_per_patch=4, kept_per_patch=3)
+        want, want_loss = parent_simclr_patch_loss(tokens, head, support, tau=0.07, seed=3, retrieved_per_patch=4,
+                                                   kept_per_patch=3, draw=obj._draw_without_replacement)
+        assert np.array_equal(got, want)
+        assert_loss_close(got_loss, want_loss, np.float64)
 
 
 class TestDenseLossTape:
