@@ -52,11 +52,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self):
-        if self.data.size != 1:
-            raise ValueError(f"tensor of shape {self.shape} is not a scalar")
-        return float(self.data.reshape(-1)[0])
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
 
@@ -182,31 +177,12 @@ def add(a, b):
     return _apply("add", (a, b), a.data + b.data, lambda g: (g, g))
 
 
-def mul(a, b):
-    """Elementwise product of equal-shape tensors."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
-        raise ValueError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    return _apply("mul", (a, b), a.data * b.data, lambda g: (g * b.data, g * a.data))
-
-
-def scale(a, factor):
-    """Multiply by a python scalar."""
-    a = as_tensor(a)
-    factor = float(factor)
-    value = a.data * factor
-
-    def backward(g):
-        return (g * factor,)
-
-    return _apply("scale", (a,), value, backward)
-
-
 def linear(x, weight, bias=None):
     """Affine map y = x W^T + b over the last axis, weight of shape (out, in).
 
-    Any leading shape of x is flattened to rows. Gradients are formed only
-    for inputs that require them: frozen weights cost no weight product.
+    Any leading shape of x is flattened to rows. The bias is a constant;
+    gradients are formed only for x and the weight, and only when they
+    require them: frozen weights cost no weight product.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     if weight.data.ndim != 2:
@@ -215,67 +191,68 @@ def linear(x, weight, bias=None):
         raise ValueError(f"linear dim mismatch: x {x.shape} vs W {weight.shape}")
     rows = x.data.reshape(-1, weight.shape[1])
     value = rows @ weight.data.T
-    inputs = [x, weight]
     if bias is not None:
         bias = as_tensor(bias)
         if bias.shape != (weight.shape[0],):
             raise ValueError("linear bias shape mismatch")
         value = value + bias.data
-        inputs.append(bias)
 
     def backward(g):
         g = g.reshape(-1, weight.shape[0])
-        grads = [
-            (g @ weight.data).reshape(x.shape) if x.requires_grad else None,
-            g.T @ rows if weight.requires_grad else None,
-        ]
-        if bias is not None:
-            grads.append(g.sum(axis=0) if bias.requires_grad else None)
-        return grads
+        return ((g @ weight.data).reshape(x.shape) if x.requires_grad else None,
+                g.T @ rows if weight.requires_grad else None)
 
-    return _apply("linear", tuple(inputs), value.reshape(x.shape[:-1] + value.shape[-1:]), backward)
+    return _apply("linear", (x, weight), value.reshape(x.shape[:-1] + value.shape[-1:]), backward)
 
 
 def layer_norm(x, gamma, beta):
-    """Normalize the last axis to zero mean / unit variance (eps 1e-6), then affine."""
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    """Normalize the last axis to zero mean / unit variance (eps 1e-6), then
+    scale by gamma and shift by beta, both constants."""
+    x = as_tensor(x)
+    gamma = as_tensor(gamma).data
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = np.mean(centered * centered, axis=-1, keepdims=True)
     inv_sigma = 1.0 / np.sqrt(var + 1e-6)
     xhat = centered * inv_sigma
-    value = xhat * gamma.data + beta.data
+    value = xhat * gamma + as_tensor(beta).data
 
     def backward(g):
-        reduce_axes = tuple(range(g.ndim - 1))
-        gbeta = g.sum(axis=reduce_axes) if reduce_axes else g.copy()
-        ggamma = (g * xhat).sum(axis=reduce_axes) if reduce_axes else g * xhat
-        gx_hat = g * gamma.data
+        gx_hat = g * gamma
         m1 = gx_hat.mean(axis=-1, keepdims=True)
         m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
-        gx = (gx_hat - m1 - xhat * m2) * inv_sigma
-        return gx, ggamma, gbeta
+        return ((gx_hat - m1 - xhat * m2) * inv_sigma,)
 
-    return _apply("layer_norm", (x, gamma, beta), value, backward)
+    return _apply("layer_norm", (x,), value, backward)
 
 
-def log_softmax(x, tau):
-    """log(softmax(x / tau)) over the last axis."""
+def cross_entropy(x, tau, target):
+    """-sum(target * log(softmax(x / tau))), the softmax over the last axis,
+    summed over every row; target is a constant array of x's shape.
+
+    The softmax runs in place on the scaled logits, and the gradient is
+    (softmax * rowsum(target) - target) / tau.
+    """
     x = as_tensor(x)
+    target = np.asarray(target, dtype=x.dtype)
+    if target.shape != x.shape:
+        raise ValueError(f"cross_entropy target shape {target.shape} vs logits {x.shape}")
     inv_tau = 1.0 / float(tau)
-    value = x.data * inv_tau
-    value -= value.max(axis=-1, keepdims=True)
-    soft = np.exp(value)
-    value -= np.log(soft.sum(axis=-1, keepdims=True))
-    np.exp(value, out=soft)
+    log_probs = x.data * inv_tau
+    log_probs -= log_probs.max(axis=-1, keepdims=True)
+    soft = np.exp(log_probs)
+    log_probs -= np.log(soft.sum(axis=-1, keepdims=True))
+    np.exp(log_probs, out=soft)
+    log_probs *= target
 
     def backward(g):
-        gx = soft * g.sum(axis=-1, keepdims=True)
-        np.subtract(g, gx, out=gx)
+        gx = soft * target.sum(axis=-1, keepdims=True)
+        gx -= target
         gx *= inv_tau
+        gx *= g
         return (gx,)
 
-    return _apply("log_softmax", (x,), value, backward)
+    return _apply("cross_entropy", (x,), -log_probs.sum(), backward)
 
 
 # a python float, not a numpy float64 scalar: under numpy's promotion rules
@@ -312,28 +289,16 @@ def l2_normalize(x):
     return _apply("l2_normalize", (x,), value, backward)
 
 
-def mean(x, axis=None):
+def mean(x, axis):
+    """Mean over one axis."""
     x = as_tensor(x)
     value = x.data.mean(axis=axis)
-    count = x.size if axis is None else x.shape[axis]
+    count = x.shape[axis]
 
     def backward(g):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / count, x.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis) / count, x.shape).copy(),)
 
     return _apply("mean", (x,), value, backward)
-
-
-def total(x):
-    """Sum of all entries."""
-    x = as_tensor(x)
-    value = x.data.sum()
-
-    def backward(g):
-        return (np.full(x.shape, g, dtype=x.dtype),)
-
-    return _apply("total", (x,), value, backward)
 
 
 def concat(tensors, axis):

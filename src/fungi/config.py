@@ -253,7 +253,10 @@ class RunConfig:
             if "=" not in line or current is None:
                 raise ConfigError(f"line {lineno}: expected 'key = value' inside a section")
             key, _, value = line.partition("=")
-            raw[current][key.strip()] = value.strip()
+            key = key.strip()
+            if key in raw[current]:
+                raise ConfigError(f"line {lineno}: key {key!r} repeats in [{current}]; give each key once")
+            raw[current][key] = value.strip()
 
         config = cls()
         section_names = {f.name for f in fields(config)}

@@ -143,7 +143,12 @@ class FeatureBank:
         if outside.size:
             raise ValueError(f"bank label {labels[outside[0]]} at row {outside[0]} is outside the int32 range")
         self.labels = labels.astype(np.int32, copy=False)
-        if any(len(x) != len(self.labels) for x in (self.fused, self.embedding, *self.gradients.values())):
+        sections = {"fused": self.fused, "embedding": self.embedding,
+                    **{f"grad::{name}": x for name, x in self.gradients.items()}}
+        for name, x in sections.items():
+            if np.ndim(x) != 2:
+                raise ValueError(f"bank section {name!r} is {np.ndim(x)}-D, not a 2-D (rows, columns) matrix")
+        if any(len(x) != len(self.labels) for x in sections.values()):
             raise ValueError("feature bank arrays disagree on sample count")
 
     def __len__(self):
@@ -199,5 +204,5 @@ class FeatureBank:
                 gradients={name: s[f"grad::{name}"] for name in names},
                 config=config,
             )
-        except ValueError as exc:  # labels that are not int32 integers, or sections that disagree on row count
+        except ValueError as exc:  # labels that are not int32 integers, a section not 2-D, or disagreeing row counts
             raise store.StoreError(f"{path}: {exc}") from exc

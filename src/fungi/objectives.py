@@ -25,9 +25,8 @@ _NEG_INF = -1e30
 def kl_loss(z, tau):
     """KL(uniform || softmax(z / tau)); zero exactly when the softmax is uniform."""
     z = ad.as_tensor(z)
-    log_dim = float(np.log(z.size))
-    ls = ad.log_softmax(z, tau)
-    return ad.add(ad.scale(ad.mean(ls), -1.0), ad.as_tensor(-log_dim, dtype=z.dtype))
+    uniform = np.ones(z.shape, dtype=z.dtype) / z.size
+    return ad.add(ad.cross_entropy(z, tau, uniform), ad.as_tensor(-float(np.log(z.size)), dtype=z.dtype))
 
 
 def dino_loss(student_z, teacher_z, tau_s, tau_t):
@@ -37,7 +36,7 @@ def dino_loss(student_z, teacher_z, tau_s, tau_t):
     first; teacher_z is the (G, P) array of the global crops' teacher
     latents, a constant (no gradient flows through it). Pairs with identical
     view index are skipped. The G * (V - 1) pair terms collapse into one
-    weighted sum: the student log-probabilities of view s meet W[s], the sum
+    cross-entropy: the student log-probabilities of view s meet W[s], the sum
     of the teacher distributions of the global views other than s over the
     pair count.
     """
@@ -49,8 +48,7 @@ def dino_loss(student_z, teacher_z, tau_s, tau_t):
     # pairs[s, t] = 1 when student view s meets teacher view t (s != t)
     pairs = 1.0 - np.eye(student_z.shape[0], len(probs), dtype=probs.dtype)
     weights = (pairs @ probs) / float(pairs.sum())
-    log_probs = ad.log_softmax(student_z, tau_s)
-    return ad.scale(ad.total(ad.mul(log_probs, ad.as_tensor(weights))), -1.0)
+    return ad.cross_entropy(student_z, tau_s, weights)
 
 
 def _info_nce(z_norm, bank_rows, tau):
@@ -58,8 +56,9 @@ def _info_nce(z_norm, bank_rows, tau):
 
     z_norm: (P, D) tape tensor of unit rows. bank_rows: (M, D) constant
     unit rows. Every positive row is scored against the other positives and
-    the whole bank; the self term is masked out of each denominator. Only
-    the (P, P) block of positive pairs is read after the softmax.
+    the whole bank; the self term is masked out of each denominator. The
+    cross-entropy's target weighs each ordered pair of distinct positives by
+    1 / (P (P - 1)) and every other logit by 0.
     """
     p = z_norm.shape[0]
     if p < 2:
@@ -68,12 +67,10 @@ def _info_nce(z_norm, bank_rows, tau):
     np.fill_diagonal(self_mask, _NEG_INF)
     positives = ad.add(ad.linear(z_norm, z_norm), ad.as_tensor(self_mask))
     logits = ad.concat([positives, ad.linear(z_norm, np.asarray(bank_rows, dtype=z_norm.dtype))], axis=1)
-    log_probs = ad.log_softmax(logits, tau)
-
-    pair_mask = np.ones((p, p), dtype=logits.dtype)
-    np.fill_diagonal(pair_mask, 0.0)
-    pairs = ad.mul(ad.narrow(log_probs, 1, 0, p), ad.as_tensor(pair_mask))
-    return ad.scale(ad.total(pairs), -1.0 / (p * (p - 1)))
+    pairs = np.zeros(logits.shape, dtype=logits.dtype)
+    pairs[:, :p] = 1.0 / (p * (p - 1))
+    np.fill_diagonal(pairs, 0.0)
+    return ad.cross_entropy(logits, tau, pairs)
 
 
 def simclr_loss(z_views, bank, tau):
@@ -134,8 +131,7 @@ def simclr_patch_loss(patch_tokens, head, support, tau, seed, retrieved_per_patc
     treats all T + 1 tokens as positives and the kept neighbors as the
     negative batch, and is differentiated w.r.t. the tokens themselves.
 
-    Returns (per_patch_grads, loss_value) where per_patch_grads has shape
-    (T, d): the CLS row is dropped from the output.
+    Returns the (T, d) per-patch gradients: the CLS row is dropped.
     """
     tokens_data = np.asarray(patch_tokens)
     if len(support) < retrieved_per_patch:
@@ -149,5 +145,4 @@ def simclr_patch_loss(patch_tokens, head, support, tau, seed, retrieved_per_patc
                                           retrieved_per_patch, kept_per_patch)
         kept = np.take_along_axis(neighbor_ids, picks, axis=1)
         loss = _info_nce(z_norm, support.rows[kept.reshape(-1)], tau)
-    grads = tape.backward(loss)[leaf]
-    return grads[1:], loss.item()
+    return tape.backward(loss)[leaf][1:]

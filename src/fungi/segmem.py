@@ -112,7 +112,7 @@ class PatchFeatureExtractor:
             return emb_n.astype(np.float32)
         if self.support is None:
             raise ValueError("support index not built")
-        grads, _ = obj.simclr_patch_loss(
+        grads = obj.simclr_patch_loss(
             tokens,
             self.head,
             self.support,

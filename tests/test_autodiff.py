@@ -6,7 +6,8 @@ import pytest
 
 from fungi import autodiff as ad
 
-from .oracles import attention_reference, finite_diff_gradient, log_softmax_reference, richardson_gradient
+from .oracles import (attention_reference, cross_entropy_reference, finite_diff_gradient, richardson_gradient,
+                      weighted_total)
 
 
 def numeric_grad(build_loss, x0, eps=1e-6):
@@ -15,7 +16,7 @@ def numeric_grad(build_loss, x0, eps=1e-6):
     def f(p):
         with ad.GradTape():
             leaf = ad.parameter(p)
-            return build_loss(leaf).item()
+            return build_loss(leaf).data.item()
 
     return finite_diff_gradient(f, np.asarray(x0, dtype=np.float64), eps)
 
@@ -44,7 +45,7 @@ def value_and_grads(build, arrays, g):
     leaves = [ad.parameter(a) for a in arrays]
     with ad.GradTape() as tape:
         out = build(*leaves)
-        loss = ad.total(ad.mul(out, ad.as_tensor(g)))
+        loss = weighted_total(out, g)
     grads = tape.backward(loss)
     return out.data, [grads[leaf] for leaf in leaves]
 
@@ -100,12 +101,12 @@ class TestPrimitiveValues:
         c = rng.normal(size=4)
 
         def run(x_shape):
-            x, w, b = ad.parameter(x0.reshape(x_shape)), ad.parameter(w0), ad.parameter(b0)
+            x, w = ad.parameter(x0.reshape(x_shape)), ad.parameter(w0)
             with ad.GradTape() as tape:
-                y = ad.linear(x, w, b)
-                loss = ad.total(ad.mul(y, ad.as_tensor(c.reshape(y.shape))))
+                y = ad.linear(x, w, ad.as_tensor(b0))
+                loss = weighted_total(y, c.reshape(y.shape))
             grads = tape.backward(loss)
-            return y.data.reshape(4), grads[x].reshape(3), grads[w], grads[b]
+            return y.data.reshape(4), grads[x].reshape(3), grads[w]
 
         for vec, row in zip(run((3,)), run((1, 3))):
             np.testing.assert_allclose(vec, row, rtol=0, atol=1e-12)
@@ -123,16 +124,16 @@ class TestPrimitiveValues:
 
     def test_forward_is_deterministic(self):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(6, 6))
-        a = ad.gelu(ad.log_softmax(ad.as_tensor(x), 1.0)).data
-        b = ad.gelu(ad.log_softmax(ad.as_tensor(x), 1.0)).data
+        x, target = rng.normal(size=(6, 6)), rng.random((6, 6))
+        a = ad.cross_entropy(ad.gelu(ad.as_tensor(x)), 1.0, target).data
+        b = ad.cross_entropy(ad.gelu(ad.as_tensor(x)), 1.0, target).data
         assert np.array_equal(a, b)
 
     def test_nonfinite_output_raises(self):
         with pytest.raises(ad.NumericError):
             ad.l2_normalize(ad.as_tensor([0.0, 0.0]))
         with pytest.raises(ad.NumericError), np.errstate(over="ignore"):  # overflow of finite inputs
-            ad.scale(ad.as_tensor([1e308, -1e308]), 10.0)
+            ad.add(ad.as_tensor([1e308, -1e308]), ad.as_tensor([1e308, -1e308]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_every_nonfinite_value_raises(self, bad):
@@ -143,37 +144,40 @@ class TestPrimitiveValues:
         for shape in ((197, 64), (1, 64)):
             x = ad.as_tensor(np.ones(shape))
             x.data[0, -1] = bad
-            with pytest.raises(ad.NumericError, match="scale"):
-                ad.scale(x, 2.0)
-            for op in (ad.total, ad.mean):
-                with pytest.raises(ad.NumericError, match=op.__name__):
-                    op(x)
+            with pytest.raises(ad.NumericError, match="add"):
+                ad.add(x, x)
+            with pytest.raises(ad.NumericError, match="cross_entropy"), np.errstate(invalid="ignore"):
+                ad.cross_entropy(x, 1.0, np.ones(shape))
+            with pytest.raises(ad.NumericError, match="mean"):
+                ad.mean(x, axis=0)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             ad.add(ad.as_tensor(np.ones(3)), ad.as_tensor(np.ones(4)))
-        for op in (ad.add, ad.mul):  # no scalar broadcasting
-            with pytest.raises(ValueError):
-                op(ad.as_tensor(2.0), ad.as_tensor(np.ones(3)))
-            with pytest.raises(ValueError):
-                op(ad.as_tensor(np.ones((2, 2))), ad.as_tensor([2.0]))
+        # no scalar broadcasting
+        with pytest.raises(ValueError):
+            ad.add(ad.as_tensor(2.0), ad.as_tensor(np.ones(3)))
+        with pytest.raises(ValueError):
+            ad.add(ad.as_tensor(np.ones((2, 2))), ad.as_tensor([2.0]))
+        with pytest.raises(ValueError, match="target shape"):
+            ad.cross_entropy(ad.as_tensor(np.ones((2, 3))), 1.0, np.ones(3))
         with pytest.raises(ValueError):
             ad.linear(ad.as_tensor(np.ones((2, 3))), ad.as_tensor(np.ones((2, 4))))
 
 
 class TestBackward:
     def test_quadratic(self):
-        x = ad.parameter([1.0, 2.0])
+        x = ad.parameter([[1.0, 2.0]])
         with ad.GradTape() as tape:
-            loss = ad.total(ad.mul(x, x))
-        np.testing.assert_allclose(tape.backward(loss)[x], [2.0, 4.0])
+            loss = ad.linear(x, x)  # x x^T, a (1, 1) scalar
+        np.testing.assert_allclose(tape.backward(loss)[x], [[2.0, 4.0]])
 
     def test_fanout_accumulates(self):
         x = ad.parameter([1.0, 3.0])
         with ad.GradTape() as tape:
-            y = ad.add(ad.mul(x, x), ad.scale(x, 2.0))  # x^2 + 2x
-            loss = ad.total(y)
-        np.testing.assert_allclose(tape.backward(loss)[x], [4.0, 8.0])
+            y = ad.add(ad.add(x, x), x)  # 3x
+            loss = weighted_total(y, [1.0, 2.0])
+        np.testing.assert_allclose(tape.backward(loss)[x], [3.0, 6.0])
 
     def test_linearity_of_backward(self):
         rng = np.random.default_rng(11)
@@ -184,8 +188,8 @@ class TestBackward:
             w = ad.parameter(w0)
             with ad.GradTape() as tape:
                 y = ad.linear(ad.as_tensor(x), w)
-                la = ad.total(ad.mul(y, y))
-                lb = ad.mean(ad.gelu(y))
+                la = weighted_total(ad.linear(ad.stack([y]), ad.stack([y])), np.ones((1, 1)))  # y . y
+                lb = weighted_total(ad.gelu(y), np.full(3, 1 / 3))
                 if mix == "a":
                     loss = la
                 elif mix == "b":
@@ -199,23 +203,23 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         x = ad.parameter(np.ones(3))
         with ad.GradTape() as tape:
-            y = ad.mul(x, x)
+            y = ad.add(x, x)
         with pytest.raises(ValueError):
             tape.backward(y)
 
     def test_detached_loss_rejected(self):
         x = ad.parameter(np.ones(3))
         with ad.GradTape():
-            loss = ad.total(x)
+            loss = weighted_total(x, np.ones(3))
         with ad.GradTape() as other:
-            ad.total(ad.mul(x, x))
+            weighted_total(ad.add(x, x), np.ones(3))
             with pytest.raises(ValueError):
                 other.backward(loss)
 
     def test_tape_is_single_use(self):
         x = ad.parameter(np.ones(2))
         with ad.GradTape() as tape:
-            loss = ad.total(ad.mul(x, x))
+            loss = weighted_total(ad.add(x, x), np.ones(2))
         tape.backward(loss)
         with pytest.raises(RuntimeError):
             tape.backward(loss)
@@ -225,8 +229,8 @@ class TestBackward:
         gc.disable()
         try:
             with ad.GradTape() as tape:
-                y = ad.mul(x, x)
-                loss = ad.total(y)
+                y = ad.add(x, x)
+                loss = weighted_total(y, np.ones(3))
             tape.backward(loss)
             intermediate = weakref.ref(y.data)
             del tape, y, loss
@@ -240,15 +244,15 @@ class TestBackward:
             with pytest.raises(RuntimeError):
                 with ad.GradTape():
                     pass
-            loss = ad.total(ad.mul(x, x))  # the outer tape is still the active one
+            loss = weighted_total(ad.add(x, x), np.ones(2))  # the outer tape is still the active one
         np.testing.assert_allclose(tape.backward(loss)[x], [2.0, 2.0])
         with ad.GradTape() as again:  # and a finished tape leaves room for the next
-            ad.total(x)
+            weighted_total(x, np.ones(2))
         assert len(again) == 1
 
     def test_untracked_inputs_skip_tape(self):
         with ad.GradTape() as tape:
-            ad.mul(ad.as_tensor([1.0]), ad.as_tensor([2.0]))
+            ad.add(ad.as_tensor([1.0]), ad.as_tensor([2.0]))
         assert len(tape) == 0
 
 
@@ -261,7 +265,7 @@ class TestGradientsAgainstOracle:
 
         def build(w):
             y = ad.linear(ad.as_tensor(x), w)
-            return ad.total(ad.mul(y, y))
+            return weighted_total(ad.linear(y, y), np.full((5, 5), 1 / 25))  # mean of y y^T
 
         check_op(build, rng.normal(size=(4, 3)))
 
@@ -269,40 +273,31 @@ class TestGradientsAgainstOracle:
         rng = np.random.default_rng(14)
         w, b = rng.normal(size=(4, 3)), rng.normal(size=4)
         c = rng.normal(size=(2, 5, 4))
-        check_op(lambda x: ad.total(ad.mul(ad.linear(x, ad.as_tensor(w), ad.as_tensor(b)), ad.as_tensor(c))),
+        check_op(lambda x: weighted_total(ad.linear(x, ad.as_tensor(w), ad.as_tensor(b)), c),
                  rng.normal(size=(2, 5, 3)))
 
     def test_layer_norm(self):
         rng = np.random.default_rng(3)
         g = rng.normal(size=(4, 5))
         check_op(
-            lambda x: ad.total(ad.mul(ad.layer_norm(x, ad.as_tensor(np.full(5, 1.3)), ad.as_tensor(np.zeros(5))), ad.as_tensor(g))),
+            lambda x: weighted_total(ad.layer_norm(x, ad.as_tensor(np.full(5, 1.3)), ad.as_tensor(np.zeros(5))), g),
             rng.normal(size=(4, 5)),
             eps=1e-5,
             tol=1e-5,
         )
 
-    def test_layer_norm_affine_params(self):
-        rng = np.random.default_rng(12)
-        x = rng.normal(size=(3, 5))
-        g = rng.normal(size=(3, 5))
-
-        def build(gb):
-            gamma = ad.narrow(gb, 0, 0, 5)
-            beta = ad.narrow(gb, 0, 5, 5)
-            return ad.total(ad.mul(ad.layer_norm(ad.as_tensor(x), gamma, beta), ad.as_tensor(g)))
-
-        check_op(build, rng.normal(size=10))
-
-    def test_log_softmax_with_tau(self):
+    @pytest.mark.parametrize("shape", [(7,), (3, 7)])
+    def test_cross_entropy_with_tau(self, shape):
+        # target rows that do not sum to 1, and a zero weight
         rng = np.random.default_rng(4)
-        c = rng.normal(size=7)
-        check_op(lambda z: ad.total(ad.mul(ad.log_softmax(z, tau=3.0), ad.as_tensor(c))), rng.normal(size=7))
+        target = rng.random(shape)
+        target[..., 2] = 0.0
+        check_op(lambda z: ad.cross_entropy(z, 3.0, target), rng.normal(size=shape))
 
     def test_l2_normalize(self):
         rng = np.random.default_rng(5)
         c = rng.normal(size=(3, 4))
-        check_op(lambda x: ad.total(ad.mul(ad.l2_normalize(x), ad.as_tensor(c))), rng.normal(size=(3, 4)) + 0.5)
+        check_op(lambda x: weighted_total(ad.l2_normalize(x), c), rng.normal(size=(3, 4)) + 0.5)
 
     def test_attention(self):
         rng = np.random.default_rng(6)
@@ -314,7 +309,7 @@ class TestGradientsAgainstOracle:
 
             def build(q, c=c):
                 out = ad.scaled_dot_product_attention(q, ad.as_tensor(k), ad.as_tensor(v), 2)
-                return ad.total(ad.mul(out, ad.as_tensor(c)))
+                return weighted_total(out, c)
 
             check_op(build, rng.normal(size=(queries, dim)), eps=1e-5, tol=1e-5)
 
@@ -329,7 +324,7 @@ class TestGradientsAgainstOracle:
                 k = ad.narrow(kv, 0, 0, tokens)
                 v = ad.narrow(kv, 0, tokens, tokens)
                 out = ad.scaled_dot_product_attention(ad.as_tensor(q), k, v, 3)
-                return ad.total(ad.mul(out, ad.as_tensor(c)))
+                return weighted_total(out, c)
 
             check_op(build, rng.normal(size=(2 * tokens, dim)), eps=1e-5, tol=1e-5)
 
@@ -343,7 +338,8 @@ class TestGradientsAgainstOracle:
             joined = ad.concat([a, b], axis=1)  # (2, 6)
             rows = ad.concat([ad.narrow(joined, 1, 3, 3), ad.narrow(joined, 1, 0, 3)], axis=0)  # (4, 3)
             first = ad.mean(ad.narrow(rows, 0, 0, 1), axis=0)  # a one-row mean is that row
-            return ad.add(ad.total(ad.mul(rows, ad.as_tensor(c))), ad.total(ad.mul(first, first)))
+            square = ad.linear(first, ad.stack([first]))  # first . first, shape (1,)
+            return ad.add(weighted_total(rows, c), weighted_total(square, np.ones(1)))
 
         check_op(build, rng.normal(size=(3, 3)))
 
@@ -351,8 +347,8 @@ class TestGradientsAgainstOracle:
         rng = np.random.default_rng(9)
 
         def build(x):
-            rows = [ad.mean(ad.narrow(x, 0, i, 1)) for i in range(3)]
-            return ad.mean(ad.mul(ad.stack(rows), ad.stack(rows)))
+            rows = ad.stack([ad.mean(ad.narrow(x, 0, i, 1), axis=1) for i in range(3)])  # (3, 1) row means
+            return weighted_total(ad.linear(rows, rows), np.eye(3) / 3)  # mean of squared row means
 
         check_op(build, rng.normal(size=(3, 5)))
 
@@ -407,13 +403,15 @@ class TestInPlaceMatchesReference:
             assert_same_bytes(got, want)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_log_softmax(self, dtype):
+    def test_cross_entropy(self, dtype):
         rng = np.random.default_rng(42)
         x = rng.standard_normal((9, 14)).astype(dtype)
         x[np.arange(9), np.arange(9)] = -1e30  # the self mask of the contrastive loss
-        g = rng.standard_normal((9, 14)).astype(dtype)
-        value, (grad,) = value_and_grads(lambda t: ad.log_softmax(t, 0.07), (x,), g)
-        want_value, want_grad = log_softmax_reference(x, 0.07, g)
+        target = rng.random((9, 14)).astype(dtype)
+        target[np.arange(9), np.arange(9)] = 0.0
+        g = rng.standard_normal(1).astype(dtype)  # the tape holds a scalar as one element
+        value, (grad,) = value_and_grads(lambda t: ad.cross_entropy(t, 0.07, target), (x,), g)
+        want_value, want_grad = cross_entropy_reference(x, 0.07, target, g)
         assert_same_bytes(value, want_value)
         assert_same_bytes(grad, want_grad)
 
@@ -433,9 +431,10 @@ class TestInPlaceRule:
             x = ad.parameter(x0)
             with ad.GradTape() as tape:
                 q = ad.narrow(x, 0, 0, queries)
-                # add hands one cotangent array to attention and log_softmax
-                y = ad.add(ad.scaled_dot_product_attention(q, x, x, 2), ad.log_softmax(q, 0.5))
-                loss = ad.total(ad.mul(y, ad.as_tensor(c)))
+                # add hands one cotangent array to attention and gelu, and
+                # one scalar to weighted_total and cross_entropy
+                y = ad.add(ad.scaled_dot_product_attention(q, x, x, 2), ad.gelu(q))
+                loss = ad.add(weighted_total(y, c), ad.cross_entropy(q, 0.5, np.abs(c)))
             if guarded:
                 guard(tape)
             return tape.backward(loss)[x]
@@ -445,7 +444,7 @@ class TestInPlaceRule:
     def test_guard_catches_a_write_into_the_cotangent(self):
         x = ad.parameter(np.ones(3))
         with ad.GradTape() as tape:
-            loss = ad.total(ad.scale(x, 2.0))
+            loss = weighted_total(ad.gelu(x), np.ones(3))
 
         def scale_in_place(g):
             g *= 2.0

@@ -184,8 +184,9 @@ class TestHead:
 
 def kl_objective(head, tau):
     def loss_fn(z):
-        ls = ad.log_softmax(head.apply(z), tau=tau)
-        return ad.add(ad.scale(ad.mean(ls), -1.0), ad.as_tensor(-np.log(head.weight.shape[0])))
+        logits = head.apply(z)
+        uniform = np.full(logits.shape, 1.0 / logits.size)  # -sum(uniform * log p) is -mean(log p)
+        return ad.add(ad.cross_entropy(logits, tau, uniform), ad.as_tensor(-np.log(head.weight.shape[0])))
 
     return loss_fn
 
@@ -217,7 +218,7 @@ class TestLossGradient:
 
         def f(flat):
             p2 = replace_source_layer(params, source, flat[: w0.size].reshape(w0.shape), flat[w0.size :])
-            return loss_fn(ad.as_tensor(np.stack([pooled(bb.encode(p2, v), pooling) for v in views]))).item()
+            return loss_fn(ad.as_tensor(np.stack([pooled(bb.encode(p2, v), pooling) for v in views]))).data.item()
 
         flat0 = np.concatenate([w0.data.ravel(), b0.data.ravel()])
         # eps balances truncation against roundoff for O(1) loss values; the

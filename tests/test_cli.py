@@ -243,6 +243,16 @@ class TestExitCodes:
         assert "section [kl] repeats" in caplog.text
         assert not (tmp_path / "x").exists()
 
+    def test_repeated_config_key_is_2(self, tmp_path, workspace, caplog):
+        _, _, data, _ = workspace
+        bad = tmp_path / "twice.cfg"
+        bad.write_text(TINY_CFG + "\n[eval]\nknn_k = 5\nknn_k = 7\n")
+        with caplog.at_level(logging.ERROR, logger="fungi"):
+            assert cli.main(["extract", "--config", str(bad), "--data", str(data),
+                             "--out", str(tmp_path / "x")]) == 2
+        assert "key 'knn_k' repeats in [eval]" in caplog.text
+        assert not (tmp_path / "x").exists()
+
     def test_config_that_is_not_utf8_is_2(self, tmp_path, workspace, caplog):
         _, _, data, _ = workspace
         bad = tmp_path / "latin1.cfg"
@@ -590,6 +600,23 @@ class TestExitCodes:
         assert len(errors) == 1 and errors[0] == f"data error: {expected}"
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("command", ["fuse-pca", "eval", "cluster", "probe", "retrieve", "cka"])
+    @pytest.mark.parametrize("section", ["fused", "embedding", "grad::kl"])
+    def test_bank_section_that_is_not_2d_is_3(self, tmp_path, workspace, command, section, caplog, capsys):
+        # one column per row: the row count still agrees with the labels
+        _, _, _, banks = workspace
+        sections = store.read_sections(banks / "bank_train.fngi", ())
+        sections[section] = np.ascontiguousarray(sections[section][:, 0])
+        bad = tmp_path / "bank_train.fngi"
+        store.write_sections(bad, sections)
+        with caplog.at_level(logging.ERROR, logger="fungi"):
+            assert cli.main([command, "--train", str(bad), "--test", str(banks / "bank_test.fngi"),
+                             "--out", str(tmp_path / "out")]) == 3
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert errors == [f"data error: {bad}: bank section {section!r} is 1-D, not a 2-D (rows, columns) matrix"]
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def _segdata(self, tmp_path, name):
         data = tmp_path / name

@@ -107,6 +107,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"line 3: section \[eval\] repeats"):
             RunConfig.from_text("[eval]\nknn_k = 7\n[eval]\nprobe_max_epochs = 5\n")
 
+    def test_repeated_key(self):
+        # a repeat would silently override the earlier value
+        with pytest.raises(ConfigError, match=r"line 3: key 'knn_k' repeats in \[eval\]"):
+            RunConfig.from_text("[eval]\nknn_k = 5\nknn_k = 7\n")
+
     def test_line_without_section(self):
         with pytest.raises(ConfigError):
             RunConfig.from_text("knn_k = 7\n")
@@ -201,7 +206,7 @@ class TestDerived:
         params = bb.init_encoder(cfg.encoder, dtype=np.float64)
         image = np.random.default_rng(0).random((3, 32, 32))
         last = replace(cfg.gradients, block_index=cfg.encoder.depth - 1)
-        grads = [bb.loss_gradient(params, source, [bb.tap_state(params, source, image)], lambda z: ad.mean(ad.mul(z, z)))
+        grads = [bb.loss_gradient(params, source, [bb.tap_state(params, source, image)], lambda z: ad.cross_entropy(z, 1.0, np.ones(z.shape)))
                  for source in (cfg.gradients, last)]
         for got, want in zip(*grads):
             np.testing.assert_array_equal(got, want)

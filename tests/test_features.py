@@ -277,6 +277,13 @@ class TestFeatureBank:
         with pytest.raises(store.StoreError, match="bank.fngi: feature bank arrays disagree on sample count"):
             feat.FeatureBank.load(path)
 
+    @pytest.mark.parametrize("ndim", [0, 1, 3])
+    def test_section_that_is_not_2d_is_refused(self, ndim):
+        bank = random_bank()
+        rows = np.zeros({0: (), 1: (len(bank),), 3: (len(bank), 2, 2)}[ndim])
+        with pytest.raises(ValueError, match=f"^bank section 'embedding' is {ndim}-D, not a 2-D"):
+            dataclasses.replace(bank, embedding=rows)
+
     def test_float_labels_are_refused(self):
         bank = random_bank()
         with pytest.raises(ValueError, match=r"^bank labels must be integers, got float64 \[1.7, 2.2, 0.0\]$"):

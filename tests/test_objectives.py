@@ -20,31 +20,31 @@ def enumerate_kl_from_uniform(z, tau):
 class TestKlLoss:
     def test_constant_logits_give_zero(self):
         loss = obj.kl_loss(ad.as_tensor(np.full(16, 3.7)), tau=15.0)
-        assert abs(loss.item()) < 1e-12
+        assert abs(loss.data.item()) < 1e-12
 
     def test_matches_enumeration_oracle(self):
         z = np.array([1.0, 0.0])
-        got = obj.kl_loss(ad.as_tensor(z), tau=1.0).item()
+        got = obj.kl_loss(ad.as_tensor(z), tau=1.0).data.item()
         assert abs(got - enumerate_kl_from_uniform(z, 1.0)) < 1e-12
 
         rng = np.random.default_rng(0)
         for _ in range(20):
             z = rng.normal(size=rng.integers(2, 40))
-            got = obj.kl_loss(ad.as_tensor(z), tau=15.0).item()
+            got = obj.kl_loss(ad.as_tensor(z), tau=15.0).data.item()
             assert abs(got - enumerate_kl_from_uniform(z, 15.0)) < 1e-10
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(1)
         z = rng.normal(size=12)
-        a = obj.kl_loss(ad.as_tensor(z), tau=15.0).item()
-        b = obj.kl_loss(ad.as_tensor(z + 123.4), tau=15.0).item()
+        a = obj.kl_loss(ad.as_tensor(z), tau=15.0).data.item()
+        b = obj.kl_loss(ad.as_tensor(z + 123.4), tau=15.0).data.item()
         assert abs(a - b) < 1e-10
 
     def test_nonnegative(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             z = rng.normal(scale=5.0, size=10)
-            assert obj.kl_loss(ad.as_tensor(z), tau=15.0).item() >= 0.0
+            assert obj.kl_loss(ad.as_tensor(z), tau=15.0).data.item() >= 0.0
 
     def test_gradient_matches_oracle(self):
         rng = np.random.default_rng(3)
@@ -60,7 +60,7 @@ class TestKlLoss:
 
         def f(p):
             with ad.GradTape():
-                return build(ad.parameter(p)).item()
+                return build(ad.parameter(p)).data.item()
 
         want = finite_diff_gradient(f, z0, eps=1e-4)
         assert max_relative_error(got, want) < 1e-6
@@ -72,12 +72,11 @@ def dino_pair_loop(student_z, teacher_z, tau_s, tau_t):
     for t_idx, zt in enumerate(teacher_z):
         scaled = np.asarray(zt) / tau_t
         probs = np.exp(scaled - scaled.max())
-        pt = ad.as_tensor(probs / probs.sum())
+        pt = probs / probs.sum()
         for s_idx, zs in enumerate(student_z):
             if s_idx != t_idx:
-                ls = ad.log_softmax(zs, tau_s)
-                terms.append(ad.scale(ad.total(ad.mul(pt, ls)), -1.0))
-    return ad.mean(ad.stack(terms))
+                terms.append(ad.cross_entropy(zs, tau_s, pt))
+    return ad.mean(ad.stack(terms), axis=0)
 
 
 class TestDinoLoss:
@@ -87,7 +86,7 @@ class TestDinoLoss:
 
     def test_equal_logits_equal_temps_gives_entropy(self):
         zs = self._latents(0, 1)[0]
-        loss = obj.dino_loss(ad.stack([zs, zs, zs]), np.stack([zs.data, zs.data]), tau_s=0.1, tau_t=0.1).item()
+        loss = obj.dino_loss(ad.stack([zs, zs, zs]), np.stack([zs.data, zs.data]), tau_s=0.1, tau_t=0.1).data.item()
         p = np.exp(zs.data / 0.1 - np.max(zs.data / 0.1))
         p /= p.sum()
         entropy = -np.sum(p * np.log(p))
@@ -97,7 +96,7 @@ class TestDinoLoss:
         rng = np.random.default_rng(4)
         zt = rng.normal(size=6)
         zs = rng.normal(size=6)
-        loss = obj.dino_loss(ad.stack([zs, zs, zs]), np.stack([zt, zt]), tau_s=0.1, tau_t=1e-3).item()
+        loss = obj.dino_loss(ad.stack([zs, zs, zs]), np.stack([zt, zt]), tau_s=0.1, tau_t=1e-3).data.item()
         scaled = zs / 0.1
         log_q = scaled - np.log(np.exp(scaled - scaled.max()).sum()) - scaled.max()
         want = -log_q[np.argmax(zt)]
@@ -113,7 +112,7 @@ class TestDinoLoss:
         # other view only
         rng = np.random.default_rng(6)
         s = [ad.as_tensor(rng.normal(size=5)) for _ in range(2)]
-        loss = obj.dino_loss(ad.stack(s), np.stack([t.data for t in s]), tau_s=0.1, tau_t=0.07).item()
+        loss = obj.dino_loss(ad.stack(s), np.stack([t.data for t in s]), tau_s=0.1, tau_t=0.07).data.item()
 
         def ce(zt, zs):
             p = np.exp(zt / 0.07 - np.max(zt / 0.07))
@@ -136,7 +135,7 @@ class TestDinoLoss:
             leaf = ad.parameter(raw)
             with ad.GradTape() as tape:
                 loss = loss_fn(leaf)
-            return loss.item(), tape.backward(loss)[leaf]
+            return loss.data.item(), tape.backward(loss)[leaf]
 
         def pair_loop(leaf):
             rows = [ad.mean(ad.narrow(leaf, 0, i, 1), axis=0) for i in range(len(raw))]
@@ -175,7 +174,7 @@ class TestSimclrLoss:
         v[0] = 1.0
         z = ad.as_tensor(np.tile(v, (49, 1)))
         bank = obj.SupportIndex(np.tile(v, (49 * 256, 1)))
-        loss = obj.simclr_loss(z, bank, tau=0.07).item()
+        loss = obj.simclr_loss(z, bank, tau=0.07).data.item()
         assert abs(loss - np.log(49 * 257 - 1)) < 1e-6
 
     def test_two_positives_one_negative_by_hand(self):
@@ -185,7 +184,7 @@ class TestSimclrLoss:
         neg = np.array([[np.sqrt(0.5), np.sqrt(0.5)]])
         loss = obj.simclr_loss(
             ad.as_tensor(np.stack([z1, z2])), obj.SupportIndex(neg), tau=tau
-        ).item()
+        ).data.item()
 
         def term(a, b, others):
             num = np.exp(a @ b / tau)
@@ -199,7 +198,7 @@ class TestSimclrLoss:
         rng = np.random.default_rng(8)
         z = unit_rows(rng, 6, 8)
         bank = obj.SupportIndex(unit_rows(rng, 20, 8))
-        loss = obj.simclr_loss(ad.as_tensor(z), bank, tau=0.07).item()
+        loss = obj.simclr_loss(ad.as_tensor(z), bank, tau=0.07).data.item()
         assert loss >= 0.0
 
     def test_increasing_pair_similarity_decreases_loss(self):
@@ -209,7 +208,7 @@ class TestSimclrLoss:
         def loss_with_angle(angle):
             z1 = np.array([1.0, 0.0, 0.0, 0.0])
             z2 = np.array([np.cos(angle), np.sin(angle), 0.0, 0.0])
-            return obj.simclr_loss(ad.as_tensor(np.stack([z1, z2])), bank, tau=0.07).item()
+            return obj.simclr_loss(ad.as_tensor(np.stack([z1, z2])), bank, tau=0.07).data.item()
 
         losses = [loss_with_angle(a) for a in (1.5, 1.0, 0.5, 0.1)]
         assert all(a > b for a, b in zip(losses, losses[1:]))
@@ -218,8 +217,8 @@ class TestSimclrLoss:
         rng = np.random.default_rng(10)
         raw = rng.normal(size=(4, 8)) * np.array([[0.5], [1.01], [3.0], [20.0]])
         bank = obj.SupportIndex(unit_rows(rng, 5, 8))
-        got = obj.simclr_loss(ad.as_tensor(raw), bank, tau=0.07).item()
-        want = obj.simclr_loss(ad.as_tensor(raw / np.linalg.norm(raw, axis=1, keepdims=True)), bank, tau=0.07).item()
+        got = obj.simclr_loss(ad.as_tensor(raw), bank, tau=0.07).data.item()
+        want = obj.simclr_loss(ad.as_tensor(raw / np.linalg.norm(raw, axis=1, keepdims=True)), bank, tau=0.07).data.item()
         assert abs(got - want) < 1e-12
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -252,31 +251,29 @@ class TestSimclrLoss:
 
         def f(flat):
             with ad.GradTape():
-                return build(ad.parameter(flat.reshape(raw.shape))).item()
+                return build(ad.parameter(flat.reshape(raw.shape))).data.item()
 
         want = finite_diff_gradient(f, raw.ravel(), eps=1e-5).reshape(raw.shape)
         assert max_relative_error(got, want) < 1e-6
 
 
 def parent_info_nce(z_norm, bank_rows, tau):
-    """The earlier InfoNCE, which scaled, masked and reduced the full
-    (P, P + M) logits: the oracle for the narrowed loss. Verbatim but for
-    log_softmax's temperature of 1, the identity that was its default."""
+    """The earlier InfoNCE, which masked the full (P, P + M) logits and
+    averaged the pair terms after the softmax: the oracle for the loss that
+    masks the positive block and weighs the pairs in its target."""
     p = z_norm.shape[0]
     if p < 2:
         raise ValueError("contrastive loss needs at least 2 positive views")
     blocks = [ad.linear(z_norm, z_norm), ad.linear(z_norm, np.asarray(bank_rows, dtype=z_norm.dtype))]
-    logits = ad.scale(ad.concat(blocks, axis=1), 1.0 / tau)
+    logits = ad.concat(blocks, axis=1)
 
     total_cols = logits.shape[1]
     self_mask = np.zeros((p, total_cols), dtype=logits.dtype)
     self_mask[np.arange(p), np.arange(p)] = obj._NEG_INF
-    log_probs = ad.log_softmax(ad.add(logits, ad.as_tensor(self_mask)), 1.0)
-
     pair_mask = np.zeros((p, total_cols), dtype=logits.dtype)
     pair_mask[:p, :p] = 1.0 - np.eye(p)
     n_pairs = p * (p - 1)
-    return ad.scale(ad.total(ad.mul(log_probs, ad.as_tensor(pair_mask))), -1.0 / n_pairs)
+    return ad.cross_entropy(ad.add(logits, ad.as_tensor(self_mask)), tau, pair_mask / n_pairs)
 
 
 def choice_loop_draw(rng, rows, population, size):
@@ -300,7 +297,24 @@ def parent_simclr_patch_loss(patch_tokens, head, support, tau, seed, retrieved_p
     leaf = ad.parameter(tokens_data)
     with ad.GradTape() as tape:
         loss = parent_info_nce(ad.l2_normalize(head.apply(leaf)), negatives, tau)
-    return tape.backward(loss)[leaf][1:], loss.item()
+    return tape.backward(loss)[leaf][1:], loss.data.item()
+
+
+def patch_loss_and_value(*args, **kwargs):
+    """obj.simclr_patch_loss's gradients, and the value of the loss that
+    they differentiate, read from its InfoNCE call."""
+    values = []
+    info_nce = obj._info_nce
+
+    def recording(*info_nce_args):
+        values.append(info_nce(*info_nce_args))
+        return values[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(obj, "_info_nce", recording)
+        grads = obj.simclr_patch_loss(*args, **kwargs)
+    (loss,) = values
+    return grads, loss.data.item()
 
 
 def assert_loss_close(got, want, dtype):
@@ -320,7 +334,7 @@ class TestInfoNceAgainstParent:
             leaf = ad.parameter(raw)
             with ad.GradTape() as tape:
                 loss = loss_fn(leaf)
-            return loss.item(), tape.backward(loss)[leaf]
+            return loss.data.item(), tape.backward(loss)[leaf]
 
         got, got_grad = run(lambda z: obj.simclr_loss(z, bank, tau=0.07))
         want, want_grad = run(lambda z: parent_info_nce(ad.l2_normalize(z), bank.rows, 0.07))
@@ -336,7 +350,7 @@ class TestInfoNceAgainstParent:
         support = obj.SupportIndex(head.apply(rng.normal(size=(40, dim)).astype(dtype)).data)
         for seed in (0, 7):
             tokens = bb.encode(params, rng.random((3, 64, 64)))
-            got, got_loss = obj.simclr_patch_loss(tokens, head, support, tau=0.07, seed=seed,
+            got, got_loss = patch_loss_and_value(tokens, head, support, tau=0.07, seed=seed,
                                                   retrieved_per_patch=2, kept_per_patch=1)
             want, want_loss = parent_simclr_patch_loss(tokens, head, support, tau=0.07, seed=seed,
                                                        retrieved_per_patch=2, kept_per_patch=1)
@@ -376,7 +390,7 @@ class TestNegativeDraw:
         rng = np.random.default_rng(54)
         support = obj.SupportIndex(rng.normal(size=(40, 12)))
         tokens = rng.normal(size=(17, 8))
-        got, got_loss = obj.simclr_patch_loss(tokens, head, support, tau=0.07, seed=3,
+        got, got_loss = patch_loss_and_value(tokens, head, support, tau=0.07, seed=3,
                                               retrieved_per_patch=4, kept_per_patch=3)
         want, want_loss = parent_simclr_patch_loss(tokens, head, support, tau=0.07, seed=3, retrieved_per_patch=4,
                                                    kept_per_patch=3, draw=obj._draw_without_replacement)
@@ -386,8 +400,8 @@ class TestNegativeDraw:
 
 class TestDenseLossTape:
     def test_at_most_three_full_width_outputs(self, monkeypatch):
-        # the (P, P + M) logits are formed, masked and normalized; every
-        # later node reads only the (P, P) block of positive pairs
+        # only the concatenated (P, P + M) logits are full width: the
+        # cross-entropy reduces them to the loss in one node
         dim, tokens = 8, 17
         head = bb.attach_head(dim, 12, seed=54, normalize_input=False, dtype=np.float64)
         rng = np.random.default_rng(55)
@@ -463,7 +477,7 @@ class TestSimclrPatchLoss:
         img = rng.random((3, 64, 64))
         tokens = bb.encode(params, img)
         support = obj.SupportIndex(head.apply(np.random.default_rng(23).normal(size=(50, cfg.dim))).data)
-        grads, loss = obj.simclr_patch_loss(tokens, head, support, tau=0.07, seed=1,
+        grads, loss = patch_loss_and_value(tokens, head, support, tau=0.07, seed=1,
                                             retrieved_per_patch=2, kept_per_patch=1)
         assert grads.shape == (cfg.num_patches, cfg.dim)
         assert np.isfinite(loss)
@@ -473,7 +487,7 @@ class TestSimclrPatchLoss:
         rng = np.random.default_rng(24)
         tokens = rng.normal(size=(17, 8))
         support = obj.SupportIndex(rng.normal(size=(40, 12)))
-        grads, _ = obj.simclr_patch_loss(tokens, head, support, tau=0.07, seed=2,
+        grads = obj.simclr_patch_loss(tokens, head, support, tau=0.07, seed=2,
                                          retrieved_per_patch=2, kept_per_patch=1)
         assert grads.shape == (16, 8)
 
@@ -486,7 +500,7 @@ class TestSimclrPatchLoss:
         tokens = bb.encode(params, np.random.default_rng(42).random((3, 512, 512), dtype=np.float64))
         assert tokens.shape == (1025, 8)
         support = obj.SupportIndex(np.random.default_rng(43).normal(size=(64, 12)))
-        grads, _ = obj.simclr_patch_loss(tokens, head, support, tau=0.07, seed=4,
+        grads = obj.simclr_patch_loss(tokens, head, support, tau=0.07, seed=4,
                                          retrieved_per_patch=2, kept_per_patch=1)
         assert grads.shape == (1024, 8)
 
@@ -504,7 +518,7 @@ class TestSimclrPatchLoss:
         tokens = rng.normal(size=(9, 8))
         support = obj.SupportIndex(rng.normal(size=(30, 12)))
 
-        got, _ = obj.simclr_patch_loss(tokens, head, support, tau=0.2, seed=3, retrieved_per_patch=2, kept_per_patch=1)
+        got = obj.simclr_patch_loss(tokens, head, support, tau=0.2, seed=3, retrieved_per_patch=2, kept_per_patch=1)
 
         # freeze the retrieved negatives, then finite-difference the same loss
         latents = head_rows(head, tokens)

@@ -132,7 +132,7 @@ class TestPrecision:
         tokens = bb.encode(params, images[1])
         support = obj.SupportIndex(heads["simclr"].apply(tokens[1:]).data)
         seg = cfg.segmentation
-        grads, _ = obj.simclr_patch_loss(
+        grads = obj.simclr_patch_loss(
             tokens, heads["simclr"], support, tau=seg.simclr_temperature, seed=0,
             retrieved_per_patch=seg.retrieved_negatives_per_patch, kept_per_patch=seg.loss_negatives_per_patch,
         )

@@ -323,7 +323,7 @@ class TestBankBuilding:
         images = [np.random.default_rng(i).random((3, 64, 64)) for i in range(3)]
         extractor.build_support([bb.encode(params, image) for image in images])
         tokens = bb.encode(params, images[0])  # final-norm rows, CLS first
-        grads, _ = obj.simclr_patch_loss(tokens, head, extractor.support, tau=extractor.tau, seed=5,
+        grads = obj.simclr_patch_loss(tokens, head, extractor.support, tau=extractor.tau, seed=5,
                                          retrieved_per_patch=extractor.retrieved_per_patch,
                                          kept_per_patch=extractor.kept_per_patch)
         unit = [g / np.linalg.norm(g, axis=1, keepdims=True) for g in (grads, tokens[1:])]
