@@ -255,6 +255,16 @@ class TestBackward:
             ad.add(ad.as_tensor([1.0]), ad.as_tensor([2.0]))
         assert len(tape) == 0
 
+    def test_gain_shift_and_bias_are_constants(self):
+        # only x, and linear's weight, are node inputs: a gain, shift or
+        # bias that requires a gradient still gets none
+        x, w, gamma, beta, bias = (ad.parameter(np.full(shape, 0.5) + np.arange(3))
+                                   for shape in ((2, 3), (3, 3), 3, 3, 3))
+        with ad.GradTape() as tape:
+            y = ad.linear(ad.layer_norm(x, gamma, beta), w, bias)
+            loss = weighted_total(y, np.ones((2, 3)))
+        assert set(map(id, tape.backward(loss))) == {id(x), id(w)}
+
 
 class TestGradientsAgainstOracle:
     """Every differentiable primitive against central finite differences."""
