@@ -310,17 +310,6 @@ def concat(tensors, axis):
     return _apply("concat", tuple(tensors), value, lambda g: np.split(g, splits, axis=axis))
 
 
-def stack(tensors):
-    """Stack same-shape tensors along a new leading axis."""
-    tensors = [as_tensor(t) for t in tensors]
-    value = np.stack([t.data for t in tensors], axis=0)
-
-    def backward(g):
-        return [g[i] for i in range(len(tensors))]
-
-    return _apply("stack", tuple(tensors), value, backward)
-
-
 def narrow(x, axis, start, length):
     """Contiguous slice [start, start+length) along an axis."""
     x = as_tensor(x)
@@ -340,28 +329,30 @@ def narrow(x, axis, start, length):
 
 
 def scaled_dot_product_attention(q, k, v, num_heads):
-    """Multi-head attention of (queries, dim) q over (tokens, dim) k and v;
-    returns (queries, dim). There may be fewer queries than tokens."""
+    """Multi-head attention of (..., queries, dim) q over (..., tokens, dim)
+    k and v; returns (..., queries, dim). Leading axes index independent
+    attentions, such as one per view. There may be fewer queries than
+    tokens."""
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    queries, dim = q.shape
-    tokens = k.shape[0]
+    *lead, _, dim = q.shape
+    tokens = k.shape[-2]
     if dim % num_heads != 0:
         raise ValueError(f"dim {dim} not divisible by heads {num_heads}")
-    if k.shape != (tokens, dim) or v.shape != k.shape:
-        raise ValueError("attention expects q, k, v of one width and k, v of identical shape")
+    if k.shape != (*lead, tokens, dim) or v.shape != k.shape:
+        raise ValueError("attention expects q, k, v of one width and leading shape, and k, v of identical shape")
     head_dim = dim // num_heads
 
     def split(t):
-        return t.reshape(len(t), num_heads, head_dim).transpose(1, 0, 2)
+        return t.reshape(t.shape[:-1] + (num_heads, head_dim)).swapaxes(-3, -2)
 
     def merge(t):
-        return t.transpose(1, 0, 2).reshape(t.shape[1], dim)
+        return t.swapaxes(-3, -2).reshape(t.shape[:-3] + (t.shape[-2], dim))
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     inv_sqrt = 1.0 / math.sqrt(head_dim)  # python float: keeps float32 data float32
-    # the softmax runs in place on the score buffer: one (heads, queries,
-    # tokens) array, not a fresh one per step
-    attn = qh @ kh.transpose(0, 2, 1)
+    # the softmax runs in place on the score buffer: one (..., heads,
+    # queries, tokens) array, not a fresh one per step
+    attn = qh @ kh.swapaxes(-1, -2)
     attn *= inv_sqrt
     attn -= attn.max(axis=-1, keepdims=True)
     np.exp(attn, out=attn)
@@ -370,14 +361,14 @@ def scaled_dot_product_attention(q, k, v, num_heads):
 
     def backward(g):
         gh = split(g)
-        g_vh = attn.transpose(0, 2, 1) @ gh
+        g_vh = attn.swapaxes(-1, -2) @ gh
         # g_scores = attn * (g_attn - rowsum(g_attn * attn)), in g_attn's buffer
-        g_scores = gh @ vh.transpose(0, 2, 1)
+        g_scores = gh @ vh.swapaxes(-1, -2)
         g_scores -= (g_scores * attn).sum(axis=-1, keepdims=True)
         g_scores *= attn
         g_qh = g_scores @ kh
         g_qh *= inv_sqrt
-        g_kh = g_scores.transpose(0, 2, 1) @ qh
+        g_kh = g_scores.swapaxes(-1, -2) @ qh
         g_kh *= inv_sqrt
         return merge(g_qh), merge(g_kh), merge(g_vh)
 

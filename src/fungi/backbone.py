@@ -7,13 +7,14 @@ a final layer norm, and CLS or mean pooling. One forward, written in the
 stop before, or resume from, any of them. `encode` runs it whole and keeps
 every token. A pooled forward is split at the [gradients] section's source
 layer: `tap_state` runs the layers before it once per image or view, and
-keeps only what the rest reads; `embed` resumes from that state untracked,
-and `loss_gradient` resumes from a list of states with the source layer's
-output as the tape's leaf, so an objective sees only embeddings and a
-sample's gradient of that layer is `G^T X` over its views. Both trim the
-last block to the rows that pooling reads. Every parameter array is
-read-only, so shared weights cannot be changed by a gradient pass or a
-worker thread.
+keeps only what the rest reads. A view set resumes from its states in one
+call: `embed` untracked, and `loss_gradient` with the source layer's output
+as the tape's one leaf, so an objective sees only embeddings and a sample's
+gradient of that layer is `G^T X` over its views' rows. The resume stacks
+the views on a leading axis: row-wise layers run once over every row, and
+attention runs within each view. Both trim the last block to the rows that
+pooling reads. Every parameter array is read-only, so shared weights cannot
+be changed by a gradient pass or a worker thread.
 """
 
 from __future__ import annotations
@@ -169,13 +170,15 @@ def _forward(params, x, hidden, start, stop, trim, taps=None):
     Layers are numbered over the blocks in `_BLOCK_LAYERS` order. The state
     before layer n is the residual rows x and, before proj and fc2, `hidden`,
     the attention or GELU rows that the layer reads; qkv and fc1 read the
-    layer norm of x, taken here, so `hidden` is None before them. With
-    `trim`, the last block carries on only the row that CLS pooling reads:
-    right after its ln1 the residual and the query narrow to the CLS row,
-    which attends to every key and value, and proj and the MLP see that one
-    row. With `taps`, the output of layer `start` becomes a fresh leaf of the
-    active tape and `(leaf, input rows)` is appended to `taps`; nothing
-    upstream is tracked.
+    layer norm of x, taken here, so `hidden` is None before them. Rows are
+    the last axis but one: (rows, dim) for one image, or (views, rows, dim)
+    for a view set, whose attention runs within each view. With `trim`, the
+    last block carries on only the row that CLS pooling reads: right after
+    its ln1 the residual and the query narrow to the CLS row, which attends
+    to every key and value, and proj and the MLP see that one row. With
+    `taps`, the output of layer `start` becomes a fresh leaf of the active
+    tape and `(leaf, input rows)` is appended to `taps`; nothing upstream is
+    tracked.
     """
     cfg = params.config
     d = cfg.dim
@@ -186,7 +189,7 @@ def _forward(params, x, hidden, start, stop, trim, taps=None):
         if prefix == "qkv":
             hidden = ad.layer_norm(x, blk.ln1_g, blk.ln1_b)
             if trimmed:
-                x = ad.narrow(x, 0, 0, 1)
+                x = ad.narrow(x, -2, 0, 1)
         elif prefix == "fc1":
             hidden = ad.layer_norm(x, blk.ln2_g, blk.ln2_b)
         y = ad.linear(hidden, getattr(blk, prefix + "_w"), getattr(blk, prefix + "_b"))
@@ -194,9 +197,9 @@ def _forward(params, x, hidden, start, stop, trim, taps=None):
             y = ad.parameter(y.data)
             taps.append((y, hidden.data))
         if prefix == "qkv":
-            q, k, v = (ad.narrow(y, 1, j * d, d) for j in range(3))
+            q, k, v = (ad.narrow(y, -1, j * d, d) for j in range(3))
             if trimmed:
-                q = ad.narrow(q, 0, 0, 1)
+                q = ad.narrow(q, -2, 0, 1)
             hidden = ad.scaled_dot_product_attention(q, k, v, cfg.heads)
         elif prefix == "fc1":
             hidden = ad.gelu(y)
@@ -210,12 +213,6 @@ def _source_layer(params, source):
     negative `block_index` counts from the last block."""
     block = source.block_index % params.config.depth
     return block * len(_BLOCK_LAYERS) + _BLOCK_LAYERS.index(LAYER_PREFIXES[source.layer_kind])
-
-
-def _pool(x, pooling):
-    """(dim,) embedding of final token rows: the CLS row, or the patch mean."""
-    start, rows = (0, 1) if pooling == "cls" else (1, x.shape[0] - 1)
-    return ad.mean(ad.narrow(x, 0, start, rows), axis=0)
 
 
 def encode(params, image):
@@ -241,21 +238,26 @@ def tap_state(params, source, image):
     return x.data.copy(), None if hidden is None else hidden.data.copy()
 
 
-def _pooled(params, source, state, taps=None):
-    """Pooled embedding tensor of an image from its `tap_state`: the rest of
-    the forward, from the source layer on."""
+def _resume(params, source, states, taps=None):
+    """(views, dim) pooled embedding tensor of a view set from its
+    `tap_state`s: the rest of the forward, from the source layer on, over the
+    states stacked on a leading view axis, then the final norm and the CLS
+    row or the patch mean of each view."""
     cfg = params.config
-    x, hidden = state
-    x, _ = _forward(params, ad.Tensor(x), None if hidden is None else ad.Tensor(hidden), _source_layer(params, source),
-                    cfg.depth * len(_BLOCK_LAYERS), cfg.pooling == "cls", taps)
-    return _pool(ad.layer_norm(x, params.norm_g, params.norm_b), cfg.pooling)
+    x = ad.Tensor(np.stack([x for x, _ in states]))
+    hidden = None if states[0][1] is None else ad.Tensor(np.stack([h for _, h in states]))
+    x, _ = _forward(params, x, hidden, _source_layer(params, source), cfg.depth * len(_BLOCK_LAYERS),
+                    cfg.pooling == "cls", taps)
+    x = ad.layer_norm(x, params.norm_g, params.norm_b)
+    start, rows = (0, 1) if cfg.pooling == "cls" else (1, x.shape[-2] - 1)
+    return ad.mean(ad.narrow(x, -2, start, rows), axis=-2)
 
 
-def embed(params, source, state):
-    """Pooled (dim,) embedding of an image from its `tap_state`: the CLS row
-    or the patch mean of `encode`'s rows, without the rows that pooling does
-    not read."""
-    return _pooled(params, source, state).data
+def embed(params, source, states):
+    """(views, dim) pooled embeddings of a view set from its `tap_state`s:
+    the CLS row or the patch mean of `encode`'s rows of each view, without
+    the rows that pooling does not read."""
+    return _resume(params, source, states).data
 
 
 @dataclass
@@ -291,16 +293,16 @@ def loss_gradient(params, source, states, loss_fn):
     """Gradient of a scalar objective w.r.t. the [gradients] section's
     source layer only.
 
-    Resumes each view's `tap_state` on a single tape whose leaves are the
-    source layer's outputs, and hands `loss_fn` the stacked (V, dim)
-    embeddings. With G the cotangents at those outputs and X the layer's input
-    rows, over all views, the gradient is dW = G^T X and db = G.sum(0).
-    Returns numpy arrays.
+    Resumes a view set from its `tap_state`s in one pass on a single tape,
+    whose one leaf is the source layer's output over every view's rows, and
+    hands `loss_fn` the (views, dim) embeddings. With G the cotangents at
+    that output and X the layer's input rows, the gradient is dW = G^T X and
+    db = G.sum(0). Returns numpy arrays.
     """
     taps = []
     with ad.GradTape() as tape:
-        loss = loss_fn(ad.stack([_pooled(params, source, state, taps) for state in states]))
-    grads = tape.backward(loss)
-    g = np.concatenate([grads[leaf] for leaf, _ in taps])
-    x = np.concatenate([inputs for _, inputs in taps])
+        loss = loss_fn(_resume(params, source, states, taps))
+    [(leaf, inputs)] = taps
+    g = tape.backward(loss)[leaf]
+    g, x = g.reshape(-1, g.shape[-1]), inputs.reshape(-1, inputs.shape[-1])
     return g.T @ x, g.sum(axis=0)

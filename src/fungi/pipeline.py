@@ -4,13 +4,14 @@ Per sample: run the encoder up to the designated layer once; the embedding
 and the kl objective resume from that state. For dino and simclr, build the
 views and run each up to that layer: dino's crops one by one, and an image's
 SimCLR views as one array from `augment.simclr_views`, bit for bit each
-window's `resize_bilinear`. Then for each objective, harvest the layer's
-gradient of a loss over the views' stacked embeddings, flatten it, and
-project it down to the embedding width with the objective's
+window's `resize_bilinear`. Then each objective resumes its view set in one
+`loss_gradient` call, the views' rows as one tensor, harvests the layer's
+gradient of a loss over the views' embeddings, flattens it, and projects it
+down to the embedding width with the objective's
 `features.projection_matrix`. A train image drawn into the SimCLR negative
-bank has its views encoded once: the bank keeps their states, and the
-sample's SimCLR objective resumes from them. Objectives never call the
-encoder. Fused rows are the unit-norm gradient segments followed by the
+bank has its views encoded once and embedded in one `embed` call: the bank
+keeps their states, and the sample's SimCLR objective resumes from them.
+Objectives never call the encoder. Fused rows are the unit-norm gradient segments followed by the
 unit-norm embedding. This module only extracts: the rows that evaluation
 reads come from `FeatureBank.rows`.
 """
@@ -86,8 +87,9 @@ def _map(fn, items, jobs):
 def build_negative_bank(params, head, train_images, config, jobs):
     """Encode and project the patch views of seeded draws of training images.
 
-    Each distinct image's views run up to the [gradients] source layer once.
-    Returns the bank, whose rows follow the draws, and the map from a drawn
+    Each distinct image's views run up to the [gradients] source layer once,
+    then resume as one view set, and the head projects their embeddings in
+    one call. Returns the bank, whose rows follow the draws, and the map from a drawn
     train index to its views' `tap_state`s, from which that sample's SimCLR
     objective resumes.
     """
@@ -99,7 +101,7 @@ def build_negative_bank(params, head, train_images, config, jobs):
 
     def worker(idx):
         states = [bb.tap_state(params, source, v) for v in _simclr_views(np.asarray(train_images[idx]), config)]
-        return states, np.stack([head.apply(bb.embed(params, source, s)).data for s in states])
+        return states, head.apply(bb.embed(params, source, states)).data
 
     results = _map(worker, distinct, jobs)
     bank = obj.SupportIndex(np.concatenate([results[j][1] for j in inverse]))
@@ -189,7 +191,7 @@ def extract_bank(config, params, heads, projections, images, labels, split, neg_
                 states = [bb.tap_state(params, source, v) for v in sample_views(name, config, image, seed)]
             dw, db = bb.loss_gradient(params, source, states, loss_fns[name])
             grads[name] = feat.project(projections[name], feat.flatten_gradient(dw, db))
-        return bb.embed(params, source, state), grads
+        return bb.embed(params, source, [state])[0], grads
 
     start = time.monotonic()
     results = _map(worker, range(len(images)), jobs)

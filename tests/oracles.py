@@ -74,7 +74,70 @@ def image_embedding(params, image):
     """Pooled embedding of one image, its forward split at the reference
     [gradients] source."""
     source = RunConfig().gradients
-    return bb.embed(params, source, bb.tap_state(params, source, image))
+    return bb.embed(params, source, [bb.tap_state(params, source, image)])[0]
+
+
+def per_view_embed(params, source, states):
+    """`backbone.embed` of a view set resumed one view at a time, so that
+    every layer sees one view's rows alone."""
+    return np.concatenate([bb.embed(params, source, [state]) for state in states])
+
+
+def per_view_loss_gradient(params, source, states, loss_fn):
+    """`backbone.loss_gradient` with each view resumed on its own, under a
+    leaf of its own, on one tape: the (views, dim) embeddings are the
+    one-view resumes joined, and dW = G^T X over the views' rows in order."""
+    taps = []
+    with ad.GradTape() as tape:
+        loss = loss_fn(ad.concat([bb._resume(params, source, [state], taps) for state in states], axis=0))
+    grads = tape.backward(loss)
+    g = np.concatenate([grads[leaf].reshape(-1, leaf.shape[-1]) for leaf, _ in taps])
+    x = np.concatenate([rows.reshape(-1, rows.shape[-1]) for _, rows in taps])
+    return g.T @ x, g.sum(axis=0)
+
+
+def reference_tokens(params, image):
+    """Final-norm token rows of one (3, S, S) image, CLS first, in float64,
+    by a plain numpy forward written from the architecture rather than from
+    `backbone`: patches in row-major grid order, each flattened channel
+    first, embedded and prefixed by the CLS token, plus positions; then
+    `depth` pre-norm blocks, each adding softmax attention (q, k and v are
+    the thirds of the qkv output, a head a run of dim / heads columns of
+    each) and a tanh-GELU MLP to the residual; then the final layer norm
+    (eps 1e-6)."""
+    cfg = params.config
+    w = {name: t.data.astype(np.float64) for name, t in params.named_tensors()}
+    image = np.asarray(image, dtype=np.float64)
+    p, grid, head_dim = cfg.patch_size, cfg.image_size // cfg.patch_size, cfg.dim // cfg.heads
+
+    def norm(x, gain, shift):
+        centered = x - x.mean(axis=1, keepdims=True)
+        return centered / np.sqrt((centered**2).mean(axis=1, keepdims=True) + 1e-6) * gain + shift
+
+    patches = np.array([image[:, r * p : (r + 1) * p, c * p : (c + 1) * p].ravel()
+                        for r in range(grid) for c in range(grid)])
+    x = np.vstack([w["cls_token"], patches @ w["patch_w"].T + w["patch_b"]]) + w["pos"]
+    for i in range(cfg.depth):
+        blk = {name: w[f"block{i}.{name}"] for name in bb.BlockParams.__dataclass_fields__}
+        q, k, v = np.split(norm(x, blk["ln1_g"], blk["ln1_b"]) @ blk["qkv_w"].T + blk["qkv_b"], 3, axis=1)
+        heads = []
+        for h in range(cfg.heads):
+            cols = slice(h * head_dim, (h + 1) * head_dim)
+            scores = q[:, cols] @ k[:, cols].T / math.sqrt(head_dim)
+            weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+            heads.append(weights / weights.sum(axis=1, keepdims=True) @ v[:, cols])
+        x = x + np.hstack(heads) @ blk["proj_w"].T + blk["proj_b"]
+        u = norm(x, blk["ln2_g"], blk["ln2_b"]) @ blk["fc1_w"].T + blk["fc1_b"]
+        gelu = 0.5 * u * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (u + 0.044715 * u**3)))
+        x = x + gelu @ blk["fc2_w"].T + blk["fc2_b"]
+    return norm(x, w["norm_g"], w["norm_b"])
+
+
+def reference_embedding(params, image):
+    """Pooled embedding of `reference_tokens`: the CLS row, or the mean of
+    the patch rows."""
+    tokens = reference_tokens(params, image)
+    return tokens[0] if params.config.pooling == "cls" else tokens[1:].mean(axis=0)
 
 
 def head_rows(head, x):
@@ -101,6 +164,13 @@ def max_relative_error(got, want):
     scale = max(np.max(np.abs(want)), np.finfo(np.float64).tiny)
     denom = np.maximum(np.maximum(np.abs(want), np.abs(got)), 1e-3 * scale)
     return float(np.max(np.abs(got - want) / denom))
+
+
+def largest_entry_error(got, want):
+    """Largest absolute difference of two arrays, over the largest
+    magnitude in `want`."""
+    want = np.asarray(want, dtype=np.float64)
+    return float(np.max(np.abs(np.asarray(got, dtype=np.float64) - want)) / np.max(np.abs(want)))
 
 
 def finite_diff_gradient(f, p, eps):

@@ -182,14 +182,14 @@ class TestBackward:
     def test_linearity_of_backward(self):
         rng = np.random.default_rng(11)
         w0 = rng.normal(size=(3, 4))
-        x = rng.normal(size=4)
+        x = rng.normal(size=(1, 4))
 
         def run(mix):
             w = ad.parameter(w0)
             with ad.GradTape() as tape:
-                y = ad.linear(ad.as_tensor(x), w)
-                la = weighted_total(ad.linear(ad.stack([y]), ad.stack([y])), np.ones((1, 1)))  # y . y
-                lb = weighted_total(ad.gelu(y), np.full(3, 1 / 3))
+                y = ad.linear(ad.as_tensor(x), w)  # one row
+                la = weighted_total(ad.linear(y, y), np.ones((1, 1)))  # y . y
+                lb = weighted_total(ad.gelu(y), np.full((1, 3), 1 / 3))
                 if mix == "a":
                     loss = la
                 elif mix == "b":
@@ -338,7 +338,7 @@ class TestGradientsAgainstOracle:
 
             check_op(build, rng.normal(size=(2 * tokens, dim)), eps=1e-5, tol=1e-5)
 
-    def test_concat_stack_narrow_mean(self):
+    def test_concat_narrow_mean(self):
         rng = np.random.default_rng(8)
         c = rng.normal(size=(4, 3))
 
@@ -348,19 +348,21 @@ class TestGradientsAgainstOracle:
             joined = ad.concat([a, b], axis=1)  # (2, 6)
             rows = ad.concat([ad.narrow(joined, 1, 3, 3), ad.narrow(joined, 1, 0, 3)], axis=0)  # (4, 3)
             first = ad.mean(ad.narrow(rows, 0, 0, 1), axis=0)  # a one-row mean is that row
-            square = ad.linear(first, ad.stack([first]))  # first . first, shape (1,)
+            square = ad.linear(first, ad.narrow(rows, 0, 0, 1))  # first . first, shape (1,)
             return ad.add(weighted_total(rows, c), weighted_total(square, np.ones(1)))
 
         check_op(build, rng.normal(size=(3, 3)))
 
-    def test_mean_axis_and_stack(self):
+    def test_narrow_and_mean_over_rows_of_each_view(self):
         rng = np.random.default_rng(9)
 
         def build(x):
-            rows = ad.stack([ad.mean(ad.narrow(x, 0, i, 1), axis=1) for i in range(3)])  # (3, 1) row means
-            return weighted_total(ad.linear(rows, rows), np.eye(3) / 3)  # mean of squared row means
+            # (views, rows, dim): the mean of each view's rows 1 and 2, as
+            # mean pooling reads a view set's patch rows
+            means = ad.mean(ad.narrow(x, -2, 1, 2), axis=-2)  # (2, 5)
+            return weighted_total(ad.linear(means, means), np.eye(2) / 2)  # mean squared norm
 
-        check_op(build, rng.normal(size=(3, 5)))
+        check_op(build, rng.normal(size=(2, 3, 5)))
 
 
 class TestFiniteDiffOracle:
@@ -411,6 +413,22 @@ class TestInPlaceMatchesReference:
         assert_same_bytes(value, want_value)
         for got, want in zip(grads, want_grads, strict=True):
             assert_same_bytes(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("queries", [13, 1])
+    def test_attention_over_a_leading_axis_is_per_slice(self, queries, dtype):
+        """A leading axis of q, k and v gives independent attentions, byte
+        for byte the 2-D call on each slice, as a view set's resume runs."""
+        rng = np.random.default_rng(44 + queries)
+        q, k, v = (rng.standard_normal((3, n, 15)).astype(dtype) for n in (queries, 13, 13))
+        g = rng.standard_normal((3, queries, 15)).astype(dtype)
+        value, grads = value_and_grads(lambda *t: ad.scaled_dot_product_attention(*t, 3), (q, k, v), g)
+        for j in range(3):
+            want_value, want_grads = value_and_grads(lambda *t: ad.scaled_dot_product_attention(*t, 3),
+                                                     (q[j], k[j], v[j]), g[j])
+            assert_same_bytes(value[j], want_value)
+            for got, want in zip(grads, want_grads, strict=True):
+                assert_same_bytes(got[j], want)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_cross_entropy(self, dtype):

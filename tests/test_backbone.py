@@ -11,8 +11,13 @@ from .oracles import (
     collapse_output_paths,
     head_rows,
     image_embedding,
+    largest_entry_error,
     max_relative_error,
+    per_view_embed,
+    per_view_loss_gradient,
+    reference_embedding,
     reference_encoder,
+    reference_tokens,
     replace_source_layer,
     richardson_gradient,
     source_layer,
@@ -254,6 +259,31 @@ class TestLossGradient:
         assert unchanged(params, before)
 
 
+class TestReferenceForward:
+    """`encode`, and `embed` of every `tap_state`, against the plain numpy
+    forward of `oracles.reference_tokens`, written from the architecture.
+    At f64 the two routes differ by rounding alone: within 1e-12 of the
+    largest entry, where the largest difference seen is about 1e-15."""
+
+    TOL = 1e-12
+
+    @pytest.mark.parametrize("pooling", ["cls", "mean"])
+    def test_encode_equals_reference(self, pooling):
+        params = bb.init_encoder(replace(TINY, pooling=pooling, seed=21), dtype=np.float64)
+        for seed in range(3):
+            img = rand_image(np.random.default_rng(seed), 32)
+            assert largest_entry_error(bb.encode(params, img), reference_tokens(params, img)) <= self.TOL
+
+    @pytest.mark.parametrize("pooling", ["cls", "mean"])
+    @pytest.mark.parametrize("block", [0, -1])
+    @pytest.mark.parametrize("kind", list(bb.LAYER_PREFIXES))
+    def test_embed_of_every_source_equals_reference(self, kind, block, pooling):
+        params, source, views = TestSplitForward.build(kind, block, pooling, np.float64)
+        got = bb.embed(params, source, view_states(params, source, views))
+        want = np.stack([reference_embedding(params, v) for v in views])
+        assert got.shape == want.shape and largest_entry_error(got, want) <= self.TOL
+
+
 class TestCollapsedEmbedding:
     def test_embedding_constant_but_qkv_gradient_varies(self):
         rng = np.random.default_rng(13)
@@ -274,7 +304,8 @@ class TestCollapsedEmbedding:
 
 class TestSplitForward:
     """The pooled forward split at the [gradients] source layer: `tap_state`
-    runs the layers before it, `embed` and `loss_gradient` resume there."""
+    runs the layers before it, `embed` and `loss_gradient` resume a view set
+    there."""
 
     @staticmethod
     def build(kind, block, pooling, dtype):
@@ -292,9 +323,9 @@ class TestSplitForward:
         # split before the first layer, the resume runs every block
         first = GradientSection(block_index=0, layer_kind="qkv")
         for view in views:
-            whole = bb.embed(params, first, bb.tap_state(params, first, view))
+            whole = bb.embed(params, first, [bb.tap_state(params, first, view)])[0]
             state = bb.tap_state(params, source, view)
-            np.testing.assert_array_equal(bb.embed(params, source, state), whole)
+            np.testing.assert_array_equal(bb.embed(params, source, [state])[0], whole)
             residual, hidden = state
             assert whole.dtype == residual.dtype == dtype
             # the state holds only what the rest reads: the last block under
@@ -308,6 +339,25 @@ class TestSplitForward:
                 assert hidden is None
             else:
                 assert hidden.dtype == dtype and hidden.shape[0] == (1 if last else tokens)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pooling", ["cls", "mean"])
+    @pytest.mark.parametrize("block", [0, -1])
+    @pytest.mark.parametrize("kind", list(bb.LAYER_PREFIXES))
+    def test_view_set_equals_per_view_oracle(self, kind, block, pooling, dtype):
+        """A view set resumes as rows of one tensor. Resumed one view at a
+        time instead, its embeddings and gradient move by rounding alone:
+        within 1e-12 of the largest entry at f64, and within 1e-5 at f32,
+        where the largest move seen is 4e-7."""
+        params, source, views = self.build(kind, block, pooling, dtype)
+        head = bb.attach_head(8, 6, seed=18, normalize_input=True, dtype=dtype)
+        states = view_states(params, source, views)
+        pairs = [(bb.embed(params, source, states), per_view_embed(params, source, states))]
+        pairs += zip(bb.loss_gradient(params, source, states, kl_objective(head, tau=2.0)),
+                     per_view_loss_gradient(params, source, states, kl_objective(head, tau=2.0)), strict=True)
+        for got, want in pairs:
+            assert got.dtype == want.dtype == dtype and got.shape == want.shape
+            assert largest_entry_error(got, want) <= (1e-12 if dtype == np.float64 else 1e-5)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("pooling", ["cls", "mean"])

@@ -67,16 +67,19 @@ class TestKlLoss:
 
 
 def dino_pair_loop(student_z, teacher_z, tau_s, tau_t):
-    """The loss as one tape term per (teacher, student) crop pair."""
-    terms = []
+    """The loss as one tape term per (teacher, student) crop pair, each
+    weighted by one over the number of pairs, summed."""
+    pairs = len(teacher_z) * (len(student_z) - 1)
+    loss = None
     for t_idx, zt in enumerate(teacher_z):
         scaled = np.asarray(zt) / tau_t
         probs = np.exp(scaled - scaled.max())
         pt = probs / probs.sum()
         for s_idx, zs in enumerate(student_z):
             if s_idx != t_idx:
-                terms.append(ad.cross_entropy(zs, tau_s, pt))
-    return ad.mean(ad.stack(terms), axis=0)
+                term = ad.cross_entropy(zs, tau_s, pt / pairs)
+                loss = term if loss is None else ad.add(loss, term)
+    return loss
 
 
 class TestDinoLoss:
@@ -86,7 +89,7 @@ class TestDinoLoss:
 
     def test_equal_logits_equal_temps_gives_entropy(self):
         zs = self._latents(0, 1)[0]
-        loss = obj.dino_loss(ad.stack([zs, zs, zs]), np.stack([zs.data, zs.data]), tau_s=0.1, tau_t=0.1).data.item()
+        loss = obj.dino_loss(ad.as_tensor(np.stack([zs.data] * 3)), np.stack([zs.data, zs.data]), tau_s=0.1, tau_t=0.1).data.item()
         p = np.exp(zs.data / 0.1 - np.max(zs.data / 0.1))
         p /= p.sum()
         entropy = -np.sum(p * np.log(p))
@@ -96,7 +99,7 @@ class TestDinoLoss:
         rng = np.random.default_rng(4)
         zt = rng.normal(size=6)
         zs = rng.normal(size=6)
-        loss = obj.dino_loss(ad.stack([zs, zs, zs]), np.stack([zt, zt]), tau_s=0.1, tau_t=1e-3).data.item()
+        loss = obj.dino_loss(ad.as_tensor(np.stack([zs, zs, zs])), np.stack([zt, zt]), tau_s=0.1, tau_t=1e-3).data.item()
         scaled = zs / 0.1
         log_q = scaled - np.log(np.exp(scaled - scaled.max()).sum()) - scaled.max()
         want = -log_q[np.argmax(zt)]
@@ -105,14 +108,14 @@ class TestDinoLoss:
     def test_requires_two_teacher_views(self):
         z = self._latents(5, 1)
         with pytest.raises(ValueError):
-            obj.dino_loss(ad.stack(z), np.stack([z[0].data]), tau_s=0.1, tau_t=0.07)
+            obj.dino_loss(ad.as_tensor(np.stack([t.data for t in z])), np.stack([z[0].data]), tau_s=0.1, tau_t=0.07)
 
     def test_identical_view_pair_excluded(self):
         # 2 teacher + 2 student views -> 2 pairs, each teacher against the
         # other view only
         rng = np.random.default_rng(6)
         s = [ad.as_tensor(rng.normal(size=5)) for _ in range(2)]
-        loss = obj.dino_loss(ad.stack(s), np.stack([t.data for t in s]), tau_s=0.1, tau_t=0.07).data.item()
+        loss = obj.dino_loss(ad.as_tensor(np.stack([t.data for t in s])), np.stack([t.data for t in s]), tau_s=0.1, tau_t=0.07).data.item()
 
         def ce(zt, zs):
             p = np.exp(zt / 0.07 - np.max(zt / 0.07))
@@ -153,8 +156,8 @@ class TestDinoLoss:
         x = ad.as_tensor(rng.normal(size=4))
         zt = ad.linear(x, teacher_w).data  # outside the tape: a constant
         with ad.GradTape() as tape:
-            zs = ad.linear(x, student_w)
-            loss = obj.dino_loss(ad.stack([zs, zs, zs]), np.stack([zt, zt * 0.5]), tau_s=0.1, tau_t=0.07)
+            zs = ad.linear(ad.as_tensor(np.stack([x.data] * 3)), student_w)  # three equal student rows
+            loss = obj.dino_loss(zs, np.stack([zt, zt * 0.5]), tau_s=0.1, tau_t=0.07)
         grads = tape.backward(loss)
         assert grads.get(teacher_w) is None
         assert grads.get(student_w) is not None
