@@ -130,11 +130,10 @@ def cmd_fuse_pca(args):
     return 0
 
 
-def _knn_report(train_bank, test_bank, kind, k, rows=slice(None)):
-    index = evalkit.KnnIndex(_bank_rows(train_bank, kind, "index")[rows], train_bank.labels[rows], k=k)
-    preds = evalkit.knn_classify(index, _bank_rows(test_bank, kind, "query"))
-    per_class = evalkit.per_class_accuracy(preds, test_bank.labels)
-    return evalkit.accuracy(preds, test_bank.labels), float(np.mean(list(per_class.values()))), per_class
+def _knn_report(index_rows, index_labels, queries, labels, k):
+    preds = evalkit.knn_classify(evalkit.KnnIndex(index_rows, index_labels, k=k), queries)
+    per_class = evalkit.per_class_accuracy(preds, labels)
+    return evalkit.accuracy(preds, labels), float(np.mean(list(per_class.values()))), per_class
 
 
 def cmd_eval(args):
@@ -148,8 +147,12 @@ def cmd_eval(args):
     reports = []
     table_rows = []
     baseline = None
+    held = {}  # the rows the few-shot pass reads again
     for kind in kinds:
-        top1, mpc, per_class = _knn_report(train, test, kind, k)
+        index_rows, queries = _bank_rows(train, kind, "index"), _bank_rows(test, kind, "query")
+        if args.shots and kind in ("embedding", "fused"):
+            held[kind] = index_rows, queries
+        top1, mpc, per_class = _knn_report(index_rows, train.labels, queries, test.labels, k)
         if kind == "embedding":
             baseline = top1
         reports.append(evalkit.EvalReport(f"knn_top1_{kind}", top1, per_class=per_class))
@@ -161,8 +164,8 @@ def cmd_eval(args):
             raise ConfigError(f"--shots {args.shots} outside 1..{smallest}, the smallest training class")
         rows = evalkit.few_shot_subset(train.labels, shots=args.shots,
                                        seed=feat.derive_seed(run_cfg.encoder.seed, "few-shot"))
-        for kind in ("embedding", "fused"):
-            top1, mpc, _ = _knn_report(train, test, kind, k=min(k, len(rows)), rows=rows)
+        for kind, (index_rows, queries) in held.items():
+            top1, mpc, _ = _knn_report(index_rows[rows], train.labels[rows], queries, test.labels, min(k, len(rows)))
             reports.append(evalkit.EvalReport(f"knn_top1_{kind}_{args.shots}shot", top1))
             table_rows.append([f"{kind} ({args.shots}-shot)", f"{top1:.4f}", f"{mpc:.4f}", ""])
     evalkit.write_csv(args.out, reports, _echo_lines(train.config))
@@ -236,18 +239,18 @@ def cmd_retrieve(args):
 def cmd_cka(args):
     train, _ = _load_banks(args.train, args.test)
     kinds = ["embedding", *train.config.gradients.objectives, "fused"]
-    mats = {kind: _bank_rows(train, kind, "train") for kind in kinds}
-    constant = [kind for kind in kinds if np.all(mats[kind] == mats[kind][0])]
+    mats = [_bank_rows(train, kind, "train") for kind in kinds]
+    constant = [kind for kind, m in zip(kinds, mats) if np.all(m == m[0])]
     if constant:
         raise DataError("CKA is undefined for a feature family that is the same on every train row: "
                         + ", ".join(constant))
+    cka = evalkit.linear_cka(mats)
     with open(args.out, "w", encoding="utf-8") as fh:
         for line in _echo_lines(train.config):
             fh.write(f"# {line}\n")
         fh.write("features," + ",".join(kinds) + "\n")
-        for a in kinds:
-            values = [f"{evalkit.linear_cka(mats[a], mats[b]):.6f}" for b in kinds]
-            fh.write(a + "," + ",".join(values) + "\n")
+        for kind, row in zip(kinds, cka):
+            fh.write(kind + "," + ",".join(f"{v:.6f}" for v in row) + "\n")
     log.info("wrote %s", args.out)
     return 0
 

@@ -142,11 +142,13 @@ def knn_classify(index, queries):
     `index.k` nearest rows.
 
     Distances are Euclidean, from squared norms and one matrix product per
-    block of queries; neighbor ties at equal distance resolve to the lower
-    row id (`top_k`). A block votes at once: each query's (row, class) pairs
-    are counted and their 1/(d + 1e-12) weights summed; classes below the
-    top count drop out, the larger summed weight wins and an exact weight
-    tie goes to the lower class id.
+    block of queries, made in place into the negated squared distances
+    2 q.x - |x|^2 - |q|^2 (bit for bit the negation of |x|^2 - 2 q.x + |q|^2,
+    up to the sign of a zero) that `top_k` ranks; neighbor ties at equal
+    distance resolve to the lower row id. A block votes at once: each
+    query's (row, class) pairs are counted and their 1/(d + 1e-12) weights
+    summed; classes below the top count drop out, the larger summed weight
+    wins and an exact weight tie goes to the lower class id.
     """
     queries = np.asarray(queries, dtype=np.float64)
     classes, label_ids = np.unique(index.labels, return_inverse=True)
@@ -154,9 +156,12 @@ def knn_classify(index, queries):
     preds = np.empty(len(queries), dtype=index.labels.dtype)
     for start in range(0, len(queries), QUERY_BLOCK):
         block = queries[start : start + QUERY_BLOCK]
-        d2 = row_sq - 2.0 * (block @ index.features.T) + np.sum(block**2, axis=1)[:, None]
-        ids = top_k(-d2, index.k)
-        dists = np.sqrt(np.maximum(np.take_along_axis(d2, ids, axis=1), 0.0))
+        neg_d2 = block @ index.features.T
+        neg_d2 *= 2.0
+        neg_d2 -= row_sq
+        neg_d2 -= np.sum(block**2, axis=1)[:, None]
+        ids = top_k(neg_d2, index.k)
+        dists = np.sqrt(np.maximum(-np.take_along_axis(neg_d2, ids, axis=1), 0.0))
         pairs = (np.arange(len(block))[:, None], label_ids[ids])
         counts = np.zeros((len(block), len(classes)), dtype=np.int64)
         np.add.at(counts, pairs, 1)
@@ -205,22 +210,27 @@ def accuracy(preds, labels):
 # ---------------------------------------------------------------------------
 
 
-def linear_cka(x, y):
-    """Linear centered kernel alignment between two feature matrices."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ValueError("CKA expects (n, p) and (n, q) matrices")
-    if x.shape[0] < 2:
+def linear_cka(mats):
+    """Symmetric (K, K) linear centered kernel alignment between K feature
+    matrices over the same rows.
+
+    Each matrix is centred and its self-Gram norm ‖XᵀX‖ taken once; entry
+    (a, b) above the diagonal is ‖X_bᵀ X_a‖² / (‖X_aᵀ X_a‖ ‖X_bᵀ X_b‖), the
+    lower triangle is its mirror and the diagonal is 1.
+    """
+    mats = [np.asarray(m, dtype=np.float64) for m in mats]
+    if not mats or any(m.ndim != 2 or m.shape[0] != mats[0].shape[0] for m in mats):
+        raise ValueError("CKA expects (n, p), (n, q), ... matrices")
+    if mats[0].shape[0] < 2:
         raise ValueError("CKA needs at least 2 rows")
-    xc = x - x.mean(axis=0)
-    yc = y - y.mean(axis=0)
-    hsic = np.linalg.norm(yc.T @ xc) ** 2
-    nx = np.linalg.norm(xc.T @ xc)
-    ny = np.linalg.norm(yc.T @ yc)
-    if nx == 0 or ny == 0:
+    centred = [m - m.mean(axis=0) for m in mats]
+    norms = [np.linalg.norm(c.T @ c) for c in centred]
+    if not all(norms):
         raise ValueError("zero-variance input to CKA")
-    return float(hsic / (nx * ny))
+    cka = np.eye(len(mats))
+    for a, b in zip(*np.triu_indices(len(mats), 1)):
+        cka[a, b] = cka[b, a] = np.linalg.norm(centred[b].T @ centred[a]) ** 2 / (norms[a] * norms[b])
+    return cka
 
 
 # ---------------------------------------------------------------------------

@@ -286,6 +286,15 @@ def inertia(x, result):
     return float(np.sum((x - result.centroids[result.assignments]) ** 2))
 
 
+def cka_reference(x, y):
+    """Linear CKA of one pair of matrices, each centred and its self-Gram
+    formed within the call: ‖YᵀX‖² / (‖XᵀX‖ ‖YᵀY‖)."""
+    xc = x - x.mean(axis=0)
+    yc = y - y.mean(axis=0)
+    hsic = np.linalg.norm(yc.T @ xc) ** 2
+    return float(hsic / (np.linalg.norm(xc.T @ xc) * np.linalg.norm(yc.T @ yc)))
+
+
 def assignment_cost(cost, row_to_col):
     """Total cost of an assignment; rows marked -1 (padding) cost nothing."""
     return float(sum(cost[r, c] for r, c in enumerate(row_to_col) if c >= 0))

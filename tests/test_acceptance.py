@@ -255,11 +255,10 @@ class TestCriterion08CkaInvariances:
     def test_invariances(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(120, 16))
-        self_sim = ek.linear_cka(x, x)
+        self_sim = ek.linear_cka([x, x.copy()])[0, 1]
         assert abs(self_sim - 1.0) < 1e-10
         q = np.linalg.qr(rng.normal(size=(16, 16)))[0]
-        rot = ek.linear_cka(x, x @ q)
-        scal = ek.linear_cka(x, -2.5 * x)
+        rot, scal = ek.linear_cka([x, x @ q, -2.5 * x])[0, 1:]
         assert abs(rot - 1.0) < 1e-8
         assert abs(scal - 1.0) < 1e-8
         report(8, f"CKA self={self_sim:.12f}, orthogonal={rot:.10f}, scaled={scal:.10f}")

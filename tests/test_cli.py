@@ -14,7 +14,7 @@ from fungi import synth
 from fungi.config import RunConfig
 from fungi.store import StoreError
 
-from .oracles import collapsed_banks
+from .oracles import cka_reference, collapsed_banks
 from .test_unused_code import DESK_CONFIG
 
 TINY_CFG = """\
@@ -110,12 +110,21 @@ class TestPipelineCommands:
         assert train.dim == test.dim == 16
         assert store.read_sections(out / "pca.fngi", ())["pca_components"].shape == (16, 48)
 
-    def test_eval_writes_report(self, workspace, capsys):
+    def test_eval_writes_report(self, workspace, capsys, monkeypatch):
         root, _, _, banks = workspace
         out = root / "eval.csv"
+        reads, rows = [], feat.FeatureBank.rows
+
+        def counted_rows(bank, kind, role):
+            reads.append((kind, role))
+            return rows(bank, kind, role)
+
+        monkeypatch.setattr(feat.FeatureBank, "rows", counted_rows)
         assert cli.main(["eval", "--train", str(banks / "bank_train.fngi"),
                          "--test", str(banks / "bank_test.fngi"),
                          "--shots", "3", "--out", str(out)]) == 0
+        # each kind's train and test rows are read once, the few-shot pass included
+        assert reads == [(kind, role) for kind in ("embedding", "kl", "simclr", "fused") for role in ("index", "query")]
         text = out.read_text()
         assert text.splitlines()[0].startswith("# config_hash=")
         assert "knn_top1_embedding" in text and "knn_top1_fused" in text
@@ -130,6 +139,13 @@ class TestPipelineCommands:
             out = root / f"{cmd}.csv"
             assert cli.main([cmd, *args, "--out", str(out)]) == 0
             assert out.exists()
+        # the CKA matrix's rows are the pairwise formula at every pair of kinds
+        train = feat.FeatureBank.load(banks / "bank_train.fngi")
+        kinds = ["embedding", "kl", "simclr", "fused"]
+        mats = [train.rows(kind, "train") for kind in kinds]
+        want = ["features," + ",".join(kinds)]
+        want += [a + "," + ",".join(f"{cka_reference(x, y):.6f}" for y in mats) for a, x in zip(kinds, mats)]
+        assert [line for line in (root / "cka.csv").read_text().splitlines() if not line.startswith("#")] == want
 
     def test_probe_logs_each_training(self, workspace, caplog):
         root, _, _, banks = workspace

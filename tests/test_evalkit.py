@@ -6,7 +6,7 @@ import pytest
 from fungi import evalkit as ek
 from fungi.config import RunConfig
 
-from .oracles import assignment_cost, finite_diff_gradient, inertia, max_relative_error, validation_accuracy
+from .oracles import assignment_cost, cka_reference, finite_diff_gradient, inertia, max_relative_error, validation_accuracy
 
 GRID = RunConfig().probe_lambda_grid()  # the reference [eval] probe lambda grid
 MAX_EPOCHS = RunConfig().eval.probe_max_epochs
@@ -308,6 +308,34 @@ class TestKnn:
         )
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_in_place_distances_match_previous_expression(self, k, monkeypatch):
+        rng = np.random.default_rng(4)
+        train = rng.integers(0, 3, size=(40, 3)).astype(np.float64)  # exact distance ties
+        train[20:] += rng.normal(size=(20, 3))
+        train_y = rng.integers(0, 4, size=40)
+        train_y[:3] = [6, 6, 1]  # an all-NaN row ranks ids 0, 1, 2 first: a clear vote at k = 1 and 3
+        # d2 = +0 at the copy of an integer row and near 0 at the copy of row 25;
+        # one query with a NaN feature and one of NaNs only
+        queries = np.vstack([train[[5, 25]], rng.integers(0, 3, size=(2 * ek.QUERY_BLOCK, 3)), np.full((1, 3), np.nan)])
+        queries[7, 1] = np.nan
+        seen, top_k = [], ek.top_k
+
+        def recording_top_k(scores, n):
+            seen.append(scores.copy())
+            return top_k(scores, n)
+
+        monkeypatch.setattr(ek, "top_k", recording_top_k)
+        for a in (train, train_y, queries):
+            a.setflags(write=False)
+        got = ek.knn_classify(ek.KnnIndex(train, train_y, k=k), queries)
+        row_sq = np.sum(train**2, axis=1)
+        for start, scores in zip(range(0, len(queries), ek.QUERY_BLOCK), seen, strict=True):
+            block = queries[start : start + ek.QUERY_BLOCK]
+            previous = row_sq - 2.0 * (block @ train.T) + np.sum(block**2, axis=1)[:, None]
+            np.testing.assert_array_equal(scores, -previous)
+        assert np.array_equal(got, [brute_force_knn(train, train_y, q, k) for q in queries])
+
     def test_k_exceeds_index(self):
         with pytest.raises(ValueError):
             ek.KnnIndex(np.zeros((3, 2)), np.zeros(3), k=5)
@@ -370,29 +398,53 @@ class TestAccuracy:
 class TestCka:
     def test_self_similarity_is_one(self):
         x = np.random.default_rng(6).normal(size=(50, 12))
-        assert abs(ek.linear_cka(x, x) - 1.0) < 1e-10
+        assert abs(ek.linear_cka([x, x.copy()])[0, 1] - 1.0) < 1e-10
 
     def test_orthogonal_invariance(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(60, 10))
         q = np.linalg.qr(rng.normal(size=(10, 10)))[0]
-        assert abs(ek.linear_cka(x, x @ q) - 1.0) < 1e-8
-        assert abs(ek.linear_cka(x, 3.7 * x) - 1.0) < 1e-8
+        cka = ek.linear_cka([x, x @ q, 3.7 * x])
+        assert abs(cka[0, 1] - 1.0) < 1e-8
+        assert abs(cka[0, 2] - 1.0) < 1e-8
 
     def test_independent_features_score_low(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(1000, 64))
         y = rng.normal(size=(1000, 64))
-        assert ek.linear_cka(x, y) < 0.2
+        assert ek.linear_cka([x, y])[0, 1] < 0.2
 
     def test_symmetry(self):
         rng = np.random.default_rng(9)
         x, y = rng.normal(size=(40, 6)), rng.normal(size=(40, 9))
-        assert abs(ek.linear_cka(x, y) - ek.linear_cka(y, x)) < 1e-10
+        assert abs(ek.linear_cka([x, y])[0, 1] - ek.linear_cka([y, x])[0, 1]) < 1e-10
 
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError):
-            ek.linear_cka(np.ones((10, 3)), np.random.default_rng(0).normal(size=(10, 3)))
+            ek.linear_cka([np.ones((10, 3)), np.random.default_rng(0).normal(size=(10, 3))])
+
+    @pytest.mark.parametrize("widths", [(3, 7, 12), (5, 1, 9, 4), (16, 2, 8, 11, 6)])
+    def test_matrix_matches_pairwise_reference(self, widths):
+        rng = np.random.default_rng(len(widths))
+        # families that share a 4-D signal under their own noise and offset
+        latent = rng.normal(size=(80, 4))
+        mats = [latent @ rng.normal(size=(4, w)) + rng.normal(size=(80, w)) + rng.normal() for w in widths]
+        copies = [m.copy() for m in mats]
+        cka = ek.linear_cka(mats)
+        assert cka.shape == (len(widths), len(widths))
+        assert np.array_equal(cka, cka.T)
+        assert np.array_equal(np.diag(cka), np.ones(len(widths)))
+        want = np.array([[cka_reference(a, b) for b in mats] for a in mats])
+        assert np.max(np.abs(cka - want)) < 1e-12
+        assert 0.0 < cka.min() and cka[~np.eye(len(widths), dtype=bool)].max() < 1.0
+        assert all(np.array_equal(m, c) for m, c in zip(mats, copies))
+
+    @pytest.mark.parametrize("mats", [
+        [], [np.ones(5)], [np.zeros((6, 2)), np.zeros((5, 2))], [np.ones((1, 3)), np.ones((1, 2))],
+    ], ids=["no matrix", "1-D", "unequal rows", "one row"])
+    def test_bad_shapes_rejected(self, mats):
+        with pytest.raises(ValueError):
+            ek.linear_cka(mats)
 
 
 class TestHungarian:
