@@ -115,15 +115,20 @@ def cmd_extract(args):
 
 def cmd_fuse_pca(args):
     train, test = _load_banks(args.train, args.test)
+    train_rows = _bank_rows(train, "fused", "train")
+    test_rows = _bank_rows(test, "fused", "test")
+    if len(train) < 2:
+        raise DataError(f"{args.train}: PCA needs at least 2 train rows, got {len(train)}")
     out_dim = train.config.pca.out_dim
-    limit = min(train.dim, len(train))
+    limit = min(train.dim, len(train) - 1)
     if out_dim > limit:
-        log.warning("clamping PCA out_dim=%d to %d (bank width %d, %d train rows)", out_dim, limit, train.dim, len(train))
+        log.warning("clamping PCA out_dim=%d to %d (bank width %d; %d centred train rows span at most %d dimensions)",
+                    out_dim, limit, train.dim, len(train), len(train) - 1)
         out_dim = limit
-    model = feat.fit_pca(train.fused, out_dim)  # fitted on the training rows alone
+    model = feat.fit_pca(train_rows, out_dim)  # fitted on the training rows alone
     os.makedirs(args.out, exist_ok=True)
-    for bank, name in ((train, "bank_train_pca.fngi"), (test, "bank_test_pca.fngi")):
-        fused = feat.apply_pca(model, bank.fused).astype(np.float32)
+    for bank, rows, name in ((train, train_rows, "bank_train_pca.fngi"), (test, test_rows, "bank_test_pca.fngi")):
+        fused = feat.apply_pca(model, rows).astype(np.float32)
         dataclasses.replace(bank, fused=fused).save(os.path.join(args.out, name))
     model.save(os.path.join(args.out, "pca.fngi"))
     log.info("PCA %d -> %d fitted on %d rows", train.dim, out_dim, len(train))

@@ -106,15 +106,23 @@ class PcaModel:
 
 
 def fit_pca(data, out_dim):
-    """Centered PCA via SVD; no whitening. `out_dim` is in 1..min(rows,
-    columns), as `RunConfig.validate` and `fungi fuse-pca` check."""
+    """Centered PCA from the eigendecomposition of the (D, D) scatter matrix
+    of the centered rows; no whitening. The components are the top `out_dim`
+    eigenvectors in non-increasing eigenvalue order, each signed so that its
+    largest-magnitude entry (the first, on a tie) is positive; the explained
+    variances are the eigenvalues, clipped at 0, over n - 1. `out_dim` is in
+    1..min(rows - 1, columns), as `RunConfig.validate` and `fungi fuse-pca`
+    check: n centered rows span at most n - 1 dimensions."""
     data = np.asarray(data, dtype=np.float64)
     n = len(data)
     mean = data.mean(axis=0)
     centered = data - mean
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    variance = (s * s) / max(n - 1, 1)
-    return PcaModel(mean=mean, components=vt[:out_dim], explained_variance=variance[:out_dim])
+    eigenvalues, eigenvectors = np.linalg.eigh(centered.T @ centered)
+    components = eigenvectors[:, ::-1][:, :out_dim].T.copy()
+    peaks = components[np.arange(out_dim), np.argmax(np.abs(components), axis=1)]
+    components[peaks < 0] *= -1.0
+    variance = np.maximum(eigenvalues[::-1][:out_dim], 0.0) / max(n - 1, 1)
+    return PcaModel(mean=mean, components=components, explained_variance=variance)
 
 
 def apply_pca(model, data):

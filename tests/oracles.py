@@ -14,6 +14,7 @@ import numpy as np
 from fungi import autodiff as ad
 from fungi import backbone as bb
 from fungi import evalkit as ek
+from fungi import features as feat
 from fungi import pipeline
 from fungi import segmem
 from fungi.config import RunConfig
@@ -293,6 +294,17 @@ def cka_reference(x, y):
     yc = y - y.mean(axis=0)
     hsic = np.linalg.norm(yc.T @ xc) ** 2
     return float(hsic / (np.linalg.norm(xc.T @ xc) * np.linalg.norm(yc.T @ yc)))
+
+
+def pca_reference(data, out_dim):
+    """Centered PCA by a thin SVD of the centered rows, as `fit_pca` once
+    computed it: the top `out_dim` right singular vectors, with the signs
+    LAPACK gives them, and s² / (n - 1) as the explained variances."""
+    data = np.asarray(data, dtype=np.float64)
+    centered = data - data.mean(axis=0)
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    variance = (s * s) / max(len(data) - 1, 1)
+    return feat.PcaModel(mean=data.mean(axis=0), components=vt[:out_dim], explained_variance=variance[:out_dim])
 
 
 def assignment_cost(cost, row_to_col):

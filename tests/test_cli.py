@@ -1,7 +1,7 @@
 import argparse
 import logging
 import pathlib
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -302,16 +302,50 @@ class TestExitCodes:
         assert not (tmp_path / "pca").exists()
 
     def test_pca_out_dim_above_train_rows_is_clamped(self, tmp_path, workspace, caplog):
-        # 18 train rows of 48 fused columns: the default out_dim of 64 meets
-        # a default-size dataset the same way
+        # 18 train rows of 48 fused columns: 18 centred rows span 17
+        # dimensions, so an 18th component would have zero variance. The
+        # default out_dim of 64 meets a default-size dataset the same way
         _, _, _, banks = workspace
         train, test = banks_with_echo(banks, tmp_path, "out_dim = 16", "out_dim = 19")
         out = tmp_path / "pca"
         with caplog.at_level(logging.WARNING, logger="fungi"):
             assert cli.main(["fuse-pca", "--train", str(train), "--test", str(test), "--out", str(out)]) == 0
-        assert "clamping PCA out_dim=19 to 18 (bank width 48, 18 train rows)" in caplog.text
+        assert ("clamping PCA out_dim=19 to 17 (bank width 48; 18 centred train rows span at most 17 dimensions)"
+                in caplog.text)
         for name in ("bank_train_pca.fngi", "bank_test_pca.fngi"):
-            assert feat.FeatureBank.load(out / name).fused.shape[1] == 18
+            assert feat.FeatureBank.load(out / name).fused.shape[1] == 17
+        variance = store.read_sections(out / "pca.fngi", ())["pca_explained_variance"]
+        assert variance.shape == (17,) and variance.min() > 1e-6
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_pca_fused_row_that_is_not_finite_is_3(self, tmp_path, workspace, split, caplog, capsys):
+        _, _, _, banks = workspace
+        paths = {s: banks / f"bank_{s}.fngi" for s in ("train", "test")}
+        bank = feat.FeatureBank.load(paths[split])
+        bank.fused[4, 7] = np.nan
+        paths[split] = tmp_path / f"bank_{split}.fngi"
+        bank.save(paths[split])
+        with caplog.at_level(logging.ERROR, logger="fungi"):
+            assert cli.main(["fuse-pca", "--train", str(paths["train"]), "--test", str(paths["test"]),
+                             "--out", str(tmp_path / "pca")]) == 3
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert errors == [f"data error: fused features: {split} row 4 is not finite"]
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "pca").exists()
+
+    def test_pca_on_one_train_row_is_3(self, tmp_path, workspace, caplog):
+        _, _, _, banks = workspace
+        bank = feat.FeatureBank.load(banks / "bank_train.fngi")
+        one = replace(bank, labels=bank.labels[:1], fused=bank.fused[:1], embedding=bank.embedding[:1],
+                      gradients={name: x[:1] for name, x in bank.gradients.items()})
+        train = tmp_path / "bank_train.fngi"
+        one.save(train)
+        with caplog.at_level(logging.ERROR, logger="fungi"):
+            assert cli.main(["fuse-pca", "--train", str(train), "--test", str(banks / "bank_test.fngi"),
+                             "--out", str(tmp_path / "pca")]) == 3
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert errors == [f"data error: {train}: PCA needs at least 2 train rows, got 1"]
+        assert not (tmp_path / "pca").exists()
 
     def test_shots_above_smallest_class_is_2(self, tmp_path, workspace, caplog):
         # 18 train rows over 2 classes: 9 per class

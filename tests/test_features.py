@@ -8,7 +8,7 @@ from fungi import features as feat
 from fungi import store
 from fungi.config import PROJECTION_KINDS, ConfigError, RunConfig
 
-from .oracles import entry_variance
+from .oracles import entry_variance, pca_reference
 
 
 class TestFlatten:
@@ -188,6 +188,56 @@ class TestPca:
         np.testing.assert_array_equal(back["pca_components"], model.components)
         np.testing.assert_array_equal(back["pca_explained_variance"], model.explained_variance)
 
+
+def separated_spectrum(n, dim, rank, seed):
+    """(n, dim) rows whose centred scatter has `rank` nonzero eigenvalues,
+    spaced evenly in singular value so that each per-row variance falls
+    from 9 to 1: every gap is far above rounding, so each component is
+    fixed up to its sign."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, rank))
+    u = np.linalg.qr(z - z.mean(axis=0))[0]  # orthonormal columns orthogonal to the ones vector
+    v = np.linalg.qr(rng.normal(size=(dim, rank)))[0]
+    s = np.linspace(3.0, 1.0, rank) * np.sqrt(n - 1)
+    return (u * s) @ v.T + rng.normal(size=dim)
+
+
+def largest_entry_positive(components):
+    """Each row flipped so that its largest-magnitude entry, the first
+    among equals, is positive."""
+    peaks = components[np.arange(len(components)), np.argmax(np.abs(components), axis=1)]
+    return components * np.where(peaks < 0, -1.0, 1.0)[:, None]
+
+
+class TestPcaAgainstSvd:
+    # rows above the width, and the 18 x 48 train bank of the CLI tests,
+    # whose 18 centred rows span 17 dimensions
+    SHAPES = [(200, 40, 40), (18, 48, 17)]
+
+    @pytest.mark.parametrize("n, dim, out_dim", SHAPES)
+    def test_matches_the_svd_fit(self, n, dim, out_dim):
+        data = separated_spectrum(n, dim, out_dim, seed=n + dim)
+        model = feat.fit_pca(data, out_dim)
+        want = pca_reference(data, out_dim)
+        assert model.components.shape == (out_dim, dim)
+        assert np.abs(model.components - largest_entry_positive(want.components)).max() < 1e-10
+        np.testing.assert_allclose(model.explained_variance, want.explained_variance, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(model.mean, want.mean)
+
+    @pytest.mark.parametrize("n, dim, out_dim", SHAPES)
+    def test_largest_entry_of_each_component_is_positive(self, n, dim, out_dim):
+        components = feat.fit_pca(separated_spectrum(n, dim, out_dim, seed=n + dim), out_dim).components
+        assert np.all(components[np.arange(out_dim), np.argmax(np.abs(components), axis=1)] > 0)
+
+    @pytest.mark.parametrize("n, dim, out_dim", SHAPES)
+    def test_two_fits_are_byte_identical_and_leave_the_input_unwritten(self, n, dim, out_dim):
+        data = separated_spectrum(n, dim, out_dim, seed=n + dim)
+        before = data.copy()
+        data.flags.writeable = False
+        a, b = feat.fit_pca(data, out_dim), feat.fit_pca(data, out_dim)
+        for name in ("mean", "components", "explained_variance"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        np.testing.assert_array_equal(data, before)
 
 def random_bank():
     """A 10-row bank of seeded normal rows: kl and simclr segments of width 6."""
