@@ -14,6 +14,7 @@ import dataclasses
 import logging
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -198,25 +199,41 @@ def cmd_cluster(args):
 def cmd_probe(args):
     train, test = _load_banks(args.train, args.test)
     run_cfg = train.config
-    if len(np.unique(train.labels)) < 2:
+    classes, counts = np.unique(train.labels, return_counts=True)
+    if len(classes) < 2:
         raise DataError(f"{args.train}: the probe needs at least two classes in the train bank")
-    reports, table_rows = [], []
-    for kind in ("embedding", "fused"):
-        result = evalkit.logistic_probe(
-            _bank_rows(train, kind, "train"),
+    if counts.max() < 2:
+        raise DataError(f"{args.train}: the probe holds out a row of each class to choose lambda, "
+                        "so it needs a class with at least two train rows; every class has one")
+    kinds = ("embedding", "fused")
+    train_rows = {kind: _bank_rows(train, kind, "train") for kind in kinds}
+    test_rows = {kind: _bank_rows(test, kind, "test") for kind in kinds}
+
+    def train_probe(kind):
+        return evalkit.logistic_probe(
+            train_rows[kind],
             train.labels,
             lambda_grid=run_cfg.probe_lambda_grid(),
             max_epochs=run_cfg.eval.probe_max_epochs,
             seed=feat.derive_seed(run_cfg.encoder.seed, "probe"),
         )
+
+    # the two kinds train independently, the embedding probe on a worker
+    # thread and the fused probe here: their products run in BLAS, which
+    # releases the interpreter lock
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        embedding = pool.submit(train_probe, "embedding")
+        results = {"fused": train_probe("fused"), "embedding": embedding.result()}
+    reports, table_rows = [], []
+    for kind in kinds:
+        result = results[kind]
         for i, fit in enumerate(result.fits):
             log.info(
                 "probe %s %s: lambda %g, %d epochs, %d trial steps, %d accepted, stop %s",
                 kind, "refit" if i == len(result.lambda_grid) else "select", fit.lam,
                 fit.epochs, fit.trials, fit.accepted, fit.stop,
             )
-        preds = result.model.predict(_bank_rows(test, kind, "test"))
-        acc = evalkit.accuracy(preds, test.labels)
+        acc = evalkit.accuracy(result.model.predict(test_rows[kind]), test.labels)
         reports.append(evalkit.EvalReport(f"probe_top1_{kind}", acc))
         table_rows.append([kind, f"{acc:.4f}", repr(result.best_lambda)])
     evalkit.write_csv(args.out, reports, _echo_lines(train.config))

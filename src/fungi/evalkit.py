@@ -549,9 +549,15 @@ def logistic_probe(train_x, train_y, lambda_grid, max_epochs, seed):
 
     The best lambda is chosen by accuracy on the held-out 20% of a seeded
     stratified split of the training set; the returned model is refit on the
-    full training set.
+    full training set. Every class holds out at least one row, so a training
+    set with one row per class leaves none to fit on and raises ValueError.
+
+    Rows of any float dtype train in float64. The fit and validation rows are
+    gathered from `train_x` as float64, and a float64 copy of all of it is
+    formed only for the refit, after those two are dropped, so float32 rows
+    never hold two float64 copies at once.
     """
-    train_x = np.asarray(train_x, dtype=np.float64)
+    train_x = np.asarray(train_x)
     train_y = np.asarray(train_y)
     classes, y_index = np.unique(train_y, return_inverse=True)
     if len(classes) < 2:
@@ -559,8 +565,11 @@ def logistic_probe(train_x, train_y, lambda_grid, max_epochs, seed):
     lambda_grid = np.asarray(lambda_grid, dtype=np.float64)
 
     fit_rows, val_rows = _stratified_split(train_y, 0.2, seed)
-    fit_x, fit_y = train_x[fit_rows], y_index[fit_rows]
-    sel_x, sel_y = train_x[val_rows], y_index[val_rows]
+    if not len(fit_rows):
+        raise ValueError("probe has no rows to fit: each class holds out a row to choose lambda, "
+                         "and every class has one")
+    fit_x, fit_y = np.asarray(train_x[fit_rows], dtype=np.float64), y_index[fit_rows]
+    sel_x, sel_y = np.asarray(train_x[val_rows], dtype=np.float64), y_index[val_rows]
 
     # largest lambda first, each training warm-started from the last one;
     # on an accuracy tie the smaller lambda, trained later, wins
@@ -575,8 +584,9 @@ def logistic_probe(train_x, train_y, lambda_grid, max_epochs, seed):
             best = (acc, float(lambda_grid[i]), start)
 
     _, best_lambda, best_start = best
+    del fit_x, sel_x
     w, b, _, fit = _train_logreg(
-        train_x, y_index, len(classes), best_lambda, max_epochs, start=best_start
+        np.asarray(train_x, dtype=np.float64), y_index, len(classes), best_lambda, max_epochs, start=best_start
     )
     fits.append(fit)
     return ProbeResult(

@@ -167,15 +167,17 @@ class FeatureBank:
         return self.fused.shape[1]
 
     def rows(self, kind, role):
-        """Rows used for evaluation: the fused matrix as stored, or the
-        unit-norm embedding or gradient segment of one objective. A fused row
-        that is not finite, or a segment row that `evalkit.unit_rows` refuses,
-        raises ValueError naming it among the `role` rows."""
+        """Rows used for evaluation: the fused matrix as stored (float32 in a
+        loaded bank), as a read-only view, or the unit-norm float64 embedding
+        or gradient segment of one objective. A fused row that is not finite,
+        or a segment row that `evalkit.unit_rows` refuses, raises ValueError
+        naming it among the `role` rows."""
         if kind == "fused":
-            rows = self.fused.astype(np.float64)
-            bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+            bad = np.flatnonzero(~np.isfinite(self.fused).all(axis=1))
             if bad.size:
                 raise ValueError(f"{role} row {bad[0]} is not finite")
+            rows = self.fused.view()
+            rows.flags.writeable = False
             return rows
         rows = self.embedding if kind == "embedding" else self.gradients[kind]
         return evalkit.unit_rows(rows.astype(np.float64), role)

@@ -1,6 +1,9 @@
 import argparse
 import logging
+import os
 import pathlib
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -61,6 +64,17 @@ def command_options():
 def test_options_match_golden_file():
     # a flag that restates a config key, or one that comes back, shows up here
     assert command_options() == OPTIONS_GOLDEN.read_text(), "command-line options drifted from golden file"
+
+
+@pytest.mark.parametrize("preset, want", [({}, ["1", "1", "1"]), ({"OPENBLAS_NUM_THREADS": "3"}, ["3", "1", "1"])])
+def test_import_sets_one_blas_thread_unless_the_caller_chose(preset, want):
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = os.pathsep.join([str(pathlib.Path(cli.__file__).parent.parent), env.get("PYTHONPATH", "")])
+    code = f"import os, fungi; print(*(os.environ.get(v, '-') for v in {names!r}))"
+    run = subprocess.run([sys.executable, "-c", code], env={**env, **preset}, capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert run.stdout.split() == want
 
 
 def banks_with_echo(banks, out_dir, old, new):
@@ -163,6 +177,47 @@ class TestPipelineCommands:
         rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
         assert rows == ["metric,class,value"] + [row for row in rows[1:] if row.startswith("probe_top1_")]
         assert len(rows) == 3
+
+    def test_concurrent_probe_is_the_sequential_probe(self, tmp_path, workspace, monkeypatch, caplog, capsys):
+        # the two kinds train at once; each must be what a call of its own gives
+        _, _, _, banks = workspace
+        train = feat.FeatureBank.load(banks / "bank_train.fngi")
+        test = feat.FeatureBank.load(banks / "bank_test.fngi")
+        cfg = train.config
+        reports, table_rows, lines, want = [], [], [], {}
+        for kind in ("embedding", "fused"):
+            result = want[kind] = evalkit.logistic_probe(
+                train.rows(kind, "train"), train.labels, lambda_grid=cfg.probe_lambda_grid(),
+                max_epochs=cfg.eval.probe_max_epochs, seed=feat.derive_seed(cfg.encoder.seed, "probe"))
+            lines += [f"probe {kind} {'refit' if i == len(result.lambda_grid) else 'select'}: lambda {fit.lam:g}, "
+                      f"{fit.epochs} epochs, {fit.trials} trial steps, {fit.accepted} accepted, stop {fit.stop}"
+                      for i, fit in enumerate(result.fits)]
+            acc = evalkit.accuracy(result.model.predict(test.rows(kind, "test")), test.labels)
+            reports.append(evalkit.EvalReport(f"probe_top1_{kind}", acc))
+            table_rows.append([kind, f"{acc:.4f}", repr(result.best_lambda)])
+        evalkit.write_csv(tmp_path / "want.csv", reports, cli._echo_lines(cfg))
+
+        trained = {}
+        sequential = evalkit.logistic_probe
+
+        def spy(train_x, *args, **kwargs):
+            result = sequential(train_x, *args, **kwargs)
+            trained["fused" if train_x.dtype == np.float32 else "embedding"] = result
+            return result
+
+        monkeypatch.setattr(evalkit, "logistic_probe", spy)
+        capsys.readouterr()
+        with caplog.at_level(logging.INFO, logger="fungi"):
+            assert cli.main(["probe", "--train", str(banks / "bank_train.fngi"),
+                             "--test", str(banks / "bank_test.fngi"), "--out", str(tmp_path / "got.csv")]) == 0
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert capsys.readouterr().out == evalkit.render_table(
+            table_rows, header=["features", "probe_top1", "lambda"]) + "\n"
+        assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("probe ")] == lines
+        assert len(lines) == 12 and sorted(trained) == ["embedding", "fused"]
+        for kind, result in trained.items():
+            assert result.model.weights.tobytes() == want[kind].model.weights.tobytes()
+            assert result.model.bias.tobytes() == want[kind].model.bias.tobytes()
 
     def test_segment_both_feature_modes(self, workspace):
         root, cfg_path, _, _ = workspace
@@ -463,6 +518,26 @@ class TestExitCodes:
                              "--out", str(tmp_path / "p.csv")]) == 3
         assert "at least two classes" in caplog.text
 
+    def test_one_row_per_class_probe_is_3(self, tmp_path, workspace, caplog, recwarn):
+        # each class holds out its one row to choose lambda, which would leave
+        # no row to train on
+        _, _, _, banks = workspace
+        bank = feat.FeatureBank.load(banks / "bank_train.fngi")
+        first = np.unique(bank.labels, return_index=True)[1]
+        cut = replace(bank, labels=bank.labels[first], fused=bank.fused[first], embedding=bank.embedding[first],
+                      gradients={name: rows[first] for name, rows in bank.gradients.items()})
+        path = tmp_path / "bank_train.fngi"
+        cut.save(path)
+        with caplog.at_level(logging.INFO, logger="fungi"):
+            assert cli.main(["probe", "--train", str(path), "--test", str(banks / "bank_test.fngi"),
+                             "--out", str(tmp_path / "p.csv")]) == 3
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert errors == [f"data error: {path}: the probe holds out a row of each class to choose lambda, "
+                          "so it needs a class with at least two train rows; every class has one"]
+        assert not any(r.getMessage().startswith("probe ") for r in caplog.records)
+        assert not recwarn.list
+        assert not (tmp_path / "p.csv").exists()
+
     def test_constant_feature_family_cka_is_3(self, tmp_path, workspace, caplog):
         # collapsed output paths make the embedding the same for every input,
         # and at the default source (the last attn_proj) the gradients too
@@ -618,7 +693,8 @@ class TestExitCodes:
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("command, split, role", [
-        ("eval", "train", "index"), ("cluster", "test", "test"), ("probe", "train", "train"), ("cka", "train", "train"),
+        ("eval", "train", "index"), ("cluster", "test", "test"), ("probe", "train", "train"), ("probe", "test", "test"),
+        ("cka", "train", "train"),
     ])
     @pytest.mark.parametrize("case", ["zero embedding row", "NaN gradient row", "no embedding section"])
     def test_rows_that_cannot_be_used_are_3(self, tmp_path, workspace, command, split, role, case, caplog, capsys):
@@ -643,11 +719,13 @@ class TestExitCodes:
             store.write_sections(out, sections)
             expected = f"{out}: missing required section(s) 'embedding'"
         paths[split] = out
-        with caplog.at_level(logging.ERROR, logger="fungi"):
+        with caplog.at_level(logging.INFO, logger="fungi"):
             assert cli.main([command, "--train", str(paths["train"]), "--test", str(paths["test"]),
                              "--out", str(tmp_path / "r.csv")]) == 3
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
         assert len(errors) == 1 and errors[0] == f"data error: {expected}"
+        # every row is read and checked before the probe trains
+        assert not any(r.getMessage().startswith("probe ") for r in caplog.records)
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -722,6 +723,36 @@ class TestProbe:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             ek.logistic_probe(np.zeros((5, 2)), np.zeros(5), GRID, max_epochs=MAX_EPOCHS, seed=0)
+
+    def test_one_row_per_class_rejected(self):
+        # each class holds out a row to choose lambda, so no row is left to fit
+        with pytest.raises(ValueError, match="^probe has no rows to fit"):
+            ek.logistic_probe(np.eye(3), np.arange(3), GRID, max_epochs=MAX_EPOCHS, seed=0)
+
+    def test_float32_rows_train_as_their_float64_copy(self):
+        x, y, _ = self.fixture(28)
+        x = x.astype(np.float32)
+        got = ek.logistic_probe(x, y, GRID, max_epochs=MAX_EPOCHS, seed=0)
+        want = ek.logistic_probe(x.astype(np.float64), y, GRID, max_epochs=MAX_EPOCHS, seed=0)
+        assert got.model.weights.tobytes() == want.model.weights.tobytes()
+        assert got.model.bias.tobytes() == want.model.bias.tobytes()
+        assert got.best_lambda == want.best_lambda
+        assert got.fits == want.fits
+
+    def test_float32_rows_never_hold_two_float64_copies(self):
+        # eval-banks-shaped train rows: 3,000 x 256 float32 over 10 classes
+        rng = np.random.default_rng(29)
+        y = np.arange(3000) % 10
+        x = (rng.normal(size=(10, 256))[y] + 4.0 * rng.normal(size=(3000, 256))).astype(np.float32)
+        fit_rows, _ = ek._stratified_split(y, 0.2, 0)
+        bound = x.size * 8 + len(fit_rows) * x.shape[1] * 8  # float64 train rows plus fit rows
+        tracemalloc.start()
+        try:
+            ek.logistic_probe(x, y, GRID[:1], max_epochs=3, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
 
     def test_validation_split_selects_lambda(self):
         rng = np.random.default_rng(17)

@@ -367,7 +367,10 @@ class TestFeatureBank:
 class TestBankRows:
     def test_kinds(self):
         bank = random_bank()
-        np.testing.assert_array_equal(bank.rows("fused", "train"), bank.fused.astype(np.float64))
+        fused = bank.rows("fused", "train")
+        assert fused.dtype == np.float32 and fused.tobytes() == bank.fused.tobytes()
+        with pytest.raises(ValueError, match="read-only"):  # the stored rows, lent out
+            fused[0, 0] = 1.0
         for kind, rows in (("embedding", bank.embedding), ("kl", bank.gradients["kl"])):
             got = bank.rows(kind, "train")
             np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0, atol=1e-12)
@@ -386,7 +389,8 @@ class TestBankRows:
         bank = random_bank()
         bank.fused[1] = 0.0
         bank.fused[2] *= 3.0
-        np.testing.assert_array_equal(bank.rows("fused", "train"), bank.fused.astype(np.float64))
+        fused = bank.rows("fused", "train")
+        assert fused.dtype == np.float32 and fused.tobytes() == bank.fused.tobytes()
 
     @pytest.mark.parametrize("kind", ["embedding", "kl"])
     def test_zero_segment_row_rejected(self, kind):
